@@ -13,6 +13,7 @@ from .errors import (
     EmptyEdgeSet,
     GraphSpanError,
     IndexOutOfRange,
+    InternalError,
     InvalidParams,
     InvalidVertex,
     LengthMismatch,
@@ -59,12 +60,10 @@ from .postman import (
 from .spans import (
     RULES,
     TARGETS,
-    ProductGraph,
     Rule,
     SpanReport,
     Target,
     all_spans,
-    build_product,
     feasible,
     span,
     witness_sweeps,

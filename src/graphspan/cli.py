@@ -2,8 +2,8 @@
 
 Subcommands: span, minlen, witness, postman, verify-family, verify-fixtures,
 search-gap. Exit status 0 on success, 1 when a verification check fails, 2 on
-input errors. Output is deterministic: identical invocations produce
-byte-identical output.
+input errors, 3 on an internal error (a breached engine invariant). Output is
+deterministic: identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from .errors import GraphSpanError, MalformedInput, VerificationFailure
+from .errors import GraphSpanError, InternalError, VerificationFailure
 from .families import (
     family_closed_minlen_checks,
     family_closed_span_checks,
@@ -28,18 +28,11 @@ from .walks import Walk, classify, format_walk, is_opposite_lazy, pair_distance,
 
 SCHEMA = "graphspan/v1"
 
-_RULE_CHOICES = {
-    "strong": Rule.TRADITIONAL,
-    "direct": Rule.ACTIVE,
-    "cartesian": Rule.LAZY,
-}
-_RULE_LABEL = {Rule.TRADITIONAL: "strong", Rule.ACTIVE: "direct", Rule.LAZY: "cartesian"}
-
 
 def _selected_rules(name: str) -> tuple[Rule, ...]:
     if name == "all":
         return RULES
-    return (_RULE_CHOICES[name],)
+    return (Rule.from_name(name),)
 
 
 def _selected_targets(name: str) -> tuple[Target, ...]:
@@ -54,14 +47,16 @@ def _load_graph(args) -> tuple[Graph, str]:
         return generate(spec), str(spec)
     with open(args.file, "r", encoding="utf-8") as fh:
         text = fh.read()
-    try:
-        return parse_edge_list(text), f"file:{args.file}"
-    except MalformedInput:
-        for raw in text.splitlines():
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                return parse_graph6(line), f"file:{args.file}"
-        raise
+    source = f"file:{args.file}"
+    # graph6 when the first non-comment line is a graph6 string (every
+    # character in 63..126, or the optional header); an edge list otherwise
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            if line.startswith(">>graph6<<") or all(63 <= ord(c) <= 126 for c in line):
+                return parse_graph6(line), source
+            break
+    return parse_edge_list(text), source
 
 
 def _graph_doc(g: Graph, source: str) -> dict:
@@ -90,7 +85,7 @@ def _cmd_span(args) -> int:
     header = f"{'rule':<12}" + "".join(f"{t.value:>10}" for t in targets)
     lines.append(header)
     for r in rules:
-        row = f"{_RULE_LABEL[r]:<12}"
+        row = f"{r.product_name:<12}"
         for t in targets:
             rep = next(x for x in reports if x.rule is r and x.target is t)
             row += f"{rep.value:>10}"
@@ -102,7 +97,7 @@ def _cmd_span(args) -> int:
         "graph": _graph_doc(g, source),
         "reports": [
             {
-                "rule": _RULE_LABEL[rep.rule],
+                "rule": rep.rule.product_name,
                 "target": rep.target.value,
                 "value": rep.value,
             }
@@ -123,7 +118,7 @@ def _cmd_minlen(args) -> int:
         for t in targets:
             rep = min_length(g, r, t, state_budget=args.budget)
             entry = {
-                "rule": _RULE_LABEL[r],
+                "rule": r.product_name,
                 "target": t.value,
                 "value": rep.length,
                 "span": rep.span_value,
@@ -138,7 +133,7 @@ def _cmd_minlen(args) -> int:
             entries.append(entry)
             mark = " (capped: lower bound only)" if rep.capped else ""
             lines.append(
-                f"{_RULE_LABEL[r]:<12}{t.value:<10}L={rep.length}{mark}"
+                f"{r.product_name:<12}{t.value:<10}L={rep.length}{mark}"
                 f"  span={rep.span_value}  explored={rep.explored_states}"
             )
             if rep.witness is not None:
@@ -164,12 +159,12 @@ def _cmd_witness(args) -> int:
         for t in targets:
             f, h = witness_sweeps(g, r, t)
             value = pair_distance(g, f, h)
-            lines.append(f"# {_RULE_LABEL[r]} {t.value} (distance {value})")
+            lines.append(f"# {r.product_name} {t.value} (distance {value})")
             lines.append(format_walk(f))
             lines.append(format_walk(h))
             entries.append(
                 {
-                    "rule": _RULE_LABEL[r],
+                    "rule": r.product_name,
                     "target": t.value,
                     "value": value,
                     "witness": {"f": format_walk(f), "g": format_walk(h)},
@@ -359,7 +354,7 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_args(p: argparse.ArgumentParser, rule_target: bool = True) -> None:
     if rule_target:
-        p.add_argument("--rule", choices=[*_RULE_CHOICES, "all"], default="all")
+        p.add_argument("--rule", choices=[*(r.product_name for r in RULES), "all"], default="all")
         p.add_argument("--target", choices=["vertices", "edges", "both"], default="both")
     p.add_argument("--format", choices=["text", "structured"], default="text")
 
@@ -418,6 +413,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed ({args.command}): {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error ({args.command}): {exc}", file=sys.stderr)
+        return 3
     except GraphSpanError as exc:
         print(f"input error ({args.command}): {exc}", file=sys.stderr)
         return 2

@@ -67,3 +67,7 @@ class NoClosedForm(GraphSpanError):
 
 class VerificationFailure(GraphSpanError):
     """A cross-check against tabulated reference values failed."""
+
+
+class InternalError(GraphSpanError):
+    """An engine invariant was breached; this is a bug, not an input error."""

@@ -14,8 +14,9 @@ from array import array
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import InternalError
 from .graph import Graph
-from .spans import Rule, Target, span, witness_sweeps
+from .spans import Rule, Target, _moves, span, witness_sweeps
 from .walks import Walk
 
 DEFAULT_STATE_BUDGET = 1 << 27
@@ -68,18 +69,7 @@ def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int, width: 
             if dist[u][v] < sigma:
                 continue
             pos = u * n + v
-            if rule is Rule.ACTIVE:
-                succ = [(x, y) for x in g.adj[u] for y in g.adj[v]]
-            elif rule is Rule.LAZY:
-                succ = [(x, v) for x in g.adj[u]] + [(u, y) for y in g.adj[v]]
-            else:
-                succ = [
-                    (x, y)
-                    for x in (*g.adj[u], u)
-                    for y in (*g.adj[v], v)
-                    if (x, y) != (u, v)
-                ]
-            for x, y in succ:
+            for x, y in _moves(g, rule, u, v):
                 if dist[x][y] < sigma:
                     continue
                 add = (addbit(u, x) << width) | addbit(v, y)
@@ -189,7 +179,7 @@ def _backtrack(goal: int, depth, rev, width: int, n: int) -> tuple[Walk, Walk]:
             if found is not None:
                 break
         if found is None:
-            raise AssertionError("backtrack lost the BFS trail")
+            raise InternalError("backtrack lost the BFS trail")
         states.append(found)
         cur = found
     states.reverse()
@@ -242,7 +232,7 @@ def min_length(
         if goal is not None:
             f, h = _backtrack(goal, depth, rev, width, g.n)
             if f.l != l:
-                raise AssertionError("iterative deepening returned a non-minimal pair")
+                raise InternalError("iterative deepening returned a non-minimal pair")
             return MinLenReport(
                 rule=rule,
                 target=target,
@@ -252,4 +242,4 @@ def min_length(
                 explored_states=explored_total,
                 capped=False,
             )
-    raise AssertionError("witness length must be attainable")
+    raise InternalError("witness length must be attainable")

@@ -7,7 +7,8 @@ set for both players. Within one component, doubling every product edge
 yields an Eulerian circuit whose coordinate projections are valid witness
 walks, and conversely a valid walk pair never leaves its component, so the
 component test is exact; an independent brute-force oracle over walk pairs
-confirms this on all small graphs in the test suite.
+confirms this on all small graphs in the test suite. One union-find pass,
+adding states in decreasing distance order, decides every threshold.
 """
 
 from __future__ import annotations
@@ -16,10 +17,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ThresholdOutOfRange
-from .graph import Edge, Graph, _norm
+from .errors import InternalError, ThresholdOutOfRange
+from .graph import Graph
 from .postman import euler_walk_multigraph
 from .walks import Walk
+
+
+# Rule value -> graph-product names; the first is the canonical one.
+_PRODUCT_NAMES = {
+    "traditional": ("strong",),
+    "active": ("direct", "tensor"),
+    "lazy": ("cartesian",),
+}
 
 
 class Rule(Enum):
@@ -31,19 +40,16 @@ class Rule(Enum):
 
     @property
     def product_name(self) -> str:
-        return {"traditional": "strong", "active": "direct", "lazy": "cartesian"}[self.value]
+        return _PRODUCT_NAMES[self.value][0]
 
     @classmethod
     def from_name(cls, name: str) -> "Rule":
-        aliases = {
-            "traditional": cls.TRADITIONAL, "strong": cls.TRADITIONAL,
-            "active": cls.ACTIVE, "direct": cls.ACTIVE, "tensor": cls.ACTIVE,
-            "lazy": cls.LAZY, "cartesian": cls.LAZY,
-        }
-        try:
-            return aliases[name.lower()]
-        except KeyError:
-            raise ValueError(f"unknown rule {name!r}") from None
+        """Rule by its own name or any of its product names, ignoring case."""
+        key = name.lower()
+        for rule in cls:
+            if key == rule.value or key in _PRODUCT_NAMES[rule.value]:
+                return rule
+        raise ValueError(f"unknown rule {name!r}")
 
 
 class Target(Enum):
@@ -53,8 +59,6 @@ class Target(Enum):
 
 RULES = (Rule.TRADITIONAL, Rule.ACTIVE, Rule.LAZY)
 TARGETS = (Target.VERTICES, Target.EDGES)
-
-State = tuple[int, int]
 
 
 def _moves(g: Graph, rule: Rule, u: int, v: int):
@@ -77,97 +81,11 @@ def _moves(g: Graph, rule: Rule, u: int, v: int):
                     yield x, y
 
 
-@dataclass(frozen=True)
-class ProductGraph:
-    """Thresholded product graph on ordered vertex pairs.
-
-    Component ids are the lowest flattened state index (u*n + v) they contain.
-    """
-
-    base: Graph
-    rule: Rule
-    k: int
-    states: tuple[State, ...]
-    product_edges: tuple[tuple[State, State], ...]
-    components: tuple[tuple[State, ...], ...]
-
-    def component_id(self, comp: tuple[State, ...]) -> int:
-        u, v = comp[0]
-        return u * self.base.n + v
-
-    def component_edges(self, comp: tuple[State, ...]):
-        members = set(comp)
-        return [e for e in self.product_edges if e[0] in members]
-
-
-def build_product(g: Graph, rule: Rule, k: int) -> ProductGraph:
-    """States at pair distance >= k joined by rule-conforming moves."""
-    if not 0 <= k <= g.radius:
-        raise ThresholdOutOfRange(f"threshold {k} outside 0..{g.radius}")
-    dist = g.dist
-    states = [(u, v) for u in range(g.n) for v in range(g.n) if dist[u][v] >= k]
-    state_set = set(states)
-    adjacency: dict[State, list[State]] = {s: [] for s in states}
-    edges = []
-    for s in states:
-        for t in _moves(g, rule, *s):
-            if t in state_set and s < t:
-                edges.append((s, t))
-                adjacency[s].append(t)
-                adjacency[t].append(s)
-
-    components = []
-    seen: set[State] = set()
-    for s in states:  # ascending order fixes component ids
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        components.append(tuple(sorted(comp)))
-    return ProductGraph(
-        base=g,
-        rule=rule,
-        k=k,
-        states=tuple(states),
-        product_edges=tuple(edges),
-        components=tuple(components),
-    )
-
-
-def _component_covers(pg: ProductGraph, comp: tuple[State, ...], target: Target) -> bool:
-    g = pg.base
-    if target is Target.VERTICES:
-        first = {u for u, _ in comp}
-        second = {v for _, v in comp}
-        return len(first) == g.n and len(second) == g.n
-    realized_f: set[Edge] = set()
-    realized_g: set[Edge] = set()
-    for (u, v), (x, y) in pg.component_edges(comp):
-        if u != x:
-            realized_f.add(_norm(u, x))
-        if v != y:
-            realized_g.add(_norm(v, y))
-    return len(realized_f) == g.m and len(realized_g) == g.m
-
-
-def _feasible_component(pg: ProductGraph, target: Target) -> Optional[tuple[State, ...]]:
-    for comp in pg.components:
-        if _component_covers(pg, comp, target):
-            return comp
-    return None
-
-
 def feasible(g: Graph, rule: Rule, target: Target, k: int) -> bool:
     """True iff a covering walk pair at distance >= k exists under the rule."""
-    return _feasible_component(build_product(g, rule, k), target) is not None
+    if not 0 <= k <= g.radius:
+        raise ThresholdOutOfRange(f"threshold {k} outside 0..{g.radius}")
+    return span(g, rule, target).value >= k
 
 
 @dataclass(frozen=True)
@@ -179,49 +97,107 @@ class SpanReport:
     witness: Optional[tuple[Walk, Walk]] = None
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _span_pass(g: Graph, rule: Rule, target: Target) -> tuple[int, int]:
+    """(span value, lowest flat index u*n + v of the witness component).
+
+    States enter in decreasing distance order, one threshold level at a time,
+    and are unioned with the successors already present. Each root is the
+    lowest index of its component and carries the OR of the per-player
+    coverage bits (f bits above g bits): a state adds its vertices when it
+    enters, a product edge adds its base edges when it is unioned. Only roots
+    touched on a level can have become full on it.
+    """
+    n = g.n
+    dist = g.dist
+    vertices = target is Target.VERTICES
+    width = n if vertices else g.m
+    full = (1 << 2 * width) - 1
+    edge_bit = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(g.edges):
+        edge_bit[a][b] = edge_bit[b][a] = 1 << i
+    parent = list(range(n * n))
+    cov = [0] * (n * n)
+    present = bytearray(n * n)
+    for k in range(g.radius, -1, -1):
+        touched = []
+        top = n if k == g.radius else k
+        for u in range(n):
+            row = dist[u]
+            for v in range(n):
+                if not k <= row[v] <= top:
+                    continue
+                s = u * n + v
+                present[s] = 1
+                if vertices:
+                    cov[s] = (1 << u << width) | (1 << v)
+                root = s
+                for x, y in _moves(g, rule, u, v):
+                    t = x * n + y
+                    if not present[t]:
+                        continue
+                    bits = 0 if vertices else (edge_bit[u][x] << width) | edge_bit[v][y]
+                    other = _find(parent, t)
+                    if other == root:
+                        cov[root] |= bits
+                        continue
+                    if other < root:
+                        root, other = other, root
+                    parent[other] = root
+                    cov[root] |= cov[other] | bits
+                touched.append(root)
+        hits = [r for r in {_find(parent, r) for r in touched} if cov[r] == full]
+        if hits:
+            return k, min(hits)
+    raise InternalError("threshold 0 must be feasible for a connected graph")
+
+
 def span(g: Graph, rule: Rule, target: Target, with_witness: bool = False) -> SpanReport:
     """Maximal safety distance for the rule/target.
 
     Feasibility is monotone decreasing in the threshold, and every span is
-    bounded by the radius, so the first feasible k scanning down from the
-    radius is the exact value. The threshold-0 product is always feasible.
+    bounded by the radius, so the first threshold, scanning down from the
+    radius, at which some product component covers the target for both
+    players is the exact value. The threshold-0 product is always feasible.
     """
-    for k in range(g.radius, -1, -1):
-        pg = build_product(g, rule, k)
-        comp = _feasible_component(pg, target)
-        if comp is not None:
-            return SpanReport(
-                rule=rule,
-                target=target,
-                value=k,
-                witness_component=pg.component_id(comp),
-                witness=_component_witness(pg, comp) if with_witness else None,
-            )
-    raise AssertionError("threshold 0 must be feasible for a connected graph")
+    value, root = _span_pass(g, rule, target)
+    return SpanReport(
+        rule=rule,
+        target=target,
+        value=value,
+        witness_component=root,
+        witness=_component_witness(g, rule, value, root) if with_witness else None,
+    )
 
 
-def _component_witness(pg: ProductGraph, comp: tuple[State, ...]) -> tuple[Walk, Walk]:
+def _component_witness(g: Graph, rule: Rule, k: int, root: int) -> tuple[Walk, Walk]:
     """Project an Eulerian circuit of the doubled component onto the players.
 
     The circuit visits every state and traverses every product edge, so both
     projections cover whatever the component realizes while the pair distance
     stays at the threshold.
     """
-    if len(comp) == 1:
-        (u, v), = comp
+    n = g.n
+    dist = g.dist
+    adj: dict[int, list[int]] = {}
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        if s in adj:
+            continue
+        adj[s] = sorted(x * n + y for x, y in _moves(g, rule, *divmod(s, n)) if dist[x][y] >= k)
+        stack.extend(t for t in adj[s] if t not in adj)
+    if not adj[root]:
+        u, v = divmod(root, n)
         return Walk((u,)), Walk((v,))
-    n = pg.base.n
-    index = {(u, v): u * n + v for (u, v) in comp}
-    nbrs: dict[int, set[int]] = {index[s]: set() for s in comp}
-    counts: dict[tuple[int, int], int] = {}
-    for a, b in pg.component_edges(comp):
-        ia, ib = index[a], index[b]
-        nbrs[ia].add(ib)
-        nbrs[ib].add(ia)
-        counts[_norm(ia, ib)] = 2
-    adj = {x: sorted(ys) for x, ys in nbrs.items()}
-    start = min(adj)
-    seq = euler_walk_multigraph(adj, counts, start)
+    counts = {(a, b): 2 for a, nbrs in adj.items() for b in nbrs if a < b}
+    seq = euler_walk_multigraph(adj, counts, root)
     f = Walk(tuple(s // n for s in seq))
     h = Walk(tuple(s % n for s in seq))
     return f, h
@@ -231,7 +207,8 @@ def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
     """Walk pair achieving the span value (every product edge of the witness
     component doubled, Eulerian circuit extracted, coordinates projected)."""
     witness = span(g, rule, target, with_witness=True).witness
-    assert witness is not None
+    if witness is None:
+        raise InternalError("span returned no witness")
     return witness
 
 

@@ -9,8 +9,9 @@ search in (vertex, covered-edge-set) space.
 from __future__ import annotations
 
 import random
-from collections import deque
 from functools import lru_cache
+
+from hypothesis import strategies as st
 
 from graphspan import Graph, Walk, enumerate_connected
 from graphspan.families import canonical_form
@@ -23,6 +24,17 @@ ALL_VARIANTS = [(rule, target) for rule in Rule for target in Target]
 @lru_cache(maxsize=None)
 def corpus(max_n: int, max_m: int | None = None) -> tuple[Graph, ...]:
     return tuple(enumerate_connected(max_n, max_m))
+
+
+@st.composite
+def connected_graphs(draw, max_n: int) -> Graph:
+    """A random spanning tree plus random chords, relabelled at random."""
+    n = draw(st.integers(1, max_n))
+    label = draw(st.permutations(range(n)))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    others = [(u, v) for v in range(n) for u in range(v) if (u, v) not in tree]
+    chords = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    return Graph(n, [(label[u], label[v]) for u, v in (*tree, *chords)])
 
 
 def rule_moves(g: Graph, rule: Rule, u: int, v: int):
@@ -287,21 +299,6 @@ def random_track_pair(g: Graph, rng: random.Random, length: int) -> tuple[Walk, 
         return Walk(tuple(seq))
 
     return walk(), walk()
-
-
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if color[v] < 0:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return False
-    return True
 
 
 def same_graph_up_to_iso(g: Graph, h: Graph) -> bool:

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from graphspan import classify, kn_plus, pair_distance
+from graphspan import Graph, InternalError, classify, kn_plus, pair_distance
+from graphspan import cli
 from graphspan.cli import main
 from graphspan.walks import parse_walk
+
+from oracles import connected_graphs
 
 
 def run(capsys, *argv):
@@ -71,6 +78,12 @@ class TestSpanCommand:
         got = {(r["rule"], r["target"]): r["value"] for r in doc["reports"]}
         assert got[("direct", "vertices")] == 2
 
+    def test_edge_list_error_names_its_line(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text("3\n0 1\n1 x\n")
+        code, _, err = run(capsys, "span", "--file", str(p))
+        assert code == 2 and "line 3" in err
+
     def test_disconnected_file(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         p.write_text("4\n0 1\n2 3\n")
@@ -81,6 +94,15 @@ class TestSpanCommand:
         with pytest.raises(SystemExit):
             main(["span", "--family", "path:3", "--file", "x"])
         capsys.readouterr()
+
+    def test_internal_error_exit_status(self, monkeypatch, capsys):
+        def breach(*args, **kwargs):
+            raise InternalError("invariant breached")
+
+        monkeypatch.setattr(cli, "span", breach)
+        code, _, err = run(capsys, "span", "--family", "path:3")
+        assert code == 3
+        assert "internal error (span): invariant breached" in err
 
     def test_byte_identical_runs(self, capsys):
         _, first, _ = run(capsys, "span", "--family", "kn_plus:6", "--format", "structured")
@@ -170,3 +192,39 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["graph"]["order"] == 5 and doc["graph"]["size"] == 7
         assert doc["direct_vertex_span"] == 2 and doc["direct_edge_span"] == 1
+
+
+# sha256 prefixes of the output at the last commit of the per-threshold
+# product engine; the one-pass engine must reproduce them byte for byte
+GOLDEN = [
+    (("witness", "--family", "kn_plus:5"), "f25ad5e7b900e1c9"),
+    (("witness", "--family", "complete_bipartite:2,3", "--format", "structured"),
+     "516f029581c2d7b0"),
+    (("span", "--family", "path:12"), "1f9d2dd4a88e1f6c"),
+    (("minlen", "--family", "cycle:6"), "2fd1b2c6bf29dbad"),
+]
+
+
+@pytest.mark.parametrize("argv,prefix", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_output(capsys, argv, prefix):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+def _graph6(g: Graph) -> str:
+    bits = "".join(str(int(g.has_edge(i, j))) for j in range(1, g.n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    return chr(63 + g.n) + "".join(chr(63 + int(bits[i:i + 6], 2)) for i in range(0, len(bits), 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(8))
+def test_file_formats_round_trip(g):
+    edge_list = f"# edge list\n{g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("g.txt", edge_list), ("g.g6", f"# graph6\n{_graph6(g)}\n")):
+            p = Path(tmp) / name
+            p.write_text(text)
+            loaded, _ = cli._load_graph(cli.build_parser().parse_args(["span", "--file", str(p)]))
+            assert (loaded.n, loaded.edges) == (g.n, g.edges)

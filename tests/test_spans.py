@@ -1,15 +1,15 @@
-"""span-engine: product graphs, feasibility, span values, witnesses."""
+"""span-engine: rule names, feasibility, span values, witnesses."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from graphspan import (
     Rule,
     Target,
     ThresholdOutOfRange,
     all_spans,
-    build_product,
     complete,
     cycle,
     feasible,
@@ -23,8 +23,8 @@ from graphspan import (
 from oracles import (
     ALL_VARIANTS,
     all_trees,
+    connected_graphs,
     corpus,
-    is_bipartite,
     oracle_span,
     validate_pair,
 )
@@ -43,51 +43,6 @@ class TestRuleNames:
         assert [r.product_name for r in Rule] == ["strong", "direct", "cartesian"]
 
 
-class TestBuildProduct:
-    def test_k2_lazy_isolated_swaps(self):
-        pg = build_product(path(2), Rule.LAZY, 1)
-        assert pg.states == ((0, 1), (1, 0))
-        assert pg.product_edges == ()
-        assert len(pg.components) == 2
-
-    def test_c4_active_antipodal(self):
-        # the four antipodal states form a single tensor component
-        pg = build_product(cycle(4), Rule.ACTIVE, 2)
-        assert len(pg.states) == 4
-        assert all(pg.base.dist[u][v] == 2 for u, v in pg.states)
-        assert len(pg.product_edges) == 4
-        assert len(pg.components) == 1
-
-    def test_threshold_zero_component_counts(self):
-        for g in corpus(5):
-            for rule in (Rule.TRADITIONAL, Rule.LAZY):
-                assert len(build_product(g, rule, 0).components) == 1
-            comps = len(build_product(g, Rule.ACTIVE, 0).components)
-            if g.n == 1:
-                assert comps == 1
-            elif is_bipartite(g):
-                assert comps >= 2
-            else:
-                assert comps == 1
-
-    def test_state_monotonicity(self):
-        g = kn_plus(4)
-        prev_states, prev_edges = None, None
-        for k in range(g.radius + 1):
-            pg = build_product(g, Rule.TRADITIONAL, k)
-            states, edges = set(pg.states), set(pg.product_edges)
-            if prev_states is not None:
-                assert states <= prev_states and edges <= prev_edges
-            prev_states, prev_edges = states, edges
-        assert len(build_product(g, Rule.TRADITIONAL, 0).states) == g.n * g.n
-
-    def test_threshold_out_of_range(self):
-        with pytest.raises(ThresholdOutOfRange):
-            build_product(path(3), Rule.LAZY, 2)
-        with pytest.raises(ThresholdOutOfRange):
-            build_product(path(3), Rule.LAZY, -1)
-
-
 class TestFeasible:
     def test_knplus_traditional_edges_at_two(self):
         assert feasible(kn_plus(5), Rule.TRADITIONAL, Target.EDGES, 2)
@@ -99,6 +54,12 @@ class TestFeasible:
         for g in corpus(4):
             for rule, target in ALL_VARIANTS:
                 assert feasible(g, rule, target, 0)
+
+    def test_threshold_out_of_range(self):
+        with pytest.raises(ThresholdOutOfRange):
+            feasible(path(3), Rule.LAZY, Target.VERTICES, 2)
+        with pytest.raises(ThresholdOutOfRange):
+            feasible(path(3), Rule.LAZY, Target.VERTICES, -1)
 
     def test_monotone_in_threshold(self):
         for g in corpus(4):
@@ -185,10 +146,13 @@ class TestSpanInvariants:
             assert e == span(g, rule, Target.VERTICES).value
 
     def test_oracle_equivalence_order_four(self):
-        # independent bounded walk-pair search, no component shortcut
-        for g in corpus(4):
-            for rule, target in ALL_VARIANTS:
-                assert span(g, rule, target).value == oracle_span(g, rule, target)
+        # independent bounded walk-pair search, no component shortcut; the
+        # edge target stops at 6 edges because the oracle's cost grows
+        # steeply with the edge count (order 5 with 7 edges takes ~40 s)
+        for target, graphs in ((Target.VERTICES, corpus(5)), (Target.EDGES, corpus(5, 6))):
+            for g in graphs:
+                for rule in Rule:
+                    assert span(g, rule, target).value == oracle_span(g, rule, target)
 
     def test_deterministic_reports(self):
         g = kn_plus(5)
@@ -216,9 +180,12 @@ class TestWitnesses:
     def test_all_witnesses_revalidate_small_corpus(self):
         for g in corpus(5):
             for rule, target in ALL_VARIANTS:
-                value = span(g, rule, target).value
+                rep = span(g, rule, target)
                 f, h = witness_sweeps(g, rule, target)
-                assert validate_pair(g, rule, target, f, h, value) == []
+                assert validate_pair(g, rule, target, f, h, rep.value) == []
+                # the circuit starts at, and visits, the component's lowest state
+                states = [u * g.n + v for u, v in zip(f.seq, h.seq)]
+                assert states[0] == min(states) == rep.witness_component
 
     def test_family_witnesses_revalidate(self):
         for g in [path(6), cycle(7), complete(5), kn_plus(6), line_graph(complete(4))]:
@@ -226,3 +193,14 @@ class TestWitnesses:
                 value = span(g, rule, target).value
                 f, h = witness_sweeps(g, rule, target)
                 assert validate_pair(g, rule, target, f, h, value) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(connected_graphs(8))
+    def test_random_graph_witnesses_revalidate(self, g):
+        for rule in Rule:
+            values = {}
+            for target in Target:
+                values[target] = span(g, rule, target).value
+                f, h = witness_sweeps(g, rule, target)
+                assert validate_pair(g, rule, target, f, h, values[target]) == []
+            assert values[Target.EDGES] <= values[Target.VERTICES] <= g.radius
