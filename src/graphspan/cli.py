@@ -14,7 +14,7 @@ import sys
 from importlib import resources
 from typing import Optional
 
-from .errors import GraphSpanError, InternalError, VerificationFailure
+from .errors import GraphSpanError, InternalError, MalformedInput, VerificationFailure
 from .families import (
     family_closed_minlen_checks,
     family_closed_span_checks,
@@ -50,12 +50,16 @@ def _load_graph(args) -> tuple[Graph, str]:
     source = f"file:{args.file}"
     # graph6 when the first non-comment line is a graph6 string (every
     # character in 63..126, or the optional header); an edge list otherwise
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            if line.startswith(">>graph6<<") or all(63 <= ord(c) <= 126 for c in line):
-                return parse_graph6(line), source
-            break
+    lines = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1)]
+    lines = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    if lines:
+        first = lines[0][1]
+        if first.startswith(">>graph6<<") or all(63 <= ord(c) <= 126 for c in first):
+            if len(lines) > 1:
+                raise MalformedInput(
+                    f"line {lines[1][0]}: graph6 file holds one graph, found a second line"
+                )
+            return parse_graph6(first), source
     return parse_edge_list(text), source
 
 

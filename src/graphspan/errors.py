@@ -58,7 +58,8 @@ class ThresholdOutOfRange(GraphSpanError):
 
 
 class TooLarge(GraphSpanError):
-    """The exhaustive enumeration bound was exceeded."""
+    """The input exceeds a fixed size bound of an exhaustive computation, such
+    as the enumeration order or the odd vertices route inspection pairs."""
 
 
 class NoClosedForm(GraphSpanError):

@@ -125,6 +125,7 @@ def parse_edge_list(text: str) -> Graph:
     """
     n: int | None = None
     edges: list[Edge] = []
+    seen: set[Edge] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -146,6 +147,14 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise MalformedInput(f"line {lineno}: endpoints must be integers") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise IndexOutOfRange(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoop(f"line {lineno}: loop at vertex {u}")
+        e = _norm(u, v)
+        if e in seen:
+            raise DuplicateEdge(f"line {lineno}: edge {e} listed twice")
+        seen.add(e)
         edges.append((u, v))
     if n is None:
         raise MalformedInput("missing vertex count line")

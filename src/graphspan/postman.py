@@ -11,12 +11,16 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import EmptyEdgeSet, NotEulerian
+from .errors import EmptyEdgeSet, NotEulerian, TooLarge
 from .graph import Edge, Graph, _norm
 from .walks import Walk
 
 EulerClass = Literal["circuit", "trail", "none"]
 Mode = Literal["closed", "free_endpoints"]
+
+# Most odd-degree vertices route inspection pairs: the pairing table holds
+# 2^k entries, 16 M at this bound.
+PAIRING_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -65,51 +69,65 @@ def euler_walk_multigraph(adj, counts: Counter, start: int) -> list[int]:
 
     ``adj`` lists each vertex's distinct neighbors in sorted order; ``counts``
     maps normalized edges to how many times they must be traversed. Assumes an
-    Eulerian circuit or trail from ``start`` exists.
+    Eulerian circuit or trail from ``start`` exists. Each step leaves by the
+    lowest neighbor with a traversal left; remaining counts only fall, so a
+    per-vertex cursor that never moves back finds it in O(steps + sum of
+    degrees) overall.
     """
     remaining = dict(counts)
     total = sum(remaining.values())
+    cursor = {}
     stack = [start]
     out: list[int] = []
     while stack:
         v = stack[-1]
-        nxt = -1
-        for u in adj[v]:
-            if remaining.get(_norm(v, u), 0) > 0:
-                nxt = u
-                break
-        if nxt < 0:
+        nbrs = adj[v]
+        i = cursor.get(v, 0)
+        while i < len(nbrs) and not remaining.get(_norm(v, nbrs[i]), 0):
+            i += 1
+        cursor[v] = i
+        if i == len(nbrs):
             out.append(stack.pop())
         else:
-            remaining[_norm(v, nxt)] -= 1
-            stack.append(nxt)
+            remaining[_norm(v, nbrs[i])] -= 1
+            stack.append(nbrs[i])
     out.reverse()
     if len(out) != total + 1:
         raise NotEulerian("multigraph admits no Eulerian walk from this start")
     return out
 
 
-def _min_pairing_costs(odd: list[int], dist) -> dict[int, int]:
+def _min_pairing_costs(odd: list[int], dist) -> list[int]:
     """Minimum-cost perfect pairing for every subset mask of the odd vertices.
 
     Exact dynamic program over subsets; cost of a pair is the shortest-path
-    distance. dp[mask] is defined for masks with an even popcount.
+    distance. dp[mask] is defined for masks with an even popcount; the other
+    entries stay -1. Raises TooLarge beyond PAIRING_LIMIT odd vertices, before
+    the 2^k table is allocated.
     """
     k = len(odd)
-    dp = {0: 0}
+    if k > PAIRING_LIMIT:
+        raise TooLarge(
+            f"route inspection pairs at most {PAIRING_LIMIT} odd-degree vertices, "
+            f"graph has {k}"
+        )
+    dp = [-1] * (1 << k)
+    dp[0] = 0
     for mask in range(1, 1 << k):
-        if bin(mask).count("1") % 2:
+        if mask.bit_count() & 1:
             continue
-        lo = (mask & -mask).bit_length() - 1
-        best = None
-        rest = mask & ~(1 << lo)
+        low = mask & -mask
+        lo = odd[low.bit_length() - 1]
+        rest = mask ^ low
+        row = dist[lo]
+        best = -1
         sub = rest
         while sub:
-            j = (sub & -sub).bit_length() - 1
-            cand = dp[mask & ~(1 << lo) & ~(1 << j)] + dist[odd[lo]][odd[j]]
-            if best is None or cand < best:
+            bit = sub & -sub
+            cand = dp[rest ^ bit] + row[odd[bit.bit_length() - 1]]
+            if best < 0 or cand < best:
                 best = cand
-            sub &= sub - 1
+            sub ^= bit
         dp[mask] = best
     return dp
 
@@ -128,7 +146,7 @@ def _augmenting_paths(g: Graph, pairs: list[tuple[int, int]]) -> list[Edge]:
     return extra
 
 
-def _pairs_from_mask(odd: list[int], mask: int, dist, dp) -> list[tuple[int, int]]:
+def _pairs_from_mask(odd: list[int], mask: int, dist, dp: list[int]) -> list[tuple[int, int]]:
     """Recover one optimal pairing for the given subset mask."""
     pairs = []
     while mask:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from hypothesis import strategies as st
 
-from graphspan import Graph, Walk, enumerate_connected
+from graphspan import Graph, NotEulerian, Walk, enumerate_connected
 from graphspan.families import canonical_form
 from graphspan.spans import Rule, Target
 from graphspan.walks import classify, is_opposite_lazy, pair_distance
@@ -202,6 +202,44 @@ def oracle_covering_closed(g: Graph, cap: int) -> int:
     if best is None:
         raise AssertionError(f"no closed covering walk within {cap} edges")
     return best
+
+
+def reference_euler_walk(adj, counts, start: int) -> list[int]:
+    """Hierholzer that rescans each adjacency list from its start on every
+    step: O(steps x degree), but the plainest statement of the tie-break
+    (always leave by the lowest neighbor with a traversal left)."""
+    remaining = dict(counts)
+    total = sum(remaining.values())
+    stack = [start]
+    out: list[int] = []
+    while stack:
+        v = stack[-1]
+        nxt = -1
+        for u in adj[v]:
+            if remaining.get((min(u, v), max(u, v)), 0) > 0:
+                nxt = u
+                break
+        if nxt < 0:
+            out.append(stack.pop())
+        else:
+            remaining[(min(v, nxt), max(v, nxt))] -= 1
+            stack.append(nxt)
+    out.reverse()
+    if len(out) != total + 1:
+        raise NotEulerian("multigraph admits no Eulerian walk from this start")
+    return out
+
+
+def brute_force_pairing_cost(vertices: list[int], dist) -> int:
+    """Minimum total distance over every perfect pairing of the vertices,
+    enumerated one pairing at a time."""
+    if not vertices:
+        return 0
+    first, rest = vertices[0], vertices[1:]
+    return min(
+        dist[first][partner] + brute_force_pairing_cost(rest[:i] + rest[i + 1:], dist)
+        for i, partner in enumerate(rest)
+    )
 
 
 # ---------------------------------------------------------------------------

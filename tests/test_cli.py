@@ -78,6 +78,12 @@ class TestSpanCommand:
         got = {(r["rule"], r["target"]): r["value"] for r in doc["reports"]}
         assert got[("direct", "vertices")] == 2
 
+    def test_graph6_second_graph_line_rejected(self, tmp_path, capsys):
+        p = tmp_path / "g.g6"
+        p.write_text("Dhc\n# comment\nBw\n")
+        code, _, err = run(capsys, "span", "--file", str(p))
+        assert code == 2 and "line 3" in err
+
     def test_edge_list_error_names_its_line(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         p.write_text("3\n0 1\n1 x\n")
@@ -165,6 +171,10 @@ class TestPostmanCommand:
     def test_k1_is_input_error(self, capsys):
         code, _, err = run(capsys, "postman", "--family", "path:1")
         assert code == 2 and "input error" in err
+
+    def test_pairing_bound_is_input_error(self, capsys):
+        code, _, err = run(capsys, "postman", "--family", "complete:30")
+        assert code == 2 and "at most 24 odd-degree vertices, graph has 30" in err
 
 
 class TestVerifyCommands:

@@ -52,14 +52,20 @@ class TestParseEdgeList:
     def test_self_loop(self):
         with pytest.raises(SelfLoop):
             parse_edge_list("2\n1 1\n")
+        with pytest.raises(SelfLoop, match="line 4"):
+            parse_edge_list("3\n0 1\n# comment\n2 2\n")
 
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
             parse_edge_list("2\n0 1\n1 0\n")
+        with pytest.raises(DuplicateEdge, match="line 5"):
+            parse_edge_list("3\n0 1\n1 2\n0 2\n0 1\n")
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             parse_edge_list("2\n0 2\n")
+        with pytest.raises(IndexOutOfRange, match="line 3"):
+            parse_edge_list("3\n0 1\n1 3\n")
 
     def test_comments_and_crlf(self):
         g = parse_edge_list("# a triangle\r\n3\r\n0 1\r\n# middle comment\r\n1 2\r\n0 2\r\n")

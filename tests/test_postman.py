@@ -5,6 +5,8 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspan import (
     EmptyEdgeSet,
@@ -19,8 +21,16 @@ from graphspan import (
     shortest_covering_walk,
     star,
 )
+from graphspan.postman import _min_pairing_costs, _pairs_from_mask, euler_walk_multigraph
 
-from oracles import corpus, oracle_covering_closed, oracle_covering_free
+from oracles import (
+    brute_force_pairing_cost,
+    connected_graphs,
+    corpus,
+    oracle_covering_closed,
+    oracle_covering_free,
+    reference_euler_walk,
+)
 
 
 class TestEulerClass:
@@ -69,6 +79,48 @@ class TestEulerianWalk:
 
     def test_k1(self):
         assert eulerian_walk(path(1)).seq == (0,)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_cursor_matches_rescanning_reference(self, data):
+        g = data.draw(connected_graphs(9))
+        counts = Counter({e: data.draw(st.sampled_from((2, 4))) for e in g.edges})
+        start = data.draw(st.integers(0, g.n - 1))
+        circuit = euler_walk_multigraph(g.adj, counts, start)
+        assert circuit == reference_euler_walk(g.adj, counts, start)
+        # one more traversal along a shortest a-b path leaves a and b the
+        # only odd vertices, so a trail runs from a
+        a = data.draw(st.integers(0, g.n - 1))
+        b = data.draw(st.integers(0, g.n - 1).filter(lambda x: x != a)) if g.n > 1 else a
+        cur = b
+        while cur != a:
+            nxt = min(u for u in g.adj[cur] if g.dist[a][u] == g.dist[a][cur] - 1)
+            counts[min(cur, nxt), max(cur, nxt)] += 1
+            cur = nxt
+        trail = euler_walk_multigraph(g.adj, counts, a)
+        assert trail == reference_euler_walk(g.adj, counts, a)
+        assert len(trail) == sum(counts.values()) + 1
+
+    def test_unreachable_edges_are_not_eulerian(self):
+        adj = ((1,), (0,), (3,), (2,))
+        with pytest.raises(NotEulerian):
+            euler_walk_multigraph(adj, Counter({(0, 1): 2, (2, 3): 2}), 0)
+
+
+class TestPairing:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(12))
+    def test_matches_brute_force_pairings(self, g):
+        odd = [u for u in range(g.n) if g.degree(u) % 2][:10]
+        dp = _min_pairing_costs(odd, g.dist)
+        for mask in range(1 << len(odd)):
+            members = [odd[i] for i in range(len(odd)) if mask >> i & 1]
+            if len(members) % 2:
+                continue
+            assert dp[mask] == brute_force_pairing_cost(members, g.dist)
+            pairs = _pairs_from_mask(odd, mask, g.dist, dp)
+            assert sorted(x for p in pairs for x in p) == members
+            assert sum(g.dist[a][b] for a, b in pairs) == dp[mask]
 
 
 class TestShortestCoveringWalk:

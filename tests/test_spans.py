@@ -194,6 +194,13 @@ class TestWitnesses:
                 f, h = witness_sweeps(g, rule, target)
                 assert validate_pair(g, rule, target, f, h, value) == []
 
+    def test_large_witness_revalidates(self):
+        # the doubled strong-product component of K14 has about 70 k product
+        # edges; a Hierholzer that rescans adjacency lists made this slow
+        g = complete(14)
+        f, h = witness_sweeps(g, Rule.TRADITIONAL, Target.EDGES)
+        assert validate_pair(g, Rule.TRADITIONAL, Target.EDGES, f, h, 1) == []
+
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(8))
     def test_random_graph_witnesses_revalidate(self, g):

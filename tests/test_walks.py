@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspan import (
     InvalidVertex,
@@ -204,6 +206,19 @@ class TestSerialization:
     def test_round_trip(self):
         walk = w(0, 5, 2, 2, 4)
         assert parse_walk(format_walk(walk), 6) == walk
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_random_round_trip(self, data):
+        n = data.draw(st.integers(1, 120))
+        walk = Walk(tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40))))
+        text = format_walk(walk)
+        assert parse_walk(f"# walk\n{text}\n", n) == walk
+        with pytest.raises(MalformedInput):
+            parse_walk(f"{text}\n{text}\n", n)
+        for bad in ("v0", f"v{n + 1}"):
+            with pytest.raises(InvalidVertex):
+                parse_walk(f"{text},{bad}", n)
 
     def test_comments_skipped(self):
         assert parse_walk("# header\n\nv1,v2\n", 2) == w(0, 1)
