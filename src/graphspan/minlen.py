@@ -6,6 +6,12 @@ candidate length with an admissible remaining-coverage bound pruning states
 that cannot finish in time. Any pair whose distance never drops below the
 span value attains it exactly (the span is the maximum), so the search
 filters on distance >= span throughout.
+
+The search starts from one vertex pair per orbit of Aut(G) x player swap,
+not from every pair at distance >= span. The rules, the distance filter and
+the coverage goal are invariant under automorphisms and under swapping the
+players, so the minimum from a pair equals the minimum from its orbit's
+representative, and the lengths stay exact.
 """
 
 from __future__ import annotations
@@ -24,6 +30,14 @@ DEFAULT_STATE_BUDGET = 1 << 27
 
 @dataclass(frozen=True)
 class MinLenReport:
+    """Minimal length of the variant at its span value.
+
+    ``explored_states`` counts the states stored by every iterative-deepening
+    pass, each seeded with the orbit-representative start pairs only.
+    ``capped`` marks a search over ``state_budget``: ``length`` is then only
+    the combinatorial lower bound and ``witness`` is None.
+    """
+
     rule: Rule
     target: Target
     span_value: int
@@ -79,20 +93,73 @@ def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int, width: 
     return fwd, rev
 
 
-def _start_states(g: Graph, target: Target, sigma: int, width: int) -> list[int]:
+def _maps_by_automorphism(g: Graph, sig, a: int, b: int, x: int, y: int) -> bool:
+    """Does some automorphism of g send a to x and b to y?
+
+    Exact backtracking over partial maps that preserve every distance; a
+    permutation preserving ``g.dist`` preserves adjacency, so a complete map
+    is an automorphism. ``sig[v]`` is v's sorted distance row, which every
+    automorphism preserves.
+    """
+    dist = g.dist
+    if sig[a] != sig[x] or sig[b] != sig[y] or dist[a][b] != dist[x][y]:
+        return False
+    mapped = [(a, x), (b, y)]
+    used = {x, y}
+    rest = [v for v in range(g.n) if v != a and v != b]
+
+    def extend(i: int) -> bool:
+        if i == len(rest):
+            return True
+        v = rest[i]
+        for w in range(g.n):
+            if w in used or sig[w] != sig[v]:
+                continue
+            if all(dist[v][p] == dist[w][q] for p, q in mapped):
+                mapped.append((v, w))
+                used.add(w)
+                if extend(i + 1):
+                    return True
+                mapped.pop()
+                used.discard(w)
+        return False
+
+    return extend(0)
+
+
+def _start_pairs(g: Graph, sigma: int) -> list[tuple[int, int]]:
+    """One ordered pair at distance >= sigma per orbit of Aut(g) x player swap.
+
+    Pairs are scanned in u*n + v order and kept unless a kept pair maps to
+    them or to their swap, so each orbit is represented by its lowest index.
+    Swapping maps the state (u, v, F, G) to (v, u, G, F).
+    """
     n = g.n
-    cov_bits = 2 * width
-    starts = []
+    sig = [sorted(row) for row in g.dist]
+    reps: list[tuple[int, int]] = []
     for u in range(n):
         for v in range(n):
             if g.dist[u][v] < sigma:
                 continue
-            pos = u * n + v
-            if target is Target.VERTICES:
-                cov = (1 << u << width) | (1 << v)
-            else:
-                cov = 0
-            starts.append((pos << cov_bits) | cov)
+            if not any(
+                _maps_by_automorphism(g, sig, a, b, u, v)
+                or _maps_by_automorphism(g, sig, a, b, v, u)
+                for a, b in reps
+            ):
+                reps.append((u, v))
+    return reps
+
+
+def _start_states(g: Graph, target: Target, sigma: int, width: int) -> list[int]:
+    n = g.n
+    cov_bits = 2 * width
+    starts = []
+    for u, v in _start_pairs(g, sigma):
+        if target is Target.VERTICES:
+            cov = (1 << u << width) | (1 << v)
+        else:
+            cov = 0
+        starts.append(((u * n + v) << cov_bits) | cov)
     return starts
 
 

@@ -68,14 +68,25 @@ def euler_walk_multigraph(adj, counts: Counter, start: int) -> list[int]:
     """Hierholzer on a multigraph given by remaining-traversal counts.
 
     ``adj`` lists each vertex's distinct neighbors in sorted order; ``counts``
-    maps normalized edges to how many times they must be traversed. Assumes an
-    Eulerian circuit or trail from ``start`` exists. Each step leaves by the
-    lowest neighbor with a traversal left; remaining counts only fall, so a
+    maps normalized edges to how many times they must be traversed. Raises
+    NotEulerian unless an Eulerian circuit or trail from ``start`` exists:
+    the start must be one of the two odd-degree vertices when there are two,
+    and every edge must be reachable from it. Each step leaves by the lowest
+    neighbor with a traversal left; remaining counts only fall, so a
     per-vertex cursor that never moves back finds it in O(steps + sum of
     degrees) overall.
     """
     remaining = dict(counts)
     total = sum(remaining.values())
+    odd: set[int] = set()
+    for edge, c in remaining.items():
+        if c & 1:
+            odd.symmetric_difference_update(edge)
+    if len(odd) > 2 or (odd and start not in odd):
+        raise NotEulerian(
+            f"no Eulerian walk starts at vertex {start}: odd-degree vertices "
+            f"{sorted(odd)}"
+        )
     cursor = {}
     stack = [start]
     out: list[int] = []

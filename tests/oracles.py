@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import permutations
 
 from hypothesis import strategies as st
 
@@ -145,6 +146,25 @@ def oracle_min_length(g: Graph, rule: Rule, target: Target, sigma: int, max_l: i
             break
         frontier = nxt
     raise AssertionError(f"no covering pair within {max_l} entries")
+
+
+def brute_force_pair_orbits(g: Graph, sigma: int) -> list[frozenset[tuple[int, int]]]:
+    """Orbits of the ordered pairs at distance >= sigma under Aut(g) x player
+    swap; Aut(g) is every one of the n! permutations that preserves all
+    distances."""
+    n, dist = g.n, g.dist
+    auts = [
+        p for p in permutations(range(n))
+        if all(dist[p[u]][p[v]] == dist[u][v] for u in range(n) for v in range(n))
+    ]
+    orbits: list[frozenset[tuple[int, int]]] = []
+    for u in range(n):
+        for v in range(n):
+            if dist[u][v] >= sigma and not any((u, v) in o for o in orbits):
+                orbits.append(frozenset(
+                    q for p in auts for q in ((p[u], p[v]), (p[v], p[u]))
+                ))
+    return orbits
 
 
 def oracle_covering_free(g: Graph) -> int:

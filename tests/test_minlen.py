@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from graphspan import (
     Rule,
@@ -15,8 +16,16 @@ from graphspan import (
     path,
     span,
 )
+from graphspan.minlen import _start_pairs
 
-from oracles import ALL_VARIANTS, corpus, oracle_min_length, validate_pair
+from oracles import (
+    ALL_VARIANTS,
+    brute_force_pair_orbits,
+    connected_graphs,
+    corpus,
+    oracle_min_length,
+    validate_pair,
+)
 
 
 class TestLowerBounds:
@@ -82,16 +91,37 @@ class TestReports:
                 assert rep.explored_states > 0
 
     def test_naive_bfs_oracle_equivalence(self):
-        for g in corpus(4):
-            for rule, target in ALL_VARIANTS:
-                rep = min_length(g, rule, target)
-                sigma = span(g, rule, target).value
-                assert rep.length == oracle_min_length(g, rule, target, sigma)
+        for target, graphs in ((Target.VERTICES, corpus(5)), (Target.EDGES, corpus(5, 6))):
+            for g in graphs:
+                for rule in Rule:
+                    rep = min_length(g, rule, target)
+                    sigma = span(g, rule, target).value
+                    assert rep.length == oracle_min_length(g, rule, target, sigma)
+
+    @settings(max_examples=25, deadline=None)
+    @given(connected_graphs(6))
+    def test_random_vertex_targets_match_oracle(self, g):
+        for rule in Rule:
+            rep = min_length(g, rule, Target.VERTICES)
+            sigma = span(g, rule, Target.VERTICES).value
+            assert rep.span_value == sigma
+            assert rep.length == oracle_min_length(g, rule, Target.VERTICES, sigma)
+            f, h = rep.witness
+            assert validate_pair(g, rule, Target.VERTICES, f, h, sigma) == []
 
     def test_deterministic(self):
         a = min_length(cycle(6), Rule.LAZY, Target.EDGES)
         b = min_length(cycle(6), Rule.LAZY, Target.EDGES)
         assert a == b
+
+
+class TestStarts:
+    def test_one_start_per_symmetry_orbit(self):
+        # the lowest pair of each orbit of Aut(G) x player swap, no other
+        for g in corpus(6):
+            for sigma in range(g.radius + 1):
+                orbits = brute_force_pair_orbits(g, sigma)
+                assert _start_pairs(g, sigma) == sorted(min(o) for o in orbits)
 
 
 class TestBudget:

@@ -106,6 +106,32 @@ class TestEulerianWalk:
         with pytest.raises(NotEulerian):
             euler_walk_multigraph(adj, Counter({(0, 1): 2, (2, 3): 2}), 0)
 
+    def test_start_off_the_odd_pair_is_not_eulerian(self):
+        g = path(3)
+        with pytest.raises(NotEulerian):
+            euler_walk_multigraph(g.adj, Counter(g.edges), 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_start_matches_reference_or_raises(self, data):
+        # the rescanning reference has no parity check: from a start that
+        # begins no Eulerian walk its output is not one, and then the engine
+        # must raise instead
+        g = data.draw(connected_graphs(8))
+        counts = Counter({e: data.draw(st.integers(0, 3)) for e in g.edges})
+        start = data.draw(st.integers(0, g.n - 1))
+        try:
+            ref = reference_euler_walk(g.adj, counts, start)
+            traversed = Counter((min(a, b), max(a, b)) for a, b in zip(ref, ref[1:]))
+            valid = traversed == +counts
+        except NotEulerian:
+            valid = False
+        if valid:
+            assert euler_walk_multigraph(g.adj, counts, start) == ref
+        else:
+            with pytest.raises(NotEulerian):
+                euler_walk_multigraph(g.adj, counts, start)
+
 
 class TestPairing:
     @settings(max_examples=60, deadline=None)
