@@ -45,8 +45,12 @@ def _load_graph(args) -> tuple[Graph, str]:
     if args.family:
         spec = FamilySpec.from_string(args.family)
         return generate(spec), str(spec)
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{args.file}: not UTF-8 text (byte {exc.start})") from None
     source = f"file:{args.file}"
     # graph6 when the first non-comment line is a graph6 string (every
     # character in 63..126, or the optional header); an edge list otherwise
@@ -363,6 +367,15 @@ def _add_common_args(p: argparse.ArgumentParser, rule_target: bool = True) -> No
     p.add_argument("--format", choices=["text", "structured"], default="text")
 
 
+def _budget(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphspan",
@@ -378,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minlen", help="compute minimal walk lengths")
     _add_input_args(p)
     _add_common_args(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET,
                    help="state budget for the search (default 2**27)")
     p.set_defaults(func=_cmd_minlen)
 
@@ -394,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_postman)
 
     p = sub.add_parser("verify-family", help="cross-check closed forms against the engines")
-    p.add_argument("--budget", type=int, default=DEFAULT_STATE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET)
     _add_common_args(p, rule_target=False)
     p.set_defaults(func=_cmd_verify_family)
 

@@ -8,14 +8,14 @@ they are not re-derivations.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterator, Optional
 
 from .errors import NoClosedForm, TooLarge, VerificationFailure
 from .graph import FamilySpec, Graph, generate, kn_plus
 from .spans import Rule, Target, span
 
-ENUMERATION_LIMIT = 7
+ENUMERATION_LIMIT = 8
 
 
 def closed_span(spec: FamilySpec, rule: Rule, target: Target) -> int:
@@ -76,11 +76,61 @@ def closed_minlen(spec: FamilySpec, rule: Rule, target: Target) -> int:
 
 # ---------------------------------------------------------------------------
 # Canonical forms and enumeration
+#
+# A graph is held as neighbour bitmasks: rows[u] has bit v set when uv is an
+# edge. A labeling puts each vertex at a position 0..n-1, and its code has bit
+# p*n + q set for each edge between positions p < q. Codes compare position by
+# position from n-1 down, on the set of higher positions adjacent to each
+# position, so the lowest code is found by filling positions from the top.
 
 
-def _vertex_keys(n: int, adj: list[set[int]]) -> list[tuple]:
-    deg = [len(a) for a in adj]
-    return [(deg[u], tuple(sorted(deg[v] for v in adj[u]))) for u in range(n)]
+def _lowest_positions(n: int, rows: list[int], cells: list[int]) -> list[int]:
+    """Position of each vertex in a labeling of lowest code that puts a vertex
+    of the bitmask cells[p] at every position p.
+
+    Positions are filled from n-1 down; the vertex placed at p fixes the code
+    bits of position p, which are its neighbours among the filled positions.
+    Only the placements tying the lowest bits so far are kept, and two are
+    merged when they leave the same vertices with the same neighbours among
+    the filled positions, since every completion then gives both the same bits.
+    """
+    # (unplaced vertices, each vertex's neighbours among the filled positions)
+    # -> the vertices placed so far, top position first
+    states: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {((1 << n) - 1, (0,) * n): ()}
+    for p in range(n - 1, -1, -1):
+        best = -1
+        ties: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+        for (free, above), placed in states.items():
+            cand = free & cells[p]
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                x = low.bit_length() - 1
+                if above[x] == best:
+                    ties.append((x, free, above, placed))
+                elif best < 0 or above[x] < best:
+                    best = above[x]
+                    ties = [(x, free, above, placed)]
+        states = {}
+        for x, free, above, placed in ties:
+            free ^= 1 << x
+            grown = list(above)
+            grown[x] = 0
+            nbrs = rows[x] & free
+            while nbrs:
+                y = nbrs & -nbrs
+                nbrs ^= y
+                grown[y.bit_length() - 1] |= 1 << p
+            states.setdefault((free, tuple(grown)), placed + (x,))
+    ((_, placed),) = states.items()
+    pos = [0] * n
+    for i, x in enumerate(placed):
+        pos[x] = n - 1 - i
+    return pos
+
+
+def _edges(n: int, rows: list[int]) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
 
 
 def canonical_form(g: Graph) -> tuple[int, int]:
@@ -90,48 +140,24 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     degree/neighbor-degree refinement, which always includes the image of any
     isomorphism, so equal forms mean isomorphic graphs and conversely.
     """
-    return g.n, _canon_bits(g.n, [set(a) for a in g.adj])
+    return g.n, _canon_bits(g.n, [sum(1 << v for v in a) for a in g.adj])
 
 
-def _canon_bits(n: int, adj: list[set[int]]) -> int:
-    keys = _vertex_keys(n, adj)
-    order = sorted(range(n), key=lambda u: (keys[u], u))
-    groups: list[list[int]] = []
-    for u in order:
-        if groups and keys[groups[-1][0]] == keys[u]:
-            groups[-1].append(u)
-        else:
-            groups.append([u])
-
-    best: Optional[int] = None
-    for perm_parts in _group_orderings(groups):
-        # position[v] = new index of old vertex v
-        position = {}
-        idx = 0
-        for part in perm_parts:
-            for v in part:
-                position[v] = idx
-                idx += 1
-        bits = 0
-        for u in range(n):
-            pu = position[u]
-            for v in adj[u]:
-                pv = position[v]
-                if pu < pv:
-                    bits |= 1 << (pu * n + pv)
-        if best is None or bits < best:
-            best = bits
-    return 0 if best is None else best
-
-
-def _group_orderings(groups: list[list[int]]) -> Iterator[list[tuple[int, ...]]]:
-    if not groups:
-        yield []
-        return
-    head, *tail = groups
-    for perm in permutations(head):
-        for rest in _group_orderings(tail):
-            yield [perm, *rest]
+def _canon_bits(n: int, rows: list[int]) -> int:
+    """Lowest code over the labelings that order the vertices by their
+    (degree, sorted neighbour degrees) key."""
+    deg = [r.bit_count() for r in rows]
+    keys = [(deg[u], tuple(sorted([deg[v] for v in range(n) if rows[u] >> v & 1])))
+            for u in range(n)]
+    members: dict[tuple, int] = {}
+    for v, key in enumerate(keys):
+        members[key] = members.get(key, 0) | 1 << v
+    pos = _lowest_positions(n, rows, [members[key] for key in sorted(keys)])
+    code = 0
+    for u, v in _edges(n, rows):
+        a, b = sorted((pos[u], pos[v]))
+        code |= 1 << (a * n + b)
+    return code
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -151,61 +177,41 @@ def automorphism_count(g: Graph) -> int:
     return count
 
 
-def _connected_mask(n: int, pair_list: list[tuple[int, int]], mask: int) -> bool:
-    if n == 1:
-        return True
-    adj = [0] * n
-    for i, (u, v) in enumerate(pair_list):
-        if mask >> i & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        b = frontier
-        while b:
-            u = (b & -b).bit_length() - 1
-            nxt |= adj[u]
-            b &= b - 1
-        frontier = nxt & ~seen
-        seen |= nxt
-    return seen == (1 << n) - 1
-
-
 def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Graph]:
-    """All connected simple graphs up to isomorphism, each exactly once,
-    ordered by (order, size, canonical form).
+    """All connected simple graphs of order at most max_n (and size at most
+    max_m) up to isomorphism, each exactly once, ordered by (order, size,
+    canonical form).
 
-    Labeled edge subsets are enumerated per order and deduplicated by
-    canonical form; bounded to order 7 where the permutation minimization is
-    still exhaustive at desk scale.
+    Order n is grown from the classes of order n-1: vertex n-1 is added with
+    every nonempty neighbour set, and the results are deduplicated by
+    canonical form. This reaches every class because every connected graph
+    has a vertex whose removal leaves it connected. Each class is yielded as
+    its labeled copy with the lowest edge bitmask over the pairs (0, 1), (0,
+    2), ..., (n-2, n-1), with pair (n-2, n-1) most significant. Bounded to
+    order 8.
     """
     if max_n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration supported up to order {ENUMERATION_LIMIT}")
+    classes: list[list[int]] = []  # one labeled copy of each class of the previous order
     for n in range(1, max_n + 1):
-        pair_list = list(combinations(range(n), 2))
-        by_size: dict[int, dict] = {}
-        for mask in range(1 << len(pair_list)):
-            m = mask.bit_count()
-            if max_m is not None and m > max_m:
-                continue
-            if m < n - 1:  # connected graphs need at least n-1 edges
-                continue
-            if not _connected_mask(n, pair_list, mask):
-                continue
-            edges = [pair_list[i] for i in range(len(pair_list)) if mask >> i & 1]
-            adj: list[set[int]] = [set() for _ in range(n)]
-            for u, v in edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            canon = _canon_bits(n, adj)
-            bucket = by_size.setdefault(m, {})
-            if canon not in bucket:
-                bucket[canon] = tuple(edges)
-        for m in sorted(by_size):
-            for canon in sorted(by_size[m]):
-                yield Graph(n, by_size[m][canon])
+        new = 1 << (n - 1)
+        found: dict[tuple[int, int], list[int]] = {}
+        if n == 1 and (max_m is None or max_m >= 0):
+            found[0, 0] = [0]
+        for rows in classes:
+            m0 = sum(r.bit_count() for r in rows) // 2
+            for nbrs in range(1, new):
+                m = m0 + nbrs.bit_count()
+                if max_m is not None and m > max_m:
+                    continue
+                grown = [r | new if nbrs >> u & 1 else r for u, r in enumerate(rows)]
+                grown.append(nbrs)
+                found.setdefault((m, _canon_bits(n, grown)), grown)
+        classes = [found[key] for key in sorted(found)]
+        full = (1 << n) - 1
+        for rows in classes:
+            pos = _lowest_positions(n, rows, [full] * n)
+            yield Graph(n, [(pos[u], pos[v]) for u, v in _edges(n, rows)])
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,8 @@ def parse_graph6(text: str) -> Graph:
     bits = []
     for b in data[1:]:
         bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
+    if any(bits[nbits:]):
+        raise MalformedInput("graph6 payload has nonzero padding bits")
     edges = []
     idx = 0
     for j in range(1, n):

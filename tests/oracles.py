@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 from hypothesis import strategies as st
 
@@ -284,6 +284,82 @@ def validate_pair(g: Graph, rule: Rule, target: Target, f: Walk, h: Walk, distan
         if rule is Rule.LAZY and f.l >= 2 and not is_opposite_lazy(g, f, h):
             problems.append("not opposite lazy")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Graph enumeration by labeled edge subsets
+
+
+def reference_canon_bits(n: int, adj: list[set[int]]) -> int:
+    """Minimized adjacency bits (bit p*n + q per edge between positions p < q)
+    over every vertex ordering compatible with the (degree, sorted neighbour
+    degrees) refinement, by trying each one."""
+    deg = [len(a) for a in adj]
+    keys = [(deg[u], tuple(sorted(deg[v] for v in adj[u]))) for u in range(n)]
+    groups: dict[tuple, list[int]] = {}
+    for u in sorted(range(n), key=lambda u: (keys[u], u)):
+        groups.setdefault(keys[u], []).append(u)
+
+    def code(parts: tuple[tuple[int, ...], ...]) -> int:
+        position = {v: i for i, v in enumerate(v for part in parts for v in part)}
+        return sum(1 << (position[u] * n + position[v])
+                   for u in range(n) for v in adj[u] if position[u] < position[v])
+
+    return min(code(parts) for parts in product(*(permutations(g) for g in groups.values())))
+
+
+def _connected_mask(n: int, pair_list: list[tuple[int, int]], mask: int) -> bool:
+    adj = [0] * n
+    for i, (u, v) in enumerate(pair_list):
+        if mask >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        for u in range(n):
+            if frontier >> u & 1:
+                nxt |= adj[u]
+        frontier = nxt & ~seen
+        seen |= nxt
+    return seen == (1 << n) - 1
+
+
+@lru_cache(maxsize=None)
+def _subset_class(n: int, mask: int) -> int | None:
+    """reference_canon_bits of the labeled graph whose edges are the pairs of
+    combinations(range(n), 2) selected by mask; None when it is disconnected."""
+    pair_list = list(combinations(range(n), 2))
+    if not _connected_mask(n, pair_list, mask):
+        return None
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, (u, v) in enumerate(pair_list):
+        if mask >> i & 1:
+            adj[u].add(v)
+            adj[v].add(u)
+    return reference_canon_bits(n, adj)
+
+
+def reference_enumerate_connected(max_n: int, max_m: int | None = None) -> list[Graph]:
+    """The labeled subset scan: every edge subset of each order in increasing
+    mask order, deduplicated by canonical form keeping the first (lowest)
+    mask of each class, ordered by (order, size, canonical form)."""
+    out = []
+    for n in range(1, max_n + 1):
+        pair_list = list(combinations(range(n), 2))
+        by_size: dict[int, dict[int, int]] = {}
+        for mask in range(1 << len(pair_list)):
+            m = mask.bit_count()
+            if (max_m is not None and m > max_m) or m < n - 1:
+                continue
+            canon = _subset_class(n, mask)
+            if canon is not None:
+                by_size.setdefault(m, {}).setdefault(canon, mask)
+        for m in sorted(by_size):
+            for canon in sorted(by_size[m]):
+                mask = by_size[m][canon]
+                out.append(Graph(n, [pair_list[i] for i in range(len(pair_list)) if mask >> i & 1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,19 @@ class TestSpanCommand:
         code, _, err = run(capsys, "span", "--file", str(p))
         assert code == 2 and "line 3" in err
 
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"\xff\xfe3\n0 1\n1 2\n")
+        code, _, err = run(capsys, "span", "--file", str(p))
+        assert code == 2
+        assert f"{p}: not UTF-8 text (byte 0)" in err
+
+    def test_graph6_padding_bits_rejected(self, tmp_path, capsys):
+        p = tmp_path / "g.g6"
+        p.write_text("Bx\n")  # K3 is "Bw"; "Bx" sets a padding bit
+        code, _, err = run(capsys, "span", "--file", str(p))
+        assert code == 2 and "nonzero padding bits" in err
+
     def test_edge_list_error_names_its_line(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         p.write_text("3\n0 1\n1 x\n")
@@ -151,6 +164,20 @@ class TestMinlenCommand:
         (rep,) = doc["reports"]
         assert rep["capped"] is True and "witness" not in rep
 
+    @pytest.mark.parametrize("command", [["minlen", "--family", "path:3"], ["verify-family"]])
+    def test_negative_budget_rejected(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--budget", "-5"])
+        assert exc.value.code == 2
+        assert "budget must be a non-negative integer" in capsys.readouterr().err
+
+    def test_zero_budget_caps(self, capsys):
+        code, out, _ = run(
+            capsys, "minlen", "--family", "path:3", "--rule", "direct",
+            "--target", "vertices", "--budget", "0",
+        )
+        assert code == 0 and "capped" in out
+
 
 class TestPostmanCommand:
     def test_free(self, capsys):
@@ -209,13 +236,17 @@ class TestVerifyCommands:
 # product engine; the one-pass engine must reproduce them byte for byte. The
 # minlen prefix was retaken when the search began starting from one pair per
 # symmetry orbit: its explored counts and vertex-target witnesses changed,
-# its lengths and spans did not (test_minlen_golden_lengths).
+# its lengths and spans did not (test_minlen_golden_lengths). The search-gap
+# prefixes, taken at the last commit of the labeled subset scan, pin the
+# representative labeling that enumerate_connected yields.
 GOLDEN = [
     (("witness", "--family", "kn_plus:5"), "f25ad5e7b900e1c9"),
     (("witness", "--family", "complete_bipartite:2,3", "--format", "structured"),
      "516f029581c2d7b0"),
     (("span", "--family", "path:12"), "1f9d2dd4a88e1f6c"),
     (("minlen", "--family", "cycle:6"), "474d364a4f4f8760"),
+    (("search-gap",), "280d4359cbebdbf3"),
+    (("search-gap", "--format", "structured"), "d5d48203b199ed4b"),
 ]
 
 

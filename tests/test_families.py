@@ -6,6 +6,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
 
 from graphspan import (
     FamilySpec,
@@ -31,7 +32,12 @@ from graphspan.families import (
     is_isomorphic,
 )
 
-from oracles import corpus
+from oracles import (
+    connected_graphs,
+    corpus,
+    reference_canon_bits,
+    reference_enumerate_connected,
+)
 
 
 class TestClosedForms:
@@ -72,10 +78,25 @@ class TestEnumeration:
         assert len(list(enumerate_connected(5))) == 31
 
     def test_counts_per_order(self):
+        # OEIS A001349: connected graphs on n unlabeled nodes
         by_order = {}
-        for g in enumerate_connected(5):
+        for g in enumerate_connected(7):
             by_order[g.n] = by_order.get(g.n, 0) + 1
-        assert by_order == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21}
+        assert by_order == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+    def test_matches_reference_subset_scan(self):
+        # same classes, order and representative labelings as scanning every
+        # labeled edge subset and keeping the lowest mask of each class
+        for max_n in range(1, 7):
+            for max_m in (None, *range(16)):
+                got = [(g.n, g.edges) for g in enumerate_connected(max_n, max_m)]
+                want = [(g.n, g.edges) for g in reference_enumerate_connected(max_n, max_m)]
+                assert got == want, (max_n, max_m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(connected_graphs(7))
+    def test_canonical_form_matches_reference(self, g):
+        assert canonical_form(g) == (g.n, reference_canon_bits(g.n, [set(a) for a in g.adj]))
 
     def test_no_isomorphic_duplicates(self):
         forms = [canonical_form(g) for g in enumerate_connected(5)]
@@ -92,14 +113,15 @@ class TestEnumeration:
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            list(enumerate_connected(8))
+            list(enumerate_connected(9))
 
     def test_labeled_count_cross_check(self):
         # sum of n!/|Aut| over classes = number of connected labeled graphs
-        labeled_counts = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
-        factorial = {1: 1, 2: 2, 3: 6, 4: 24, 5: 120}
+        # (OEIS A001187)
+        labeled_counts = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
+        factorial = {1: 1, 2: 2, 3: 6, 4: 24, 5: 120, 6: 720}
         totals = {n: 0 for n in labeled_counts}
-        for g in enumerate_connected(5):
+        for g in enumerate_connected(6):
             aut = automorphism_count(g)
             assert factorial[g.n] % aut == 0
             totals[g.n] += factorial[g.n] // aut

@@ -108,6 +108,12 @@ class TestParseGraph6:
         with pytest.raises(MalformedInput):
             parse_graph6("D")
 
+    @pytest.mark.parametrize("text", ["Bx", "A`", "Dhd"])
+    def test_nonzero_padding_rejected(self, text):
+        # each string is a valid encoding (A_, Bw, Dhc) with one padding bit set
+        with pytest.raises(MalformedInput, match="nonzero padding bits"):
+            parse_graph6(text)
+
     def test_disconnected_rejected(self):
         # two isolated vertices
         with pytest.raises(DisconnectedInput):
