@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_args(p)
     _add_common_args(p)
     p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET,
-                   help="state budget for the search (default 2**27)")
+                   help="cap on the search index space n^2 * 4^w for w targets "
+                        "per player (default 2**27)")
     p.set_defaults(func=_cmd_minlen)
 
     p = sub.add_parser("witness", help="emit witness walk pairs")

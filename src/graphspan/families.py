@@ -140,19 +140,33 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     degree/neighbor-degree refinement, which always includes the image of any
     isomorphism, so equal forms mean isomorphic graphs and conversely.
     """
-    return g.n, _canon_bits(g.n, [sum(1 << v for v in a) for a in g.adj])
+    return g.n, _canon_bits(g.n, _rows(g))
 
 
-def _canon_bits(n: int, rows: list[int]) -> int:
-    """Lowest code over the labelings that order the vertices by their
-    (degree, sorted neighbour degrees) key."""
+def canonical_labeling(g: Graph) -> list[int]:
+    """New label of each vertex, the one canonical_form encodes: relabeling
+    g by it gives one and the same graph for all graphs isomorphic to g."""
+    return _refined_positions(g.n, _rows(g))
+
+
+def _rows(g: Graph) -> list[int]:
+    return [sum(1 << v for v in a) for a in g.adj]
+
+
+def _refined_positions(n: int, rows: list[int]) -> list[int]:
+    """Positions of the lowest code over the labelings that order the vertices
+    by their (degree, sorted neighbour degrees) key."""
     deg = [r.bit_count() for r in rows]
     keys = [(deg[u], tuple(sorted([deg[v] for v in range(n) if rows[u] >> v & 1])))
             for u in range(n)]
     members: dict[tuple, int] = {}
     for v, key in enumerate(keys):
         members[key] = members.get(key, 0) | 1 << v
-    pos = _lowest_positions(n, rows, [members[key] for key in sorted(keys)])
+    return _lowest_positions(n, rows, [members[key] for key in sorted(keys)])
+
+
+def _canon_bits(n: int, rows: list[int]) -> int:
+    pos = _refined_positions(n, rows)
     code = 0
     for u, v in _edges(n, rows):
         a, b = sorted((pos[u], pos[v]))

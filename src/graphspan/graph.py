@@ -63,12 +63,13 @@ class Graph:
             nbrs[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
 
-        self.dist: tuple[tuple[int, ...], ...] = tuple(
-            tuple(_bfs_distances(self.adj, s, n)) for s in range(n)
+        # one BFS row decides connectivity before the n^2 table is built
+        row0 = _bfs_distances(self.adj, 0, n)
+        if -1 in row0:
+            raise DisconnectedInput("graph is not connected")
+        self.dist: tuple[tuple[int, ...], ...] = (tuple(row0),) + tuple(
+            tuple(_bfs_distances(self.adj, s, n)) for s in range(1, n)
         )
-        for row in self.dist:
-            if -1 in row:
-                raise DisconnectedInput("graph is not connected")
         self.radius = min(max(row) for row in self.dist)
 
     @property

@@ -1,28 +1,35 @@
 """Minimal walk lengths achieving the span value.
 
-The minimum is found by breadth-first search over (ordered vertex pair,
-coverage bitset, coverage bitset) states, run as iterative deepening on the
-candidate length with an admissible remaining-coverage bound pruning states
-that cannot finish in time. Any pair whose distance never drops below the
-span value attains it exactly (the span is the maximum), so the search
-filters on distance >= span throughout.
+The minimum is found by one best-first (A*) search over (ordered vertex
+pair, coverage bitset, coverage bitset) states. States wait in a bucket queue
+keyed by the entries so far plus an admissible bound on the steps still
+needed: the larger count of targets a player has yet to cover, or the sum of
+both counts under the lazy rule, where only one player moves per step. The
+bound drops by at most one per step, so the first fully covered state popped
+ends a shortest pair, and its parent chain is the witness. Any pair whose
+distance never drops below the span value attains it exactly (the span is
+the maximum), so the search filters on distance >= span throughout.
 
 The search starts from one vertex pair per orbit of Aut(G) x player swap,
 not from every pair at distance >= span. The rules, the distance filter and
 the coverage goal are invariant under automorphisms and under swapping the
 players, so the minimum from a pair equals the minimum from its orbit's
 representative, and the lengths stay exact.
+
+The search runs on the canonical relabeling of the graph and maps the witness
+back, so the order in which it takes ties, and with it the states it stores,
+its time and its memory, are the same for every labeling of the input.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalError
+from .families import canonical_labeling
 from .graph import Graph
-from .spans import Rule, Target, _moves, span, witness_sweeps
+from .spans import Rule, Target, _moves, span
 from .walks import Walk
 
 DEFAULT_STATE_BUDGET = 1 << 27
@@ -32,8 +39,8 @@ DEFAULT_STATE_BUDGET = 1 << 27
 class MinLenReport:
     """Minimal length of the variant at its span value.
 
-    ``explored_states`` counts the states stored by every iterative-deepening
-    pass, each seeded with the orbit-representative start pairs only.
+    ``explored_states`` counts the states stored by the one search, seeded
+    with the orbit-representative start pairs only.
     ``capped`` marks a search over ``state_budget``: ``length`` is then only
     the combinatorial lower bound and ``witness`` is None.
     """
@@ -69,7 +76,6 @@ def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int, width: 
     dist = g.dist
     cov_bits = 2 * width
     fwd: list[list[tuple[int, int]]] = [[] for _ in range(n * n)]
-    rev: list[list[tuple[int, int]]] = [[] for _ in range(n * n)]
 
     def addbit(a: int, b: int) -> int:
         if a == b:
@@ -82,15 +88,12 @@ def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int, width: 
         for v in range(n):
             if dist[u][v] < sigma:
                 continue
-            pos = u * n + v
             for x, y in _moves(g, rule, u, v):
                 if dist[x][y] < sigma:
                     continue
                 add = (addbit(u, x) << width) | addbit(v, y)
-                npos = x * n + y
-                fwd[pos].append((npos << cov_bits, add))
-                rev[npos].append((pos, add))
-    return fwd, rev
+                fwd[u * n + v].append(((x * n + y) << cov_bits, add))
+    return fwd
 
 
 def _maps_by_automorphism(g: Graph, sig, a: int, b: int, x: int, y: int) -> bool:
@@ -163,96 +166,57 @@ def _start_states(g: Graph, target: Target, sigma: int, width: int) -> list[int]
     return starts
 
 
-def _search_exact_length(
-    l: int,
-    starts: list[int],
-    fwd,
-    index_space: int,
-    width: int,
-    full_each: int,
-    lazy: bool,
-):
-    """Level BFS for a covering pair of exactly l entries.
+def _best_first(starts: list[int], fwd, width: int, lazy: bool):
+    """Best-first search for a shortest covering pair.
 
-    Returns (goal_state, depth_array, explored) on success or
-    (None, None, explored). A successor is dropped when the bound on steps
-    still needed (per-player maximum, or the sum under the lazy rule)
-    exceeds the steps left, which never discards a completable path.
+    Bucket f holds the states whose entries so far plus bound equal f,
+    popped LIFO. f never falls along a path, as the bound drops by at most
+    one per step, so the first full state popped ends a shortest pair.
+    Returns that state and the parent map, which holds every stored state.
     """
     cov_bits = 2 * width
     cov_mask = (1 << cov_bits) - 1
+    full_each = (1 << width) - 1
     full_cov = (full_each << width) | full_each
-    size_each = full_each.bit_count()
-    depth = array("H", bytes(2 * index_space))
-    explored = 0
 
-    frontier: list[int] = []
-    for s in starts:
-        if depth[s]:
-            continue
-        depth[s] = 1
-        explored += 1
-        if s & cov_mask == full_cov:
-            return s, depth, explored
-        frontier.append(s)
+    def bound(cov: int) -> int:
+        hf = width - (cov >> width).bit_count()
+        hg = width - (cov & full_each).bit_count()
+        return hf + hg if lazy else (hf if hf > hg else hg)
 
-    for t in range(l - 1):
-        budget = l - 2 - t  # steps remaining after taking this one
-        nxt: list[int] = []
-        for s in frontier:
+    depth = dict.fromkeys(starts, 1)
+    parent: dict[int, Optional[int]] = dict.fromkeys(starts)
+    buckets: list[list[int]] = []
+    for s in reversed(starts):  # LIFO: the lowest start pops first
+        f = 1 + bound(s & cov_mask)
+        while len(buckets) <= f:
+            buckets.append([])
+        buckets[f].append(s)
+
+    f = 0
+    while f < len(buckets):
+        bucket = buckets[f]
+        while bucket:
+            s = bucket.pop()
             cov = s & cov_mask
+            d = depth[s]
+            if d + bound(cov) != f:
+                continue  # stale: s was reached again by a shorter prefix
+            if cov == full_cov:
+                return s, parent
+            nd = d + 1
             for npb, add in fwd[s >> cov_bits]:
                 ns = npb | cov | add
-                if depth[ns]:
+                if depth.get(ns, nd + 1) <= nd:
                     continue
-                depth[ns] = t + 2
-                explored += 1
-                ncov = ns & cov_mask
-                if ncov == full_cov:
-                    return ns, depth, explored
-                hf = size_each - (ncov >> width).bit_count()
-                hg = size_each - (ncov & full_each).bit_count()
-                need = hf + hg if lazy else (hf if hf > hg else hg)
-                if need <= budget:
-                    nxt.append(ns)
-        if not nxt:
-            break
-        frontier = nxt
-    return None, depth, explored
-
-
-def _backtrack(goal: int, depth, rev, width: int, n: int) -> tuple[Walk, Walk]:
-    cov_bits = 2 * width
-    cov_mask = (1 << cov_bits) - 1
-    states = [goal]
-    cur = goal
-    while depth[cur] > 1:
-        t = depth[cur]
-        cov = cur & cov_mask
-        fc, gc = cov >> width, cov & ((1 << width) - 1)
-        found = None
-        for pos, add in rev[cur >> cov_bits]:
-            fa, ga = add >> width, add & ((1 << width) - 1)
-            if add & cov != add:
-                continue
-            for pfc in ({fc, fc ^ fa} if fa else {fc}):
-                for pgc in ({gc, gc ^ ga} if ga else {gc}):
-                    p = (pos << cov_bits) | (pfc << width) | pgc
-                    if depth[p] == t - 1:
-                        found = p
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise InternalError("backtrack lost the BFS trail")
-        states.append(found)
-        cur = found
-    states.reverse()
-    fseq = tuple((s >> cov_bits) // n for s in states)
-    gseq = tuple((s >> cov_bits) % n for s in states)
-    return Walk(fseq), Walk(gseq)
+                depth[ns] = nd
+                parent[ns] = s
+                nf = nd + bound(cov | add)
+                while len(buckets) <= nf:
+                    buckets.append([])
+                buckets[nf].append(ns)
+        f += 1
+    raise InternalError("best-first search ran out of states before covering")
 
 
 def min_length(
@@ -263,50 +227,49 @@ def min_length(
 ) -> MinLenReport:
     """Exact minimum number of entries of a covering pair at the span value.
 
-    When the state space would exceed ``state_budget`` stored states the
-    report carries ``capped=True`` and ``length`` is only the best proven
-    lower bound, never an unproven exact claim.
+    The budget bounds the index space n^2 * 4^w of the search (w targets per
+    player), which also bounds the states it can store. When the index space
+    exceeds ``state_budget`` the report carries ``capped=True`` and
+    ``length`` is only the combinatorial lower bound, never an unproven
+    exact claim.
     """
     sigma = span(g, rule, target).value
     width = g.n if target is Target.VERTICES else g.m
-    full_each = (1 << width) - 1
-    lb = length_lower_bounds(g, rule, target)
-    index_space = g.n * g.n << (2 * width)
-
-    if index_space > state_budget:
+    if g.n * g.n << (2 * width) > state_budget:
         return MinLenReport(
             rule=rule,
             target=target,
             span_value=sigma,
-            length=lb,
+            length=length_lower_bounds(g, rule, target),
             witness=None,
             explored_states=0,
             capped=True,
         )
 
-    wf, wg = witness_sweeps(g, rule, target)
-    ub = wf.l  # the witness pair is valid, so the minimum is at most its length
-    fwd, rev = _transition_tables(g, rule, target, sigma, width)
-    starts = _start_states(g, target, sigma, width)
-    lazy = rule is Rule.LAZY
-
-    explored_total = 0
-    for l in range(lb, ub + 1):
-        goal, depth, explored = _search_exact_length(
-            l, starts, fwd, index_space, width, full_each, lazy
-        )
-        explored_total += explored
-        if goal is not None:
-            f, h = _backtrack(goal, depth, rev, width, g.n)
-            if f.l != l:
-                raise InternalError("iterative deepening returned a non-minimal pair")
-            return MinLenReport(
-                rule=rule,
-                target=target,
-                span_value=sigma,
-                length=l,
-                witness=(f, h),
-                explored_states=explored_total,
-                capped=False,
-            )
-    raise InternalError("witness length must be attainable")
+    # search the canonical copy, so that the order of the search, and with it
+    # the states stored and the witness, do not depend on the input's labels
+    label = canonical_labeling(g)
+    c = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+    goal, parent = _best_first(
+        _start_states(c, target, sigma, width),
+        _transition_tables(c, rule, target, sigma, width),
+        width,
+        rule is Rule.LAZY,
+    )
+    positions = []
+    while goal is not None:
+        positions.append(goal >> (2 * width))
+        goal = parent[goal]
+    positions.reverse()
+    vertex = sorted(range(g.n), key=label.__getitem__)
+    f = Walk(tuple(vertex[p // g.n] for p in positions))
+    h = Walk(tuple(vertex[p % g.n] for p in positions))
+    return MinLenReport(
+        rule=rule,
+        target=target,
+        span_value=sigma,
+        length=f.l,
+        witness=(f, h),
+        explored_states=len(parent),
+        capped=False,
+    )

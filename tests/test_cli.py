@@ -244,7 +244,7 @@ GOLDEN = [
     (("witness", "--family", "complete_bipartite:2,3", "--format", "structured"),
      "516f029581c2d7b0"),
     (("span", "--family", "path:12"), "1f9d2dd4a88e1f6c"),
-    (("minlen", "--family", "cycle:6"), "474d364a4f4f8760"),
+    (("minlen", "--family", "cycle:6"), "d5aac20f392bf324"),
     (("search-gap",), "280d4359cbebdbf3"),
     (("search-gap", "--format", "structured"), "d5d48203b199ed4b"),
 ]

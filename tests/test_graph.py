@@ -29,6 +29,7 @@ from graphspan import (
     star,
     subdivide_edge,
 )
+import graphspan.graph as graph_module
 from graphspan.families import is_isomorphic
 
 from oracles import corpus
@@ -118,6 +119,21 @@ class TestParseGraph6:
         # two isolated vertices
         with pytest.raises(DisconnectedInput):
             parse_graph6("A?")
+
+
+def test_disconnected_rejected_after_one_bfs_row(monkeypatch):
+    # a bare vertex count must not build the n^2 distance table first
+    calls = []
+    bfs = graph_module._bfs_distances
+
+    def counting(adj, src, n):
+        calls.append(src)
+        return bfs(adj, src, n)
+
+    monkeypatch.setattr(graph_module, "_bfs_distances", counting)
+    with pytest.raises(DisconnectedInput):
+        Graph(2000, [])
+    assert calls == [0]
 
 
 class TestFamilies:

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspan import (
+    Graph,
+    InternalError,
     Rule,
     Target,
     complete,
@@ -16,7 +19,7 @@ from graphspan import (
     path,
     span,
 )
-from graphspan.minlen import _start_pairs
+from graphspan.minlen import _best_first, _start_pairs
 
 from oracles import (
     ALL_VARIANTS,
@@ -91,12 +94,18 @@ class TestReports:
                 assert rep.explored_states > 0
 
     def test_naive_bfs_oracle_equivalence(self):
-        for target, graphs in ((Target.VERTICES, corpus(5)), (Target.EDGES, corpus(5, 6))):
+        order_six = tuple(g for g in corpus(6, 8) if g.n == 6)
+        for target, graphs in (
+            (Target.VERTICES, corpus(5) + order_six),
+            (Target.EDGES, corpus(5, 6)),
+        ):
             for g in graphs:
                 for rule in Rule:
                     rep = min_length(g, rule, target)
                     sigma = span(g, rule, target).value
                     assert rep.length == oracle_min_length(g, rule, target, sigma)
+                    f, h = rep.witness
+                    assert validate_pair(g, rule, target, f, h, sigma) == []
 
     @settings(max_examples=25, deadline=None)
     @given(connected_graphs(6))
@@ -108,6 +117,29 @@ class TestReports:
             assert rep.length == oracle_min_length(g, rule, Target.VERTICES, sigma)
             f, h = rep.witness
             assert validate_pair(g, rule, Target.VERTICES, f, h, sigma) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(connected_graphs(5), st.data())
+    def test_relabeling_leaves_the_search_unchanged(self, g, data):
+        # the search runs on a canonical copy, so neither the length nor the
+        # states it stores depend on the labels of the input
+        label = data.draw(st.permutations(range(g.n)))
+        h = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+        for rule, target in ALL_VARIANTS:
+            a, b = min_length(g, rule, target), min_length(h, rule, target)
+            assert (a.length, a.explored_states) == (b.length, b.explored_states)
+            f, w = b.witness
+            assert validate_pair(h, rule, target, f, w, b.span_value) == []
+
+    def test_k5_edges_store_few_states(self):
+        # the best-first order stores 191 + 131 + 471 states here
+        stored = [min_length(complete(5), rule, Target.EDGES).explored_states for rule in Rule]
+        assert sum(stored) < 1000
+
+    def test_empty_queue_is_internal_error(self):
+        # one start with no successors and one target left uncovered
+        with pytest.raises(InternalError):
+            _best_first([0], [[]], 1, False)
 
     def test_deterministic(self):
         a = min_length(cycle(6), Rule.LAZY, Target.EDGES)
