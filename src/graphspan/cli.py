@@ -27,6 +27,7 @@ from .spans import RULES, TARGETS, Rule, Target, span, witness_sweeps
 from .walks import Walk, classify, format_walk, is_opposite_lazy, pair_distance, parse_walk
 
 SCHEMA = "graphspan/v1"
+_BUDGET_HELP = "cap on the search index space n^2 * 4^w for w targets per player (default 2**27)"
 
 
 def _selected_rules(name: str) -> tuple[Rule, ...]:
@@ -391,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minlen", help="compute minimal walk lengths")
     _add_input_args(p)
     _add_common_args(p)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET,
-                   help="cap on the search index space n^2 * 4^w for w targets "
-                        "per player (default 2**27)")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET, help=_BUDGET_HELP)
     p.set_defaults(func=_cmd_minlen)
 
     p = sub.add_parser("witness", help="emit witness walk pairs")
@@ -408,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_postman)
 
     p = sub.add_parser("verify-family", help="cross-check closed forms against the engines")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET, help=_BUDGET_HELP)
     _add_common_args(p, rule_target=False)
     p.set_defaults(func=_cmd_verify_family)
 

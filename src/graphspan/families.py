@@ -8,7 +8,6 @@ they are not re-derivations.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterator, Optional
 
 from .errors import NoClosedForm, TooLarge, VerificationFailure
@@ -84,35 +83,43 @@ def closed_minlen(spec: FamilySpec, rule: Rule, target: Target) -> int:
 # position, so the lowest code is found by filling positions from the top.
 
 
-def _lowest_positions(n: int, rows: list[int], cells: list[int]) -> list[int]:
+def _lowest_positions(n: int, rows: list[int], cells: list[int]) -> tuple[list[int], list, int]:
     """Position of each vertex in a labeling of lowest code that puts a vertex
-    of the bitmask cells[p] at every position p.
+    of the bitmask cells[p] at every position p, the merges of the search,
+    and the number of such lowest labelings.
 
     Positions are filled from n-1 down; the vertex placed at p fixes the code
     bits of position p, which are its neighbours among the filled positions.
     Only the placements tying the lowest bits so far are kept, and two are
     merged when they leave the same vertices with the same neighbours among
     the filled positions, since every completion then gives both the same bits.
+
+    A merge is the pair (merged placement, kept placement), top position
+    first. The map sending the one onto the other and fixing the unplaced
+    vertices is an automorphism, and these maps lead every lowest labeling
+    onto the returned one, so with cells that every automorphism keeps they
+    generate Aut and the lowest labelings number |Aut|.
     """
     # (unplaced vertices, each vertex's neighbours among the filled positions)
-    # -> the vertices placed so far, top position first
-    states: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {((1 << n) - 1, (0,) * n): ()}
+    # -> [the vertices placed so far, top position first; placements it stands for]
+    states = {((1 << n) - 1, (0,) * n): [(), 1]}
+    merges: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for p in range(n - 1, -1, -1):
         best = -1
-        ties: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
-        for (free, above), placed in states.items():
+        ties: list[tuple[int, int, tuple[int, ...], list]] = []
+        for (free, above), entry in states.items():
             cand = free & cells[p]
             while cand:
                 low = cand & -cand
                 cand ^= low
                 x = low.bit_length() - 1
                 if above[x] == best:
-                    ties.append((x, free, above, placed))
+                    ties.append((x, free, above, entry))
                 elif best < 0 or above[x] < best:
                     best = above[x]
-                    ties = [(x, free, above, placed)]
+                    ties = [(x, free, above, entry)]
         states = {}
-        for x, free, above, placed in ties:
+        for x, free, above, (placed, count) in ties:
             free ^= 1 << x
             grown = list(above)
             grown[x] = 0
@@ -121,12 +128,40 @@ def _lowest_positions(n: int, rows: list[int], cells: list[int]) -> list[int]:
                 y = nbrs & -nbrs
                 nbrs ^= y
                 grown[y.bit_length() - 1] |= 1 << p
-            states.setdefault((free, tuple(grown)), placed + (x,))
-    ((_, placed),) = states.items()
+            entry = states.setdefault((free, tuple(grown)), [placed + (x,), 0])
+            if entry[1]:
+                merges.append((placed + (x,), entry[0]))
+            entry[1] += count
+    ((_, (placed, count)),) = states.items()
     pos = [0] * n
     for i, x in enumerate(placed):
         pos[x] = n - 1 - i
-    return pos
+    return pos, merges, count
+
+
+def _sift(n: int, merges: list, count: int) -> list[list[int]]:
+    """At most n(n-1)/2 generators of the group of ``count`` elements that
+    the merge maps generate (Sims' filter). Row i keeps one map fixing 0..i-1
+    per image of i; once the product of (1 + row size) reaches ``count``, each
+    row with the identity is a full set of coset representatives, and the
+    remaining merges add nothing.
+    """
+    table: list[dict[int, list[int]]] = [{} for _ in range(n)]  # image of i -> map
+    size = 1
+    for merged, kept in merges:
+        if size == count:
+            break
+        image = dict(zip(merged, kept))
+        perm = [image.get(v, v) for v in range(n)]
+        for i, row in enumerate(table):
+            if perm[i] in row:
+                t = row[perm[i]]
+                perm = [t.index(v) for v in perm]  # t^-1 after perm fixes 0..i
+            elif perm[i] != i:
+                size = size // (len(row) + 1) * (len(row) + 2)
+                row[perm[i]] = perm
+                break
+    return [t for row in table for t in row.values()]
 
 
 def _edges(n: int, rows: list[int]) -> list[tuple[int, int]]:
@@ -143,19 +178,22 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     return g.n, _canon_bits(g.n, _rows(g))
 
 
-def canonical_labeling(g: Graph) -> list[int]:
-    """New label of each vertex, the one canonical_form encodes: relabeling
-    g by it gives one and the same graph for all graphs isomorphic to g."""
-    return _refined_positions(g.n, _rows(g))
+def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """New label of each vertex, the one canonical_form encodes, and
+    generators t (sending v to t[v]) of Aut(g) sifted from the same search.
+    Relabeling g by the labels gives one graph for all graphs isomorphic to g.
+    """
+    pos, merges, count = _refined_positions(g.n, _rows(g))
+    return pos, _sift(g.n, merges, count)
 
 
 def _rows(g: Graph) -> list[int]:
     return [sum(1 << v for v in a) for a in g.adj]
 
 
-def _refined_positions(n: int, rows: list[int]) -> list[int]:
-    """Positions of the lowest code over the labelings that order the vertices
-    by their (degree, sorted neighbour degrees) key."""
+def _refined_positions(n: int, rows: list[int]) -> tuple[list[int], list, int]:
+    """_lowest_positions over the labelings that order the vertices by their
+    (degree, sorted neighbour degrees) key, which every automorphism keeps."""
     deg = [r.bit_count() for r in rows]
     keys = [(deg[u], tuple(sorted([deg[v] for v in range(n) if rows[u] >> v & 1])))
             for u in range(n)]
@@ -166,7 +204,7 @@ def _refined_positions(n: int, rows: list[int]) -> list[int]:
 
 
 def _canon_bits(n: int, rows: list[int]) -> int:
-    pos = _refined_positions(n, rows)
+    pos = _refined_positions(n, rows)[0]
     code = 0
     for u, v in _edges(n, rows):
         a, b = sorted((pos[u], pos[v]))
@@ -179,16 +217,8 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def automorphism_count(g: Graph) -> int:
-    """|Aut(g)| by direct permutation check (small graphs only)."""
-    edge_set = set(g.edges)
-    count = 0
-    for perm in permutations(range(g.n)):
-        if all(
-            ((perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])) in edge_set
-            for u, v in g.edges
-        ):
-            count += 1
-    return count
+    """|Aut(g)|: the number of lowest labelings the canonical search finds."""
+    return _refined_positions(g.n, _rows(g))[2]
 
 
 def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Graph]:
@@ -224,7 +254,7 @@ def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Gra
         classes = [found[key] for key in sorted(found)]
         full = (1 << n) - 1
         for rows in classes:
-            pos = _lowest_positions(n, rows, [full] * n)
+            pos = _lowest_positions(n, rows, [full] * n)[0]
             yield Graph(n, [(pos[u], pos[v]) for u, v in _edges(n, rows)])
 
 

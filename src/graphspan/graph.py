@@ -52,6 +52,8 @@ class Graph:
             if e in seen:
                 raise DuplicateEdge(f"edge {e} listed twice")
             seen.add(e)
+        if len(seen) < n - 1:
+            raise DisconnectedInput("graph is not connected")
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
         self._edge_set = frozenset(self.edges)

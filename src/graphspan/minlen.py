@@ -16,9 +16,10 @@ the coverage goal are invariant under automorphisms and under swapping the
 players, so the minimum from a pair equals the minimum from its orbit's
 representative, and the lengths stay exact.
 
-The search runs on the canonical relabeling of the graph and maps the witness
-back, so the order in which it takes ties, and with it the states it stores,
-its time and its memory, are the same for every labeling of the input.
+One canonical search gives generators of Aut(G) for the orbits and the
+canonical relabeling of the graph, on which the search runs before mapping the
+witness back: the order in which it takes ties, and with it the states it
+stores, its time and its memory, are then the same for every labeling.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalError
-from .families import canonical_labeling
+from .families import _canonical_search
 from .graph import Graph
 from .spans import Rule, Target, _moves, span
 from .walks import Walk
@@ -96,73 +97,36 @@ def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int, width: 
     return fwd
 
 
-def _maps_by_automorphism(g: Graph, sig, a: int, b: int, x: int, y: int) -> bool:
-    """Does some automorphism of g send a to x and b to y?
-
-    Exact backtracking over partial maps that preserve every distance; a
-    permutation preserving ``g.dist`` preserves adjacency, so a complete map
-    is an automorphism. ``sig[v]`` is v's sorted distance row, which every
-    automorphism preserves.
-    """
-    dist = g.dist
-    if sig[a] != sig[x] or sig[b] != sig[y] or dist[a][b] != dist[x][y]:
-        return False
-    mapped = [(a, x), (b, y)]
-    used = {x, y}
-    rest = [v for v in range(g.n) if v != a and v != b]
-
-    def extend(i: int) -> bool:
-        if i == len(rest):
-            return True
-        v = rest[i]
-        for w in range(g.n):
-            if w in used or sig[w] != sig[v]:
-                continue
-            if all(dist[v][p] == dist[w][q] for p, q in mapped):
-                mapped.append((v, w))
-                used.add(w)
-                if extend(i + 1):
-                    return True
-                mapped.pop()
-                used.discard(w)
-        return False
-
-    return extend(0)
-
-
-def _start_pairs(g: Graph, sigma: int) -> list[tuple[int, int]]:
+def _start_pairs(g: Graph, sigma: int, gens: list[list[int]]) -> list[tuple[int, int]]:
     """One ordered pair at distance >= sigma per orbit of Aut(g) x player swap.
 
-    Pairs are scanned in u*n + v order and kept unless a kept pair maps to
-    them or to their swap, so each orbit is represented by its lowest index.
-    Swapping maps the state (u, v, F, G) to (v, u, G, F).
+    ``gens`` generate Aut(g). Pairs are scanned in u*n + v order, and each
+    one not yet reached starts an orbit, closed under the generators and the
+    swap, so each orbit is represented by its lowest pair. Swapping maps the
+    state (u, v, F, G) to (v, u, G, F).
     """
-    n = g.n
-    sig = [sorted(row) for row in g.dist]
     reps: list[tuple[int, int]] = []
-    for u in range(n):
-        for v in range(n):
-            if g.dist[u][v] < sigma:
+    seen: set[tuple[int, int]] = set()
+    for u in range(g.n):
+        for v in range(g.n):
+            if g.dist[u][v] < sigma or (u, v) in seen:
                 continue
-            if not any(
-                _maps_by_automorphism(g, sig, a, b, u, v)
-                or _maps_by_automorphism(g, sig, a, b, v, u)
-                for a, b in reps
-            ):
-                reps.append((u, v))
+            reps.append((u, v))
+            seen.add((u, v))
+            orbit = [(u, v)]
+            for a, b in orbit:  # grows while it is walked
+                for pair in [(b, a)] + [(t[a], t[b]) for t in gens]:
+                    if pair not in seen:
+                        seen.add(pair)
+                        orbit.append(pair)
     return reps
 
 
-def _start_states(g: Graph, target: Target, sigma: int, width: int) -> list[int]:
-    n = g.n
-    cov_bits = 2 * width
+def _start_states(g: Graph, target: Target, sigma: int, width: int, gens: list[list[int]]) -> list[int]:
     starts = []
-    for u, v in _start_pairs(g, sigma):
-        if target is Target.VERTICES:
-            cov = (1 << u << width) | (1 << v)
-        else:
-            cov = 0
-        starts.append(((u * n + v) << cov_bits) | cov)
+    for u, v in _start_pairs(g, sigma, gens):
+        cov = (1 << u << width) | (1 << v) if target is Target.VERTICES else 0
+        starts.append(((u * g.n + v) << 2 * width) | cov)
     return starts
 
 
@@ -248,10 +212,12 @@ def min_length(
 
     # search the canonical copy, so that the order of the search, and with it
     # the states stored and the witness, do not depend on the input's labels
-    label = canonical_labeling(g)
+    label, gens = _canonical_search(g)
+    vertex = sorted(range(g.n), key=label.__getitem__)
     c = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+    c_gens = [[label[t[v]] for v in vertex] for t in gens]
     goal, parent = _best_first(
-        _start_states(c, target, sigma, width),
+        _start_states(c, target, sigma, width, c_gens),
         _transition_tables(c, rule, target, sigma, width),
         width,
         rule is Rule.LAZY,
@@ -261,7 +227,6 @@ def min_length(
         positions.append(goal >> (2 * width))
         goal = parent[goal]
     positions.reverse()
-    vertex = sorted(range(g.n), key=label.__getitem__)
     f = Walk(tuple(vertex[p // g.n] for p in positions))
     h = Walk(tuple(vertex[p % g.n] for p in positions))
     return MinLenReport(

@@ -148,15 +148,20 @@ def oracle_min_length(g: Graph, rule: Rule, target: Target, sigma: int, max_l: i
     raise AssertionError(f"no covering pair within {max_l} entries")
 
 
-def brute_force_pair_orbits(g: Graph, sigma: int) -> list[frozenset[tuple[int, int]]]:
-    """Orbits of the ordered pairs at distance >= sigma under Aut(g) x player
-    swap; Aut(g) is every one of the n! permutations that preserves all
-    distances."""
+def distance_preserving_permutations(g: Graph) -> list[tuple[int, ...]]:
+    """Aut(g), as every one of the n! permutations that preserves all distances."""
     n, dist = g.n, g.dist
-    auts = [
+    return [
         p for p in permutations(range(n))
         if all(dist[p[u]][p[v]] == dist[u][v] for u in range(n) for v in range(n))
     ]
+
+
+def brute_force_pair_orbits(g: Graph, sigma: int) -> list[frozenset[tuple[int, int]]]:
+    """Orbits of the ordered pairs at distance >= sigma under Aut(g) x player
+    swap."""
+    n, dist = g.n, g.dist
+    auts = distance_preserving_permutations(g)
     orbits: list[frozenset[tuple[int, int]]] = []
     for u in range(n):
         for v in range(n):

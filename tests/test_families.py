@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +19,16 @@ from graphspan import (
     closed_minlen,
     closed_span,
     complete,
+    complete_bipartite,
     enumerate_connected,
     find_minimal_direct_gap,
     kn_plus,
     span,
+    star,
 )
 from graphspan.families import (
     ORDER5_SMALL_GRAPHS,
+    _canonical_search,
     automorphism_count,
     canonical_form,
     family_closed_minlen_checks,
@@ -35,6 +39,7 @@ from graphspan.families import (
 from oracles import (
     connected_graphs,
     corpus,
+    distance_preserving_permutations,
     reference_canon_bits,
     reference_enumerate_connected,
 )
@@ -118,14 +123,51 @@ class TestEnumeration:
     def test_labeled_count_cross_check(self):
         # sum of n!/|Aut| over classes = number of connected labeled graphs
         # (OEIS A001187)
-        labeled_counts = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
-        factorial = {1: 1, 2: 2, 3: 6, 4: 24, 5: 120, 6: 720}
+        labeled_counts = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
         totals = {n: 0 for n in labeled_counts}
-        for g in enumerate_connected(6):
+        for g in enumerate_connected(7):
             aut = automorphism_count(g)
-            assert factorial[g.n] % aut == 0
-            totals[g.n] += factorial[g.n] // aut
+            assert factorial(g.n) % aut == 0
+            totals[g.n] += factorial(g.n) // aut
         assert totals == labeled_counts
+
+
+class TestAutomorphisms:
+    def test_count_matches_brute_force(self):
+        for g in corpus(6):
+            assert automorphism_count(g) == len(distance_preserving_permutations(g))
+
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            (complete(10), factorial(10)),
+            (Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                   + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                   + [(i, 5 + i) for i in range(5)]), 120),
+            (complete_bipartite(4, 5), 2880),
+            (star(9), factorial(8)),
+        ],
+        ids=["K10", "Petersen", "K4,5", "star9"],
+    )
+    def test_counts_beyond_permutation_scans(self, g, expected):
+        assert automorphism_count(g) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs(7))
+    def test_generators_close_to_the_group(self, g):
+        _, gens = _canonical_search(g)
+        edges = set(g.edges)
+        for t in gens:
+            assert {(min(t[u], t[v]), max(t[u], t[v])) for u, v in g.edges} == edges
+        group = {tuple(range(g.n))}
+        frontier = list(group)
+        for p in frontier:  # grows while it is walked
+            for t in gens:
+                q = tuple(t[x] for x in p)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        assert len(group) == automorphism_count(g) == len(distance_preserving_permutations(g))
 
 
 class TestIsomorphism:
@@ -200,8 +242,6 @@ def test_enumerated_graphs_match_naive_subset_enumeration():
 
 
 def _all_perms(n):
-    from itertools import permutations
-
     return list(permutations(range(n)))
 
 

@@ -121,8 +121,7 @@ class TestParseGraph6:
             parse_graph6("A?")
 
 
-def test_disconnected_rejected_after_one_bfs_row(monkeypatch):
-    # a bare vertex count must not build the n^2 distance table first
+def _count_bfs_rows(monkeypatch) -> list[int]:
     calls = []
     bfs = graph_module._bfs_distances
 
@@ -131,9 +130,25 @@ def test_disconnected_rejected_after_one_bfs_row(monkeypatch):
         return bfs(adj, src, n)
 
     monkeypatch.setattr(graph_module, "_bfs_distances", counting)
+    return calls
+
+
+def test_disconnected_rejected_after_one_bfs_row(monkeypatch):
+    # enough edges to pass the edge count, yet vertex 1999 is isolated; the
+    # n^2 distance table must not be built first
+    calls = _count_bfs_rows(monkeypatch)
     with pytest.raises(DisconnectedInput):
-        Graph(2000, [])
+        Graph(2000, [(v, (v + 1) % 1999) for v in range(1999)])
     assert calls == [0]
+
+
+def test_too_few_edges_rejected_before_any_bfs_row(monkeypatch):
+    # fewer than n - 1 edges cannot connect n vertices: a bare vertex count
+    # must fail before the adjacency lists or a BFS row are built
+    calls = _count_bfs_rows(monkeypatch)
+    with pytest.raises(DisconnectedInput):
+        Graph(10**7, [])
+    assert calls == []
 
 
 class TestFamilies:

@@ -19,6 +19,7 @@ from graphspan import (
     path,
     span,
 )
+from graphspan.families import _canonical_search
 from graphspan.minlen import _best_first, _start_pairs
 
 from oracles import (
@@ -147,13 +148,23 @@ class TestReports:
         assert a == b
 
 
+def _assert_one_start_per_orbit(g):
+    # the lowest pair of each orbit of Aut(G) x player swap, no other
+    gens = _canonical_search(g)[1]
+    for sigma in range(g.radius + 1):
+        orbits = brute_force_pair_orbits(g, sigma)
+        assert _start_pairs(g, sigma, gens) == sorted(min(o) for o in orbits)
+
+
 class TestStarts:
     def test_one_start_per_symmetry_orbit(self):
-        # the lowest pair of each orbit of Aut(G) x player swap, no other
         for g in corpus(6):
-            for sigma in range(g.radius + 1):
-                orbits = brute_force_pair_orbits(g, sigma)
-                assert _start_pairs(g, sigma) == sorted(min(o) for o in orbits)
+            _assert_one_start_per_orbit(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_graphs(7))
+    def test_one_start_per_symmetry_orbit_random(self, g):
+        _assert_one_start_per_orbit(g)
 
 
 class TestBudget:
