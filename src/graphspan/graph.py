@@ -29,6 +29,14 @@ def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _digits(token: str) -> int:
+    """Value of a token of ASCII decimal digits; ValueError for anything else,
+    including the signs, underscores and non-ASCII digits that int() takes."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 class Graph:
     """Simple undirected finite connected graph.
 
@@ -138,18 +146,22 @@ def parse_edge_list(text: str) -> Graph:
             if len(parts) != 1:
                 raise MalformedInput(f"line {lineno}: expected vertex count, got {line!r}")
             try:
-                n = int(parts[0])
+                n = _digits(parts[0])
             except ValueError:
-                raise MalformedInput(f"line {lineno}: vertex count must be an integer") from None
+                raise MalformedInput(
+                    f"line {lineno}: vertex count must be a decimal integer, got {parts[0]!r}"
+                ) from None
             if n < 1:
                 raise MalformedInput(f"line {lineno}: vertex count must be positive")
             continue
         if len(parts) != 2:
             raise MalformedInput(f"line {lineno}: expected 'u v', got {line!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _digits(parts[0]), _digits(parts[1])
         except ValueError:
-            raise MalformedInput(f"line {lineno}: endpoints must be integers") from None
+            raise MalformedInput(
+                f"line {lineno}: endpoints must be decimal integers, got {line!r}"
+            ) from None
         if not (0 <= u < n and 0 <= v < n):
             raise IndexOutOfRange(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
         if u == v:
@@ -234,11 +246,13 @@ class FamilySpec:
         name, sep, rest = text.partition(":")
         if not sep or not rest:
             raise InvalidParams(f"expected 'family:params', got {text!r}")
-        try:
-            params = tuple(int(p) for p in rest.split(","))
-        except ValueError:
-            raise InvalidParams(f"non-integer parameter in {text!r}") from None
-        return cls(name.strip(), params)
+        params = []
+        for token in rest.split(","):
+            try:
+                params.append(_digits(token.strip()))
+            except ValueError:
+                raise MalformedInput(f"non-integer parameter {token!r} in {text!r}") from None
+        return cls(name.strip(), tuple(params))
 
     def __str__(self) -> str:
         return f"{self.family}({', '.join(map(str, self.params))})"

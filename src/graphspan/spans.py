@@ -3,9 +3,10 @@
 The maximal safety distance for a movement rule and coverage target equals
 the largest threshold k at which some connected component of the product
 graph on ordered vertex pairs at distance >= k projects onto the full target
-set for both players. Within one component, doubling every product edge
-yields an Eulerian circuit whose coordinate projections are valid witness
-walks, and conversely a valid walk pair never leaves its component, so the
+set for both players. Within one component, a depth-first walk of a spanning
+tree, with an out-and-back detour over each product edge whose base edges the
+tree walk misses, has coordinate projections that are valid witness walks,
+and conversely a valid walk pair never leaves its component, so the
 component test is exact; an independent brute-force oracle over walk pairs
 confirms this on all small graphs in the test suite. One union-find pass,
 adding states in decreasing distance order, decides every threshold.
@@ -19,7 +20,6 @@ from typing import Optional
 
 from .errors import InternalError, ThresholdOutOfRange
 from .graph import Graph
-from .postman import euler_walk_multigraph
 from .walks import Walk
 
 
@@ -97,6 +97,14 @@ class SpanReport:
     witness: Optional[tuple[Walk, Walk]] = None
 
 
+def _edge_bits(g: Graph) -> list[list[int]]:
+    """edge_bit[a][b] = 1 << (index of edge ab), 0 for non-adjacent a, b."""
+    edge_bit = [[0] * g.n for _ in range(g.n)]
+    for i, (a, b) in enumerate(g.edges):
+        edge_bit[a][b] = edge_bit[b][a] = 1 << i
+    return edge_bit
+
+
 def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -119,9 +127,7 @@ def _span_pass(g: Graph, rule: Rule, target: Target) -> tuple[int, int]:
     vertices = target is Target.VERTICES
     width = n if vertices else g.m
     full = (1 << 2 * width) - 1
-    edge_bit = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(g.edges):
-        edge_bit[a][b] = edge_bit[b][a] = 1 << i
+    edge_bit = _edge_bits(g)
     parent = list(range(n * n))
     cov = [0] * (n * n)
     present = bytearray(n * n)
@@ -172,40 +178,101 @@ def span(g: Graph, rule: Rule, target: Target, with_witness: bool = False) -> Sp
         target=target,
         value=value,
         witness_component=root,
-        witness=_component_witness(g, rule, value, root) if with_witness else None,
+        witness=_component_witness(g, rule, target, value, root) if with_witness else None,
     )
 
 
-def _component_witness(g: Graph, rule: Rule, k: int, root: int) -> tuple[Walk, Walk]:
-    """Project an Eulerian circuit of the doubled component onto the players.
+def _component_witness(
+    g: Graph, rule: Rule, target: Target, k: int, root: int
+) -> tuple[Walk, Walk]:
+    """Walk a pruned BFS tree of the witness component and project it.
 
-    The circuit visits every state and traverses every product edge, so both
-    projections cover whatever the component realizes while the pair distance
-    stays at the threshold.
+    One BFS from root over the states at distance >= k, successors in
+    increasing flat index, credits each target of each player to the first
+    element in BFS order that covers it: a state for a vertex target, a
+    product edge for an edge target. It stops once every target is credited.
+    The kept subtree holds every credited state and the child end of every
+    credited tree edge, with their tree paths to root; a credited non-tree
+    edge s-t becomes the detour s, t, s at s. The depth-first walk of the
+    kept subtree, detours taken at each state's first visit, has at most
+    2(|C| - 1) + 4w + 1 entries for a component of |C| states and w targets
+    per player, and its projections cover every target while the pair
+    distance stays at the threshold.
     """
     n = g.n
     dist = g.dist
-    adj: dict[int, list[int]] = {}
-    stack = [root]
-    while stack:
-        s = stack.pop()
-        if s in adj:
+    vertices = target is Target.VERTICES
+    width = n if vertices else g.m
+    edge_bit = _edge_bits(g)
+    u, v = divmod(root, n)
+    covered = (1 << u << width) | (1 << v) if vertices else 0
+    full = (1 << 2 * width) - 1
+    parent = {root: root}
+    kept = []
+    detours: dict[int, list[int]] = {}
+    order = [root]
+    head = 0
+    while covered != full:
+        if head == len(order):
+            raise InternalError("witness component does not cover the target")
+        s = order[head]
+        head += 1
+        u, v = divmod(s, n)
+        for t in sorted(x * n + y for x, y in _moves(g, rule, u, v) if dist[x][y] >= k):
+            x, y = divmod(t, n)
+            if vertices:
+                bits = (1 << x << width) | (1 << y)
+            else:
+                bits = (edge_bit[u][x] << width) | edge_bit[v][y]
+            if t not in parent:
+                parent[t] = s
+                order.append(t)
+                if bits & ~covered:
+                    kept.append(t)
+            elif bits & ~covered:
+                # only an edge target gets here: a visited state's vertices
+                # were covered when it was reached
+                kept.append(s)
+                detours.setdefault(s, []).append(t)
+            covered |= bits
+            if covered == full:
+                break
+    marked = {root}
+    for s in kept:
+        while s not in marked:
+            marked.add(s)
+            s = parent[s]
+    children: dict[int, list[int]] = {}
+    for s in order[1:]:
+        if s in marked:
+            children.setdefault(parent[s], []).append(s)
+    seq: list[int] = []
+    path: list[int] = []
+    pending = []
+
+    def enter(s: int) -> None:
+        seq.append(s)
+        for t in detours.get(s, ()):
+            seq.extend((t, s))
+        path.append(s)
+        pending.append(iter(children.get(s, ())))
+
+    enter(root)
+    while pending:
+        s = next(pending[-1], None)
+        if s is not None:
+            enter(s)
             continue
-        adj[s] = sorted(x * n + y for x, y in _moves(g, rule, *divmod(s, n)) if dist[x][y] >= k)
-        stack.extend(t for t in adj[s] if t not in adj)
-    if not adj[root]:
-        u, v = divmod(root, n)
-        return Walk((u,)), Walk((v,))
-    counts = {(a, b): 2 for a, nbrs in adj.items() for b in nbrs if a < b}
-    seq = euler_walk_multigraph(adj, counts, root)
-    f = Walk(tuple(s // n for s in seq))
-    h = Walk(tuple(s % n for s in seq))
-    return f, h
+        pending.pop()
+        path.pop()
+        if path:
+            seq.append(path[-1])
+    return Walk(tuple(s // n for s in seq)), Walk(tuple(s % n for s in seq))
 
 
 def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
-    """Walk pair achieving the span value (every product edge of the witness
-    component doubled, Eulerian circuit extracted, coordinates projected)."""
+    """Walk pair achieving the span value: the depth-first walk of a pruned
+    BFS tree of the witness component, coordinates projected."""
     witness = span(g, rule, target, with_witness=True).witness
     if witness is None:
         raise InternalError("span returned no witness")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidVertex, LengthMismatch, MalformedInput, NotATrack
-from .graph import Graph, _norm
+from .graph import Graph, _digits, _norm
 
 __all__ = [
     "Walk",
@@ -164,7 +164,7 @@ def parse_walk(text: str, n: int) -> Walk:
         if not token.startswith("v"):
             raise MalformedInput(f"bad vertex token {token!r}")
         try:
-            idx = int(token[1:]) - 1
+            idx = _digits(token[1:]) - 1
         except ValueError:
             raise MalformedInput(f"bad vertex token {token!r}") from None
         if not 0 <= idx < n:

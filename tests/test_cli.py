@@ -104,6 +104,15 @@ class TestSpanCommand:
         code, _, err = run(capsys, "span", "--file", str(p))
         assert code == 2 and "line 3" in err
 
+    @pytest.mark.parametrize("count", ["1_0", "+9", "\u0663"])
+    def test_lenient_integers_are_input_errors(self, tmp_path, capsys, count):
+        p = tmp_path / "g.txt"
+        p.write_text(f"{count}\n0 1\n1 2\n", encoding="utf-8")
+        code, _, err = run(capsys, "span", "--file", str(p))
+        assert code == 2 and "line 1" in err
+        code, _, err = run(capsys, "span", "--family", f"path:{count}")
+        assert code == 2 and repr(count) in err
+
     def test_disconnected_file(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         p.write_text("4\n0 1\n2 3\n")
@@ -238,11 +247,14 @@ class TestVerifyCommands:
 # symmetry orbit: its explored counts and vertex-target witnesses changed,
 # its lengths and spans did not (test_minlen_golden_lengths). The search-gap
 # prefixes, taken at the last commit of the labeled subset scan, pin the
-# representative labeling that enumerate_connected yields.
+# representative labeling that enumerate_connected yields. The two witness
+# prefixes were retaken when the witnesses became depth-first walks of a
+# pruned BFS tree instead of Euler circuits of the doubled component: only
+# their walk lines changed, not their distance headers.
 GOLDEN = [
-    (("witness", "--family", "kn_plus:5"), "f25ad5e7b900e1c9"),
+    (("witness", "--family", "kn_plus:5"), "40b1d2c4038ee0ed"),
     (("witness", "--family", "complete_bipartite:2,3", "--format", "structured"),
-     "516f029581c2d7b0"),
+     "2b30ede51ea51487"),
     (("span", "--family", "path:12"), "1f9d2dd4a88e1f6c"),
     (("minlen", "--family", "cycle:6"), "d5aac20f392bf324"),
     (("search-gap",), "280d4359cbebdbf3"),

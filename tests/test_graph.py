@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 import pytest
@@ -76,6 +77,14 @@ class TestParseEdgeList:
     def test_malformed(self, text):
         with pytest.raises(MalformedInput):
             parse_edge_list(text)
+
+    @pytest.mark.parametrize("token", ["1_0", "+9", "\u0663", "-1", "\uff13"])
+    def test_only_ascii_decimal_integers(self, token):
+        # int() reads all of these: '1_0' as 10, '\u0663' (Arabic-Indic three) as 3
+        with pytest.raises(MalformedInput, match="line 2"):
+            parse_edge_list(f"# count\n{token}\n0 1\n")
+        with pytest.raises(MalformedInput, match="line 3"):
+            parse_edge_list(f"4\n0 1\n1 {token}\n")
 
 
 class TestParseGraph6:
@@ -194,6 +203,12 @@ class TestFamilies:
             FamilySpec.from_string("nosuch:3")
         with pytest.raises(InvalidParams):
             FamilySpec.from_string("path:1,2")
+        assert FamilySpec.from_string("complete_bipartite:2, 3").params == (2, 3)
+
+    @pytest.mark.parametrize("token", ["1_0", "+9", "\u0663", "-1", "x"])
+    def test_spec_only_ascii_decimal_parameters(self, token):
+        with pytest.raises(MalformedInput, match=re.escape(repr(token))):
+            FamilySpec.from_string(f"complete_bipartite:2,{token}")
 
 
 class TestRadii:

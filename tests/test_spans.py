@@ -162,6 +162,40 @@ class TestSpanInvariants:
         )
 
 
+def _component(g, rule, k, root):
+    """States reachable from root over pairs at distance >= k, stepping by the
+    rule's definition (strong: not both stay, direct: both move, Cartesian:
+    exactly one moves) rather than by the engine's successor lists."""
+    n = g.n
+    seen = {root}
+    stack = [divmod(root, n)]
+    while stack:
+        u, v = stack.pop()
+        for x in (u, *g.adj[u]):
+            for y in (v, *g.adj[v]):
+                moved = (x != u, y != v)
+                allowed = {
+                    Rule.TRADITIONAL: any(moved),
+                    Rule.ACTIVE: all(moved),
+                    Rule.LAZY: moved[0] != moved[1],
+                }[rule]
+                if allowed and g.dist[x][y] >= k and x * n + y not in seen:
+                    seen.add(x * n + y)
+                    stack.append((x, y))
+    return seen
+
+
+def assert_short_tree_walk(g, rule, target, rep, f, h):
+    """The witness starts at the component's lowest state, stays in the
+    component, and has at most 2(|C| - 1) + 4w + 1 entries."""
+    states = [u * g.n + v for u, v in zip(f.seq, h.seq)]
+    component = _component(g, rule, rep.value, rep.witness_component)
+    assert states[0] == min(component) == rep.witness_component
+    assert set(states) <= component
+    w = g.n if target is Target.VERTICES else g.m
+    assert len(states) <= 2 * (len(component) - 1) + 4 * w + 1
+
+
 class TestWitnesses:
     def test_knplus_traditional_edges(self):
         g = kn_plus(5)
@@ -177,15 +211,17 @@ class TestWitnesses:
         f, h = witness_sweeps(path(1), Rule.TRADITIONAL, Target.VERTICES)
         assert f.seq == (0,) and h.seq == (0,)
 
+    def test_k5_traditional_edges_witness_length(self):
+        f, h = witness_sweeps(complete(5), Rule.TRADITIONAL, Target.EDGES)
+        assert len(f) == len(h) == 39
+
     def test_all_witnesses_revalidate_small_corpus(self):
-        for g in corpus(5):
+        for g in corpus(6):
             for rule, target in ALL_VARIANTS:
                 rep = span(g, rule, target)
                 f, h = witness_sweeps(g, rule, target)
                 assert validate_pair(g, rule, target, f, h, rep.value) == []
-                # the circuit starts at, and visits, the component's lowest state
-                states = [u * g.n + v for u, v in zip(f.seq, h.seq)]
-                assert states[0] == min(states) == rep.witness_component
+                assert_short_tree_walk(g, rule, target, rep, f, h)
 
     def test_family_witnesses_revalidate(self):
         for g in [path(6), cycle(7), complete(5), kn_plus(6), line_graph(complete(4))]:
@@ -195,9 +231,10 @@ class TestWitnesses:
                 assert validate_pair(g, rule, target, f, h, value) == []
 
     def test_large_witness_revalidates(self):
-        # the doubled strong-product component of K14 has about 70 k product
-        # edges; a Hierholzer that rescans adjacency lists made this slow
-        g = complete(14)
+        # the strong-product component of K20 at distance 1 has 380 states
+        # and 72,010 product edges; the tree walk stops its BFS once all
+        # 190 edges are credited for both players
+        g = complete(20)
         f, h = witness_sweeps(g, Rule.TRADITIONAL, Target.EDGES)
         assert validate_pair(g, Rule.TRADITIONAL, Target.EDGES, f, h, 1) == []
 
@@ -207,7 +244,9 @@ class TestWitnesses:
         for rule in Rule:
             values = {}
             for target in Target:
-                values[target] = span(g, rule, target).value
+                rep = span(g, rule, target)
+                values[target] = rep.value
                 f, h = witness_sweeps(g, rule, target)
                 assert validate_pair(g, rule, target, f, h, values[target]) == []
+                assert_short_tree_walk(g, rule, target, rep, f, h)
             assert values[Target.EDGES] <= values[Target.VERTICES] <= g.radius

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,11 @@ class TestSerialization:
     def test_bad_token(self):
         with pytest.raises(MalformedInput):
             parse_walk("v1,x2", 3)
+
+    @pytest.mark.parametrize("token", ["v1_0", "v+2", "v\u0663", "v-1", "v"])
+    def test_only_ascii_decimal_indices(self, token):
+        with pytest.raises(MalformedInput, match=re.escape(repr(token))):
+            parse_walk(f"v1,{token},v2", 12)
 
     def test_out_of_range(self):
         with pytest.raises(InvalidVertex):
