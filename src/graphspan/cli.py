@@ -20,14 +20,15 @@ from .families import (
     family_closed_span_checks,
     find_minimal_direct_gap,
 )
-from .graph import FamilySpec, Graph, complete, generate, kn_plus, parse_edge_list, parse_graph6
+from .graph import FamilySpec, Graph, _digits, complete, generate, kn_plus
+from .graph import parse_edge_list, parse_graph6
 from .minlen import DEFAULT_STATE_BUDGET, min_length
 from .postman import shortest_covering_walk
 from .spans import RULES, TARGETS, Rule, Target, span, witness_sweeps
 from .walks import Walk, classify, format_walk, is_opposite_lazy, pair_distance, parse_walk
 
 SCHEMA = "graphspan/v1"
-_BUDGET_HELP = "cap on the search index space n^2 * 4^w for w targets per player (default 2**27)"
+_BUDGET_HELP = "cap on the states the minimal-length search stores (default 2**20)"
 
 
 def _selected_rules(name: str) -> tuple[Rule, ...]:
@@ -370,11 +371,11 @@ def _add_common_args(p: argparse.ArgumentParser, rule_target: bool = True) -> No
 
 def _budget(text: str) -> int:
     try:
-        if int(text) >= 0:
-            return int(text)
+        return _digits(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"budget must be a non-negative integer, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"budget must be a non-negative integer, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

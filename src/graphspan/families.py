@@ -335,7 +335,7 @@ def family_closed_minlen_checks(state_budget: Optional[int] = None) -> list[tupl
     cases: list[FamilySpec] = []
     cases += [FamilySpec("path", (n,)) for n in range(2, 9)]
     cases += [FamilySpec("cycle", (n,)) for n in range(3, 9)]
-    cases += [FamilySpec("complete", (n,)) for n in range(2, 6)]
+    cases += [FamilySpec("complete", (n,)) for n in range(2, 8)]
     for spec in cases:
         g = generate(spec)
         for rule in Rule:

@@ -148,6 +148,25 @@ def oracle_min_length(g: Graph, rule: Rule, target: Target, sigma: int, max_l: i
     raise AssertionError(f"no covering pair within {max_l} entries")
 
 
+def edge_cover_steps(g: Graph, p: int, uncovered: frozenset) -> int:
+    """Fewest steps a lone walker at p needs to traverse every edge in
+    ``uncovered``, by breadth-first search over (vertex, edges left) states."""
+    frontier = [(p, uncovered)]
+    seen = set(frontier)
+    for steps in range(2 * g.n * (g.m + 1)):
+        nxt = []
+        for v, left in frontier:
+            if not left:
+                return steps
+            for w in g.adj[v]:
+                s = (w, left - {(v, w) if v < w else (w, v)})
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    raise AssertionError("no covering walk found")
+
+
 def distance_preserving_permutations(g: Graph) -> list[tuple[int, ...]]:
     """Aut(g), as every one of the n! permutations that preserves all distances."""
     n, dist = g.n, g.dist

@@ -166,7 +166,7 @@ class TestMinlenCommand:
     def test_budget_flag_caps(self, capsys):
         code, out, _ = run(
             capsys, "minlen", "--family", "complete:4", "--rule", "direct",
-            "--target", "edges", "--budget", "1000", "--format", "structured",
+            "--target", "edges", "--budget", "10", "--format", "structured",
         )
         assert code == 0
         doc = json.loads(out)
@@ -177,6 +177,14 @@ class TestMinlenCommand:
     def test_negative_budget_rejected(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             main([*command, "--budget", "-5"])
+        assert exc.value.code == 2
+        assert "budget must be a non-negative integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["1_000", "+5", "\u0663"])
+    @pytest.mark.parametrize("command", [["minlen", "--family", "path:3"], ["verify-family"]])
+    def test_lenient_budget_rejected(self, capsys, command, budget):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--budget", budget])
         assert exc.value.code == 2
         assert "budget must be a non-negative integer" in capsys.readouterr().err
 

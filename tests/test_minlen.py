@@ -19,15 +19,24 @@ from graphspan import (
     path,
     span,
 )
-from graphspan.families import _canonical_search
-from graphspan.minlen import _best_first, _start_pairs
+from graphspan.families import _canonical_search, closed_minlen
+from graphspan.graph import FamilySpec
+from graphspan.minlen import (
+    SEARCH_ORDER_LIMIT,
+    _best_first,
+    _min_repeats,
+    _parity_masks,
+    _start_pairs,
+)
 
 from oracles import (
     ALL_VARIANTS,
     brute_force_pair_orbits,
     connected_graphs,
     corpus,
+    edge_cover_steps,
     oracle_min_length,
+    rule_moves,
     validate_pair,
 )
 
@@ -137,15 +146,56 @@ class TestReports:
         stored = [min_length(complete(5), rule, Target.EDGES).explored_states for rule in Rule]
         assert sum(stored) < 1000
 
+    def test_k6_k7_edges_store_few_states(self):
+        # the parity term of the bound: 482 + 354 + 8,368 stored states on
+        # K6 and 862 + 652 + 280,573 on K7
+        for n, ceiling in ((6, 10_000), (7, 300_000)):
+            reps = [min_length(complete(n), rule, Target.EDGES) for rule in Rule]
+            assert not any(rep.capped for rep in reps)
+            spec = FamilySpec("complete", (n,))
+            assert [rep.length for rep in reps] == [
+                closed_minlen(spec, rule, Target.EDGES) for rule in Rule
+            ]
+            assert sum(rep.explored_states for rep in reps) < ceiling
+
     def test_empty_queue_is_internal_error(self):
         # one start with no successors and one target left uncovered
         with pytest.raises(InternalError):
-            _best_first([0], [[]], 1, False)
+            _best_first([0], [[]], 1, 1, False, [], 1)
 
     def test_deterministic(self):
         a = min_length(cycle(6), Rule.LAZY, Target.EDGES)
         b = min_length(cycle(6), Rule.LAZY, Target.EDGES)
         assert a == b
+
+
+class TestParityBound:
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(6), st.data())
+    def test_edge_bound_admissible_and_consistent(self, g, data):
+        parity = _parity_masks(g, Target.EDGES)
+
+        def bound(p, left):
+            # the engine's per-player bound: one step per edge left, plus repeats
+            bits = sum(1 << g.edge_index(u, v) for u, v in left)
+            return len(left) + _min_repeats(bits, parity, g.n)[p]
+
+        def crossed(left, a, b):
+            return left - {(min(a, b), max(a, b))}
+
+        edge_sets = st.lists(st.sampled_from(g.edges), max_size=8, unique=True) if g.m else st.just([])
+        uf, ug = frozenset(data.draw(edge_sets)), frozenset(data.draw(edge_sets))
+        for p in range(g.n):
+            # never above the exact steps a lone walker at p needs
+            assert bound(p, uf) <= edge_cover_steps(g, p, uf)
+        for rule in Rule:
+            combine = (lambda a, b: a + b) if rule is Rule.LAZY else max
+            for p in range(g.n):
+                for q in range(g.n):
+                    before = combine(bound(p, uf), bound(q, ug))
+                    for x, y in rule_moves(g, rule, p, q):
+                        after = combine(bound(x, crossed(uf, p, x)), bound(y, crossed(ug, q, y)))
+                        assert after >= before - 1, (rule, p, q, x, y)
 
 
 def _assert_one_start_per_orbit(g):
@@ -168,20 +218,36 @@ class TestStarts:
 
 
 class TestBudget:
-    def test_k6_edges_caps_at_default_budget(self):
-        # 36 * 4^15 indexable states blow the default 2^27 budget
-        rep = min_length(complete(6), Rule.ACTIVE, Target.EDGES)
-        assert rep.capped
-        assert rep.witness is None
-        assert rep.length == length_lower_bounds(complete(6), Rule.ACTIVE, Target.EDGES)
+    def test_k6_edges_exact_under_default_budget(self):
+        g = complete(6)
+        rep = min_length(g, Rule.ACTIVE, Target.EDGES)
+        assert not rep.capped
+        assert rep.length == closed_minlen(FamilySpec("complete", (6,)), Rule.ACTIVE, Target.EDGES)
+        f, h = rep.witness
+        assert validate_pair(g, Rule.ACTIVE, Target.EDGES, f, h, rep.span_value) == []
+
+    def test_budget_counts_stored_states(self):
+        # a budget of exactly the stored count suffices, one fewer caps
+        for g in corpus(5):
+            for rule, target in ALL_VARIANTS:
+                rep = min_length(g, rule, target)
+                exact = min_length(g, rule, target, state_budget=rep.explored_states)
+                assert exact == rep
+                capped = min_length(g, rule, target, state_budget=rep.explored_states - 1)
+                assert capped.capped and capped.witness is None
+                assert capped.length == length_lower_bounds(g, rule, target)
 
     def test_tiny_budget_caps_small_search(self):
-        rep = min_length(complete(4), Rule.ACTIVE, Target.EDGES, state_budget=1000)
+        rep = min_length(complete(4), Rule.ACTIVE, Target.EDGES, state_budget=10)
         assert rep.capped
         assert rep.length == length_lower_bounds(complete(4), Rule.ACTIVE, Target.EDGES)
 
     def test_capped_is_a_lower_bound(self):
-        capped = min_length(complete(4), Rule.LAZY, Target.EDGES, state_budget=1000)
+        capped = min_length(complete(4), Rule.LAZY, Target.EDGES, state_budget=10)
         exact = min_length(complete(4), Rule.LAZY, Target.EDGES)
         assert capped.capped and not exact.capped
         assert capped.length <= exact.length
+
+    def test_order_above_limit_caps_without_search(self):
+        rep = min_length(cycle(SEARCH_ORDER_LIMIT + 1), Rule.ACTIVE, Target.VERTICES)
+        assert rep.capped and rep.explored_states == 0
