@@ -59,7 +59,8 @@ class ThresholdOutOfRange(GraphSpanError):
 
 class TooLarge(GraphSpanError):
     """The input exceeds a fixed size bound of an exhaustive computation, such
-    as the enumeration order or the odd vertices route inspection pairs."""
+    as the enumeration order or the odd vertices route inspection pairs,
+    raised before any of that computation runs."""
 
 
 class NoClosedForm(GraphSpanError):

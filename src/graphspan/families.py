@@ -8,7 +8,7 @@ they are not re-derivations.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import NoClosedForm, TooLarge, VerificationFailure
 from .graph import FamilySpec, Graph, generate, kn_plus
@@ -175,16 +175,26 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     degree/neighbor-degree refinement, which always includes the image of any
     isomorphism, so equal forms mean isomorphic graphs and conversely.
     """
-    return g.n, _canon_bits(g.n, _rows(g))
+    return g.n, _code(g.n, _rows(g), _canonical_answers(g)[0])
 
 
-def _canonical_search(g: Graph) -> tuple[list[int], list[list[int]]]:
+def _canonical_answers(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
+    """New label of each vertex, generators of Aut(g) and |Aut(g)|, from one
+    canonical search per graph."""
+
+    def compute():
+        pos, merges, count = _refined_positions(g.n, _rows(g))
+        return tuple(pos), tuple(map(tuple, _sift(g.n, merges, count))), count
+
+    return g._memoized("canonical search", compute)
+
+
+def _canonical_search(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """New label of each vertex, the one canonical_form encodes, and
     generators t (sending v to t[v]) of Aut(g) sifted from the same search.
     Relabeling g by the labels gives one graph for all graphs isomorphic to g.
     """
-    pos, merges, count = _refined_positions(g.n, _rows(g))
-    return pos, _sift(g.n, merges, count)
+    return _canonical_answers(g)[:2]
 
 
 def _rows(g: Graph) -> list[int]:
@@ -203,13 +213,16 @@ def _refined_positions(n: int, rows: list[int]) -> tuple[list[int], list, int]:
     return _lowest_positions(n, rows, [members[key] for key in sorted(keys)])
 
 
-def _canon_bits(n: int, rows: list[int]) -> int:
-    pos = _refined_positions(n, rows)[0]
+def _code(n: int, rows: list[int], pos: Sequence[int]) -> int:
     code = 0
     for u, v in _edges(n, rows):
         a, b = sorted((pos[u], pos[v]))
         code |= 1 << (a * n + b)
     return code
+
+
+def _canon_bits(n: int, rows: list[int]) -> int:
+    return _code(n, rows, _refined_positions(n, rows)[0])
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -218,7 +231,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 
 def automorphism_count(g: Graph) -> int:
     """|Aut(g)|: the number of lowest labelings the canonical search finds."""
-    return _refined_positions(g.n, _rows(g))[2]
+    return _canonical_answers(g)[2]
 
 
 def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Graph]:

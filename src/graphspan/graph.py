@@ -43,9 +43,16 @@ class Graph:
     All-pairs distances (hop metric) and the radius are computed once at
     construction; instances are immutable afterwards and safe to share
     between threads.
+
+    Answers derived from the graph alone (the span pass of each rule, the
+    canonical search) are computed on first use and kept in ``_memo``, so
+    every later query on the same instance reads them. Each stored value is
+    an immutable tuple computed from the graph only, and it is stored with
+    one ``dict.setdefault``: two threads that compute it at once store one
+    copy and both return it, so sharing a graph between threads stays safe.
     """
 
-    __slots__ = ("n", "edges", "adj", "dist", "radius", "_edge_index", "_edge_set")
+    __slots__ = ("n", "edges", "adj", "dist", "radius", "_edge_index", "_edge_set", "_memo")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 1:
@@ -81,6 +88,14 @@ class Graph:
             tuple(_bfs_distances(self.adj, s, n)) for s in range(1, n)
         )
         self.radius = min(max(row) for row in self.dist)
+        self._memo: dict = {}
+
+    def _memoized(self, key, compute):
+        """The value stored under key, computed by compute() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            return self._memo.setdefault(key, compute())
 
     @property
     def m(self) -> int:

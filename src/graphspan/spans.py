@@ -8,8 +8,10 @@ tree, with an out-and-back detour over each product edge whose base edges the
 tree walk misses, has coordinate projections that are valid witness walks,
 and conversely a valid walk pair never leaves its component, so the
 component test is exact; an independent brute-force oracle over walk pairs
-confirms this on all small graphs in the test suite. One union-find pass,
-adding states in decreasing distance order, decides every threshold.
+confirms this on all small graphs in the test suite. One union-find pass per
+rule, adding states in decreasing distance order, decides every threshold for
+both targets, and its result is kept on the graph, so every later query of the
+same rule on the same graph reads it.
 """
 
 from __future__ import annotations
@@ -112,56 +114,79 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _span_pass(g: Graph, rule: Rule, target: Target) -> tuple[int, int]:
-    """(span value, lowest flat index u*n + v of the witness component).
+def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(span value, lowest flat index u*n + v of the witness component) of
+    the vertex target, then of the edge target, from one union-find pass.
 
     States enter in decreasing distance order, one threshold level at a time,
-    and are unioned with the successors already present. Each root is the
-    lowest index of its component and carries the OR of the per-player
+    and are unioned with the successors already present; the unions do not
+    depend on the target, so one pass decides both. Each root is the lowest
+    index of its component and carries, per target, the OR of the per-player
     coverage bits (f bits above g bits): a state adds its vertices when it
     enters, a product edge adds its base edges when it is unioned. Only roots
-    touched on a level can have become full on it.
+    touched on a level can have become full on it. The pass stops on the
+    first level at which both targets have been full.
     """
     n = g.n
+    m = g.m
     dist = g.dist
-    vertices = target is Target.VERTICES
-    width = n if vertices else g.m
-    full = (1 << 2 * width) - 1
-    edge_bit = _edge_bits(g)
+    vertex_full = (1 << 2 * n) - 1
+    edge_full = (1 << 2 * m) - 1
+    g_bit = _edge_bits(g)
+    f_bit = [[b << m for b in row] for row in g_bit]
     parent = list(range(n * n))
-    cov = [0] * (n * n)
+    vertex_cov = [0] * (n * n)
+    edge_cov = [0] * (n * n)
     present = bytearray(n * n)
+    vertex_hit = edge_hit = None
     for k in range(g.radius, -1, -1):
         touched = []
         top = n if k == g.radius else k
         for u in range(n):
             row = dist[u]
+            f_row = f_bit[u]
             for v in range(n):
                 if not k <= row[v] <= top:
                     continue
                 s = u * n + v
                 present[s] = 1
-                if vertices:
-                    cov[s] = (1 << u << width) | (1 << v)
+                vertex_cov[s] = (1 << u << n) | (1 << v)
+                g_row = g_bit[v]
                 root = s
                 for x, y in _moves(g, rule, u, v):
                     t = x * n + y
                     if not present[t]:
                         continue
-                    bits = 0 if vertices else (edge_bit[u][x] << width) | edge_bit[v][y]
-                    other = _find(parent, t)
+                    bits = f_row[x] | g_row[y]
+                    other = parent[t]
+                    if parent[other] != other:  # most successors sit next to their root
+                        other = _find(parent, other)
                     if other == root:
-                        cov[root] |= bits
+                        edge_cov[root] |= bits
                         continue
                     if other < root:
                         root, other = other, root
                     parent[other] = root
-                    cov[root] |= cov[other] | bits
+                    vertex_cov[root] |= vertex_cov[other]
+                    edge_cov[root] |= edge_cov[other] | bits
                 touched.append(root)
-        hits = [r for r in {_find(parent, r) for r in touched} if cov[r] == full]
-        if hits:
-            return k, min(hits)
+        roots = {_find(parent, r) for r in touched}
+        if vertex_hit is None:
+            hits = [r for r in roots if vertex_cov[r] == vertex_full]
+            if hits:
+                vertex_hit = (k, min(hits))
+        if edge_hit is None:
+            hits = [r for r in roots if edge_cov[r] == edge_full]
+            if hits:
+                edge_hit = (k, min(hits))
+        if vertex_hit and edge_hit:
+            return vertex_hit, edge_hit
     raise InternalError("threshold 0 must be feasible for a connected graph")
+
+
+def _rule_spans(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
+    """_span_pass(g, rule), run once per graph and rule."""
+    return g._memoized(rule, lambda: _span_pass(g, rule))
 
 
 def span(g: Graph, rule: Rule, target: Target, with_witness: bool = False) -> SpanReport:
@@ -172,7 +197,7 @@ def span(g: Graph, rule: Rule, target: Target, with_witness: bool = False) -> Sp
     radius, at which some product component covers the target for both
     players is the exact value. The threshold-0 product is always feasible.
     """
-    value, root = _span_pass(g, rule, target)
+    value, root = _rule_spans(g, rule)[target is Target.EDGES]
     return SpanReport(
         rule=rule,
         target=target,

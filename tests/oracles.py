@@ -38,6 +38,30 @@ def connected_graphs(draw, max_n: int) -> Graph:
     return Graph(n, [(label[u], label[v]) for u, v in (*tree, *chords)])
 
 
+def count_engine_calls(monkeypatch) -> tuple[list, list]:
+    """Record every span pass and every canonical search, the uncached cores
+    behind the per-graph memo: the rule of each pass and the order of each
+    search, one list entry per call."""
+    from graphspan import families, spans
+
+    passes: list = []
+    searches: list = []
+    span_pass = spans._span_pass
+    refined_positions = families._refined_positions
+
+    def counted_pass(*args):
+        passes.append(args[1])
+        return span_pass(*args)
+
+    def counted_search(*args):
+        searches.append(args[0])
+        return refined_positions(*args)
+
+    monkeypatch.setattr(spans, "_span_pass", counted_pass)
+    monkeypatch.setattr(families, "_refined_positions", counted_search)
+    return passes, searches
+
+
 def rule_moves(g: Graph, rule: Rule, u: int, v: int):
     if rule is Rule.ACTIVE:
         return [(x, y) for x in g.adj[u] for y in g.adj[v]]

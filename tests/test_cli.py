@@ -16,7 +16,7 @@ from graphspan import cli
 from graphspan.cli import main
 from graphspan.walks import parse_walk
 
-from oracles import connected_graphs
+from oracles import connected_graphs, count_engine_calls
 
 
 def run(capsys, *argv):
@@ -267,6 +267,10 @@ GOLDEN = [
     (("minlen", "--family", "cycle:6"), "d5aac20f392bf324"),
     (("search-gap",), "280d4359cbebdbf3"),
     (("search-gap", "--format", "structured"), "d5d48203b199ed4b"),
+    (("postman", "--family", "complete:16", "--mode", "closed"), "43c8f28818d83cab"),
+    (("postman", "--family", "complete:12"), "d0689fd568ca97b6"),
+    (("postman", "--family", "complete:16", "--mode", "closed", "--format", "structured"),
+     "a7fb0bf564f57321"),
 ]
 
 
@@ -283,6 +287,13 @@ def test_minlen_golden_lengths(capsys):
     assert re.findall(r"L=(\d+)  span=(\d+)", out) == [
         ("6", "3"), ("7", "3"), ("6", "3"), ("7", "3"), ("11", "2"), ("13", "2"),
     ]
+
+
+def test_minlen_runs_one_pass_per_rule_and_one_canonical_search(capsys, monkeypatch):
+    passes, searches = count_engine_calls(monkeypatch)
+    code, _, _ = run(capsys, "minlen", "--family", "cycle:6")
+    assert code == 0
+    assert (len(passes), len(searches)) == (3, 1)
 
 
 def _graph6(g: Graph) -> str:

@@ -20,6 +20,7 @@ from graphspan import (
     closed_span,
     complete,
     complete_bipartite,
+    cycle,
     enumerate_connected,
     find_minimal_direct_gap,
     kn_plus,
@@ -168,6 +169,17 @@ class TestAutomorphisms:
                     group.add(q)
                     frontier.append(q)
         assert len(group) == automorphism_count(g) == len(distance_preserving_permutations(g))
+
+
+    def test_returned_search_cannot_be_altered(self):
+        g = cycle(6)
+        label, gens = _canonical_search(g)
+        with pytest.raises(TypeError):
+            label[0] = label[1]
+        with pytest.raises(TypeError):
+            gens[0][0] = gens[0][1]
+        assert _canonical_search(g) == _canonical_search(Graph(g.n, g.edges))
+        assert automorphism_count(g) == 12
 
 
 class TestIsomorphism:

@@ -21,6 +21,7 @@ from graphspan import (
     shortest_covering_walk,
     star,
 )
+from graphspan import postman
 from graphspan.postman import _min_pairing_costs, _pairs_from_mask, euler_walk_multigraph
 
 from oracles import (
@@ -138,15 +139,33 @@ class TestPairing:
     @given(connected_graphs(12))
     def test_matches_brute_force_pairings(self, g):
         odd = [u for u in range(g.n) if g.degree(u) % 2][:10]
-        dp = _min_pairing_costs(odd, g.dist)
+        cost = _min_pairing_costs(odd, g.dist)
         for mask in range(1 << len(odd)):
             members = [odd[i] for i in range(len(odd)) if mask >> i & 1]
             if len(members) % 2:
                 continue
-            assert dp[mask] == brute_force_pairing_cost(members, g.dist)
-            pairs = _pairs_from_mask(odd, mask, g.dist, dp)
+            assert cost(mask) == brute_force_pairing_cost(members, g.dist)
+            pairs = _pairs_from_mask(odd, mask, g.dist, cost)
             assert sorted(x for p in pairs for x in p) == members
-            assert sum(g.dist[a][b] for a, b in pairs) == dp[mask]
+            assert sum(g.dist[a][b] for a, b in pairs) == cost(mask)
+
+
+    def test_stores_only_the_masks_it_reads(self, monkeypatch):
+        # closed mode reads the masks reachable from the full mask by removing
+        # its lowest member and one other: Fibonacci(k + 1) of them for k odd
+        # vertices, against the 2^k entries of a table over every subset
+        costs = []
+
+        def recorded(odd, dist):
+            costs.append(_min_pairing_costs(odd, dist))
+            return costs[-1]
+
+        monkeypatch.setattr(postman, "_min_pairing_costs", recorded)
+        shortest_covering_walk(complete(16), "closed")
+        shortest_covering_walk(complete(18))
+        closed, free = (cost.cache_info().currsize for cost in costs)
+        assert closed <= 1597
+        assert free <= 10926
 
 
 class TestShortestCoveringWalk:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from graphspan import (
+    Graph,
     Rule,
+    TARGETS,
     Target,
     ThresholdOutOfRange,
     all_spans,
@@ -15,6 +17,7 @@ from graphspan import (
     feasible,
     kn_plus,
     line_graph,
+    min_length,
     path,
     span,
     witness_sweeps,
@@ -25,7 +28,9 @@ from oracles import (
     all_trees,
     connected_graphs,
     corpus,
+    count_engine_calls,
     oracle_span,
+    rule_moves,
     validate_pair,
 )
 
@@ -194,6 +199,70 @@ def assert_short_tree_walk(g, rule, target, rep, f, h):
     assert set(states) <= component
     w = g.n if target is Target.VERTICES else g.m
     assert len(states) <= 2 * (len(component) - 1) + 4 * w + 1
+
+
+def _lowest_covering_state(g, rule, target, k):
+    """Lowest u*n + v whose component at threshold k covers the target for
+    both players, its states and product edges taken from the rule's
+    definition; None when no component covers it."""
+    n = g.n
+    for root in range(n * n):
+        if g.dist[root // n][root % n] < k:
+            continue
+        component = _component(g, rule, k, root)
+        if target is Target.VERTICES:
+            f = {s // n for s in component}
+            h = {s % n for s in component}
+            full = set(range(n))
+        else:
+            f, h = set(), set()
+            for s in component:
+                u, v = divmod(s, n)
+                for x, y in rule_moves(g, rule, u, v):
+                    if x * n + y not in component:
+                        continue
+                    if x != u:
+                        f.add((min(u, x), max(u, x)))
+                    if y != v:
+                        h.add((min(v, y), max(v, y)))
+            full = set(g.edges)
+        if f == full and h == full:
+            return root
+    return None
+
+
+class TestMemo:
+    def test_one_pass_per_rule_and_one_canonical_search(self, monkeypatch):
+        passes, searches = count_engine_calls(monkeypatch)
+        g = kn_plus(4)
+        all_spans(g)
+        for rule, target in ALL_VARIANTS:
+            witness_sweeps(g, rule, target)
+        for rule in Rule:
+            min_length(g, rule, Target.VERTICES)
+        assert sorted(rule.value for rule in passes) == sorted(rule.value for rule in Rule)
+        assert len(searches) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(6))
+    def test_memoized_pass_matches_oracles(self, g):
+        first = all_spans(g)
+        fresh = Graph(g.n, g.edges)
+        for rule in Rule:
+            assert g._memo[rule] == tuple((r.value, r.witness_component) for r in first
+                                          if r.rule is rule)
+            for target in TARGETS:
+                rep = span(g, rule, target)  # read from the memo
+                assert rep in first
+                assert rep == span(fresh, rule, target)
+                # the walk-pair oracle takes up to 2 s per order-6 graph on the
+                # vertex target and grows steeply with the size on the edge
+                # target; the component check below covers every graph
+                if (g.n <= 4) if target is Target.VERTICES else (g.m <= 5):
+                    assert rep.value == oracle_span(g, rule, target)
+                assert rep.witness_component == _lowest_covering_state(g, rule, target, rep.value)
+                if rep.value < g.radius:
+                    assert _lowest_covering_state(g, rule, target, rep.value + 1) is None
 
 
 class TestWitnesses:
