@@ -58,9 +58,10 @@ class ThresholdOutOfRange(GraphSpanError):
 
 
 class TooLarge(GraphSpanError):
-    """The input exceeds a fixed size bound of an exhaustive computation, such
-    as the enumeration order or the odd vertices route inspection pairs,
-    raised before any of that computation runs."""
+    """The input exceeds a fixed size bound of an exhaustive computation: the
+    enumeration order, the order of the canonical search behind
+    canonical_form, is_isomorphic and automorphism_count, or the odd vertices
+    route inspection pairs. Raised before any of that computation runs."""
 
 
 class NoClosedForm(GraphSpanError):

@@ -52,7 +52,7 @@ class Graph:
     copy and both return it, so sharing a graph between threads stays safe.
     """
 
-    __slots__ = ("n", "edges", "adj", "dist", "radius", "_edge_index", "_edge_set", "_memo")
+    __slots__ = ("n", "edges", "adj", "dist", "radius", "_edge_index", "_memo")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 1:
@@ -71,7 +71,6 @@ class Graph:
             raise DisconnectedInput("graph is not connected")
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
-        self._edge_set = frozenset(self.edges)
         self._edge_index = {e: i for i, e in enumerate(self.edges)}
 
         nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -110,7 +109,7 @@ class Graph:
         return len(self.adj[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm(u, v) in self._edge_set
+        return _norm(u, v) in self._edge_index
 
     def edge_index(self, u: int, v: int) -> int:
         """Position of the edge in the sorted edge tuple (used as a bit index)."""

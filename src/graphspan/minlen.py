@@ -38,15 +38,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalError
-from .families import _canonical_search
+from .families import SEARCH_ORDER_LIMIT, _canonical_search
 from .graph import Graph
 from .spans import Rule, Target, _moves, span
 from .walks import Walk
 
 DEFAULT_STATE_BUDGET = 1 << 20  # stored states, about 125 bytes each
-# the canonical relabeling takes time exponential in the order on symmetric
-# graphs (complete(14) 0.5 s, cycle(16) 6 s, cycle(18) 67 s)
-SEARCH_ORDER_LIMIT = 14
 
 
 @dataclass(frozen=True)

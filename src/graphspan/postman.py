@@ -19,10 +19,10 @@ from .walks import Walk
 EulerClass = Literal["circuit", "trail", "none"]
 Mode = Literal["closed", "free_endpoints"]
 
-# Most odd-degree vertices route inspection pairs. The pairing costs are
-# computed only for the subsets the search reads: for k odd vertices,
-# Fibonacci(k + 1) of them in closed mode and about 2.6 times that with free
-# endpoints, 75,025 and 196,392 at this bound (complete(24): 0.5 s and 1.4 s).
+# Most odd-degree vertices route inspection pairs. The pairing recursion
+# stores only the keys reachable from the one it is asked: for k odd vertices,
+# Fibonacci(k + 1) of them in closed mode and twice that with free endpoints,
+# 75,025 and 150,050 at this bound (complete(24): 0.2 s and 0.4 s).
 PAIRING_LIMIT = 24
 
 
@@ -111,42 +111,58 @@ def euler_walk_multigraph(adj, counts: Counter, start: int) -> list[int]:
     return out
 
 
-def _min_pairing_costs(odd: list[int], dist) -> Callable[[int], int]:
-    """cost(mask): the minimum-cost perfect pairing of the odd vertices whose
-    bits are set in mask, which must have an even popcount.
+def _min_pairing(dist) -> tuple[Callable[[int], int], dict[int, int]]:
+    """cost(mask << 2 | spare): the minimum total distance of a pairing of
+    the vertices whose bits are set in mask (bit v is vertex v) that leaves
+    at most spare of them unpaired; the popcount of mask must have the
+    parity of spare. choice[key] records the decision behind cost(key).
 
-    Exact recursion over subsets, computed on demand: cost(mask) pairs the
-    lowest member with each other member in turn and adds the cost of the
-    rest, so only the masks reachable from the queried ones by removing the
-    lowest member and one other are ever computed, and each once. The cost of
-    a pair is the shortest-path distance. Raises TooLarge beyond
-    PAIRING_LIMIT odd vertices.
+    Exact recursion over subsets, computed on demand: cost(key) takes the
+    lowest member and, while spare allows, first leaves it unpaired (choice
+    0), then pairs it with each other member in increasing order (choice:
+    that member's bit), keeping the first cheapest choice, plus the cost of
+    the rest. Only the keys reachable from the queried ones are computed,
+    each once. The cost of a pair is the shortest-path distance.
     """
-    k = len(odd)
-    if k > PAIRING_LIMIT:
-        raise TooLarge(
-            f"route inspection pairs at most {PAIRING_LIMIT} odd-degree vertices, "
-            f"graph has {k}"
-        )
+    choice: dict[int, int] = {}
 
     @cache
-    def cost(mask: int) -> int:
+    def cost(key: int) -> int:
+        mask, spare = key >> 2, key & 3
         if not mask:
             return 0
         low = mask & -mask
         rest = mask ^ low
-        row = dist[odd[low.bit_length() - 1]]
-        best = -1
+        row = dist[low.bit_length() - 1]
+        best = cost(rest << 2 | spare - 1) if spare else -1
+        chosen = 0
         sub = rest
         while sub:
             bit = sub & -sub
-            cand = cost(rest ^ bit) + row[odd[bit.bit_length() - 1]]
+            cand = cost((rest ^ bit) << 2 | spare) + row[bit.bit_length() - 1]
             if best < 0 or cand < best:
-                best = cand
+                best, chosen = cand, bit
             sub ^= bit
+        choice[key] = chosen
         return best
 
-    return cost
+    return cost, choice
+
+
+def _recorded_pairing(choice: dict[int, int], key: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs and the unpaired vertices that choice records from key on."""
+    mask, spare = key >> 2, key & 3
+    pairs, ends = [], []
+    while mask:
+        low = mask & -mask
+        partner = choice[mask << 2 | spare]
+        if partner:
+            pairs.append((low.bit_length() - 1, partner.bit_length() - 1))
+        else:
+            ends.append(low.bit_length() - 1)
+            spare -= 1
+        mask ^= low | partner
+    return pairs, ends
 
 
 def _augmenting_paths(g: Graph, pairs: list[tuple[int, int]]) -> list[Edge]:
@@ -163,76 +179,37 @@ def _augmenting_paths(g: Graph, pairs: list[tuple[int, int]]) -> list[Edge]:
     return extra
 
 
-def _pairs_from_mask(
-    odd: list[int], mask: int, dist, cost: Callable[[int], int]
-) -> list[tuple[int, int]]:
-    """Recover one optimal pairing for the given subset mask."""
-    pairs = []
-    while mask:
-        lo = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << lo)
-        sub = rest
-        chosen = None
-        while sub:
-            j = (sub & -sub).bit_length() - 1
-            nmask = rest & ~(1 << j)
-            if cost(mask) == cost(nmask) + dist[odd[lo]][odd[j]]:
-                chosen = j
-                break
-            sub &= sub - 1
-        pairs.append((odd[lo], odd[chosen]))
-        mask = rest & ~(1 << chosen)
-    return pairs
-
-
 def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringWalkResult:
     """Provably minimal walk traversing every edge at least once.
 
     'closed' forces equal endpoints (classical route inspection); the default
     'free_endpoints' also minimizes over distinct start/end. Minimality comes
     from an exact minimum-cost pairing of odd-degree vertices by shortest-path
-    distance; in free_endpoints mode all choices of the two unpaired vertices
-    are tried.
+    distance; in free_endpoints mode the pairing may leave two of them
+    unpaired, and the walk runs from the lower of the two to the other.
     """
     if g.m == 0:
         raise EmptyEdgeSet("covering walk needs at least one edge")
     if mode not in ("closed", "free_endpoints"):
         raise ValueError(f"unknown mode {mode!r}")
-    odd = [u for u in range(g.n) if g.degree(u) % 2]
-    k = len(odd)
-    cost = _min_pairing_costs(odd, g.dist)
-    full = (1 << k) - 1
-
-    if mode == "closed" or k == 0:
-        pairs = _pairs_from_mask(odd, full, g.dist, cost)
-        endpoints = None
-    else:
-        best = None
-        best_ij = (0, 1)
-        for i in range(k):
-            for j in range(i + 1, k):
-                mask = full & ~(1 << i) & ~(1 << j)
-                c = cost(mask)
-                if best is None or c < best:
-                    best = c
-                    best_ij = (i, j)
-        i, j = best_ij
-        pairs = _pairs_from_mask(odd, full & ~(1 << i) & ~(1 << j), g.dist, cost)
-        endpoints = (odd[i], odd[j])
-
+    odd = sum(1 << u for u in range(g.n) if g.degree(u) % 2)
+    if odd.bit_count() > PAIRING_LIMIT:
+        raise TooLarge(
+            f"route inspection pairs at most {PAIRING_LIMIT} odd-degree vertices, "
+            f"graph has {odd.bit_count()}"
+        )
+    cost, choice = _min_pairing(g.dist)
+    key = odd << 2 | (0 if mode == "closed" else 2)
+    cost(key)
+    pairs, ends = _recorded_pairing(choice, key)
     extra = _augmenting_paths(g, pairs)
     counts = Counter(g.edges)
     for e in extra:
         counts[e] += 1
-    start = min(endpoints) if endpoints else 0
-    seq = euler_walk_multigraph(g.adj, counts, start)
-
-    traversed = Counter(_norm(a, b) for a, b in zip(seq, seq[1:]))
-    duplicated = []
-    for e in sorted(traversed):
-        duplicated.extend([e] * (traversed[e] - 1))
+    seq = euler_walk_multigraph(g.adj, counts, ends[0] if ends else 0)
+    # the walk crosses each edge counts[e] times: once, plus its extra traversals
     return CoveringWalkResult(
         walk=Walk(tuple(seq)),
         length_edges=len(seq) - 1,
-        duplicated=tuple(duplicated),
+        duplicated=tuple(sorted(extra)),
     )

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import InternalError, ThresholdOutOfRange
 from .graph import Graph
@@ -96,7 +95,6 @@ class SpanReport:
     target: Target
     value: int
     witness_component: int
-    witness: Optional[tuple[Walk, Walk]] = None
 
 
 def _edge_bits(g: Graph) -> list[list[int]]:
@@ -189,7 +187,7 @@ def _rule_spans(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]
     return g._memoized(rule, lambda: _span_pass(g, rule))
 
 
-def span(g: Graph, rule: Rule, target: Target, with_witness: bool = False) -> SpanReport:
+def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
     """Maximal safety distance for the rule/target.
 
     Feasibility is monotone decreasing in the threshold, and every span is
@@ -198,13 +196,7 @@ def span(g: Graph, rule: Rule, target: Target, with_witness: bool = False) -> Sp
     players is the exact value. The threshold-0 product is always feasible.
     """
     value, root = _rule_spans(g, rule)[target is Target.EDGES]
-    return SpanReport(
-        rule=rule,
-        target=target,
-        value=value,
-        witness_component=root,
-        witness=_component_witness(g, rule, target, value, root) if with_witness else None,
-    )
+    return SpanReport(rule=rule, target=target, value=value, witness_component=root)
 
 
 def _component_witness(
@@ -298,10 +290,8 @@ def _component_witness(
 def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
     """Walk pair achieving the span value: the depth-first walk of a pruned
     BFS tree of the witness component, coordinates projected."""
-    witness = span(g, rule, target, with_witness=True).witness
-    if witness is None:
-        raise InternalError("span returned no witness")
-    return witness
+    value, root = _rule_spans(g, rule)[target is Target.EDGES]
+    return _component_witness(g, rule, target, value, root)
 
 
 def all_spans(g: Graph) -> tuple[SpanReport, ...]:

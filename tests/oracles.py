@@ -310,6 +310,23 @@ def brute_force_pairing_cost(vertices: list[int], dist) -> int:
     )
 
 
+def pairings(vertices: list[int], spare: int):
+    """Every pairing of the vertices that leaves at most spare of them
+    unpaired, as (vertex, partner or None) for the lowest vertex still open,
+    then the next. Listed with the lowest open vertex unpaired first, then
+    paired with each other vertex in increasing order."""
+    if not vertices:
+        yield ()
+        return
+    first, rest = vertices[0], vertices[1:]
+    if spare:
+        for tail in pairings(rest, spare - 1):
+            yield ((first, None), *tail)
+    for i, partner in enumerate(rest):
+        for tail in pairings(rest[:i] + rest[i + 1:], spare):
+            yield ((first, partner), *tail)
+
+
 # ---------------------------------------------------------------------------
 # Walk-pair validation (the "re-validates through walk-model" checks)
 

@@ -24,11 +24,13 @@ from graphspan import (
     enumerate_connected,
     find_minimal_direct_gap,
     kn_plus,
+    path,
     span,
     star,
 )
 from graphspan.families import (
     ORDER5_SMALL_GRAPHS,
+    SEARCH_ORDER_LIMIT,
     _canonical_search,
     automorphism_count,
     canonical_form,
@@ -39,6 +41,7 @@ from graphspan.families import (
 
 from oracles import (
     connected_graphs,
+    count_engine_calls,
     corpus,
     distance_preserving_permutations,
     reference_canon_bits,
@@ -196,6 +199,18 @@ class TestIsomorphism:
         b = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert not is_isomorphic(a, b)
         assert not is_isomorphic(complete(4), kn_plus(4))
+
+    def test_search_refuses_large_orders_at_once(self, monkeypatch):
+        # above the order limit these searches run for minutes or more
+        _, searches = count_engine_calls(monkeypatch)
+        with pytest.raises(TooLarge):
+            canonical_form(path(40))
+        with pytest.raises(TooLarge):
+            automorphism_count(cycle(18))
+        with pytest.raises(TooLarge):
+            is_isomorphic(star(40), star(40))
+        assert searches == []
+        assert automorphism_count(cycle(SEARCH_ORDER_LIMIT)) == 2 * SEARCH_ORDER_LIMIT
 
 
 class TestMinimalityScan:

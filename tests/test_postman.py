@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from graphspan import (
     star,
 )
 from graphspan import postman
-from graphspan.postman import _min_pairing_costs, _pairs_from_mask, euler_walk_multigraph
+from graphspan.postman import _min_pairing, _recorded_pairing, euler_walk_multigraph
 
 from oracles import (
     brute_force_pairing_cost,
@@ -30,6 +31,7 @@ from oracles import (
     corpus,
     oracle_covering_closed,
     oracle_covering_free,
+    pairings,
     reference_euler_walk,
 )
 
@@ -138,29 +140,56 @@ class TestPairing:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(12))
     def test_matches_brute_force_pairings(self, g):
+        # every mask whose popcount has the parity of spare, the only ones
+        # the recursion reads, against the best pairing over the members it
+        # may leave out
         odd = [u for u in range(g.n) if g.degree(u) % 2][:10]
-        cost = _min_pairing_costs(odd, g.dist)
-        for mask in range(1 << len(odd)):
-            members = [odd[i] for i in range(len(odd)) if mask >> i & 1]
-            if len(members) % 2:
-                continue
-            assert cost(mask) == brute_force_pairing_cost(members, g.dist)
-            pairs = _pairs_from_mask(odd, mask, g.dist, cost)
-            assert sorted(x for p in pairs for x in p) == members
-            assert sum(g.dist[a][b] for a, b in pairs) == cost(mask)
+        cost, choice = _min_pairing(g.dist)
+        for r in range(len(odd) + 1):
+            for members in combinations(odd, r):
+                for spare in range(r % 2, 3, 2):
+                    want = min(
+                        brute_force_pairing_cost([v for v in members if v not in dropped], g.dist)
+                        for d in range(spare % 2, spare + 1, 2)
+                        for dropped in combinations(members, d)
+                    )
+                    key = sum(1 << v for v in members) << 2 | spare
+                    assert cost(key) == want
+                    pairs, ends = _recorded_pairing(choice, key)
+                    assert sorted([*ends, *(x for p in pairs for x in p)]) == list(members)
+                    assert len(ends) <= spare
+                    assert sum(g.dist[a][b] for a, b in pairs) == want
 
+    def test_free_walk_runs_between_the_first_optimal_ends(self):
+        # of the optimal pairings, the one taken decides for the lowest
+        # vertex still open first: it stays unpaired if that is optimal, else
+        # it takes its lowest optimal partner; the walk runs from the first
+        # vertex left unpaired to the second
+        for g in corpus(6):
+            if g.m == 0:
+                continue
+            odd = [u for u in range(g.n) if g.degree(u) % 2]
+            seq = shortest_covering_walk(g).walk.seq
+            first = min(
+                pairings(odd, 2),
+                key=lambda p: sum(g.dist[u][v] for u, v in p if v is not None),
+            )
+            ends = [u for u, v in first if v is None] or [0, 0]
+            assert [seq[0], seq[-1]] == ends
 
     def test_stores_only_the_masks_it_reads(self, monkeypatch):
         # closed mode reads the masks reachable from the full mask by removing
         # its lowest member and one other: Fibonacci(k + 1) of them for k odd
-        # vertices, against the 2^k entries of a table over every subset
+        # vertices, against the 2^k entries of a table over every subset;
+        # free mode reads twice that, 8,362 for k = 18
         costs = []
 
-        def recorded(odd, dist):
-            costs.append(_min_pairing_costs(odd, dist))
-            return costs[-1]
+        def recorded(dist):
+            pairing = _min_pairing(dist)
+            costs.append(pairing[0])
+            return pairing
 
-        monkeypatch.setattr(postman, "_min_pairing_costs", recorded)
+        monkeypatch.setattr(postman, "_min_pairing", recorded)
         shortest_covering_walk(complete(16), "closed")
         shortest_covering_walk(complete(18))
         closed, free = (cost.cache_info().currsize for cost in costs)
