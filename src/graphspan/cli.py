@@ -50,7 +50,9 @@ def _load_graph(args) -> tuple[Graph, str]:
     with open(args.file, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        # a leading byte order mark is dropped, as the utf-8-sig codec does,
+        # but decode errors keep their offset from the start of the file
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{args.file}: not UTF-8 text (byte {exc.start})") from None
     source = f"file:{args.file}"
@@ -59,13 +61,16 @@ def _load_graph(args) -> tuple[Graph, str]:
     lines = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1)]
     lines = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
     if lines:
-        first = lines[0][1]
+        lineno, first = lines[0]
         if first.startswith(">>graph6<<") or all(63 <= ord(c) <= 126 for c in first):
             if len(lines) > 1:
                 raise MalformedInput(
                     f"line {lines[1][0]}: graph6 file holds one graph, found a second line"
                 )
-            return parse_graph6(first), source
+            try:
+                return parse_graph6(first), source
+            except MalformedInput as exc:
+                raise MalformedInput(f"line {lineno}: {exc}") from None
     return parse_edge_list(text), source
 
 

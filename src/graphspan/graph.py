@@ -45,7 +45,8 @@ class Graph:
     between threads.
 
     Answers derived from the graph alone (the span pass of each rule, the
-    canonical search) are computed on first use and kept in ``_memo``, so
+    pairs grouped by span-pass level under ``"levels"``, the canonical
+    search) are computed on first use and kept in ``_memo``, so
     every later query on the same instance reads them. Each stored value is
     an immutable tuple computed from the graph only, and it is stored with
     one ``dict.setdefault``: two threads that compute it at once store one
@@ -196,24 +197,24 @@ def parse_graph6(text: str) -> Graph:
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):].strip()
     if not s:
-        raise MalformedInput("empty graph6 string")
+        raise MalformedInput("graph6: empty string")
     data = [ord(c) - 63 for c in s]
     if any(b < 0 or b > 63 for b in data):
-        raise MalformedInput("graph6 characters must be in the range 63..126")
+        raise MalformedInput("graph6: characters must be in the range 63..126")
     if data[0] == 63:
-        raise MalformedInput("long-form graph6 (more than 62 vertices) not supported")
+        raise MalformedInput("graph6: long form (more than 62 vertices) not supported")
     n = data[0]
     if n < 1:
-        raise MalformedInput("graph6 graph must have at least one vertex")
+        raise MalformedInput("graph6: graph must have at least one vertex")
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(data) - 1 != need:
-        raise MalformedInput(f"graph6 payload has {len(data) - 1} bytes, expected {need}")
+        raise MalformedInput(f"graph6: payload has {len(data) - 1} bytes, expected {need}")
     bits = []
     for b in data[1:]:
         bits.extend((b >> shift) & 1 for shift in range(5, -1, -1))
     if any(bits[nbits:]):
-        raise MalformedInput("graph6 payload has nonzero padding bits")
+        raise MalformedInput("graph6: payload has nonzero padding bits")
     edges = []
     idx = 0
     for j in range(1, n):

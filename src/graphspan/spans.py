@@ -11,7 +11,14 @@ component test is exact; an independent brute-force oracle over walk pairs
 confirms this on all small graphs in the test suite. One union-find pass per
 rule, adding states in decreasing distance order, decides every threshold for
 both targets, and its result is kept on the graph, so every later query of the
-same rule on the same graph reads it.
+same rule on the same graph reads it. The pass takes the states from per-level
+lists of flat indices, built once per graph and shared by the rules, so each
+pair enters once. At threshold k the strong rule's pass reads only the lazy
+moves and the diagonals whose two lazy intermediates are both at distance
+< k: a dropped diagonal's intermediate at distance >= k is present by the end
+of the level and its lazy moves join and cover the same, so each level ends
+as it would with every strong move. The witness BFS and the minimal-length
+search read each rule's full move set.
 """
 
 from __future__ import annotations
@@ -62,24 +69,42 @@ RULES = (Rule.TRADITIONAL, Rule.ACTIVE, Rule.LAZY)
 TARGETS = (Target.VERTICES, Target.EDGES)
 
 
-def _moves(g: Graph, rule: Rule, u: int, v: int):
-    """Successor pairs of (u, v) under the rule, before threshold filtering."""
+def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
+    """Successor pairs of (u, v) under the rule, before threshold filtering.
+
+    Without a threshold k, every move of the rule. With one, the strong rule
+    yields what the span pass needs at level k: its lazy moves, plus the
+    diagonals (x, y) with d(x, v) < k and d(u, y) < k, which exist only when
+    d(u, v) = k. A dropped diagonal has a lazy intermediate, (x, v) or (u, y),
+    at distance >= k; it is present by the end of level k, and its two lazy
+    moves join the same states and cover the same f-edge ux and g-edge vy.
+    The active and lazy move sets do not depend on k.
+    """
+    adj = g.adj
     if rule is Rule.ACTIVE:
-        for x in g.adj[u]:
-            for y in g.adj[v]:
+        for x in adj[u]:
+            for y in adj[v]:
                 yield x, y
-    elif rule is Rule.LAZY:
-        for x in g.adj[u]:
-            yield x, v
-        for y in g.adj[v]:
-            yield u, y
-    else:
+    elif rule is Rule.TRADITIONAL and k is None:
         # both-stay is omitted: it covers nothing and never affects
         # component structure
-        for x in (*g.adj[u], u):
-            for y in (*g.adj[v], v):
+        for x in (*adj[u], u):
+            for y in (*adj[v], v):
                 if (x, y) != (u, v):
                     yield x, y
+    else:
+        for x in adj[u]:
+            yield x, v
+        for y in adj[v]:
+            yield u, y
+        if rule is Rule.TRADITIONAL:
+            dist = g.dist
+            ys = [y for y in adj[v] if dist[u][y] < k]
+            if ys:
+                for x in adj[u]:
+                    if dist[x][v] < k:
+                        for y in ys:
+                            yield x, y
 
 
 def feasible(g: Graph, rule: Rule, target: Target, k: int) -> bool:
@@ -112,22 +137,41 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
+def _levels(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Flat indices u*n + v grouped by min(d(u, v), radius), each level in
+    increasing order; built once per graph and shared by the three rules."""
+
+    def compute():
+        n = g.n
+        radius = g.radius
+        levels: list[list[int]] = [[] for _ in range(radius + 1)]
+        for u, row in enumerate(g.dist):
+            for v, d in enumerate(row):
+                levels[min(d, radius)].append(u * n + v)
+        return tuple(map(tuple, levels))
+
+    return g._memoized("levels", compute)
+
+
 def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
     """(span value, lowest flat index u*n + v of the witness component) of
     the vertex target, then of the edge target, from one union-find pass.
 
-    States enter in decreasing distance order, one threshold level at a time,
-    and are unioned with the successors already present; the unions do not
-    depend on the target, so one pass decides both. Each root is the lowest
-    index of its component and carries, per target, the OR of the per-player
-    coverage bits (f bits above g bits): a state adds its vertices when it
-    enters, a product edge adds its base edges when it is unioned. Only roots
-    touched on a level can have become full on it. The pass stops on the
-    first level at which both targets have been full.
+    States enter in decreasing distance order, one threshold level of
+    ``_levels`` at a time, so each pair enters exactly once, and are unioned
+    with the successors already present, taken from ``_moves`` at the
+    level's threshold: the strong rule skips the diagonals whose lazy
+    intermediates join the same states by the end of the level, so every
+    level ends with the components and coverage of the full move set. The
+    unions do not depend on the target, so one pass decides both. Each root
+    is the lowest index of its component and carries, per target, the OR of
+    the per-player coverage bits (f bits above g bits): a state adds its
+    vertices when it enters, a product edge adds its base edges when it is
+    unioned. Only roots touched on a level can have become full on it. The
+    pass stops on the first level at which both targets have been full.
     """
     n = g.n
     m = g.m
-    dist = g.dist
     vertex_full = (1 << 2 * n) - 1
     edge_full = (1 << 2 * m) - 1
     g_bit = _edge_bits(g)
@@ -137,37 +181,33 @@ def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
     edge_cov = [0] * (n * n)
     present = bytearray(n * n)
     vertex_hit = edge_hit = None
+    levels = _levels(g)
     for k in range(g.radius, -1, -1):
         touched = []
-        top = n if k == g.radius else k
-        for u in range(n):
-            row = dist[u]
+        for s in levels[k]:
+            u, v = divmod(s, n)
+            present[s] = 1
+            vertex_cov[s] = (1 << u << n) | (1 << v)
             f_row = f_bit[u]
-            for v in range(n):
-                if not k <= row[v] <= top:
+            g_row = g_bit[v]
+            root = s
+            for x, y in _moves(g, rule, u, v, k):
+                t = x * n + y
+                if not present[t]:
                     continue
-                s = u * n + v
-                present[s] = 1
-                vertex_cov[s] = (1 << u << n) | (1 << v)
-                g_row = g_bit[v]
-                root = s
-                for x, y in _moves(g, rule, u, v):
-                    t = x * n + y
-                    if not present[t]:
-                        continue
-                    bits = f_row[x] | g_row[y]
-                    other = parent[t]
-                    if parent[other] != other:  # most successors sit next to their root
-                        other = _find(parent, other)
-                    if other == root:
-                        edge_cov[root] |= bits
-                        continue
-                    if other < root:
-                        root, other = other, root
-                    parent[other] = root
-                    vertex_cov[root] |= vertex_cov[other]
-                    edge_cov[root] |= edge_cov[other] | bits
-                touched.append(root)
+                bits = f_row[x] | g_row[y]
+                other = parent[t]
+                if parent[other] != other:  # most successors sit next to their root
+                    other = _find(parent, other)
+                if other == root:
+                    edge_cov[root] |= bits
+                    continue
+                if other < root:
+                    root, other = other, root
+                parent[other] = root
+                vertex_cov[root] |= vertex_cov[other]
+                edge_cov[root] |= edge_cov[other] | bits
+            touched.append(root)
         roots = {_find(parent, r) for r in touched}
         if vertex_hit is None:
             hits = [r for r in roots if vertex_cov[r] == vertex_full]

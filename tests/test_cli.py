@@ -98,6 +98,29 @@ class TestSpanCommand:
         code, _, err = run(capsys, "span", "--file", str(p))
         assert code == 2 and "nonzero padding bits" in err
 
+    def test_graph6_error_names_its_line_and_format(self, tmp_path, capsys):
+        p = tmp_path / "g.g6"
+        p.write_text("# c\nB\n")
+        code, out, err = run(capsys, "span", "--file", str(p))
+        assert code == 2 and out == ""
+        assert "line 2: graph6: payload has 0 bytes, expected 1" in err
+
+    @pytest.mark.parametrize("body", ["3\n0 1\n1 2\n", "Bg\n"], ids=["edge-list", "graph6"])
+    def test_leading_byte_order_mark_ignored(self, tmp_path, capsys, body):
+        p = tmp_path / "g.txt"
+        p.write_text("\ufeff" + body, encoding="utf-8")
+        code, out, _ = run(capsys, "span", "--file", str(p), "--format", "structured")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["graph"]["order"] == 3 and doc["graph"]["size"] == 2
+
+    def test_decode_error_offset_counts_the_byte_order_mark(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_bytes(b"\xef\xbb\xbf3\n\xff\n")
+        code, _, err = run(capsys, "span", "--file", str(p))
+        assert code == 2
+        assert f"{p}: not UTF-8 text (byte 5)" in err
+
     def test_edge_list_error_names_its_line(self, tmp_path, capsys):
         p = tmp_path / "g.txt"
         p.write_text("3\n0 1\n1 x\n")

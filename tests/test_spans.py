@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,6 +11,7 @@ from graphspan import (
     Graph,
     Rule,
     TARGETS,
+    complete_bipartite,
     Target,
     ThresholdOutOfRange,
     all_spans,
@@ -20,8 +23,10 @@ from graphspan import (
     min_length,
     path,
     span,
+    star,
     witness_sweeps,
 )
+from graphspan import spans
 
 from oracles import (
     ALL_VARIANTS,
@@ -263,6 +268,87 @@ class TestMemo:
                 assert rep.witness_component == _lowest_covering_state(g, rule, target, rep.value)
                 if rep.value < g.radius:
                     assert _lowest_covering_state(g, rule, target, rep.value + 1) is None
+
+
+def _seeded_graphs(count: int, seed: int) -> list[Graph]:
+    """Connected graphs of order 8-22: a random spanning tree plus each other
+    pair with one of four densities, labels shuffled."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(count):
+        n = rng.randint(8, 22)
+        label = list(range(n))
+        rng.shuffle(label)
+        edges = {(label[rng.randrange(v)], label[v]) for v in range(1, n)}
+        density = rng.choice((0.1, 0.2, 0.4, 0.7))
+        edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < density}
+        graphs.append(Graph(n, {(min(e), max(e)) for e in edges}))
+    return graphs
+
+
+def _full_move_pass(monkeypatch, g, rule):
+    """_span_pass(g, rule) with its moves taken from the oracle's full move
+    set, which ignores the threshold."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spans, "_moves", lambda g, rule, u, v, k=None: rule_moves(g, rule, u, v))
+        return spans._span_pass(g, rule)
+
+
+class TestReducedMoves:
+    """The span pass reads the strong rule's moves at each level's threshold:
+    its lazy moves plus the diagonals whose lazy intermediates are both
+    closer than the threshold. Every level must end as with the full set."""
+
+    def test_pass_matches_full_move_set(self, monkeypatch):
+        graphs = [
+            *corpus(7),  # all 996 connected graphs of order <= 7, K1 and K2 included
+            *_seeded_graphs(60, 12),
+            complete(20),
+            star(40),
+            path(50),
+            kn_plus(12),
+        ]
+        for g in graphs:
+            for rule in Rule:
+                assert spans._span_pass(g, rule) == _full_move_pass(monkeypatch, g, rule), (
+                    g.n, g.edges, rule)
+
+    def test_complete_20_move_counts(self, monkeypatch):
+        counts = {}
+        moves = spans._moves
+
+        def counted(*args):
+            for move in moves(*args):
+                counts[args[1]] = counts.get(args[1], 0) + 1
+                yield move
+
+        monkeypatch.setattr(spans, "_moves", counted)
+        for rule in Rule:
+            spans._span_pass(complete(20), rule)
+        # 380 pairs at distance 1 enter, and the pass stops there: the strong
+        # rule keeps its 38 lazy moves plus the swap (v, u), the only diagonal
+        # with both intermediates at distance 0
+        assert counts == {Rule.TRADITIONAL: 14_820, Rule.ACTIVE: 137_180, Rule.LAZY: 14_440}
+
+    def test_unthresholded_moves_are_the_full_set(self):
+        # the witness BFS and the minimal-length search read this move set
+        for g in (kn_plus(5), complete_bipartite(2, 3)):
+            for rule in Rule:
+                for u in g.vertices:
+                    for v in g.vertices:
+                        got = list(spans._moves(g, rule, u, v))
+                        assert len(got) == len(set(got))
+                        assert set(got) == set(rule_moves(g, rule, u, v))
+
+    def test_levels_hold_each_pair_once(self):
+        for g in (path(1), cycle(7), kn_plus(6), star(9)):
+            levels = spans._levels(g)
+            assert len(levels) == g.radius + 1
+            assert sorted(s for level in levels for s in level) == list(range(g.n * g.n))
+            for k, level in enumerate(levels):
+                assert list(level) == sorted(level)
+                assert all(min(g.dist[s // g.n][s % g.n], g.radius) == k for s in level)
+            assert g._memo["levels"] is levels
 
 
 class TestWitnesses:
