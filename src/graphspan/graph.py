@@ -46,11 +46,18 @@ class Graph:
 
     Answers derived from the graph alone (the span pass of each rule, the
     pairs grouped by span-pass level under ``"levels"``, the canonical
-    search) are computed on first use and kept in ``_memo``, so
-    every later query on the same instance reads them. Each stored value is
-    an immutable tuple computed from the graph only, and it is stored with
-    one ``dict.setdefault``: two threads that compute it at once store one
-    copy and both return it, so sharing a graph between threads stays safe.
+    search, the canonical copy the minimal-length search runs on, and that
+    copy's bound table per target under ``("bound", target)``) are computed
+    on first use and kept in ``_memo``, so every later query on the same
+    instance reads them. Each stored value is computed from the graph only,
+    and it is stored with one ``dict.setdefault``: two threads that compute
+    it at once store one copy and both return it, so sharing a graph between
+    threads stays safe. All of them are immutable tuples but the bound
+    table, which grows by one row per coverage word a search meets. A row
+    depends on the graph and its word only, so two threads that compute it
+    at once produce the same bytes, and it is stored in one step (one
+    ``dict.setdefault``, or one slice assignment into a ``bytearray``), so a
+    reader sees either no row or the whole row.
     """
 
     __slots__ = ("n", "edges", "adj", "dist", "radius", "_edge_index", "_memo")

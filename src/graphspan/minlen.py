@@ -3,18 +3,26 @@
 The minimum is found by one best-first (A*) search over (ordered vertex
 pair, coverage bitset, coverage bitset) states. States wait in a bucket queue
 keyed by the entries so far plus an admissible bound on the steps still
-needed. A player has at least as many steps left as targets to cover. For the
-edge target, route inspection adds a parity term: a walk from p that covers
-the uncovered edge set U repeats at least |odd(U)|/2 edges, one fewer when p
-is itself an odd vertex of U, since every odd vertex of U but the walk's two
-ends needs a repeated edge, and each repeat serves two of them. The bound
-takes the larger of the two players' counts, or their sum under the lazy
-rule, where only one player moves per step. Crossing an uncovered edge
-leaves the parity term unchanged and any other step moves it by at most one,
-so the bound drops by at most one per step: the first fully covered state
-popped ends a shortest pair, and its parent chain is the witness. Any pair
-whose distance never drops below the span value attains it exactly (the span
-is the maximum), so the search filters on distance >= span throughout.
+needed. Each player's part is a metric lower bound on the steps a lone
+walker at p needs for its uncovered targets U (``_remaining_bound``):
+MST(U) + d(p, U) for the vertex target, the spanning tree weight of U in the
+graph metric plus the distance to it; |U| plus the cheapest pairing of
+odd(U) ^ {p} that leaves one vertex out for the edge target, the route
+inspection relaxation of Edmonds and Johnson, since the repeated crossings
+of a walk from p to its end e have odd degree exactly at odd(U) ^ {p} ^ {e}.
+The bound takes the larger of the two players' values, or their sum under
+the lazy rule, where only one player moves per step.
+
+Each part drops by at most one per step. A vertex step off U moves d(p, U)
+by at most one; a step onto x in U comes from distance 1 and leaves at least
+MST(U), as MST(U) <= MST(U - x) + d(x, U - x). An edge step across an edge
+of U lowers |U| by one and leaves odd(U) ^ {p} unchanged; any other step
+moves p by one edge, and that edge added to an optimal set of repeats after
+the step gives one before it. So the bound is consistent: the first fully
+covered state popped ends a shortest pair, and its parent chain is the
+witness. Any pair whose distance never drops below the span value attains
+it exactly (the span is the maximum), so the search filters on distance >=
+span throughout.
 
 The budget counts the states the search stores. It is checked once per pop,
 and a search past it stops with the combinatorial floor as a capped report,
@@ -29,17 +37,20 @@ representative, and the lengths stay exact.
 One canonical search gives generators of Aut(G) for the orbits and the
 canonical relabeling of the graph, on which the search runs before mapping the
 witness back: the order in which it takes ties, and with it the states it
-stores, its time and its memory, are then the same for every labeling.
+stores, its time and its memory, are then the same for every labeling. The
+relabeled copy and its bound rows are built once per graph and kept on it,
+so the six searches of one graph share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InternalError
 from .families import SEARCH_ORDER_LIMIT, _canonical_search
 from .graph import Graph
+from .postman import _min_pairing
 from .spans import Rule, Target, _moves, span
 from .walks import Walk
 
@@ -79,16 +90,18 @@ def length_lower_bounds(g: Graph, rule: Rule, target: Target) -> int:
 
 
 def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int, width: int):
-    """Per-position successor lists of (encoded next base, coverage add bits,
-    next f vertex, next g vertex).
+    """succ(pos): the successor list of position pos = u*n + v, as tuples
+    (encoded next base, coverage add bits, next f vertex, next g vertex).
 
-    Position encoding is u*n + v; a full search state is
+    Each list is built from ``_moves`` the first time the search expands its
+    position and kept for later expansions; positions the search never
+    expands cost nothing. A full search state is
     (pos << 2*width) | (f_cov << width) | g_cov.
     """
     n = g.n
     dist = g.dist
     cov_bits = 2 * width
-    fwd: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n * n)]
+    lists: list[Optional[list[tuple[int, int, int, int]]]] = [None] * (n * n)
 
     def addbit(a: int, b: int) -> int:
         if a == b:
@@ -97,16 +110,18 @@ def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int, width: 
             return 1 << b
         return 1 << g.edge_index(a, b)
 
-    for u in range(n):
-        for v in range(n):
-            if dist[u][v] < sigma:
-                continue
-            for x, y in _moves(g, rule, u, v):
-                if dist[x][y] < sigma:
-                    continue
-                add = (addbit(u, x) << width) | addbit(v, y)
-                fwd[u * n + v].append(((x * n + y) << cov_bits, add, x, y))
-    return fwd
+    def succ(pos: int) -> list[tuple[int, int, int, int]]:
+        out = lists[pos]
+        if out is None:
+            u, v = divmod(pos, n)
+            out = lists[pos] = [
+                ((x * n + y) << cov_bits, (addbit(u, x) << width) | addbit(v, y), x, y)
+                for x, y in _moves(g, rule, u, v)
+                if dist[x][y] >= sigma
+            ]
+        return out
+
+    return succ
 
 
 def _start_pairs(g: Graph, sigma: int, gens: list[list[int]]) -> list[tuple[int, int]]:
@@ -142,56 +157,140 @@ def _start_states(g: Graph, target: Target, sigma: int, width: int, gens: list[l
     return starts
 
 
-def _parity_masks(g: Graph, target: Target) -> list[tuple[int, int]]:
-    """(vertex, coverage bits of its incident edges) per vertex for the edge
-    target; empty for the vertex target, whose bound has no parity term."""
-    if target is Target.VERTICES:
-        return []
-    return [(u, sum(1 << g.edge_index(u, v) for v in g.adj[u])) for u in range(g.n)]
+def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
+    """rest(cov, p): a lower bound on the steps a lone player at p still
+    needs to cover the targets whose bits are clear in the coverage word cov.
 
+    Vertex target, with U the uncovered vertices: MST(U) + d(p, U), the
+    minimum spanning tree weight of U in the graph metric plus the distance
+    from p to U. By Kruskal over thresholds, MST(U) is the sum over t >= 0
+    of c_t(U) - 1, where c_t(U) counts the classes of U linked by distances
+    up to t; each class is flood-filled over the masks near[t][v] of the
+    vertices within distance t of v, and d(p, U) is the least t with
+    near[t][p] meeting U.
 
-def _min_repeats(left: int, parity: list[tuple[int, int]], n: int) -> list[int]:
-    """Per vertex p, |odd(U)|/2 - [p in odd(U)]: the fewest edges a walk from
-    p that crosses every edge of U, set in ``left``, repeats. odd(U) holds the
-    vertices with an odd count of their ``parity`` bits in U."""
-    odd = [v for v, edges in parity if (left & edges).bit_count() & 1]
-    at = [len(odd) // 2] * n
-    for v in odd:
-        at[v] -= 1
-    return at
+    Edge target: |U| + min over v of PM(odd(U) ^ {p} - v), where odd(U)
+    holds the vertices of odd degree in U and PM is the least total
+    distance of a pairing: the extra crossings of a walk from p to its end
+    e join the vertices of odd(U) ^ {p} ^ {e} in pairs. The minimum over v
+    is ``postman._min_pairing`` asked with one spare end.
+
+    Both bounds drop by at most one per step (the module docstring gives
+    the argument), so the search stays exact. The rows depend on the graph and the target only,
+    so they are kept on the graph under ("bound", target) and shared by
+    every rule and span value. Each row is computed once, on first use, and
+    stored as n bytes (every value is below 255 up to order 14): the vertex
+    target keeps one flat table of all 2^n coverage words, which costs less
+    than a dict of the rows met, and the edge target, whose 2^m words are
+    too many, a dict of the rows met.
+    """
+
+    def build() -> Callable[[int, int], int]:
+        n = c.n
+        if target is Target.VERTICES:
+            near = [
+                [sum(1 << v for v in range(n) if row[v] <= t) for row in c.dist]
+                for t in range(c.diameter + 1)
+            ]
+
+            def row_of(left: int) -> bytes:
+                if not left:
+                    return bytes(n)
+                tree = left.bit_count() - 1  # c_0(U) - 1: no two targets linked
+                for within in near[1:]:
+                    classes = 0
+                    unlinked = left
+                    while unlinked:
+                        grown = frontier = unlinked & -unlinked
+                        while frontier:
+                            reach = 0
+                            while frontier:
+                                bit = frontier & -frontier
+                                reach |= within[bit.bit_length() - 1]
+                                frontier ^= bit
+                            frontier = reach & unlinked & ~grown
+                            grown |= frontier
+                        unlinked &= ~grown
+                        classes += 1
+                    if classes == 1:
+                        break
+                    tree += classes - 1
+                out = []
+                for p in range(n):
+                    t = 0
+                    while not near[t][p] & left:
+                        t += 1
+                    out.append(tree + t)
+                return bytes(out)
+
+            # 255 marks a row not computed yet; filling a row is one slice
+            # assignment, so a reader sees none or all of it
+            table = bytearray(b"\xff") * (n << n)
+            full = (1 << n) - 1
+
+            def rest(cov: int, p: int) -> int:
+                at = cov * n
+                h = table[at + p]
+                if h == 255:
+                    table[at:at + n] = row_of(full ^ cov)
+                    h = table[at + p]
+                return h
+        else:
+            ends = [1 << u | 1 << v for u, v in c.edges]
+            cost = _min_pairing(c.dist)[0]
+
+            def row_of(left: int) -> bytes:
+                odd = 0
+                todo = left
+                while todo:
+                    bit = todo & -todo
+                    odd ^= ends[bit.bit_length() - 1]
+                    todo ^= bit
+                k = left.bit_count()
+                return bytes(k + cost((odd ^ 1 << p) << 2 | 1) for p in range(n))
+
+            rows: dict[int, bytes] = {}
+            full = (1 << c.m) - 1
+
+            def rest(cov: int, p: int) -> int:
+                try:
+                    return rows[cov][p]
+                except KeyError:
+                    return rows.setdefault(cov, row_of(full ^ cov))[p]
+
+        return rest
+
+    return c._memoized(("bound", target), build)
 
 
 def _best_first(
-    starts: list[int], fwd, n: int, width: int, lazy: bool, parity: list[tuple[int, int]], budget: int
+    starts: list[int],
+    succ,
+    n: int,
+    width: int,
+    lazy: bool,
+    rest: Callable[[int, int], int],
+    budget: int,
 ):
     """Best-first search for a shortest covering pair.
 
     Bucket f holds the states whose entries so far plus bound equal f,
     popped LIFO. f never falls along a path, as the bound drops by at most
     one per step, so the first full state popped ends a shortest pair, and a
-    state popped again was reached by a longer prefix. ``parity`` holds the
-    (vertex, incident-edge bits) pairs of the edge target's parity term.
+    state popped again was reached by a longer prefix. ``succ(pos)`` lists
+    the moves from a position, and ``rest(cov, p)`` bounds the steps left to
+    one player at p with coverage word cov; the bound of a state is the
+    larger of the two players' values, or their sum under the lazy rule.
     Returns that state and the parent map, which holds every stored state,
     or None and the parent map once more than ``budget`` states are stored.
     """
     cov_bits = 2 * width
     full_each = (1 << width) - 1
     full_cov = (full_each << width) | full_each
-    repeats: dict[int, list[int]] = {}
-
-    def repeats_of(cov: int) -> list[int]:
-        at = repeats.get(cov)
-        if at is None:
-            at = repeats[cov] = _min_repeats(full_each ^ cov, parity, n)
-        return at
 
     def bound(cov: int, x: int, y: int) -> int:
-        cf, cg = cov >> width, cov & full_each
-        hf = width - cf.bit_count()
-        hg = width - cg.bit_count()
-        if parity:
-            hf += repeats_of(cf)[x]
-            hg += repeats_of(cg)[y]
+        hf = rest(cov >> width, x)
+        hg = rest(cov & full_each, y)
         return hf + hg if lazy else (hf if hf > hg else hg)
 
     depth = dict.fromkeys(starts, 1)
@@ -219,7 +318,7 @@ def _best_first(
             depth[s] = 0  # expanded at its least depth, as the bound is consistent
             nd = d + 1
             unseen = nd + 1  # the depth a state not stored yet reads as
-            for npb, add, x, y in fwd[s >> cov_bits]:
+            for npb, add, x, y in succ(s >> cov_bits):
                 ns = npb | cov | add
                 if depth.get(ns, unseen) <= nd:
                     continue
@@ -235,23 +334,34 @@ def _best_first(
     raise InternalError("best-first search ran out of states before covering")
 
 
+def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The canonical relabeling c of g, the vertex of g behind each vertex
+    of c, and generators of Aut(c); built once per graph and kept on it."""
+
+    def compute():
+        label, gens = _canonical_search(g)
+        vertex = tuple(sorted(range(g.n), key=label.__getitem__))
+        c = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
+        c_gens = tuple(tuple(label[t[v]] for v in vertex) for t in gens)
+        return c, vertex, c_gens
+
+    return g._memoized("canonical copy", compute)
+
+
 def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int):
     """The witness pair of one best-first search (None once it stores more
     than ``budget`` states) and the number of states it stored."""
     width = g.n if target is Target.VERTICES else g.m
     # search the canonical copy, so that the order of the search, and with it
     # the states stored and the witness, do not depend on the input's labels
-    label, gens = _canonical_search(g)
-    vertex = sorted(range(g.n), key=label.__getitem__)
-    c = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
-    c_gens = [[label[t[v]] for v in vertex] for t in gens]
+    c, vertex, c_gens = _canonical_copy(g)
     goal, parent = _best_first(
         _start_states(c, target, sigma, width, c_gens),
         _transition_tables(c, rule, target, sigma, width),
         g.n,
         width,
         rule is Rule.LAZY,
-        _parity_masks(c, target),
+        _remaining_bound(c, target),
         budget,
     )
     if goal is None:
@@ -274,8 +384,10 @@ def min_length(
 ) -> MinLenReport:
     """Exact minimum number of entries of a covering pair at the span value.
 
-    The search bounds the steps left by the targets each player has yet to
-    cover, plus the route-inspection parity term for the edge target. The
+    The search bounds the steps left by a consistent metric lower bound per
+    player: the spanning tree weight of its uncovered vertices plus the
+    distance to them, or its uncovered edges plus the cheapest pairing of
+    the odd vertices the walk must still fix (see the module docstring). The
     budget counts stored states: once the search stores more than
     ``state_budget`` of them, the report carries ``capped=True`` and
     ``length`` is only the combinatorial lower bound, never an unproven

@@ -191,6 +191,26 @@ def edge_cover_steps(g: Graph, p: int, uncovered: frozenset) -> int:
     raise AssertionError("no covering walk found")
 
 
+def vertex_cover_steps(g: Graph, p: int, uncovered: frozenset) -> int:
+    """Fewest steps a lone walker at p needs to visit every vertex in
+    ``uncovered`` (p itself counts as visited), by breadth-first search over
+    (vertex, vertices left) states."""
+    frontier = [(p, uncovered - {p})]
+    seen = set(frontier)
+    for steps in range(g.n * g.n + 1):
+        nxt = []
+        for v, left in frontier:
+            if not left:
+                return steps
+            for w in g.adj[v]:
+                s = (w, left - {w})
+                if s not in seen:
+                    seen.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    raise AssertionError("no visiting walk found")
+
+
 def distance_preserving_permutations(g: Graph) -> list[tuple[int, ...]]:
     """Aut(g), as every one of the n! permutations that preserves all distances."""
     n, dist = g.n, g.dist

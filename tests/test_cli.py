@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from graphspan import Graph, InternalError, classify, kn_plus, pair_distance
+from graphspan import Graph, InternalError, Target, classify, kn_plus, pair_distance
 from graphspan import cli
 from graphspan.cli import main
 from graphspan.walks import parse_walk
@@ -314,9 +314,23 @@ def test_minlen_golden_lengths(capsys):
 
 def test_minlen_runs_one_pass_per_rule_and_one_canonical_search(capsys, monkeypatch):
     passes, searches = count_engine_calls(monkeypatch)
+    built = []
+    memoized = Graph._memoized
+
+    def counted(self, key, compute):
+        def record():
+            built.append(key)
+            return compute()
+
+        return memoized(self, key, record)
+
+    monkeypatch.setattr(Graph, "_memoized", counted)
     code, _, _ = run(capsys, "minlen", "--family", "cycle:6")
     assert code == 0
     assert (len(passes), len(searches)) == (3, 1)
+    # one canonical copy and one bound table per target, shared by the rules
+    keys = ("canonical copy", ("bound", Target.VERTICES), ("bound", Target.EDGES))
+    assert [built.count(key) for key in keys] == [1, 1, 1]
 
 
 def _graph6(g: Graph) -> str:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,32 +14,35 @@ from graphspan import (
     Rule,
     Target,
     complete,
+    complete_bipartite,
     cycle,
     kn_plus,
     length_lower_bounds,
     min_length,
     path,
     span,
+    star,
 )
 from graphspan.families import _canonical_search, closed_minlen
 from graphspan.graph import FamilySpec
 from graphspan.minlen import (
     SEARCH_ORDER_LIMIT,
     _best_first,
-    _min_repeats,
-    _parity_masks,
+    _remaining_bound,
     _start_pairs,
 )
 
 from oracles import (
     ALL_VARIANTS,
     brute_force_pair_orbits,
+    brute_force_pairing_cost,
     connected_graphs,
     corpus,
     edge_cover_steps,
     oracle_min_length,
     rule_moves,
     validate_pair,
+    vertex_cover_steps,
 )
 
 
@@ -147,8 +152,8 @@ class TestReports:
         assert sum(stored) < 1000
 
     def test_k6_k7_edges_store_few_states(self):
-        # the parity term of the bound: 482 + 354 + 8,368 stored states on
-        # K6 and 862 + 652 + 280,573 on K7
+        # the pairing term of the bound: 482 + 354 + 8,368 stored states on
+        # K6 and 862 + 652 + 280,573 on K7; without it K6 passes 4 million
         for n, ceiling in ((6, 10_000), (7, 300_000)):
             reps = [min_length(complete(n), rule, Target.EDGES) for rule in Rule]
             assert not any(rep.capped for rep in reps)
@@ -161,7 +166,7 @@ class TestReports:
     def test_empty_queue_is_internal_error(self):
         # one start with no successors and one target left uncovered
         with pytest.raises(InternalError):
-            _best_first([0], [[]], 1, 1, False, [], 1)
+            _best_first([0], lambda pos: [], 1, 1, False, lambda cov, p: 1, 1)
 
     def test_deterministic(self):
         a = min_length(cycle(6), Rule.LAZY, Target.EDGES)
@@ -169,32 +174,112 @@ class TestReports:
         assert a == b
 
 
-class TestParityBound:
+def _reference_rest(g, target, p, left) -> int:
+    """The per-player bound from its definition: Prim's tree over the
+    uncovered vertices plus the distance to them, or the uncovered edges plus
+    the cheapest pairing of odd(U) ^ {p} that leaves one vertex out."""
+    dist = g.dist
+    if target is Target.VERTICES:
+        if not left:
+            return 0
+        todo = sorted(left)
+        tree, done = 0, {todo.pop()}
+        while todo:
+            w, v = min((min(dist[u][v] for u in done), v) for v in todo)
+            tree += w
+            done.add(v)
+            todo.remove(v)
+        return tree + min(dist[p][v] for v in left)
+    odd = {p}
+    for e in left:
+        odd ^= set(e)
+    return len(left) + min(brute_force_pairing_cost(sorted(odd - {v}), dist) for v in odd)
+
+
+ORDER_SIX_ROWS = Path(__file__).with_name("minlen_order6.txt")
+
+
+class TestExactness:
+    def test_order_six_rows_unchanged(self):
+        # (length, capped, span) of all 858 (graph, rule, target) rows of
+        # order <= 6, as computed under one step per target plus the parity count
+        graphs: dict[str, Graph] = {}
+        rows = mismatches = 0
+        for line in ORDER_SIX_ROWS.read_text().splitlines():
+            if line.startswith("#"):
+                continue
+            head, edges = line.split(":")
+            n, rule, target, *expected = head.split()
+            g = graphs.setdefault(edges, Graph(int(n), [(int(e[0]), int(e[1])) for e in edges.split()]))
+            rep = min_length(g, Rule(rule), Target(target))
+            rows += 1
+            mismatches += [rep.length, rep.capped, rep.span_value] != [int(x) for x in expected]
+        assert (rows, len(graphs), mismatches) == (858, 143, 0)
+
+    @pytest.mark.parametrize(
+        "g,lengths,ceiling",
+        [
+            # 6,452 stored states in all
+            (star(10), [18, 18, 18, 18, 33, 33], 10_000),
+            # 57,110 stored states in all
+            (star(13), [24, 24, 24, 24, 45, 45], 80_000),
+        ],
+        ids=["star10", "star13"],
+    )
+    def test_stars_exact(self, g, lengths, ceiling):
+        reps = [min_length(g, rule, target) for rule, target in ALL_VARIANTS]
+        assert [rep.length for rep in reps] == lengths
+        assert not any(rep.capped for rep in reps)
+        assert sum(rep.explored_states for rep in reps) < ceiling
+        for (rule, target), rep in zip(ALL_VARIANTS, reps):
+            f, h = rep.witness
+            assert validate_pair(g, rule, target, f, h, rep.span_value) == []
+
+    def test_k34_lazy_edges_exact(self):
+        # 947 stored states
+        g = complete_bipartite(3, 4)
+        rep = min_length(g, Rule.LAZY, Target.EDGES)
+        assert (rep.length, rep.capped) == (29, False)
+        assert rep.explored_states < 2_000
+        f, h = rep.witness
+        assert validate_pair(g, Rule.LAZY, Target.EDGES, f, h, rep.span_value) == []
+
+
+class TestRemainingBound:
     @settings(max_examples=60, deadline=None)
-    @given(connected_graphs(6), st.data())
-    def test_edge_bound_admissible_and_consistent(self, g, data):
-        parity = _parity_masks(g, Target.EDGES)
+    @given(connected_graphs(6), st.sampled_from(list(Target)), st.data())
+    def test_admissible_and_consistent(self, g, target, data):
+        rest = _remaining_bound(g, target)
+        if target is Target.VERTICES:
+            items, bit, steps = list(range(g.n)), (lambda t: 1 << t), vertex_cover_steps
+            full = (1 << g.n) - 1
+
+            def visited(left, a, b):
+                return left if a == b else left - {b}
+        else:
+            items, bit, steps = list(g.edges), (lambda e: 1 << g.edge_index(*e)), edge_cover_steps
+            full = (1 << g.m) - 1
+
+            def visited(left, a, b):
+                return left - {(min(a, b), max(a, b))}
 
         def bound(p, left):
-            # the engine's per-player bound: one step per edge left, plus repeats
-            bits = sum(1 << g.edge_index(u, v) for u, v in left)
-            return len(left) + _min_repeats(bits, parity, g.n)[p]
+            # the engine's per-player bound, read at the coverage word of left
+            return rest(full ^ sum(map(bit, left)), p)
 
-        def crossed(left, a, b):
-            return left - {(min(a, b), max(a, b))}
-
-        edge_sets = st.lists(st.sampled_from(g.edges), max_size=8, unique=True) if g.m else st.just([])
-        uf, ug = frozenset(data.draw(edge_sets)), frozenset(data.draw(edge_sets))
+        subsets = st.lists(st.sampled_from(items), max_size=8, unique=True) if items else st.just([])
+        uf, ug = frozenset(data.draw(subsets)), frozenset(data.draw(subsets))
         for p in range(g.n):
+            assert bound(p, uf) == _reference_rest(g, target, p, uf)
             # never above the exact steps a lone walker at p needs
-            assert bound(p, uf) <= edge_cover_steps(g, p, uf)
+            assert bound(p, uf) <= steps(g, p, uf)
         for rule in Rule:
             combine = (lambda a, b: a + b) if rule is Rule.LAZY else max
             for p in range(g.n):
                 for q in range(g.n):
                     before = combine(bound(p, uf), bound(q, ug))
                     for x, y in rule_moves(g, rule, p, q):
-                        after = combine(bound(x, crossed(uf, p, x)), bound(y, crossed(ug, q, y)))
+                        after = combine(bound(x, visited(uf, p, x)), bound(y, visited(ug, q, y)))
                         assert after >= before - 1, (rule, p, q, x, y)
 
 
