@@ -4,11 +4,16 @@ Subcommands: span, minlen, witness, postman, verify-family, verify-fixtures,
 search-gap. Exit status 0 on success, 1 when a verification check fails, 2 on
 input errors, 3 on an internal error (a breached engine invariant). Output is
 deterministic: identical invocations produce byte-identical output.
+
+``main(argv)`` may be called repeatedly in one process and returns the exit
+status. It builds its argument parser once, on the first call, and only reads
+it afterwards; ``build_parser()`` returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -140,20 +145,16 @@ def _cmd_minlen(args) -> int:
                 "explored_states": rep.explored_states,
                 "capped": rep.capped,
             }
-            if rep.witness is not None:
-                entry["witness"] = {
-                    "f": format_walk(rep.witness[0]),
-                    "g": format_walk(rep.witness[1]),
-                }
-            entries.append(entry)
             mark = " (capped: lower bound only)" if rep.capped else ""
             lines.append(
                 f"{r.product_name:<12}{t.value:<10}L={rep.length}{mark}"
                 f"  span={rep.span_value}  explored={rep.explored_states}"
             )
             if rep.witness is not None:
-                lines.append(f"  f: {format_walk(rep.witness[0])}")
-                lines.append(f"  g: {format_walk(rep.witness[1])}")
+                f, h = map(format_walk, rep.witness)
+                entry["witness"] = {"f": f, "g": h}
+                lines += [f"  f: {f}", f"  g: {h}"]
+            entries.append(entry)
     doc = {
         "schema": SCHEMA,
         "command": "minlen",
@@ -174,15 +175,14 @@ def _cmd_witness(args) -> int:
         for t in targets:
             f, h = witness_sweeps(g, r, t)
             value = pair_distance(g, f, h)
-            lines.append(f"# {r.product_name} {t.value} (distance {value})")
-            lines.append(format_walk(f))
-            lines.append(format_walk(h))
+            fw, hw = format_walk(f), format_walk(h)
+            lines += [f"# {r.product_name} {t.value} (distance {value})", fw, hw]
             entries.append(
                 {
                     "rule": r.product_name,
                     "target": t.value,
                     "value": value,
-                    "witness": {"f": format_walk(f), "g": format_walk(h)},
+                    "witness": {"f": fw, "g": hw},
                 }
             )
     doc = {
@@ -199,11 +199,12 @@ def _cmd_postman(args) -> int:
     g, source = _load_graph(args)
     mode = "closed" if args.mode == "closed" else "free_endpoints"
     res = shortest_covering_walk(g, mode)
+    walk = format_walk(res.walk)
     lines = [
         f"graph: {source} (order {g.n}, size {g.m})",
         f"mode: {mode}",
         f"length_edges: {res.length_edges}",
-        format_walk(res.walk),
+        walk,
     ]
     doc = {
         "schema": SCHEMA,
@@ -212,7 +213,7 @@ def _cmd_postman(args) -> int:
         "mode": mode,
         "length_edges": res.length_edges,
         "duplicated": [list(e) for e in res.duplicated],
-        "walk": format_walk(res.walk),
+        "walk": walk,
     }
     _emit(doc, args.format, lines)
     return 0
@@ -384,6 +385,7 @@ def _budget(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Return a new parser for the graphspan command line."""
     parser = argparse.ArgumentParser(
         prog="graphspan",
         description="Safety-distance spans, witness walks, and minimal walk lengths.",
@@ -428,9 +430,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call, not at import: importers that never
+    # parse a command line do not pay for it
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit status.
+
+    ``main`` may be called repeatedly in one process. The first call builds
+    the argument parser; later calls only read it. ``build_parser()``
+    returns a fresh parser instead. A usage error raises ``SystemExit(2)``,
+    as argparse does.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except VerificationFailure as exc:

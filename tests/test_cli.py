@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import re
@@ -270,6 +271,60 @@ class TestVerifyCommands:
         doc = json.loads(out)
         assert doc["graph"]["order"] == 5 and doc["graph"]["size"] == 7
         assert doc["direct_vertex_span"] == 2 and doc["direct_edge_span"] == 1
+
+
+def outcome(capsys, argv):
+    """(exit status, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# each command after the first follows one that sets some option differently
+REUSE_SEQUENCE = (
+    ("span", "--family", "cycle:6", "--rule", "strong"),
+    ("span", "--family", "cycle:6"),
+    ("minlen", "--family", "path:4", "--budget", "0"),
+    ("minlen", "--family", "path:4"),
+    ("span",),
+    ("span", "--family", "path:5", "--format", "structured"),
+    ("span", "--family", "path:5", "--format", "text"),
+    ("minlen", "--family", "path:4", "--rule", "direct", "--format", "structured"),
+    ("minlen", "--family", "path:4", "--rule", "direct"),
+)
+
+
+class TestRepeatedMain:
+    def test_each_command_prints_what_it_prints_alone(self, capsys):
+        alone = []
+        for argv in REUSE_SEQUENCE:
+            cli._parser.cache_clear()
+            alone.append(outcome(capsys, argv))
+        cli._parser.cache_clear()
+        in_sequence = [outcome(capsys, argv) for argv in REUSE_SEQUENCE]
+        assert cli._parser.cache_info().misses == 1
+        assert in_sequence == alone
+        assert [code for code, _, _ in alone] == [0, 0, 0, 0, 2, 0, 0, 0, 0]
+        assert "one of the arguments --family --file is required" in alone[4][2]
+        assert "capped" in alone[2][1] and "capped" not in alone[3][1]
+
+    def test_main_reuses_one_parser(self, monkeypatch, capsys):
+        used = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(self, *args, **kwargs):
+            used.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        for _ in range(2):
+            assert run(capsys, "span", "--family", "path:3")[0] == 0
+        assert len(used) == 2 and used[0] is used[1]
+        fresh = cli.build_parser()
+        assert fresh is not cli.build_parser() and fresh is not used[0]
 
 
 # sha256 prefixes of the output at the last commit of the per-threshold
