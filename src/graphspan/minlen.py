@@ -51,7 +51,7 @@ from .errors import InternalError
 from .families import SEARCH_ORDER_LIMIT, _canonical_search
 from .graph import Graph
 from .postman import _min_pairing
-from .spans import Rule, Target, _moves, span
+from .spans import Rule, Target, _check_variant, _moves, span
 from .walks import Walk
 
 DEFAULT_STATE_BUDGET = 1 << 20  # stored states, about 125 bytes each
@@ -84,6 +84,7 @@ def length_lower_bounds(g: Graph, rule: Rule, target: Target) -> int:
     (edge target); under the lazy rule only one player advances per step, so
     the floors double to 2n-1 and 2m+1.
     """
+    _check_variant(rule, target)
     if target is Target.VERTICES:
         return 2 * g.n - 1 if rule is Rule.LAZY else g.n
     return 2 * g.m + 1 if rule is Rule.LAZY else g.m + 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Literal
 
-from .errors import EmptyEdgeSet, NotEulerian, TooLarge
+from .errors import EmptyEdgeSet, InvalidParams, NotEulerian, TooLarge
 from .graph import Edge, Graph, _norm
 from .walks import Walk
 
@@ -191,7 +191,7 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
     if g.m == 0:
         raise EmptyEdgeSet("covering walk needs at least one edge")
     if mode not in ("closed", "free_endpoints"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidParams(f"unknown mode {mode!r}")
     odd = sum(1 << u for u in range(g.n) if g.degree(u) % 2)
     if odd.bit_count() > PAIRING_LIMIT:
         raise TooLarge(

@@ -13,12 +13,13 @@ rule, adding states in decreasing distance order, decides every threshold for
 both targets, and its result is kept on the graph, so every later query of the
 same rule on the same graph reads it. The pass takes the states from per-level
 lists of flat indices, built once per graph and shared by the rules, so each
-pair enters once. At threshold k the strong rule's pass reads only the lazy
-moves and the diagonals whose two lazy intermediates are both at distance
-< k: a dropped diagonal's intermediate at distance >= k is present by the end
-of the level and its lazy moves join and cover the same, so each level ends
-as it would with every strong move. The witness BFS and the minimal-length
-search read each rule's full move set.
+pair enters once. At threshold k the pass reads a reduced move set for the
+strong and active rules, one that ends every level with the components and
+coverage of the full move set (see ``_moves``): the strong rule's lazy moves
+plus the diagonals whose two lazy intermediates are both at distance < k,
+and for the active rule one spanning double star of each complete bipartite
+block of active moves. The witness BFS and the minimal-length search read
+each rule's full move set.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InternalError, ThresholdOutOfRange
+from .errors import InternalError, InvalidParams, ThresholdOutOfRange
 from .graph import Graph
 from .walks import Walk
 
@@ -69,22 +70,80 @@ RULES = (Rule.TRADITIONAL, Rule.ACTIVE, Rule.LAZY)
 TARGETS = (Target.VERTICES, Target.EDGES)
 
 
+def _check_variant(rule: Rule, target: Target) -> None:
+    """Reject a rule or target that is not a member of its enum, before any
+    pass runs or any memo entry is stored under it."""
+    if not isinstance(rule, Rule):
+        raise InvalidParams(f"rule must be a Rule, got {rule!r}")
+    if not isinstance(target, Target):
+        raise InvalidParams(f"target must be a Target, got {target!r}")
+
+
 def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
     """Successor pairs of (u, v) under the rule, before threshold filtering.
 
-    Without a threshold k, every move of the rule. With one, the strong rule
-    yields what the span pass needs at level k: its lazy moves, plus the
-    diagonals (x, y) with d(x, v) < k and d(u, y) < k, which exist only when
-    d(u, v) = k. A dropped diagonal has a lazy intermediate, (x, v) or (u, y),
-    at distance >= k; it is present by the end of level k, and its two lazy
-    moves join the same states and cover the same f-edge ux and g-edge vy.
-    The active and lazy move sets do not depend on k.
+    Without a threshold k, every move of the rule. With one, the span pass's
+    moves at level k, which end every level with the components and coverage
+    of the full move set. The lazy move set does not depend on k.
+
+    Strong rule: the lazy moves, plus the diagonals (x, y) with d(x, v) < k
+    and d(u, y) < k, which exist only when d(u, v) = k. A dropped diagonal has
+    a lazy intermediate, (x, v) or (u, y), at distance >= k; it is present by
+    the end of level k, and its two lazy moves join the same states and cover
+    the same f-edge ux and g-edge vy.
+
+    Active rule: let first(a, b) be the lowest neighbour of b at distance >= k
+    from a. Every active move (u', v)-(x, y) lies in the block A x B with
+    A = {(u', v): u' in N(x)} and B = {(x, y): y in N(v)}, both cut to
+    distance >= k, and each block is complete bipartite. The kept moves give
+    each block the spanning double star a0 x B + A x b0, with
+    a0 = (first(v, x), v) and b0 = (x, first(x, v)), which covers the same
+    f-edges u'x and g-edges vy as the whole block. From (u, v), in its
+    blocks as an A state (x in N(u)) and as a B state (y in N(v)), that is:
+    (x, first(x, v)), or every (x, y') when first(v, x) = u, for each x; and
+    (first(y, u), y), or every (x', y) when first(u, y) = v, for each y. The
+    set is symmetric, so whichever end enters later yields the move. When a
+    lower level adds states to a block, its new a0 or b0 joins the whole old
+    block, and an old a0 or b0 is the one of the higher level. A pair with
+    deg(u) deg(v) <= 2 (deg(u) + deg(v)) yields all its moves instead; every
+    such mix lies between the reduced and the full set.
     """
     adj = g.adj
     if rule is Rule.ACTIVE:
-        for x in adj[u]:
-            for y in adj[v]:
-                yield x, y
+        xs, ys = adj[u], adj[v]
+        if k is None or len(xs) * len(ys) <= 2 * (len(xs) + len(ys)):
+            for x in xs:
+                for y in ys:
+                    yield x, y
+            return
+        dist = g.dist
+        du, dv = dist[u], dist[v]
+        for x in xs:
+            # first(v, x) exists and is at most u, which qualifies
+            for w in adj[x]:
+                if dv[w] >= k:
+                    break
+            if w == u:
+                for y in ys:
+                    yield x, y
+            else:
+                dx = dist[x]
+                for y in ys:
+                    if dx[y] >= k:
+                        yield x, y
+                        break
+        for y in ys:
+            for w in adj[y]:
+                if du[w] >= k:
+                    break
+            if w == v:
+                for x in xs:
+                    yield x, y
+            else:
+                for x in xs:
+                    if dist[x][y] >= k:
+                        yield x, y
+                        break
     elif rule is Rule.TRADITIONAL and k is None:
         # both-stay is omitted: it covers nothing and never affects
         # component structure
@@ -153,34 +212,28 @@ def _levels(g: Graph) -> tuple[tuple[int, ...], ...]:
     return g._memoized("levels", compute)
 
 
-def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(span value, lowest flat index u*n + v of the witness component) of
-    the vertex target, then of the edge target, from one union-find pass.
+def _union_levels(g: Graph, rule: Rule):
+    """The union-find pass of ``rule``, one threshold level at a time.
 
-    States enter in decreasing distance order, one threshold level of
-    ``_levels`` at a time, so each pair enters exactly once, and are unioned
-    with the successors already present, taken from ``_moves`` at the
-    level's threshold: the strong rule skips the diagonals whose lazy
-    intermediates join the same states by the end of the level, so every
-    level ends with the components and coverage of the full move set. The
-    unions do not depend on the target, so one pass decides both. Each root
-    is the lowest index of its component and carries, per target, the OR of
-    the per-player coverage bits (f bits above g bits): a state adds its
-    vertices when it enters, a product edge adds its base edges when it is
-    unioned. Only roots touched on a level can have become full on it. The
-    pass stops on the first level at which both targets have been full.
+    States enter in decreasing distance order, one level of ``_levels`` at a
+    time, so each pair enters exactly once, and are unioned with the
+    successors already present, taken from ``_moves`` at the level's
+    threshold; those reduced move sets end every level with the components
+    and coverage of the full move set. Each root is the lowest index of its
+    component and carries, per target, the OR of the per-player coverage
+    bits (f bits above g bits): a state adds its vertices when it enters, a
+    product edge adds its base edges when it is unioned. After each level k
+    it yields (k, the roots touched on the level, parent, vertex_cov,
+    edge_cov); the three lists are updated in place by the later levels.
     """
     n = g.n
     m = g.m
-    vertex_full = (1 << 2 * n) - 1
-    edge_full = (1 << 2 * m) - 1
     g_bit = _edge_bits(g)
     f_bit = [[b << m for b in row] for row in g_bit]
     parent = list(range(n * n))
     vertex_cov = [0] * (n * n)
     edge_cov = [0] * (n * n)
     present = bytearray(n * n)
-    vertex_hit = edge_hit = None
     levels = _levels(g)
     for k in range(g.radius, -1, -1):
         touched = []
@@ -208,7 +261,22 @@ def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
                 vertex_cov[root] |= vertex_cov[other]
                 edge_cov[root] |= edge_cov[other] | bits
             touched.append(root)
-        roots = {_find(parent, r) for r in touched}
+        yield k, {_find(parent, r) for r in touched}, parent, vertex_cov, edge_cov
+
+
+def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(span value, lowest flat index u*n + v of the witness component) of
+    the vertex target, then of the edge target, from one union-find pass.
+
+    The unions do not depend on the target, so one pass of
+    ``_union_levels`` decides both. Only roots touched on a level can have
+    become full on it. The pass stops on the first level at which both
+    targets have been full.
+    """
+    vertex_full = (1 << 2 * g.n) - 1
+    edge_full = (1 << 2 * g.m) - 1
+    vertex_hit = edge_hit = None
+    for k, roots, _, vertex_cov, edge_cov in _union_levels(g, rule):
         if vertex_hit is None:
             hits = [r for r in roots if vertex_cov[r] == vertex_full]
             if hits:
@@ -235,6 +303,7 @@ def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
     radius, at which some product component covers the target for both
     players is the exact value. The threshold-0 product is always feasible.
     """
+    _check_variant(rule, target)
     value, root = _rule_spans(g, rule)[target is Target.EDGES]
     return SpanReport(rule=rule, target=target, value=value, witness_component=root)
 
@@ -330,6 +399,7 @@ def _component_witness(
 def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
     """Walk pair achieving the span value: the depth-first walk of a pruned
     BFS tree of the witness component, coordinates projected."""
+    _check_variant(rule, target)
     value, root = _rule_spans(g, rule)[target is Target.EDGES]
     return _component_witness(g, rule, target, value, root)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from graphspan import (
     EmptyEdgeSet,
+    InvalidParams,
     NotEulerian,
     complete,
     complete_bipartite,
@@ -249,6 +250,10 @@ class TestShortestCoveringWalk:
     def test_empty_edge_set(self):
         with pytest.raises(EmptyEdgeSet):
             shortest_covering_walk(path(1))
+
+    def test_unknown_mode_is_invalid_params(self):
+        with pytest.raises(InvalidParams, match="unknown mode 'free'"):
+            shortest_covering_walk(cycle(4), "free")
 
     def test_deterministic(self):
         a = shortest_covering_walk(complete(6))

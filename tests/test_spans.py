@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from graphspan import (
     Graph,
+    InvalidParams,
     Rule,
     TARGETS,
     complete_bipartite,
@@ -19,6 +20,7 @@ from graphspan import (
     cycle,
     feasible,
     kn_plus,
+    length_lower_bounds,
     line_graph,
     min_length,
     path,
@@ -51,6 +53,34 @@ class TestRuleNames:
 
     def test_product_names(self):
         assert [r.product_name for r in Rule] == ["strong", "direct", "cartesian"]
+
+
+class TestVariantArguments:
+    """A rule or target that is not a member of its enum, such as its name
+    as a string, is rejected before any pass runs or any memo entry is
+    stored under it."""
+
+    @pytest.mark.parametrize("call", [
+        lambda g: span(g, "direct", Target.EDGES),
+        lambda g: span(g, Rule.ACTIVE, "edges"),
+        lambda g: witness_sweeps(g, "lazy", Target.VERTICES),
+        lambda g: feasible(g, Rule.TRADITIONAL, "vertices", 1),
+        lambda g: min_length(g, "active", Target.VERTICES),
+        lambda g: length_lower_bounds(g, Rule.LAZY, "edges"),
+    ])
+    def test_non_enum_rejected(self, call):
+        g = kn_plus(5)
+        with pytest.raises(InvalidParams):
+            call(g)
+        assert g._memo == {}
+
+    def test_string_rule_is_not_read_as_another_rule(self):
+        # read as the lazy rule's vertex target, this call answered 0 on K2,
+        # whose active edge span is 1
+        g = path(2)
+        with pytest.raises(InvalidParams, match="rule must be a Rule, got 'direct'"):
+            span(g, "direct", "edges")
+        assert span(g, Rule.ACTIVE, Target.EDGES).value == 1
 
 
 class TestFeasible:
@@ -270,34 +300,64 @@ class TestMemo:
                     assert _lowest_covering_state(g, rule, target, rep.value + 1) is None
 
 
-def _seeded_graphs(count: int, seed: int) -> list[Graph]:
-    """Connected graphs of order 8-22: a random spanning tree plus each other
-    pair with one of four densities, labels shuffled."""
+def _seeded_graphs(count: int, seed: int, orders=(8, 22), densities=(0.1, 0.2, 0.4, 0.7)):
+    """Connected graphs with orders drawn from the closed range: a random
+    spanning tree plus each other pair with one of the densities, labels
+    shuffled."""
     rng = random.Random(seed)
     graphs = []
     for _ in range(count):
-        n = rng.randint(8, 22)
+        n = rng.randint(*orders)
         label = list(range(n))
         rng.shuffle(label)
         edges = {(label[rng.randrange(v)], label[v]) for v in range(1, n)}
-        density = rng.choice((0.1, 0.2, 0.4, 0.7))
+        density = rng.choice(densities)
         edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < density}
         graphs.append(Graph(n, {(min(e), max(e)) for e in edges}))
     return graphs
 
 
+def _dense_graphs():
+    """Graphs on which most pairs take the reduced active move set."""
+    return _seeded_graphs(40, 15, orders=(10, 18), densities=(0.5, 0.7, 0.9))
+
+
+def _full_moves(monkeypatch):
+    """Make the span pass read the oracle's full move set, which ignores the
+    threshold."""
+    monkeypatch.setattr(spans, "_moves", lambda g, rule, u, v, k=None: rule_moves(g, rule, u, v))
+
+
 def _full_move_pass(monkeypatch, g, rule):
     """_span_pass(g, rule) with its moves taken from the oracle's full move
-    set, which ignores the threshold."""
+    set."""
     with monkeypatch.context() as patch:
-        patch.setattr(spans, "_moves", lambda g, rule, u, v, k=None: rule_moves(g, rule, u, v))
+        _full_moves(patch)
         return spans._span_pass(g, rule)
 
 
+def _level_ends(g, rule):
+    """After every level of the pass, down to threshold 0: each component
+    of the present states, keyed by its root, with its states and the
+    root's vertex and edge coverage bits."""
+    n = g.n
+    ends = []
+    for k, _, parent, vertex_cov, edge_cov in spans._union_levels(g, rule):
+        components = {}
+        for s in range(n * n):
+            if g.dist[s // n][s % n] >= k:
+                components.setdefault(spans._find(parent, s), []).append(s)
+        ends.append((k, {r: (states, vertex_cov[r], edge_cov[r])
+                         for r, states in components.items()}))
+    return ends
+
+
 class TestReducedMoves:
-    """The span pass reads the strong rule's moves at each level's threshold:
-    its lazy moves plus the diagonals whose lazy intermediates are both
-    closer than the threshold. Every level must end as with the full set."""
+    """At each level's threshold the span pass reads reduced strong and
+    active move sets: the strong rule's lazy moves plus the diagonals whose
+    lazy intermediates are both closer than the threshold, and one spanning
+    double star per block of active moves. Every level must end as with the
+    full set."""
 
     def test_pass_matches_full_move_set(self, monkeypatch):
         graphs = [
@@ -313,6 +373,30 @@ class TestReducedMoves:
                 assert spans._span_pass(g, rule) == _full_move_pass(monkeypatch, g, rule), (
                     g.n, g.edges, rule)
 
+    def test_every_level_ends_as_with_full_move_set(self, monkeypatch):
+        # the final (value, root) can hide a level whose partition or
+        # coverage differs; compare every level's components and the
+        # coverage bits of their roots
+        graphs = [*corpus(6), *_dense_graphs(), complete(12), kn_plus(8)]
+        reduced = {(i, rule): _level_ends(g, rule)
+                   for i, g in enumerate(graphs) for rule in Rule}
+        _full_moves(monkeypatch)
+        for i, g in enumerate(graphs):
+            for rule in Rule:
+                assert reduced[i, rule] == _level_ends(g, rule), (g.n, g.edges, rule)
+
+    def test_thresholded_moves_are_real_moves(self):
+        # a reduction that invents a move can keep the final values when
+        # the bad union lands in a component that is already full
+        for g in (*corpus(5), *_dense_graphs(), complete(12), kn_plus(8)):
+            for rule in Rule:
+                for u in g.vertices:
+                    for v in g.vertices:
+                        full = set(rule_moves(g, rule, u, v))
+                        for k in range(min(g.dist[u][v], g.radius) + 1):
+                            assert set(spans._moves(g, rule, u, v, k)) <= full, (
+                                g.n, g.edges, rule, u, v, k)
+
     def test_complete_20_move_counts(self, monkeypatch):
         counts = {}
         moves = spans._moves
@@ -327,8 +411,9 @@ class TestReducedMoves:
             spans._span_pass(complete(20), rule)
         # 380 pairs at distance 1 enter, and the pass stops there: the strong
         # rule keeps its 38 lazy moves plus the swap (v, u), the only diagonal
-        # with both intermediates at distance 0
-        assert counts == {Rule.TRADITIONAL: 14_820, Rule.ACTIVE: 137_180, Rule.LAZY: 14_440}
+        # with both intermediates at distance 0; the active rule keeps one
+        # double star per block instead of its 19 * 19 - 19 moves
+        assert counts == {Rule.TRADITIONAL: 14_820, Rule.ACTIVE: 28_840, Rule.LAZY: 14_440}
 
     def test_unthresholded_moves_are_the_full_set(self):
         # the witness BFS and the minimal-length search read this move set
