@@ -349,6 +349,20 @@ GOLDEN = [
     (("postman", "--family", "complete:12"), "d0689fd568ca97b6"),
     (("postman", "--family", "complete:16", "--mode", "closed", "--format", "structured"),
      "a7fb0bf564f57321"),
+    # taken before the handlers stopped emitting their own output, so that
+    # every subcommand and format is pinned through the single emit point
+    (("span", "--family", "kn_plus:5", "--format", "structured"), "f57b839b98048480"),
+    (("span", "--family", "kn_plus:5", "--rule", "direct", "--target", "edges"),
+     "d60d79c462e81d95"),
+    (("minlen", "--family", "cycle:6", "--format", "structured"), "ab7bb4695e77bf94"),
+    (("minlen", "--family", "complete:4", "--budget", "0"), "2039409d7bb5cf46"),
+    (("witness", "--family", "kn_plus:5", "--rule", "cartesian", "--target", "vertices"),
+     "a54bf7a759c4cc63"),
+    (("postman", "--family", "complete:12", "--format", "structured"), "f56b3271eb4de8a8"),
+    (("verify-fixtures",), "12f79d565929d6e9"),
+    (("verify-fixtures", "--format", "structured"), "6df8ac2cb9a691bf"),
+    (("verify-family", "--budget", "100000"), "7c77ea9b269402ed"),
+    (("verify-family", "--budget", "100000", "--format", "structured"), "53356f14e9ec0b11"),
 ]
 
 
@@ -357,6 +371,33 @@ def test_golden_output(capsys, argv, prefix):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+ENVELOPE_COMMANDS = [
+    ("span", "--family", "path:3"),
+    ("minlen", "--family", "path:3"),
+    ("witness", "--family", "path:3"),
+    ("postman", "--family", "path:3"),
+    ("verify-family", "--budget", "1000"),
+    ("verify-fixtures",),
+    ("search-gap",),
+]
+
+
+def test_envelope_commands_cover_every_subcommand():
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert sorted(argv[0] for argv in ENVELOPE_COMMANDS) == sorted(subparsers.choices)
+
+
+@pytest.mark.parametrize("argv", ENVELOPE_COMMANDS, ids=[a[0] for a in ENVELOPE_COMMANDS])
+def test_structured_envelope(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "structured")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["schema"] == "graphspan/v1"
+    assert doc["command"] == argv[0]
 
 
 def test_minlen_golden_lengths(capsys):
