@@ -5,6 +5,12 @@ search-gap. Exit status 0 on success, 1 when a verification check fails, 2 on
 input errors, 3 on an internal error (a breached engine invariant). Output is
 deterministic: identical invocations produce byte-identical output.
 
+Each subcommand's handler returns its report as ``(status, doc, lines)``: the
+exit status, the command's own structured fields and its text lines. ``main``
+is the one place that prints a report. Under ``--format structured`` it adds
+``schema`` and ``command`` to ``doc``, so every structured document carries
+both.
+
 ``main(argv)`` may be called repeatedly in one process and returns the exit
 status. It builds its argument parser once, on the first call, and only reads
 it afterwards; ``build_parser()`` returns a fresh parser.
@@ -20,11 +26,7 @@ from importlib import resources
 from typing import Optional
 
 from .errors import GraphSpanError, InternalError, MalformedInput, VerificationFailure
-from .families import (
-    family_closed_minlen_checks,
-    family_closed_span_checks,
-    find_minimal_direct_gap,
-)
+from .families import family_closed_checks, find_minimal_direct_gap
 from .graph import FamilySpec, Graph, _digits, complete, generate, kn_plus
 from .graph import parse_edge_list, parse_graph6
 from .minlen import DEFAULT_STATE_BUDGET, min_length
@@ -36,16 +38,10 @@ SCHEMA = "graphspan/v1"
 _BUDGET_HELP = "cap on the states the minimal-length search stores (default 2**20)"
 
 
-def _selected_rules(name: str) -> tuple[Rule, ...]:
-    if name == "all":
-        return RULES
-    return (Rule.from_name(name),)
-
-
-def _selected_targets(name: str) -> tuple[Target, ...]:
-    if name == "both":
-        return TARGETS
-    return (Target(name),)
+def _variants(args) -> tuple[tuple[Rule, ...], tuple[Target, ...]]:
+    rules = RULES if args.rule == "all" else (Rule.from_name(args.rule),)
+    targets = TARGETS if args.target == "both" else (Target(args.target),)
+    return rules, targets
 
 
 def _load_graph(args) -> tuple[Graph, str]:
@@ -83,57 +79,31 @@ def _graph_doc(g: Graph, source: str) -> dict:
     return {"source": source, "order": g.n, "size": g.m}
 
 
-def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
-    if fmt == "structured":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_span(args) -> int:
+def _cmd_span(args) -> tuple[int, dict, list[str]]:
     g, source = _load_graph(args)
-    rules = _selected_rules(args.rule)
-    targets = _selected_targets(args.target)
-    reports = [span(g, r, t) for r in rules for t in targets]
-
-    lines = [f"graph: {source} (order {g.n}, size {g.m})"]
-    header = f"{'rule':<12}" + "".join(f"{t.value:>10}" for t in targets)
-    lines.append(header)
-    for r in rules:
-        row = f"{r.product_name:<12}"
-        for t in targets:
-            rep = next(x for x in reports if x.rule is r and x.target is t)
-            row += f"{rep.value:>10}"
-        lines.append(row)
-
-    doc = {
-        "schema": SCHEMA,
-        "command": "span",
-        "graph": _graph_doc(g, source),
-        "reports": [
-            {
-                "rule": rep.rule.product_name,
-                "target": rep.target.value,
-                "value": rep.value,
-            }
-            for rep in reports
-        ],
-    }
-    _emit(doc, args.format, lines)
-    return 0
+    rules, targets = _variants(args)
+    values = {(r, t): span(g, r, t).value for r in rules for t in targets}
+    lines = [
+        f"graph: {source} (order {g.n}, size {g.m})",
+        f"{'rule':<12}" + "".join(f"{t.value:>10}" for t in targets),
+    ]
+    lines += [f"{r.product_name:<12}" + "".join(f"{values[r, t]:>10}" for t in targets) for r in rules]
+    reports = [
+        {"rule": r.product_name, "target": t.value, "value": value}
+        for (r, t), value in values.items()
+    ]
+    return 0, {"graph": _graph_doc(g, source), "reports": reports}, lines
 
 
-def _cmd_minlen(args) -> int:
+def _cmd_minlen(args) -> tuple[int, dict, list[str]]:
     g, source = _load_graph(args)
-    rules = _selected_rules(args.rule)
-    targets = _selected_targets(args.target)
+    rules, targets = _variants(args)
     lines = [f"graph: {source} (order {g.n}, size {g.m})"]
-    entries = []
+    reports = []
     for r in rules:
         for t in targets:
             rep = min_length(g, r, t, state_budget=args.budget)
@@ -154,30 +124,22 @@ def _cmd_minlen(args) -> int:
                 f, h = map(format_walk, rep.witness)
                 entry["witness"] = {"f": f, "g": h}
                 lines += [f"  f: {f}", f"  g: {h}"]
-            entries.append(entry)
-    doc = {
-        "schema": SCHEMA,
-        "command": "minlen",
-        "graph": _graph_doc(g, source),
-        "reports": entries,
-    }
-    _emit(doc, args.format, lines)
-    return 0
+            reports.append(entry)
+    return 0, {"graph": _graph_doc(g, source), "reports": reports}, lines
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> tuple[int, dict, list[str]]:
     g, source = _load_graph(args)
-    rules = _selected_rules(args.rule)
-    targets = _selected_targets(args.target)
+    rules, targets = _variants(args)
     lines = []
-    entries = []
+    reports = []
     for r in rules:
         for t in targets:
             f, h = witness_sweeps(g, r, t)
             value = pair_distance(g, f, h)
             fw, hw = format_walk(f), format_walk(h)
             lines += [f"# {r.product_name} {t.value} (distance {value})", fw, hw]
-            entries.append(
+            reports.append(
                 {
                     "rule": r.product_name,
                     "target": t.value,
@@ -185,17 +147,10 @@ def _cmd_witness(args) -> int:
                     "witness": {"f": fw, "g": hw},
                 }
             )
-    doc = {
-        "schema": SCHEMA,
-        "command": "witness",
-        "graph": _graph_doc(g, source),
-        "reports": entries,
-    }
-    _emit(doc, args.format, lines)
-    return 0
+    return 0, {"graph": _graph_doc(g, source), "reports": reports}, lines
 
 
-def _cmd_postman(args) -> int:
+def _cmd_postman(args) -> tuple[int, dict, list[str]]:
     g, source = _load_graph(args)
     mode = "closed" if args.mode == "closed" else "free_endpoints"
     res = shortest_covering_walk(g, mode)
@@ -207,46 +162,28 @@ def _cmd_postman(args) -> int:
         walk,
     ]
     doc = {
-        "schema": SCHEMA,
-        "command": "postman",
         "graph": _graph_doc(g, source),
         "mode": mode,
         "length_edges": res.length_edges,
         "duplicated": [list(e) for e in res.duplicated],
         "walk": walk,
     }
-    _emit(doc, args.format, lines)
-    return 0
+    return 0, doc, lines
 
 
-def _cmd_verify_family(args) -> int:
-    rows = []
+def _cmd_verify_family(args) -> tuple[int, dict, list[str]]:
     ok = True
-    for family, rule, target, want, got in family_closed_span_checks():
-        status = "PASS" if want == got else "FAIL"
-        ok &= status == "PASS"
-        rows.append(("span", family, rule, target, want, got, status))
-    for family, rule, target, want, got in family_closed_minlen_checks(args.budget):
-        if got == "capped":
-            status = "CAPPED"
-        else:
-            status = "PASS" if want == got else "FAIL"
-            ok &= status == "PASS"
-        rows.append(("minlen", family, rule, target, want, got, status))
-
     lines = [
         f"{'check':<8}{'graph':<22}{'rule':<14}{'target':<10}{'table':>6}{'engine':>8}  status"
     ]
-    for kind, family, rule, target, want, got, status in rows:
+    checks = []
+    for kind, family, rule, target, want, got in family_closed_checks(args.budget):
+        status = "CAPPED" if got == "capped" else "PASS" if want == got else "FAIL"
+        ok &= status != "FAIL"
         lines.append(
             f"{kind:<8}{family:<22}{rule:<14}{target:<10}{want:>6}{str(got):>8}  {status}"
         )
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    doc = {
-        "schema": SCHEMA,
-        "command": "verify-family",
-        "ok": ok,
-        "checks": [
+        checks.append(
             {
                 "kind": kind,
                 "graph": family,
@@ -256,11 +193,9 @@ def _cmd_verify_family(args) -> int:
                 "actual": got,
                 "status": status,
             }
-            for kind, family, rule, target, want, got, status in rows
-        ],
-    }
-    _emit(doc, args.format, lines)
-    return 0 if ok else 1
+        )
+    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
+    return (0 if ok else 1), {"ok": ok, "checks": checks}, lines
 
 
 _FIXTURES = (
@@ -320,25 +255,21 @@ def verify_fixture_pair(fix: dict) -> list[str]:
     return problems
 
 
-def _cmd_verify_fixtures(args) -> int:
+def _cmd_verify_fixtures(args) -> tuple[int, dict, list[str]]:
     ok = True
     lines = []
     checks = []
     for fix in _FIXTURES:
         problems = verify_fixture_pair(fix)
-        status = "PASS" if not problems else "FAIL"
-        ok &= status == "PASS"
-        lines.append(f"{fix['name']}: {status}")
-        for p in problems:
-            lines.append(f"  {p}")
+        status = "FAIL" if problems else "PASS"
+        ok &= not problems
+        lines += [f"{fix['name']}: {status}", *(f"  {p}" for p in problems)]
         checks.append({"name": fix["name"], "status": status, "problems": problems})
     lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    doc = {"schema": SCHEMA, "command": "verify-fixtures", "ok": ok, "checks": checks}
-    _emit(doc, args.format, lines)
-    return 0 if ok else 1
+    return (0 if ok else 1), {"ok": ok, "checks": checks}, lines
 
 
-def _cmd_search_gap(args) -> int:
+def _cmd_search_gap(args) -> tuple[int, dict, list[str]]:
     hit = find_minimal_direct_gap()
     sv = span(hit, Rule.ACTIVE, Target.VERTICES).value
     se = span(hit, Rule.ACTIVE, Target.EDGES).value
@@ -349,14 +280,11 @@ def _cmd_search_gap(args) -> int:
         f"direct vertex span {sv}, direct edge span {se}",
     ]
     doc = {
-        "schema": SCHEMA,
-        "command": "search-gap",
         "graph": {"order": hit.n, "size": hit.m, "edges": [list(e) for e in hit.edges]},
         "direct_vertex_span": sv,
         "direct_edge_span": se,
     }
-    _emit(doc, args.format, lines)
-    return 0
+    return 0, doc, lines
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +296,12 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     src.add_argument("--file", help="path to an edge-list or graph6 file")
 
 
-def _add_common_args(p: argparse.ArgumentParser, rule_target: bool = True) -> None:
-    if rule_target:
-        p.add_argument("--rule", choices=[*(r.product_name for r in RULES), "all"], default="all")
-        p.add_argument("--target", choices=["vertices", "edges", "both"], default="both")
+def _add_variant_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rule", choices=[*(r.product_name for r in RULES), "all"], default="all")
+    p.add_argument("--target", choices=["vertices", "edges", "both"], default="both")
+
+
+def _add_format_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["text", "structured"], default="text")
 
 
@@ -394,37 +324,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("span", help="compute span values")
     _add_input_args(p)
-    _add_common_args(p)
+    _add_variant_args(p)
+    _add_format_arg(p)
     p.set_defaults(func=_cmd_span)
 
     p = sub.add_parser("minlen", help="compute minimal walk lengths")
     _add_input_args(p)
-    _add_common_args(p)
+    _add_variant_args(p)
+    _add_format_arg(p)
     p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET, help=_BUDGET_HELP)
     p.set_defaults(func=_cmd_minlen)
 
     p = sub.add_parser("witness", help="emit witness walk pairs")
     _add_input_args(p)
-    _add_common_args(p)
+    _add_variant_args(p)
+    _add_format_arg(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("postman", help="shortest covering walk")
     _add_input_args(p)
     p.add_argument("--mode", choices=["closed", "free"], default="free")
-    _add_common_args(p, rule_target=False)
+    _add_format_arg(p)
     p.set_defaults(func=_cmd_postman)
 
     p = sub.add_parser("verify-family", help="cross-check closed forms against the engines")
     p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET, help=_BUDGET_HELP)
-    _add_common_args(p, rule_target=False)
+    _add_format_arg(p)
     p.set_defaults(func=_cmd_verify_family)
 
     p = sub.add_parser("verify-fixtures", help="validate the shipped walk-table fixtures")
-    _add_common_args(p, rule_target=False)
+    _add_format_arg(p)
     p.set_defaults(func=_cmd_verify_fixtures)
 
     p = sub.add_parser("search-gap", help="scan for the smallest direct-span gap graph")
-    _add_common_args(p, rule_target=False)
+    _add_format_arg(p)
     p.set_defaults(func=_cmd_search_gap)
 
     return parser
@@ -438,7 +371,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    """Run one command and return its exit status.
+    """Run one command, print its report and return its exit status.
+
+    The command's handler returns ``(status, doc, lines)``. ``main`` prints
+    ``doc`` as JSON, with ``schema`` and ``command`` added, under
+    ``--format structured``, and ``lines`` otherwise. An error raised while
+    the handler runs or the report prints is reported on stderr instead,
+    with its exit status.
 
     ``main`` may be called repeatedly in one process. The first call builds
     the argument parser; later calls only read it. ``build_parser()``
@@ -447,7 +386,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status, doc, lines = args.func(args)
+        if args.format == "structured":
+            doc = {"schema": SCHEMA, "command": args.command, **doc}
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return status
     except VerificationFailure as exc:
         print(f"verification failed ({args.command}): {exc}", file=sys.stderr)
         return 1

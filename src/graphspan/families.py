@@ -292,23 +292,19 @@ ORDER5_SMALL_GRAPHS: tuple[tuple[tuple[tuple[int, int], ...], int], ...] = (
 )
 
 
-def find_minimal_direct_gap(max_n: int = 5) -> Graph:
-    """First graph, scanning by (order, size), whose direct vertex span and
-    direct edge span differ.
+def find_minimal_direct_gap() -> Graph:
+    """First graph, scanning by (order, size) up to order 5, whose direct
+    vertex span and direct edge span differ.
 
     Cross-checks that the result is the once-subdivided K4 (order 5, size 7)
     and that the six order-5 graphs of size 5 or 6 with maximum degree 3 all
     report their tabulated direct span values.
     """
-    hit: Optional[Graph] = None
-    for g in enumerate_connected(max_n):
-        sv = span(g, Rule.ACTIVE, Target.VERTICES).value
-        se = span(g, Rule.ACTIVE, Target.EDGES).value
-        if sv != se:
-            hit = g
+    for hit in enumerate_connected(5):
+        if span(hit, Rule.ACTIVE, Target.VERTICES).value != span(hit, Rule.ACTIVE, Target.EDGES).value:
             break
-    if hit is None:
-        raise VerificationFailure(f"no direct-span gap found up to order {max_n}")
+    else:
+        raise VerificationFailure("no direct-span gap found up to order 5")
     if not (hit.n == 5 and hit.m == 7 and is_isomorphic(hit, kn_plus(4))):
         raise VerificationFailure(
             f"first gap graph has order {hit.n}, size {hit.m}; expected the"
@@ -326,40 +322,26 @@ def find_minimal_direct_gap(max_n: int = 5) -> Graph:
     return hit
 
 
-def family_closed_span_checks() -> list[tuple[str, str, str, int, int]]:
-    """Engine-vs-table comparison rows: (family, rule, target, table, engine)."""
-    rows = []
-    cases: list[FamilySpec] = []
-    cases += [FamilySpec("path", (n,)) for n in range(2, 9)]
-    cases += [FamilySpec("cycle", (n,)) for n in range(3, 9)]
-    cases += [FamilySpec("complete", (n,)) for n in range(1, 7)]
-    cases += [FamilySpec("kn_plus", (n,)) for n in range(4, 8)]
-    for spec in cases:
-        g = generate(spec)
-        for rule in Rule:
-            for target in Target:
-                want = closed_span(spec, rule, target)
-                got = span(g, rule, target).value
-                rows.append((str(spec), rule.value, target.value, want, got))
-    return rows
+def family_closed_checks(state_budget: int) -> Iterator[tuple[str, str, str, str, int, object]]:
+    """Engine-vs-table rows (kind, family, rule, target, table, engine): every
+    "span" row, then every "minlen" row. A minimal-length search that stores
+    more than state_budget states reports "capped" as its engine value."""
+    from .minlen import min_length
 
-
-def family_closed_minlen_checks(state_budget: Optional[int] = None) -> list[tuple[str, str, str, int, object]]:
-    """Engine-vs-table rows for minimal lengths; capped searches report 'capped'."""
-    from .minlen import DEFAULT_STATE_BUDGET, min_length
-
-    budget = DEFAULT_STATE_BUDGET if state_budget is None else state_budget
-    rows = []
-    cases: list[FamilySpec] = []
-    cases += [FamilySpec("path", (n,)) for n in range(2, 9)]
-    cases += [FamilySpec("cycle", (n,)) for n in range(3, 9)]
-    cases += [FamilySpec("complete", (n,)) for n in range(2, 8)]
-    for spec in cases:
-        g = generate(spec)
-        for rule in Rule:
-            for target in Target:
-                want = closed_minlen(spec, rule, target)
-                rep = min_length(g, rule, target, state_budget=budget)
-                got: object = "capped" if rep.capped else rep.length
-                rows.append((str(spec), rule.value, target.value, want, got))
-    return rows
+    span_cases = (("path", 2, 9), ("cycle", 3, 9), ("complete", 1, 7), ("kn_plus", 4, 8))
+    minlen_cases = (("path", 2, 9), ("cycle", 3, 9), ("complete", 2, 8))
+    for kind, cases in (("span", span_cases), ("minlen", minlen_cases)):
+        for family, lo, hi in cases:
+            for n in range(lo, hi):
+                spec = FamilySpec(family, (n,))
+                g = generate(spec)
+                for rule in Rule:
+                    for target in Target:
+                        if kind == "span":
+                            want = closed_span(spec, rule, target)
+                            got: object = span(g, rule, target).value
+                        else:
+                            want = closed_minlen(spec, rule, target)
+                            rep = min_length(g, rule, target, state_budget=state_budget)
+                            got = "capped" if rep.capped else rep.length
+                        yield kind, str(spec), rule.value, target.value, want, got

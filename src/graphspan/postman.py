@@ -53,18 +53,14 @@ def eulerian_walk(g: Graph) -> Walk:
     """Walk of length size+1 traversing every edge exactly once.
 
     For a circuit the first and last entries coincide and the start is vertex
-    0; a trail starts at the lowest odd-degree vertex.
+    0; a trail starts at the lowest odd-degree vertex. This is the shortest
+    covering walk with free endpoints, which duplicates nothing here.
     """
-    kind = euler_class(g)
-    if kind == "none":
+    if euler_class(g) == "none":
         raise NotEulerian("graph has more than two odd-degree vertices")
-    if kind == "trail":
-        start = min(u for u in range(g.n) if g.degree(u) % 2)
-    else:
-        start = 0
-    counts = Counter(g.edges)
-    seq = euler_walk_multigraph(g.adj, counts, start)
-    return Walk(tuple(seq))
+    if g.m == 0:
+        return Walk((0,))
+    return shortest_covering_walk(g).walk
 
 
 def euler_walk_multigraph(adj, counts: Counter, start: int) -> list[int]:

@@ -28,14 +28,14 @@ from graphspan import (
     span,
     star,
 )
+from graphspan.minlen import DEFAULT_STATE_BUDGET
 from graphspan.families import (
     ORDER5_SMALL_GRAPHS,
     SEARCH_ORDER_LIMIT,
     _canonical_search,
     automorphism_count,
     canonical_form,
-    family_closed_minlen_checks,
-    family_closed_span_checks,
+    family_closed_checks,
     is_isomorphic,
 )
 
@@ -71,13 +71,21 @@ class TestClosedForms:
             closed_minlen(FamilySpec("kn_plus", (5,)), Rule.ACTIVE, Target.VERTICES)
 
     def test_span_table_cross_validation(self):
-        for family, rule, target, want, got in family_closed_span_checks():
+        rows = [row for row in family_closed_checks(DEFAULT_STATE_BUDGET) if row[0] == "span"]
+        assert len(rows) == 23 * 6
+        for _, family, rule, target, want, got in rows:
             assert want == got, (family, rule, target)
 
     def test_minlen_table_cross_validation(self):
-        for family, rule, target, want, got in family_closed_minlen_checks():
+        rows = [row for row in family_closed_checks(DEFAULT_STATE_BUDGET) if row[0] == "minlen"]
+        assert len(rows) == 19 * 6
+        for _, family, rule, target, want, got in rows:
             assert got != "capped", (family, rule, target)
             assert want == got, (family, rule, target)
+
+    def test_checks_list_span_rows_first(self):
+        kinds = [row[0] for row in family_closed_checks(0)]
+        assert kinds == ["span"] * (23 * 6) + ["minlen"] * (19 * 6)
 
 
 class TestEnumeration:

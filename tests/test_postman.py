@@ -84,6 +84,16 @@ class TestEulerianWalk:
     def test_k1(self):
         assert eulerian_walk(path(1)).seq == (0,)
 
+    def test_is_the_free_covering_walk_from_the_stated_start(self):
+        eulerian = [g for g in corpus(7) if g.m and euler_class(g) != "none"]
+        assert len(eulerian) == 384
+        for g in eulerian:
+            odd = [u for u in range(g.n) if g.degree(u) % 2]
+            seq = euler_walk_multigraph(g.adj, Counter(g.edges), odd[0] if odd else 0)
+            walk = eulerian_walk(g)
+            assert walk.seq == tuple(seq) and walk.l == g.m + 1, g.edges
+            assert walk == shortest_covering_walk(g).walk, g.edges
+
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_cursor_matches_rescanning_reference(self, data):
