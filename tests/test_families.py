@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, takewhile
 from math import factorial
 
 import pytest
@@ -71,7 +71,8 @@ class TestClosedForms:
             closed_minlen(FamilySpec("kn_plus", (5,)), Rule.ACTIVE, Target.VERTICES)
 
     def test_span_table_cross_validation(self):
-        rows = [row for row in family_closed_checks(DEFAULT_STATE_BUDGET) if row[0] == "span"]
+        # the span rows come first; stop before the minimal-length searches run
+        rows = list(takewhile(lambda row: row[0] == "span", family_closed_checks(0)))
         assert len(rows) == 23 * 6
         for _, family, rule, target, want, got in rows:
             assert want == got, (family, rule, target)
