@@ -27,7 +27,7 @@ from typing import Optional
 
 from .errors import GraphSpanError, InternalError, MalformedInput, VerificationFailure
 from .families import family_closed_checks, find_minimal_direct_gap
-from .graph import FamilySpec, Graph, _digits, complete, generate, kn_plus
+from .graph import FamilySpec, Graph, _content_lines, _digits, complete, generate, kn_plus
 from .graph import parse_edge_list, parse_graph6
 from .minlen import DEFAULT_STATE_BUDGET, min_length
 from .postman import shortest_covering_walk
@@ -59,8 +59,7 @@ def _load_graph(args) -> tuple[Graph, str]:
     source = f"file:{args.file}"
     # graph6 when the first non-comment line is a graph6 string (every
     # character in 63..126, or the optional header); an edge list otherwise
-    lines = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1)]
-    lines = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    lines = _content_lines(text)
     if lines:
         lineno, first = lines[0]
         if first.startswith(">>graph6<<") or all(63 <= ord(c) <= 126 for c in first):

@@ -182,8 +182,11 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 
 
 def _canonical_answers(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
-    """New label of each vertex, generators of Aut(g) and |Aut(g)|, from one
-    canonical search per graph. Raises TooLarge above SEARCH_ORDER_LIMIT."""
+    """New label of each vertex, the one canonical_form encodes, generators
+    t (sending v to t[v]) of Aut(g) sifted from the same search, and
+    |Aut(g)|, from one canonical search per graph. Relabeling g by the
+    labels gives one graph for all graphs isomorphic to g. Raises TooLarge
+    above SEARCH_ORDER_LIMIT."""
     if g.n > SEARCH_ORDER_LIMIT:
         raise TooLarge(f"canonical search supported up to order {SEARCH_ORDER_LIMIT}")
 
@@ -192,14 +195,6 @@ def _canonical_answers(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...]
         return tuple(pos), tuple(map(tuple, _sift(g.n, merges, count))), count
 
     return g._memoized("canonical search", compute)
-
-
-def _canonical_search(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """New label of each vertex, the one canonical_form encodes, and
-    generators t (sending v to t[v]) of Aut(g) sifted from the same search.
-    Relabeling g by the labels gives one graph for all graphs isomorphic to g.
-    """
-    return _canonical_answers(g)[:2]
 
 
 def _rows(g: Graph) -> list[int]:

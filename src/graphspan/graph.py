@@ -29,6 +29,26 @@ def _norm(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _add_edge(seen: set[Edge], n: int, u: int, v: int) -> None:
+    """Add edge uv to seen, or raise IndexOutOfRange, SelfLoop or
+    DuplicateEdge when it leaves 0..n-1, is a loop or is already in seen."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+    if u == v:
+        raise SelfLoop(f"loop at vertex {u}")
+    e = _norm(u, v)
+    if e in seen:
+        raise DuplicateEdge(f"edge {e} listed twice")
+    seen.add(e)
+
+
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, stripped line) of every line of text that is neither
+    blank nor a '#' comment; LF and CRLF both end a line."""
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1))
+    return [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+
+
 def _digits(token: str) -> int:
     """Value of a token of ASCII decimal digits; ValueError for anything else,
     including the signs, underscores and non-ASCII digits that int() takes."""
@@ -45,18 +65,19 @@ class Graph:
     between threads.
 
     Answers derived from the graph alone (the span pass of each rule, the
-    pairs grouped by span-pass level under ``"levels"``, the canonical
-    search, the canonical copy the minimal-length search runs on, and that
-    copy's bound table per target under ``("bound", target)``) are computed
-    on first use and kept in ``_memo``, so every later query on the same
-    instance reads them. Each stored value is computed from the graph only,
-    and it is stored with one ``dict.setdefault``: two threads that compute
-    it at once store one copy and both return it, so sharing a graph between
-    threads stays safe. All of them are immutable tuples but the bound
-    table, which grows by one row per coverage word a search meets. A row
-    depends on the graph and its word only, so two threads that compute it
-    at once produce the same bytes, and it is stored in one step (one
-    ``dict.setdefault``, or one slice assignment into a ``bytearray``), so a
+    pairs grouped by span-pass level under ``"levels"``, the coverage table
+    per target under ``("cover", target)`` that the span pass, the witness
+    BFS and the minimal-length search read, the canonical search, the
+    canonical copy the minimal-length search runs on, and that copy's bound
+    table per target under ``("bound", target)``) are computed on first use
+    and kept in ``_memo``, so every later query on the same instance reads
+    them. Each stored value is computed from the graph only, and it is
+    stored with one ``dict.setdefault``: two threads that compute it at once
+    store one copy and both return it, so sharing a graph between threads
+    stays safe. All of them are immutable tuples but the bound table, which
+    grows by one row per coverage word a search meets. A row depends on the
+    graph and its word only, so two threads that compute it at once produce
+    the same bytes, and it is stored with one ``dict.setdefault``, so a
     reader sees either no row or the whole row.
     """
 
@@ -67,14 +88,7 @@ class Graph:
             raise InvalidParams(f"vertex count must be positive, got {n}")
         seen: set[Edge] = set()
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise IndexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-            if u == v:
-                raise SelfLoop(f"loop at vertex {u}")
-            e = _norm(u, v)
-            if e in seen:
-                raise DuplicateEdge(f"edge {e} listed twice")
-            seen.add(e)
+            _add_edge(seen, n, u, v)
         if len(seen) < n - 1:
             raise DisconnectedInput("graph is not connected")
         self.n = n
@@ -159,10 +173,7 @@ def parse_edge_list(text: str) -> Graph:
     n: int | None = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         parts = line.split()
         if n is None:
             if len(parts) != 1:
@@ -184,14 +195,10 @@ def parse_edge_list(text: str) -> Graph:
             raise MalformedInput(
                 f"line {lineno}: endpoints must be decimal integers, got {line!r}"
             ) from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexOutOfRange(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoop(f"line {lineno}: loop at vertex {u}")
-        e = _norm(u, v)
-        if e in seen:
-            raise DuplicateEdge(f"line {lineno}: edge {e} listed twice")
-        seen.add(e)
+        try:
+            _add_edge(seen, n, u, v)
+        except (IndexOutOfRange, SelfLoop, DuplicateEdge) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
         edges.append((u, v))
     if n is None:
         raise MalformedInput("missing vertex count line")

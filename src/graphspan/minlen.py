@@ -38,8 +38,9 @@ One canonical search gives generators of Aut(G) for the orbits and the
 canonical relabeling of the graph, on which the search runs before mapping the
 witness back: the order in which it takes ties, and with it the states it
 stores, its time and its memory, are then the same for every labeling. The
-relabeled copy and its bound rows are built once per graph and kept on it,
-so the six searches of one graph share them.
+relabeled copy, its coverage tables (``spans._cover``, the bits a start or a
+move adds) and its bound rows are built once per graph and kept on it, so
+the six searches of one graph share them.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InternalError
-from .families import SEARCH_ORDER_LIMIT, _canonical_search
+from .families import SEARCH_ORDER_LIMIT, _canonical_answers
 from .graph import Graph
 from .postman import _min_pairing
-from .spans import Rule, Target, _check_variant, _moves, span
+from .spans import Rule, Target, _check_variant, _cover, _moves, span
 from .walks import Walk
 
 DEFAULT_STATE_BUDGET = 1 << 20  # stored states, about 125 bytes each
@@ -90,33 +91,30 @@ def length_lower_bounds(g: Graph, rule: Rule, target: Target) -> int:
     return 2 * g.m + 1 if rule is Rule.LAZY else g.m + 1
 
 
-def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int, width: int):
+def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int):
     """succ(pos): the successor list of position pos = u*n + v, as tuples
     (encoded next base, coverage add bits, next f vertex, next g vertex).
 
     Each list is built from ``_moves`` the first time the search expands its
     position and kept for later expansions; positions the search never
     expands cost nothing. A full search state is
-    (pos << 2*width) | (f_cov << width) | g_cov.
+    (pos << 2*width) | (f_cov << width) | g_cov. The add bits come from
+    ``_cover``; for the vertex target a stay adds the player's own vertex,
+    which is already in its coverage word, so no state changes by it.
     """
     n = g.n
     dist = g.dist
+    width, bit = _cover(g, target)
     cov_bits = 2 * width
     lists: list[Optional[list[tuple[int, int, int, int]]]] = [None] * (n * n)
-
-    def addbit(a: int, b: int) -> int:
-        if a == b:
-            return 0
-        if target is Target.VERTICES:
-            return 1 << b
-        return 1 << g.edge_index(a, b)
 
     def succ(pos: int) -> list[tuple[int, int, int, int]]:
         out = lists[pos]
         if out is None:
             u, v = divmod(pos, n)
+            fu, gv = bit[u], bit[v]
             out = lists[pos] = [
-                ((x * n + y) << cov_bits, (addbit(u, x) << width) | addbit(v, y), x, y)
+                ((x * n + y) << cov_bits, fu[x] << width | gv[y], x, y)
                 for x, y in _moves(g, rule, u, v)
                 if dist[x][y] >= sigma
             ]
@@ -150,14 +148,6 @@ def _start_pairs(g: Graph, sigma: int, gens: list[list[int]]) -> list[tuple[int,
     return reps
 
 
-def _start_states(g: Graph, target: Target, sigma: int, width: int, gens: list[list[int]]) -> list[int]:
-    starts = []
-    for u, v in _start_pairs(g, sigma, gens):
-        cov = (1 << u << width) | (1 << v) if target is Target.VERTICES else 0
-        starts.append(((u * g.n + v) << 2 * width) | cov)
-    return starts
-
-
 def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
     """rest(cov, p): a lower bound on the steps a lone player at p still
     needs to cover the targets whose bits are clear in the coverage word cov.
@@ -177,13 +167,12 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
     is ``postman._min_pairing`` asked with one spare end.
 
     Both bounds drop by at most one per step (the module docstring gives
-    the argument), so the search stays exact. The rows depend on the graph and the target only,
-    so they are kept on the graph under ("bound", target) and shared by
-    every rule and span value. Each row is computed once, on first use, and
-    stored as n bytes (every value is below 255 up to order 14): the vertex
-    target keeps one flat table of all 2^n coverage words, which costs less
-    than a dict of the rows met, and the edge target, whose 2^m words are
-    too many, a dict of the rows met.
+    the argument), so the search stays exact. The rows depend on the graph
+    and the target only, so they are kept on the graph under
+    ("bound", target) and shared by every rule and span value. Each row is
+    computed once, on first use, and stored as n bytes (every value fits in
+    a byte up to order 14) in a dict keyed by the coverage words met, for
+    both targets.
     """
 
     def build() -> Callable[[int, int], int]:
@@ -223,19 +212,6 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
                         t += 1
                     out.append(tree + t)
                 return bytes(out)
-
-            # 255 marks a row not computed yet; filling a row is one slice
-            # assignment, so a reader sees none or all of it
-            table = bytearray(b"\xff") * (n << n)
-            full = (1 << n) - 1
-
-            def rest(cov: int, p: int) -> int:
-                at = cov * n
-                h = table[at + p]
-                if h == 255:
-                    table[at:at + n] = row_of(full ^ cov)
-                    h = table[at + p]
-                return h
         else:
             ends = [1 << u | 1 << v for u, v in c.edges]
             cost = _min_pairing(c.dist)[0]
@@ -250,14 +226,14 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
                 k = left.bit_count()
                 return bytes(k + cost((odd ^ 1 << p) << 2 | 1) for p in range(n))
 
-            rows: dict[int, bytes] = {}
-            full = (1 << c.m) - 1
+        rows: dict[int, bytes] = {}
+        full = (1 << _cover(c, target)[0]) - 1
 
-            def rest(cov: int, p: int) -> int:
-                try:
-                    return rows[cov][p]
-                except KeyError:
-                    return rows.setdefault(cov, row_of(full ^ cov))[p]
+        def rest(cov: int, p: int) -> int:
+            try:
+                return rows[cov][p]
+            except KeyError:
+                return rows.setdefault(cov, row_of(full ^ cov))[p]
 
         return rest
 
@@ -340,7 +316,7 @@ def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, 
     of c, and generators of Aut(c); built once per graph and kept on it."""
 
     def compute():
-        label, gens = _canonical_search(g)
+        label, gens, _ = _canonical_answers(g)
         vertex = tuple(sorted(range(g.n), key=label.__getitem__))
         c = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
         c_gens = tuple(tuple(label[t[v]] for v in vertex) for t in gens)
@@ -352,13 +328,17 @@ def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, 
 def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int):
     """The witness pair of one best-first search (None once it stores more
     than ``budget`` states) and the number of states it stored."""
-    width = g.n if target is Target.VERTICES else g.m
     # search the canonical copy, so that the order of the search, and with it
     # the states stored and the witness, do not depend on the input's labels
     c, vertex, c_gens = _canonical_copy(g)
+    width, bit = _cover(c, target)
+    starts = [
+        (u * g.n + v) << 2 * width | bit[u][u] << width | bit[v][v]
+        for u, v in _start_pairs(c, sigma, c_gens)
+    ]
     goal, parent = _best_first(
-        _start_states(c, target, sigma, width, c_gens),
-        _transition_tables(c, rule, target, sigma, width),
+        starts,
+        _transition_tables(c, rule, target, sigma),
         g.n,
         width,
         rule is Rule.LAZY,

@@ -19,7 +19,9 @@ coverage of the full move set (see ``_moves``): the strong rule's lazy moves
 plus the diagonals whose two lazy intermediates are both at distance < k,
 and for the active rule one spanning double star of each complete bipartite
 block of active moves. The witness BFS and the minimal-length search read
-each rule's full move set.
+each rule's full move set. What a step covers, a vertex or an edge, has one
+definition per graph and target, ``_cover``, which the span pass, the
+witness BFS and the minimal-length search read.
 """
 
 from __future__ import annotations
@@ -181,12 +183,24 @@ class SpanReport:
     witness_component: int
 
 
-def _edge_bits(g: Graph) -> list[list[int]]:
-    """edge_bit[a][b] = 1 << (index of edge ab), 0 for non-adjacent a, b."""
-    edge_bit = [[0] * g.n for _ in range(g.n)]
-    for i, (a, b) in enumerate(g.edges):
-        edge_bit[a][b] = edge_bit[b][a] = 1 << i
-    return edge_bit
+def _cover(g: Graph, target: Target) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(width, bit): the bits per player of the target, and bit[a][b], what a
+    player covers when it steps from a to b, or stands at a when b == a.
+
+    Vertex target: 1 << b. Edge target: 1 << (index of edge ab in g.edges),
+    0 for a stay. Built once per graph and target, and read by the span
+    pass, the witness BFS and the minimal-length search.
+    """
+
+    def compute():
+        if target is Target.VERTICES:
+            return g.n, (tuple(1 << b for b in range(g.n)),) * g.n
+        bit = [[0] * g.n for _ in range(g.n)]
+        for i, (a, b) in enumerate(g.edges):
+            bit[a][b] = bit[b][a] = 1 << i
+        return g.m, tuple(map(tuple, bit))
+
+    return g._memoized(("cover", target), compute)
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -227,8 +241,8 @@ def _union_levels(g: Graph, rule: Rule):
     edge_cov); the three lists are updated in place by the later levels.
     """
     n = g.n
-    m = g.m
-    g_bit = _edge_bits(g)
+    vertex_bit = _cover(g, Target.VERTICES)[1]
+    m, g_bit = _cover(g, Target.EDGES)
     f_bit = [[b << m for b in row] for row in g_bit]
     parent = list(range(n * n))
     vertex_cov = [0] * (n * n)
@@ -240,7 +254,7 @@ def _union_levels(g: Graph, rule: Rule):
         for s in levels[k]:
             u, v = divmod(s, n)
             present[s] = 1
-            vertex_cov[s] = (1 << u << n) | (1 << v)
+            vertex_cov[s] = vertex_bit[u][u] << n | vertex_bit[v][v]
             f_row = f_bit[u]
             g_row = g_bit[v]
             root = s
@@ -327,11 +341,9 @@ def _component_witness(
     """
     n = g.n
     dist = g.dist
-    vertices = target is Target.VERTICES
-    width = n if vertices else g.m
-    edge_bit = _edge_bits(g)
+    width, bit = _cover(g, target)
     u, v = divmod(root, n)
-    covered = (1 << u << width) | (1 << v) if vertices else 0
+    covered = bit[u][u] << width | bit[v][v]
     full = (1 << 2 * width) - 1
     parent = {root: root}
     kept = []
@@ -346,10 +358,7 @@ def _component_witness(
         u, v = divmod(s, n)
         for t in sorted(x * n + y for x, y in _moves(g, rule, u, v) if dist[x][y] >= k):
             x, y = divmod(t, n)
-            if vertices:
-                bits = (1 << x << width) | (1 << y)
-            else:
-                bits = (edge_bit[u][x] << width) | edge_bit[v][y]
+            bits = bit[u][x] << width | bit[v][y]
             if t not in parent:
                 parent[t] = s
                 order.append(t)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidVertex, LengthMismatch, MalformedInput, NotATrack
-from .graph import Graph, _digits, _norm
+from .graph import Graph, _content_lines, _digits, _norm
 
 __all__ = [
     "Walk",
@@ -149,15 +149,12 @@ def format_walk(w: Walk) -> str:
 
 def parse_walk(text: str, n: int) -> Walk:
     """Parse 'v1,v2,...' (1-based names); '#' lines and blanks are skipped."""
-    line = None
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if stripped and not stripped.startswith("#"):
-            if line is not None:
-                raise MalformedInput("walk file holds more than one walk line")
-            line = stripped
-    if line is None:
+    lines = _content_lines(text)
+    if not lines:
         raise MalformedInput("no walk line found")
+    if len(lines) > 1:
+        raise MalformedInput("walk file holds more than one walk line")
+    line = lines[0][1]
     seq = []
     for token in line.split(","):
         token = token.strip()

@@ -23,7 +23,7 @@ from graphspan import (
     span,
     star,
 )
-from graphspan.families import _canonical_search, closed_minlen
+from graphspan.families import _canonical_answers, closed_minlen
 from graphspan.graph import FamilySpec
 from graphspan.minlen import (
     SEARCH_ORDER_LIMIT,
@@ -285,7 +285,7 @@ class TestRemainingBound:
 
 def _assert_one_start_per_orbit(g):
     # the lowest pair of each orbit of Aut(G) x player swap, no other
-    gens = _canonical_search(g)[1]
+    gens = _canonical_answers(g)[1]
     for sigma in range(g.radius + 1):
         orbits = brute_force_pair_orbits(g, sigma)
         assert _start_pairs(g, sigma, gens) == sorted(min(o) for o in orbits)

@@ -1,0 +1,38 @@
+"""Source guards over the package modules: the runtime imports only the
+standard library, and a breached invariant raises InternalError, never a bare
+AssertionError."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "graphspan").glob("*.py"))
+
+
+def _nodes():
+    assert SOURCES, "no package modules found"
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            yield path.name, node
+
+
+def test_imports_only_the_standard_library():
+    outside = []
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        outside += [(name, node.lineno, module) for module in modules
+                    if module.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_no_assert_statements():
+    found = [(name, node.lineno) for name, node in _nodes() if isinstance(node, ast.Assert)]
+    assert found == []
