@@ -6,6 +6,7 @@ Vertices are 0-based integers internally; user-facing renderings use the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -81,7 +82,7 @@ class Graph:
     reader sees either no row or the whole row.
     """
 
-    __slots__ = ("n", "edges", "adj", "dist", "radius", "_edge_index", "_memo")
+    __slots__ = ("n", "edges", "adj", "dist", "radius", "_memo")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 1:
@@ -93,7 +94,6 @@ class Graph:
             raise DisconnectedInput("graph is not connected")
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
-        self._edge_index = {e: i for i, e in enumerate(self.edges)}
 
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
@@ -131,11 +131,16 @@ class Graph:
         return len(self.adj[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm(u, v) in self._edge_index
+        return 0 <= u < self.n and 0 <= v < self.n and self.dist[u][v] == 1
 
     def edge_index(self, u: int, v: int) -> int:
-        """Position of the edge in the sorted edge tuple (used as a bit index)."""
-        return self._edge_index[_norm(u, v)]
+        """Position of the edge in the sorted edge tuple (used as a bit
+        index); KeyError if uv is not an edge."""
+        e = _norm(u, v)
+        i = bisect_left(self.edges, e)
+        if i == len(self.edges) or self.edges[i] != e:
+            raise KeyError(e)
+        return i
 
     @property
     def diameter(self) -> int:
@@ -242,16 +247,6 @@ def parse_graph6(text: str) -> Graph:
 # ---------------------------------------------------------------------------
 # Families
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "complete_bipartite": 2,
-    "star": 1,
-    "kn_plus": 1,
-}
-
-
 @dataclass(frozen=True)
 class FamilySpec:
     """A named graph family plus its integer parameters."""
@@ -260,12 +255,12 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self):
-        if self.family not in _FAMILY_ARITY:
+        if self.family not in _GENERATORS:
             raise InvalidParams(f"unknown family {self.family!r}")
-        if len(self.params) != _FAMILY_ARITY[self.family]:
+        arity = _GENERATORS[self.family].__code__.co_argcount
+        if len(self.params) != arity:
             raise InvalidParams(
-                f"{self.family} takes {_FAMILY_ARITY[self.family]} parameter(s), "
-                f"got {len(self.params)}"
+                f"{self.family} takes {arity} parameter(s), got {len(self.params)}"
             )
 
     @classmethod

@@ -10,15 +10,16 @@ and conversely a valid walk pair never leaves its component, so the
 component test is exact; an independent brute-force oracle over walk pairs
 confirms this on all small graphs in the test suite. One union-find pass per
 rule, adding states in decreasing distance order, decides every threshold for
-both targets, and its result is kept on the graph, so every later query of the
-same rule on the same graph reads it. The pass takes the states from per-level
-lists of flat indices, built once per graph and shared by the rules, so each
-pair enters once. At threshold k the pass reads a reduced move set for the
-strong and active rules, one that ends every level with the components and
-coverage of the full move set (see ``_moves``): the strong rule's lazy moves
-plus the diagonals whose two lazy intermediates are both at distance < k,
-and for the active rule one spanning double star of each complete bipartite
-block of active moves. The witness BFS and the minimal-length search read
+both targets from one coverage word per component, the vertex bits of both
+players above their edge bits, and its result is kept on the graph, so every
+later query of the same rule on the same graph reads it. The pass takes the
+states from per-level lists of flat indices, built once per graph and shared
+by the rules, so each pair enters once. At threshold k the pass reads a
+reduced move set for the strong and active rules, one that ends every level
+with the components and coverage of the full move set (see ``_moves``): the
+strong rule's lazy moves plus the diagonals whose two lazy intermediates are
+both at distance < k, and for the active rule one spanning double star of
+each complete bipartite block of active moves. The witness BFS and the minimal-length search read
 each rule's full move set. What a step covers, a vertex or an edge, has one
 definition per graph and target, ``_cover``, which the span pass, the
 witness BFS and the minimal-length search read.
@@ -88,11 +89,14 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
     moves at level k, which end every level with the components and coverage
     of the full move set. The lazy move set does not depend on k.
 
-    Strong rule: the lazy moves, plus the diagonals (x, y) with d(x, v) < k
-    and d(u, y) < k, which exist only when d(u, v) = k. A dropped diagonal has
-    a lazy intermediate, (x, v) or (u, y), at distance >= k; it is present by
-    the end of level k, and its two lazy moves join the same states and cover
-    the same f-edge ux and g-edge vy.
+    Lazy and strong rules: for each x in N(u), the strong diagonals (x, y),
+    then (x, v); after them every (u, y). The minimal-length search breaks
+    its ties in this order. At threshold k the strong rule keeps only the
+    diagonals with d(x, v) < k and d(u, y) < k, which exist only when
+    d(u, v) = k. A dropped diagonal has a lazy intermediate, (x, v) or
+    (u, y), at distance >= k; it is present by the end of level k, and its
+    two lazy moves join the same states and cover the same f-edge ux and
+    g-edge vy.
 
     Active rule: let first(a, b) be the lowest neighbour of b at distance >= k
     from a. Every active move (u', v)-(x, y) lies in the block A x B with
@@ -146,26 +150,20 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
                     if dist[x][y] >= k:
                         yield x, y
                         break
-    elif rule is Rule.TRADITIONAL and k is None:
+    else:
         # both-stay is omitted: it covers nothing and never affects
         # component structure
-        for x in (*adj[u], u):
-            for y in (*adj[v], v):
-                if (x, y) != (u, v):
-                    yield x, y
-    else:
+        dist = g.dist
+        ys = adj[v] if rule is Rule.TRADITIONAL else ()
+        if ys and k is not None:
+            ys = [y for y in ys if dist[u][y] < k]
         for x in adj[u]:
+            if ys and (k is None or dist[x][v] < k):
+                for y in ys:
+                    yield x, y
             yield x, v
         for y in adj[v]:
             yield u, y
-        if rule is Rule.TRADITIONAL:
-            dist = g.dist
-            ys = [y for y in adj[v] if dist[u][y] < k]
-            if ys:
-                for x in adj[u]:
-                    if dist[x][v] < k:
-                        for y in ys:
-                            yield x, y
 
 
 def feasible(g: Graph, rule: Rule, target: Target, k: int) -> bool:
@@ -234,48 +232,45 @@ def _union_levels(g: Graph, rule: Rule):
     successors already present, taken from ``_moves`` at the level's
     threshold; those reduced move sets end every level with the components
     and coverage of the full move set. Each root is the lowest index of its
-    component and carries, per target, the OR of the per-player coverage
-    bits (f bits above g bits): a state adds its vertices when it enters, a
+    component and carries one coverage word, the OR of what the component
+    covers: both players' vertex bits above both players' edge bits, f bits
+    above g bits within each. A state writes its two vertices into its word
+    when it enters, so a state is present iff its word is nonzero, and a
     product edge adds its base edges when it is unioned. After each level k
-    it yields (k, the roots touched on the level, parent, vertex_cov,
-    edge_cov); the three lists are updated in place by the later levels.
+    it yields (k, the roots touched on the level, parent, cov); both lists
+    are updated in place by the later levels.
     """
     n = g.n
     vertex_bit = _cover(g, Target.VERTICES)[1]
     m, g_bit = _cover(g, Target.EDGES)
     f_bit = [[b << m for b in row] for row in g_bit]
     parent = list(range(n * n))
-    vertex_cov = [0] * (n * n)
-    edge_cov = [0] * (n * n)
-    present = bytearray(n * n)
+    cov = [0] * (n * n)
     levels = _levels(g)
     for k in range(g.radius, -1, -1):
         touched = []
         for s in levels[k]:
             u, v = divmod(s, n)
-            present[s] = 1
-            vertex_cov[s] = vertex_bit[u][u] << n | vertex_bit[v][v]
+            cov[s] = (vertex_bit[u][u] << n | vertex_bit[v][v]) << 2 * m
             f_row = f_bit[u]
             g_row = g_bit[v]
             root = s
             for x, y in _moves(g, rule, u, v, k):
                 t = x * n + y
-                if not present[t]:
+                if not cov[t]:
                     continue
                 bits = f_row[x] | g_row[y]
                 other = parent[t]
                 if parent[other] != other:  # most successors sit next to their root
                     other = _find(parent, other)
-                if other == root:
-                    edge_cov[root] |= bits
-                    continue
-                if other < root:
-                    root, other = other, root
-                parent[other] = root
-                vertex_cov[root] |= vertex_cov[other]
-                edge_cov[root] |= edge_cov[other] | bits
+                if other != root:
+                    if other < root:
+                        root, other = other, root
+                    parent[other] = root
+                    bits |= cov[other]
+                cov[root] |= bits
             touched.append(root)
-        yield k, {_find(parent, r) for r in touched}, parent, vertex_cov, edge_cov
+        yield k, {_find(parent, r) for r in touched}, parent, cov
 
 
 def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -283,24 +278,21 @@ def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
     the vertex target, then of the edge target, from one union-find pass.
 
     The unions do not depend on the target, so one pass of
-    ``_union_levels`` decides both. Only roots touched on a level can have
-    become full on it. The pass stops on the first level at which both
-    targets have been full.
+    ``_union_levels`` decides both, each from its bits of the coverage word.
+    Only roots touched on a level can have become full on it. The pass stops
+    on the first level at which both targets have been full.
     """
-    vertex_full = (1 << 2 * g.n) - 1
-    edge_full = (1 << 2 * g.m) - 1
-    vertex_hit = edge_hit = None
-    for k, roots, _, vertex_cov, edge_cov in _union_levels(g, rule):
-        if vertex_hit is None:
-            hits = [r for r in roots if vertex_cov[r] == vertex_full]
-            if hits:
-                vertex_hit = (k, min(hits))
-        if edge_hit is None:
-            hits = [r for r in roots if edge_cov[r] == edge_full]
-            if hits:
-                edge_hit = (k, min(hits))
-        if vertex_hit and edge_hit:
-            return vertex_hit, edge_hit
+    edge_bits = 2 * g.m
+    fulls = (((1 << 2 * g.n) - 1) << edge_bits, (1 << edge_bits) - 1)
+    hits = [None, None]
+    for k, roots, _, cov in _union_levels(g, rule):
+        for i, full in enumerate(fulls):
+            if hits[i] is None:
+                full_roots = [r for r in roots if cov[r] & full == full]
+                if full_roots:
+                    hits[i] = (k, min(full_roots))
+        if None not in hits:
+            return tuple(hits)
     raise InternalError("threshold 0 must be feasible for a connected graph")
 
 
@@ -382,26 +374,18 @@ def _component_witness(
         if s in marked:
             children.setdefault(parent[s], []).append(s)
     seq: list[int] = []
-    path: list[int] = []
-    pending = []
-
-    def enter(s: int) -> None:
+    pending = [root]  # ~s marks leaving s
+    while pending:
+        s = pending.pop()
+        if s < 0:
+            if ~s != root:
+                seq.append(parent[~s])
+            continue
         seq.append(s)
         for t in detours.get(s, ()):
             seq.extend((t, s))
-        path.append(s)
-        pending.append(iter(children.get(s, ())))
-
-    enter(root)
-    while pending:
-        s = next(pending[-1], None)
-        if s is not None:
-            enter(s)
-            continue
-        pending.pop()
-        path.pop()
-        if path:
-            seq.append(path[-1])
+        pending.append(~s)
+        pending.extend(reversed(children.get(s, ())))
     return Walk(tuple(s // n for s in seq)), Walk(tuple(s % n for s in seq))
 
 

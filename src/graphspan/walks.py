@@ -88,12 +88,18 @@ def classify(g: Graph, w: Walk) -> WalkClass:
     )
 
 
-def pair_distance(g: Graph, f: Walk, h: Walk) -> int:
-    """Minimum over positions of the graph distance between simultaneous entries."""
+def _check_pair(g: Graph, f: Walk, h: Walk) -> None:
+    """Raise LengthMismatch unless f and h have equal lengths, then
+    InvalidVertex for the first entry of f, then of h, outside the graph."""
     if f.l != h.l:
         raise LengthMismatch(f"walk lengths differ: {f.l} != {h.l}")
     _check_vertices(g, f)
     _check_vertices(g, h)
+
+
+def pair_distance(g: Graph, f: Walk, h: Walk) -> int:
+    """Minimum over positions of the graph distance between simultaneous entries."""
+    _check_pair(g, f, h)
     return min(g.dist[a][b] for a, b in zip(f.seq, h.seq))
 
 
@@ -103,10 +109,7 @@ def is_opposite_lazy(g: Graph, f: Walk, h: Walk) -> bool:
     Walks whose steps are neither a stay nor an edge traversal are not valid
     lazy walks, so the pair is reported as not opposite.
     """
-    if f.l != h.l:
-        raise LengthMismatch(f"walk lengths differ: {f.l} != {h.l}")
-    _check_vertices(g, f)
-    _check_vertices(g, h)
+    _check_pair(g, f, h)
     for (a, b), (c, d) in zip(f.step_pairs(), h.step_pairs()):
         f_moves = a != b
         h_moves = c != d

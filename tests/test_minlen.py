@@ -19,6 +19,8 @@ from graphspan import (
     kn_plus,
     length_lower_bounds,
     min_length,
+    format_walk,
+    generate,
     path,
     span,
     star,
@@ -197,6 +199,7 @@ def _reference_rest(g, target, p, left) -> int:
 
 
 ORDER_SIX_ROWS = Path(__file__).with_name("minlen_order6.txt")
+SMALL_FAMILY_REPORTS = Path(__file__).with_name("minlen_small_reports.txt")
 
 
 class TestExactness:
@@ -215,6 +218,20 @@ class TestExactness:
             rows += 1
             mismatches += [rep.length, rep.capped, rep.span_value] != [int(x) for x in expected]
         assert (rows, len(graphs), mismatches) == (858, 143, 0)
+
+    def test_small_family_reports_unchanged(self):
+        # the whole report, stored-state count and witnesses included: the
+        # order of the full move set decides which of the tied walks is found
+        expected = [line.split() for line in SMALL_FAMILY_REPORTS.read_text().splitlines()
+                    if not line.startswith("#")]
+        got = []
+        for spec, rule, target, *_ in expected:
+            rep = min_length(generate(FamilySpec.from_string(spec)), Rule(rule), Target(target))
+            walks = [format_walk(w) for w in rep.witness] if rep.witness else ["-", "-"]
+            got.append([spec, rule, target, str(rep.length), str(rep.explored_states),
+                        str(int(rep.capped)), *walks])
+        assert len(expected) == 54
+        assert got == expected
 
     @pytest.mark.parametrize(
         "g,lengths,ceiling",

@@ -1,12 +1,15 @@
 """Source guards over the package modules: the runtime imports only the
-standard library, and a breached invariant raises InternalError, never a bare
-AssertionError."""
+standard library, a breached invariant raises InternalError, never a bare
+AssertionError, and every typed error is importable from the package."""
 
 from __future__ import annotations
 
 import ast
 import sys
 from pathlib import Path
+
+import graphspan
+from graphspan import errors
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "graphspan").glob("*.py"))
 
@@ -36,3 +39,11 @@ def test_imports_only_the_standard_library():
 def test_no_assert_statements():
     found = [(name, node.lineno) for name, node in _nodes() if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_every_error_is_exported():
+    defined = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.GraphSpanError)
+               and obj.__module__ == errors.__name__]
+    assert len(defined) > 1
+    assert [e.__name__ for e in defined if getattr(graphspan, e.__name__, None) is not e] == []

@@ -339,16 +339,15 @@ def _full_move_pass(monkeypatch, g, rule):
 def _level_ends(g, rule):
     """After every level of the pass, down to threshold 0: each component
     of the present states, keyed by its root, with its states and the
-    root's vertex and edge coverage bits."""
+    root's coverage word."""
     n = g.n
     ends = []
-    for k, _, parent, vertex_cov, edge_cov in spans._union_levels(g, rule):
+    for k, _, parent, cov in spans._union_levels(g, rule):
         components = {}
         for s in range(n * n):
             if g.dist[s // n][s % n] >= k:
                 components.setdefault(spans._find(parent, s), []).append(s)
-        ends.append((k, {r: (states, vertex_cov[r], edge_cov[r])
-                         for r, states in components.items()}))
+        ends.append((k, {r: (states, cov[r]) for r, states in components.items()}))
     return ends
 
 
