@@ -16,11 +16,11 @@ from graphspan import (
     complete,
     complete_bipartite,
     cycle,
+    format_walk,
+    generate,
     kn_plus,
     length_lower_bounds,
     min_length,
-    format_walk,
-    generate,
     path,
     span,
     star,
