@@ -23,10 +23,10 @@ import functools
 import json
 import sys
 from importlib import resources
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import GraphSpanError, InternalError, MalformedInput, VerificationFailure
-from .families import family_closed_checks, find_minimal_direct_gap
+from .families import closed_minlen, closed_span, find_minimal_direct_gap
 from .graph import FamilySpec, Graph, _content_lines, _digits, complete, generate, kn_plus
 from .graph import parse_edge_list, parse_graph6
 from .minlen import DEFAULT_STATE_BUDGET, min_length
@@ -168,6 +168,29 @@ def _cmd_postman(args) -> tuple[int, dict, list[str]]:
         "walk": walk,
     }
     return 0, doc, lines
+
+
+def family_closed_checks(state_budget: int) -> Iterator[tuple[str, str, str, str, int, object]]:
+    """Engine-vs-table rows (kind, family, rule, target, table, engine): every
+    "span" row, then every "minlen" row. A minimal-length search that stores
+    more than state_budget states reports "capped" as its engine value."""
+    span_cases = (("path", 2, 9), ("cycle", 3, 9), ("complete", 1, 7), ("kn_plus", 4, 8))
+    minlen_cases = (("path", 2, 9), ("cycle", 3, 9), ("complete", 2, 8))
+    for kind, cases in (("span", span_cases), ("minlen", minlen_cases)):
+        for family, lo, hi in cases:
+            for n in range(lo, hi):
+                spec = FamilySpec(family, (n,))
+                g = generate(spec)
+                for rule in Rule:
+                    for target in Target:
+                        if kind == "span":
+                            want = closed_span(spec, rule, target)
+                            got: object = span(g, rule, target).value
+                        else:
+                            want = closed_minlen(spec, rule, target)
+                            rep = min_length(g, rule, target, state_budget=state_budget)
+                            got = "capped" if rep.capped else rep.length
+                        yield kind, str(spec), rule.value, target.value, want, got
 
 
 def _cmd_verify_family(args) -> tuple[int, dict, list[str]]:

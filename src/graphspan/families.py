@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .errors import NoClosedForm, TooLarge, VerificationFailure
-from .graph import FamilySpec, Graph, generate, kn_plus
+from .graph import FamilySpec, Graph, kn_plus
 from .spans import Rule, Target, span
 
 ENUMERATION_LIMIT = 8
@@ -316,27 +316,3 @@ def find_minimal_direct_gap() -> Graph:
             )
     return hit
 
-
-def family_closed_checks(state_budget: int) -> Iterator[tuple[str, str, str, str, int, object]]:
-    """Engine-vs-table rows (kind, family, rule, target, table, engine): every
-    "span" row, then every "minlen" row. A minimal-length search that stores
-    more than state_budget states reports "capped" as its engine value."""
-    from .minlen import min_length
-
-    span_cases = (("path", 2, 9), ("cycle", 3, 9), ("complete", 1, 7), ("kn_plus", 4, 8))
-    minlen_cases = (("path", 2, 9), ("cycle", 3, 9), ("complete", 2, 8))
-    for kind, cases in (("span", span_cases), ("minlen", minlen_cases)):
-        for family, lo, hi in cases:
-            for n in range(lo, hi):
-                spec = FamilySpec(family, (n,))
-                g = generate(spec)
-                for rule in Rule:
-                    for target in Target:
-                        if kind == "span":
-                            want = closed_span(spec, rule, target)
-                            got: object = span(g, rule, target).value
-                        else:
-                            want = closed_minlen(spec, rule, target)
-                            rep = min_length(g, rule, target, state_budget=state_budget)
-                            got = "capped" if rep.capped else rep.length
-                        yield kind, str(spec), rule.value, target.value, want, got

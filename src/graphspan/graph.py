@@ -21,9 +21,15 @@ from .errors import (
     InvalidParams,
     MalformedInput,
     SelfLoop,
+    TooLarge,
 )
 
 Edge = tuple[int, int]
+
+# the largest family parameter or edge-list vertex count the parsers accept:
+# `span --family path:1000` takes 15-20 s and 615 MB (2 cores, Python 3.11),
+# and an unchecked count can ask for more memory than there is, or overflow
+ORDER_LIMIT = 1000
 
 
 def _norm(u: int, v: int) -> Edge:
@@ -173,7 +179,8 @@ def parse_edge_list(text: str) -> Graph:
     Grammar: the first non-comment line holds the vertex count n; every
     following non-comment line holds one edge "u v" with 0 <= u < v < n.
     Lines starting with '#' and blank lines are ignored; LF and CRLF both
-    accepted.
+    accepted. A vertex count above ORDER_LIMIT raises TooLarge before any
+    edge is read.
     """
     n: int | None = None
     edges: list[Edge] = []
@@ -191,6 +198,8 @@ def parse_edge_list(text: str) -> Graph:
                 ) from None
             if n < 1:
                 raise MalformedInput(f"line {lineno}: vertex count must be positive")
+            if n > ORDER_LIMIT:
+                raise TooLarge(f"line {lineno}: vertex count {n} above the limit {ORDER_LIMIT}")
             continue
         if len(parts) != 2:
             raise MalformedInput(f"line {lineno}: expected 'u v', got {line!r}")
@@ -249,7 +258,8 @@ def parse_graph6(text: str) -> Graph:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named graph family plus its integer parameters."""
+    """A named graph family plus its integer parameters, each at most
+    ORDER_LIMIT."""
 
     family: str
     params: tuple[int, ...]
@@ -262,6 +272,9 @@ class FamilySpec:
             raise InvalidParams(
                 f"{self.family} takes {arity} parameter(s), got {len(self.params)}"
             )
+        for p in self.params:
+            if p > ORDER_LIMIT:
+                raise TooLarge(f"{self.family} parameter {p} above the limit {ORDER_LIMIT}")
 
     @classmethod
     def from_string(cls, text: str) -> "FamilySpec":

@@ -18,9 +18,10 @@ by the rules, so each pair enters once. At threshold k the pass reads a
 reduced move set for the strong and active rules, one that ends every level
 with the components and coverage of the full move set (see ``_moves``): the
 strong rule's lazy moves plus the diagonals whose two lazy intermediates are
-both at distance < k, and for the active rule one spanning double star of
-each complete bipartite block of active moves. The witness BFS and the minimal-length search read
-each rule's full move set. What a step covers, a vertex or an edge, has one
+both at distance < k, and for the active rule one half of a spanning double
+star of each complete bipartite block of active moves, each star edge read
+from one end only. The witness BFS and the minimal-length search read each
+rule's full move set. What a step covers, a vertex or an edge, has one
 definition per graph and target, ``_cover``, which the span pass, the
 witness BFS and the minimal-length search read.
 """
@@ -98,32 +99,58 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
     two lazy moves join the same states and cover the same f-edge ux and
     g-edge vy.
 
-    Active rule: let first(a, b) be the lowest neighbour of b at distance >= k
-    from a. Every active move (u', v)-(x, y) lies in the block A x B with
+    Active rule: let first(a, b) be the lowest neighbour of b at distance
+    >= k from a. Every active move (u', v)-(x, y) lies in the block A x B with
     A = {(u', v): u' in N(x)} and B = {(x, y): y in N(v)}, both cut to
-    distance >= k, and each block is complete bipartite. The kept moves give
-    each block the spanning double star a0 x B + A x b0, with
-    a0 = (first(v, x), v) and b0 = (x, first(x, v)), which covers the same
-    f-edges u'x and g-edges vy as the whole block. From (u, v), in its
-    blocks as an A state (x in N(u)) and as a B state (y in N(v)), that is:
-    (x, first(x, v)), or every (x, y') when first(v, x) = u, for each x; and
-    (first(y, u), y), or every (x', y) when first(u, y) = v, for each y. The
-    set is symmetric, so whichever end enters later yields the move. When a
-    lower level adds states to a block, its new a0 or b0 joins the whole old
-    block, and an old a0 or b0 is the one of the higher level. A pair with
-    deg(u) deg(v) <= 2 (deg(u) + deg(v)) yields all its moves instead; every
-    such mix lies between the reduced and the full set.
+    distance >= k, and each block is complete bipartite. From (u, v) the
+    pass reads, for each x in N(u), every (x, y) with y in N(v) when
+    first(v, x) = u, and otherwise (x, first(x, v)): half of the spanning
+    double star a0 x B + A x b0, with a0 = (first(v, x), v) and
+    b0 = (x, first(x, v)), each star edge read from its A end only. A move
+    is applied when the end that reads it enters after the other one. That
+    is enough, by this proof:
+
+    Order (O): pairs enter level by level, and within a level in increasing
+    u*n + v, which ``_levels`` keeps. So p enters before q whenever
+    level(p) >= level(q) and p's f-vertex is lower.
+
+    Claim: at the end of level k, the two ends of every active move between
+    present pairs are in one component, whose word holds the move's f-edge
+    and g-edge. Induct down the levels; moves with both ends above k hold
+    from the level above. Within level k, take the moves p = (u, v) -
+    q = (x, y) with u < x and one end at level k, ordered by x, then type 1
+    before type 2, then type 2 by u.
+
+    Type 1, level(q) = k <= level(p): by (O) p entered before q. Toward u,
+    q reads its full row, which holds p, or (u, c) with c = first(u, y)
+    <= v; by (O) (u, c) entered before q, so q-(u, c) is applied. If
+    c != v, let s = (first(y, u), y), whose f-vertex is below x, as q did
+    not read its full row. The moves s-(u, c) and s-p have both f-vertices
+    below x, so they hold by induction. s-p carries the g-edge vy, and
+    q-(u, c) the f-edge ux.
+
+    Type 2, level(p) = k < level(q): q is present when p enters. Toward x,
+    p reads its full row, which holds q, or t = (x, y') with
+    y' = first(x, v) <= y. If y' != y, let s = (w, v) with
+    w = first(v, x) < u, as p did not read its full row. Then p-t is
+    applied (t is at a higher level) or is a type-1 move with the same x.
+    The moves t-s and s-q have f-vertices x and w < u, so they hold by
+    type 1, by the level above or by induction on u. s-q carries vy, and
+    p-t carries ux.
+
+    Every move read is a real move, so the components and words equal
+    those of the full move set.
     """
     adj = g.adj
     if rule is Rule.ACTIVE:
         xs, ys = adj[u], adj[v]
-        if k is None or len(xs) * len(ys) <= 2 * (len(xs) + len(ys)):
+        if k is None:
             for x in xs:
                 for y in ys:
                     yield x, y
             return
         dist = g.dist
-        du, dv = dist[u], dist[v]
+        dv = dist[v]
         for x in xs:
             # first(v, x) exists and is at most u, which qualifies
             for w in adj[x]:
@@ -136,18 +163,6 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
                 dx = dist[x]
                 for y in ys:
                     if dx[y] >= k:
-                        yield x, y
-                        break
-        for y in ys:
-            for w in adj[y]:
-                if du[w] >= k:
-                    break
-            if w == v:
-                for x in xs:
-                    yield x, y
-            else:
-                for x in xs:
-                    if dist[x][y] >= k:
                         yield x, y
                         break
     else:

@@ -425,6 +425,18 @@ def _subset_class(n: int, mask: int) -> int | None:
     return reference_canon_bits(n, adj)
 
 
+def labeled_connected(max_n: int) -> list[Graph]:
+    """Every connected labeled graph of order <= max_n, that is every
+    distinct labeling of every class: 772 graphs for max_n = 5."""
+    out = []
+    for n in range(1, max_n + 1):
+        pair_list = list(combinations(range(n), 2))
+        for mask in range(1 << len(pair_list)):
+            if _connected_mask(n, pair_list, mask):
+                out.append(Graph(n, [e for i, e in enumerate(pair_list) if mask >> i & 1]))
+    return out
+
+
 def reference_enumerate_connected(max_n: int, max_m: int | None = None) -> list[Graph]:
     """The labeled subset scan: every edge subset of each order in increasing
     mask order, deduplicated by canonical form keeping the first (lowest)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from graphspan import Graph, InternalError, Target, classify, kn_plus, pair_distance
 from graphspan import cli
 from graphspan.cli import main
+from graphspan.graph import ORDER_LIMIT
 from graphspan.walks import parse_walk
 
 from oracles import connected_graphs, count_engine_calls
@@ -136,6 +137,33 @@ class TestSpanCommand:
         assert code == 2 and "line 1" in err
         code, _, err = run(capsys, "span", "--family", f"path:{count}")
         assert code == 2 and repr(count) in err
+
+    @pytest.mark.parametrize("spec, param", [
+        ("path:1001", "path parameter 1001"),
+        ("complete:99999999999999999999", "complete parameter 99999999999999999999"),
+        ("complete_bipartite:2,1001", "complete_bipartite parameter 1001"),
+    ])
+    def test_oversized_family_is_too_large(self, capsys, spec, param):
+        # checked as the spec is parsed, so nothing large is allocated; the
+        # second spec used to end in an OverflowError traceback with exit 1
+        code, out, err = run(capsys, "span", "--family", spec)
+        assert code == 2 and out == ""
+        assert f"{param} above the limit {ORDER_LIMIT}" in err
+
+    def test_oversized_vertex_count_is_too_large(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text(f"# path\n{ORDER_LIMIT + 1}\n0 1\n")
+        code, out, err = run(capsys, "span", "--file", str(p))
+        assert code == 2 and out == ""
+        assert f"line 2: vertex count {ORDER_LIMIT + 1} above the limit {ORDER_LIMIT}" in err
+
+    def test_vertex_count_at_the_limit_is_read(self, tmp_path, capsys):
+        # the bound rejects only counts above it: this file fails on its
+        # connectivity, after the count was accepted
+        p = tmp_path / "g.txt"
+        p.write_text(f"{ORDER_LIMIT}\n0 1\n")
+        code, _, err = run(capsys, "span", "--file", str(p))
+        assert code == 2 and "not connected" in err
 
     def test_disconnected_file(self, tmp_path, capsys):
         p = tmp_path / "g.txt"

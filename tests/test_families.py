@@ -35,9 +35,9 @@ from graphspan.families import (
     _canonical_answers,
     automorphism_count,
     canonical_form,
-    family_closed_checks,
     is_isomorphic,
 )
+from graphspan.cli import family_closed_checks
 
 from oracles import (
     connected_graphs,

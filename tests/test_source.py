@@ -1,10 +1,12 @@
 """Source guards over the package modules: the runtime imports only the
-standard library, a breached invariant raises InternalError, never a bare
-AssertionError, and every typed error is importable from the package."""
+standard library, the imports among package modules form no cycle, a
+breached invariant raises InternalError, never a bare AssertionError, and
+every typed error is importable from the package."""
 
 from __future__ import annotations
 
 import ast
+import graphlib
 import sys
 from pathlib import Path
 
@@ -34,6 +36,24 @@ def test_imports_only_the_standard_library():
         outside += [(name, node.lineno, module) for module in modules
                     if module.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_package_imports_form_no_cycle():
+    # an import inside a function only defers the cycle to its first call,
+    # so it counts as much as one at the top
+    modules = {path.stem for path in SOURCES}
+    imports: dict[str, set[str]] = {name: set() for name in modules}
+    for name, node in _nodes():
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [node.module] if node.module else [alias.name for alias in node.names]
+            imports[name.removesuffix(".py")].update(
+                t if t in modules else "__init__" for t in targets)
+    cycle = None
+    try:
+        tuple(graphlib.TopologicalSorter(imports).static_order())
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]
+    assert cycle is None
 
 
 def test_no_assert_statements():

@@ -36,6 +36,7 @@ from oracles import (
     connected_graphs,
     corpus,
     count_engine_calls,
+    labeled_connected,
     oracle_span,
     rule_moves,
     validate_pair,
@@ -354,9 +355,9 @@ def _level_ends(g, rule):
 class TestReducedMoves:
     """At each level's threshold the span pass reads reduced strong and
     active move sets: the strong rule's lazy moves plus the diagonals whose
-    lazy intermediates are both closer than the threshold, and one spanning
-    double star per block of active moves. Every level must end as with the
-    full set."""
+    lazy intermediates are both closer than the threshold, and half of a
+    spanning double star per block of active moves, each star edge read from
+    its A end. Every level must end as with the full set."""
 
     def test_pass_matches_full_move_set(self, monkeypatch):
         graphs = [
@@ -377,9 +378,11 @@ class TestReducedMoves:
         # coverage differs; compare every level's components and the
         # coverage bits of their roots; the library stars (centre 0) and the
         # trees fail a double star cut down to its star moves at some level,
-        # while the final values stay equal
+        # while the final values stay equal; the active set's soundness
+        # rests on the labels, through first() and the u*n + v entry order,
+        # so every labeling of every graph of order <= 5 runs too
         graphs = [*corpus(6), *_dense_graphs(), complete(12), kn_plus(8),
-                  star(6), star(9), *all_trees(8)]
+                  star(6), star(9), *all_trees(8), *labeled_connected(5)]
         reduced = {(i, rule): _level_ends(g, rule)
                    for i, g in enumerate(graphs) for rule in Rule}
         _full_moves(monkeypatch)
@@ -413,9 +416,10 @@ class TestReducedMoves:
             spans._span_pass(complete(20), rule)
         # 380 pairs at distance 1 enter, and the pass stops there: the strong
         # rule keeps its 38 lazy moves plus the swap (v, u), the only diagonal
-        # with both intermediates at distance 0; the active rule keeps one
-        # double star per block instead of its 19 * 19 - 19 moves
-        assert counts == {Rule.TRADITIONAL: 14_820, Rule.ACTIVE: 28_840, Rule.LAZY: 14_440}
+        # with both intermediates at distance 0; the active rule reads each
+        # block's double star from its A ends only, instead of its
+        # 19 * 19 - 19 moves
+        assert counts == {Rule.TRADITIONAL: 14_820, Rule.ACTIVE: 14_420, Rule.LAZY: 14_440}
 
     def test_unthresholded_moves_are_the_full_set(self):
         # the witness BFS and the minimal-length search read this move set
