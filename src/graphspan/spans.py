@@ -20,10 +20,13 @@ with the components and coverage of the full move set (see ``_moves``): the
 strong rule's lazy moves plus the diagonals whose two lazy intermediates are
 both at distance < k, and for the active rule one half of a spanning double
 star of each complete bipartite block of active moves, each star edge read
-from one end only. The witness BFS and the minimal-length search read each
-rule's full move set. What a step covers, a vertex or an edge, has one
-definition per graph and target, ``_cover``, which the span pass, the
-witness BFS and the minimal-length search read.
+from one end only. The witness BFS reads the same thresholded moves at the
+span value: from any pair they reach its whole component of the full move
+set and cover what it covers (see ``_moves``). Only the minimal-length
+search, ``minlen._transition_tables``, reads each rule's full move set. What
+a step covers, a vertex or an edge, has one definition per graph and
+target, ``_cover``, which the span pass, the witness BFS and the
+minimal-length search read.
 """
 
 from __future__ import annotations
@@ -86,9 +89,12 @@ def _check_variant(rule: Rule, target: Target) -> None:
 def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
     """Successor pairs of (u, v) under the rule, before threshold filtering.
 
-    Without a threshold k, every move of the rule. With one, the span pass's
-    moves at level k, which end every level with the components and coverage
-    of the full move set. The lazy move set does not depend on k.
+    Without a threshold k, every move of the rule; only the minimal-length
+    search reads it. With one, the moves read at threshold k by the span
+    pass, which end every level with the components and coverage of the
+    full move set, and by the witness BFS, which follows them from one pair
+    with every pair at distance >= k present (the witness claim below). The
+    lazy move set does not depend on k.
 
     Lazy and strong rules: for each x in N(u), the strong diagonals (x, y),
     then (x, v); after them every (u, y). The minimal-length search breaks
@@ -140,6 +146,27 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
 
     Every move read is a real move, so the components and words equal
     those of the full move set.
+
+    Witness claim: fix k and let S be the pairs at distance >= k. From any
+    pair of S, the moves read, cut to S, reach its whole component of the
+    full move set and cover the same f-edges and g-edges. Lazy: the move set
+    does not depend on k. Strong: the kept diagonals are symmetric, as
+    d(x, v) < k and d(u, y) < k read the same from both ends, and a dropped
+    diagonal (u, v)-(x, y) has an intermediate, (x, v) or (u, y), in S: a
+    two-step lazy path covering the same f-edge ux and g-edge vy.
+
+    Active: in the block of (x, v), the hub a0 = (first(v, x), v) reads all
+    of B, and every other pair of A reads the base b0 = (x, first(x, v)).
+    Lemma: in every block with A and B nonempty, b0 reaches a0 by reads.
+    Let w = first(v, x) and z = first(x, v). Then b0 = (x, z) lies in A of
+    the block of (w, z), and a0 = (w, v) in its B. If first(w, z) = v, b0
+    reads a0 directly, or reads the full row, which holds a0. Otherwise
+    first(w, z) < v, and b0 reads the full row or that block's base. By
+    induction on v + first(x, v), which falls from the block of (x, v) to
+    that of (w, z), that base reaches that block's hub, which reads all of
+    its B, a0 included. So for every real move p = (u, v)-q = (x, y), p
+    reads q or p -> b0 ~> a0 -> q, where p -> b0 carries the f-edge ux and
+    a0 -> q the g-edge vy; q reaches p the same way in the block of (u, y).
     """
     adj = g.adj
     if rule is Rule.ACTIVE:
@@ -251,9 +278,12 @@ def _union_levels(g: Graph, rule: Rule):
     covers: both players' vertex bits above both players' edge bits, f bits
     above g bits within each. A state writes its two vertices into its word
     when it enters, so a state is present iff its word is nonzero, and a
-    product edge adds its base edges when it is unioned. After each level k
-    it yields (k, the roots touched on the level, parent, cov); both lists
-    are updated in place by the later levels.
+    product edge adds its base edges when it is unioned. A root unioned
+    below another hands its word over and keeps the word 1, since only root
+    words and the nonzero test are read again; so the words hold one full
+    word per component, not one per state. After each level k it yields
+    (k, the roots touched on the level, parent, cov); both lists are updated
+    in place by the later levels.
     """
     n = g.n
     vertex_bit = _cover(g, Target.VERTICES)[1]
@@ -283,6 +313,7 @@ def _union_levels(g: Graph, rule: Rule):
                         root, other = other, root
                     parent[other] = root
                     bits |= cov[other]
+                    cov[other] = 1
                 cov[root] |= bits
             touched.append(root)
         yield k, {_find(parent, r) for r in touched}, parent, cov
@@ -338,6 +369,9 @@ def _component_witness(
     increasing flat index, credits each target of each player to the first
     element in BFS order that covers it: a state for a vertex target, a
     product edge for an edge target. It stops once every target is credited.
+    It follows the moves ``_moves`` reads at threshold k, which reach the
+    whole component and cover what its full move set covers (the witness
+    claim there).
     The kept subtree holds every credited state and the child end of every
     credited tree edge, with their tree paths to root; a credited non-tree
     edge s-t becomes the detour s, t, s at s. The depth-first walk of the
@@ -363,7 +397,7 @@ def _component_witness(
         s = order[head]
         head += 1
         u, v = divmod(s, n)
-        for t in sorted(x * n + y for x, y in _moves(g, rule, u, v) if dist[x][y] >= k):
+        for t in sorted(x * n + y for x, y in _moves(g, rule, u, v, k) if dist[x][y] >= k):
             x, y = divmod(t, n)
             bits = bit[u][x] << width | bit[v][y]
             if t not in parent:

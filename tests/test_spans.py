@@ -352,12 +352,36 @@ def _level_ends(g, rule):
     return ends
 
 
+def _reach(moves, start):
+    """States reachable from start along the successor lists of moves."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for t in moves[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def _covered(moves, component, width, bit):
+    """OR of what the moves out of the component's states cover, in the
+    witness BFS's layout: f bits above g bits."""
+    word = 0
+    for u, v in component:
+        for x, y in moves[u, v]:
+            word |= bit[u][x] << width | bit[v][y]
+    return word
+
+
 class TestReducedMoves:
     """At each level's threshold the span pass reads reduced strong and
     active move sets: the strong rule's lazy moves plus the diagonals whose
     lazy intermediates are both closer than the threshold, and half of a
     spanning double star per block of active moves, each star edge read from
-    its A end. Every level must end as with the full set."""
+    its A end. Every level must end as with the full set, and at a fixed
+    threshold, with every pair at or above it present, the moves read from
+    any pair must reach and cover its whole full-set component."""
 
     def test_pass_matches_full_move_set(self, monkeypatch):
         graphs = [
@@ -402,6 +426,33 @@ class TestReducedMoves:
                             assert set(spans._moves(g, rule, u, v, k)) <= full, (
                                 g.n, g.edges, rule, u, v, k)
 
+    def test_reads_reach_the_full_component_at_every_threshold(self):
+        # the witness BFS follows only the moves a state reads at the fixed
+        # threshold k, with every pair at distance >= k present; from every
+        # such pair the reads must reach its whole component of the full move
+        # set, and the moves read there must cover what the full set covers;
+        # the labels matter for the active set, so every labeling runs
+        for g in labeled_connected(5):
+            covers = [spans._cover(g, target) for target in TARGETS]
+            for rule in (Rule.TRADITIONAL, Rule.ACTIVE):
+                for k in range(g.radius + 1):
+                    states = [(u, v) for u in g.vertices for v in g.vertices
+                              if g.dist[u][v] >= k]
+                    full = {s: [t for t in rule_moves(g, rule, *s) if g.dist[t[0]][t[1]] >= k]
+                            for s in states}
+                    reads = {s: [t for t in spans._moves(g, rule, *s, k)
+                                 if g.dist[t[0]][t[1]] >= k]
+                             for s in states}
+                    left = set(states)
+                    while left:
+                        component = _reach(full, min(left))
+                        left -= component
+                        for s in component:
+                            assert _reach(reads, s) == component, (g.n, g.edges, rule, k, s)
+                        for width, bit in covers:
+                            assert _covered(reads, component, width, bit) == _covered(
+                                full, component, width, bit), (g.n, g.edges, rule, k)
+
     def test_complete_20_move_counts(self, monkeypatch):
         counts = {}
         moves = spans._moves
@@ -422,7 +473,7 @@ class TestReducedMoves:
         assert counts == {Rule.TRADITIONAL: 14_820, Rule.ACTIVE: 14_420, Rule.LAZY: 14_440}
 
     def test_unthresholded_moves_are_the_full_set(self):
-        # the witness BFS and the minimal-length search read this move set
+        # the minimal-length search reads this move set
         for g in (kn_plus(5), complete_bipartite(2, 3)):
             for rule in Rule:
                 for u in g.vertices:
@@ -430,6 +481,16 @@ class TestReducedMoves:
                         got = list(spans._moves(g, rule, u, v))
                         assert len(got) == len(set(got))
                         assert set(got) == set(rule_moves(g, rule, u, v))
+
+    def test_merged_states_keep_a_marker_word(self):
+        # only root words and the nonzero presence test are read, so a state
+        # unioned below another root keeps the word 1, not its 2n + 2m bits
+        for g in (path(30), complete(8)):
+            for rule in Rule:
+                *_, (k, _, parent, cov) = spans._union_levels(g, rule)
+                assert k == 0
+                merged = [s for s in range(g.n * g.n) if parent[s] != s]
+                assert merged and all(cov[s] == 1 for s in merged), (g.n, rule)
 
     def test_levels_hold_each_pair_once(self):
         for g in (path(1), cycle(7), kn_plus(6), star(9)):
@@ -477,12 +538,33 @@ class TestWitnesses:
                 assert validate_pair(g, rule, target, f, h, value) == []
 
     def test_large_witness_revalidates(self):
-        # the strong-product component of K20 at distance 1 has 380 states
-        # and 72,010 product edges; the tree walk stops its BFS once all
-        # 190 edges are credited for both players
-        g = complete(20)
-        f, h = witness_sweeps(g, Rule.TRADITIONAL, Target.EDGES)
-        assert validate_pair(g, Rule.TRADITIONAL, Target.EDGES, f, h, 1) == []
+        # each witness component of K30 at distance 1 has 870 states, and
+        # the strong one 378,015 product edges, of which its states read
+        # 49,590 at threshold 1; the BFS follows the reads and stops once
+        # all 435 edges are credited for both players
+        g = complete(30)
+        for rule, target in ALL_VARIANTS:
+            f, h = witness_sweeps(g, rule, target)
+            assert validate_pair(g, rule, target, f, h, span(g, rule, target).value) == []
+
+    def test_witness_reads_the_thresholded_moves(self, monkeypatch):
+        # the reads at the span value reach the whole full-set component
+        # (see TestReducedMoves), so the BFS never needs the full move set
+        graphs = corpus(5)
+        for g in graphs:
+            all_spans(g)
+        moves = spans._moves
+        thresholds = []
+
+        def recorded(g, rule, u, v, k=None):
+            thresholds.append(k)
+            return moves(g, rule, u, v, k)
+
+        monkeypatch.setattr(spans, "_moves", recorded)
+        for g in graphs:
+            for rule, target in ALL_VARIANTS:
+                witness_sweeps(g, rule, target)
+        assert thresholds and None not in thresholds
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(8))
