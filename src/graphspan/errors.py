@@ -61,9 +61,9 @@ class TooLarge(GraphSpanError):
     """The input exceeds a fixed size bound: a family parameter or edge-list
     vertex count above graph.ORDER_LIMIT, raised as it is parsed, before any
     graph is built; or a bound of an exhaustive computation, the enumeration
-    order, the order of the canonical search behind canonical_form,
-    is_isomorphic and automorphism_count, or the odd vertices route
-    inspection pairs, raised before that computation runs."""
+    order or the order of the canonical search behind canonical_form,
+    is_isomorphic and automorphism_count, raised before that computation
+    runs."""
 
 
 class NoClosedForm(GraphSpanError):

@@ -40,22 +40,29 @@ witness back: the order in which it takes ties, and with it the states it
 stores, its time and its memory, are then the same for every labeling. The
 relabeled copy, its coverage tables (``spans._cover``, the bits a start or a
 move adds) and its bound rows are built once per graph and kept on it, so
-the six searches of one graph share them.
+the six searches of one graph share them; a search that leaves more than
+``KEPT_BOUND_ROWS`` rows empties its table, so what a graph keeps stays
+bounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional
 
 from .errors import InternalError
 from .families import SEARCH_ORDER_LIMIT, _canonical_answers
 from .graph import Graph
-from .postman import _min_pairing
 from .spans import Rule, Target, _check_variant, _cover, _moves, span
 from .walks import Walk
 
 DEFAULT_STATE_BUDGET = 1 << 20  # stored states, about 125 bytes each
+# Bound rows a graph keeps per target after a search, about 110 bytes each;
+# a search that leaves more empties the table. The graphs of order <= 6 keep
+# at most 1,794 (edges) and 54 (vertices); the K7 lazy/edges search builds
+# 25,219.
+KEPT_BOUND_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -148,6 +155,45 @@ def _start_pairs(g: Graph, sigma: int, gens: list[list[int]]) -> list[tuple[int,
     return reps
 
 
+def _min_pairing(dist) -> Callable[[int], int]:
+    """cost(mask << 2 | spare): the minimum total distance of a pairing of
+    the vertices whose bits are set in mask (bit v is vertex v) that leaves
+    at most spare of them unpaired; the popcount of mask must have the
+    parity of spare.
+
+    Exact recursion over subsets, computed on demand: cost(key) takes the
+    lowest member and, while spare allows, leaves it unpaired, or pairs it
+    with each other member, plus the cost of the rest. Only the keys
+    reachable from the queried ones are computed, each once. The cost of a
+    pair is the shortest-path distance.
+    """
+
+    @cache
+    def cost(key: int) -> int:
+        mask, spare = key >> 2, key & 3
+        if not mask:
+            return 0
+        low = mask & -mask
+        rest = mask ^ low
+        row = dist[low.bit_length() - 1]
+        best = cost(rest << 2 | spare - 1) if spare else -1
+        sub = rest
+        while sub:
+            bit = sub & -sub
+            cand = cost((rest ^ bit) << 2 | spare) + row[bit.bit_length() - 1]
+            if best < 0 or cand < best:
+                best = cand
+            sub ^= bit
+        return best
+
+    return cost
+
+
+def _bound_rows(c: Graph, target: Target) -> dict[int, bytes]:
+    """The rows of ``_remaining_bound`` kept on c, keyed by coverage word."""
+    return c._memoized(("bound rows", target), dict)
+
+
 def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
     """rest(cov, p): a lower bound on the steps a lone player at p still
     needs to cover the targets whose bits are clear in the coverage word cov.
@@ -164,15 +210,17 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
     holds the vertices of odd degree in U and PM is the least total
     distance of a pairing: the extra crossings of a walk from p to its end
     e join the vertices of odd(U) ^ {p} ^ {e} in pairs. The minimum over v
-    is ``postman._min_pairing`` asked with one spare end.
+    is ``_min_pairing`` asked with one spare end.
 
     Both bounds drop by at most one per step (the module docstring gives
     the argument), so the search stays exact. The rows depend on the graph
-    and the target only, so they are kept on the graph under
-    ("bound", target) and shared by every rule and span value. Each row is
+    and the target only, so they are kept on the graph (``_bound_rows``)
+    and shared by every rule and span value, as is rest with the distance
+    masks and the pairing costs it reads them from. Each row is
     computed once, on first use, and stored as n bytes (every value fits in
     a byte up to order 14) in a dict keyed by the coverage words met, for
-    both targets.
+    both targets. ``_shortest_pair`` empties a table that has grown past
+    ``KEPT_BOUND_ROWS`` once its search ends.
     """
 
     def build() -> Callable[[int, int], int]:
@@ -214,7 +262,7 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
                 return bytes(out)
         else:
             ends = [1 << u | 1 << v for u, v in c.edges]
-            cost = _min_pairing(c.dist)[0]
+            cost = _min_pairing(c.dist)
 
             def row_of(left: int) -> bytes:
                 odd = 0
@@ -226,7 +274,7 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
                 k = left.bit_count()
                 return bytes(k + cost((odd ^ 1 << p) << 2 | 1) for p in range(n))
 
-        rows: dict[int, bytes] = {}
+        rows = _bound_rows(c, target)
         full = (1 << _cover(c, target)[0]) - 1
 
         def rest(cov: int, p: int) -> int:
@@ -345,6 +393,9 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
         _remaining_bound(c, target),
         budget,
     )
+    rows = _bound_rows(c, target)
+    if len(rows) > KEPT_BOUND_ROWS:
+        rows.clear()  # what a graph keeps after its searches stays bounded
     if goal is None:
         return None, len(parent)
     positions = []

@@ -1,30 +1,31 @@
 """Eulerian walks and shortest covering walks (route inspection).
 
-Duplicated edges live only in an internal multigraph; results are flattened
-back to plain vertex sequences on the simple input graph. All tie-breaks take
-the lowest available index, so outputs are reproducible.
+A shortest covering walk is an Eulerian walk of the graph with one more
+traversal of every edge on a shortest path between paired odd-degree
+vertices. The pairs come from a minimum-weight perfect matching on the
+distances between the k odd vertices, by Edmonds' blossom algorithm in
+O(k^3) time (``_min_perfect_matching``). With free endpoints two dummy
+vertices, joined at cost 0 to every odd vertex and not to each other, pick
+the two odd vertices the walk ends at. Duplicated edges live only in an
+internal multigraph; results are flattened back to plain vertex sequences on
+the simple input graph. The matching breaks ties in a fixed scan order, the
+walk starts at the lower of its two ends, and the shortest paths and the
+Hierholzer walk take the lowest available index, so outputs are
+reproducible.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Literal
+from typing import Literal, Optional
 
-from .errors import EmptyEdgeSet, InvalidParams, NotEulerian, TooLarge
+from .errors import EmptyEdgeSet, InternalError, InvalidParams, NotEulerian
 from .graph import Edge, Graph, _norm
 from .walks import Walk
 
 EulerClass = Literal["circuit", "trail", "none"]
 Mode = Literal["closed", "free_endpoints"]
-
-# Most odd-degree vertices route inspection pairs. The pairing recursion
-# stores only the keys reachable from the one it is asked: for k odd vertices,
-# Fibonacci(k + 1) of them in closed mode and twice that with free endpoints,
-# 75,025 and 150,050 at this bound (complete(24): 0.2 s and 0.4 s).
-PAIRING_LIMIT = 24
-
 
 @dataclass(frozen=True)
 class CoveringWalkResult:
@@ -107,58 +108,311 @@ def euler_walk_multigraph(adj, counts: Counter, start: int) -> list[int]:
     return out
 
 
-def _min_pairing(dist) -> tuple[Callable[[int], int], dict[int, int]]:
-    """cost(mask << 2 | spare): the minimum total distance of a pairing of
-    the vertices whose bits are set in mask (bit v is vertex v) that leaves
-    at most spare of them unpaired; the popcount of mask must have the
-    parity of spare. choice[key] records the decision behind cost(key).
+def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
+    """mate[v] of a perfect matching of the vertices 0..n-1 of least total
+    cost, where cost[u][v] = cost[v][u] >= 0 is the integer cost of joining u
+    and v, or None where they may not be joined.
 
-    Exact recursion over subsets, computed on demand: cost(key) takes the
-    lowest member and, while spare allows, first leaves it unpaired (choice
-    0), then pairs it with each other member in increasing order (choice:
-    that member's bit), keeping the first cheapest choice, plus the cost of
-    the rest. Only the keys reachable from the queried ones are computed,
-    each once. The cost of a pair is the shortest-path distance.
+    Edmonds' primal-dual blossom algorithm ("Paths, trees, and flowers",
+    1965; Edmonds and Johnson, "Matching, Euler tours and the Chinese
+    postman", 1973), in O(n^3) time. The dual holds y(v) per vertex and
+    z(B) >= 0 per blossom B, an odd set shrunk to one vertex, and keeps the
+    slack w(u, v) - y(u) - y(v) + (z of the blossoms holding both u and v)
+    >= 0 on every edge. With w = 2 * cost every dual stays an integer: the
+    exposed vertices share one dual value, so the slack between two outer
+    blossoms is even and half of it is a whole step. A stage grows alternating trees of tight (zero slack) edges
+    from every exposed vertex: outer vertices are the roots and the mates of
+    inner ones. A tight edge from an outer vertex labels a free blossom
+    inner and its mate outer, shrinks the odd cycle it closes in one tree
+    into a blossom, or joins two trees into an augmenting path, which ends
+    the stage. With no tight edge left, the dual moves by the largest step
+    that keeps it feasible: +step on outer vertices and -step on inner ones
+    (z moves by twice that on outer and inner blossoms, so their inside
+    edges keep their slack). The step makes an edge to a free vertex tight,
+    or an edge between two outer blossoms, or the z of an inner blossom
+    zero, which then expands into its parts. At the end every matched edge
+    is tight and every blossom with z > 0 is full, so the matching is
+    optimal. Each stage takes O(n^2): every vertex is scanned once as an
+    outer vertex, and the least slack edge into each free vertex and out of
+    each outer blossom is kept, so a step reads O(n) entries. Ties go
+    however the scan order meets them, so the result depends only on cost.
+    Raises InternalError when no perfect matching exists.
     """
-    choice: dict[int, int] = {}
+    n = len(cost)
+    w = [[None if c is None else 2 * c for c in row] for row in cost]
+    FREE, OUTER, INNER = 0, 1, 2
+    slots = 2 * n  # vertices 0..n-1, blossoms n..2n-1
+    mate = [-1] * n
+    dual = [0] * slots
+    top = list(range(n))  # the outermost blossom holding each vertex
+    parent = [-1] * slots
+    base = list(range(n)) + [-1] * n
+    kids: list = [None] * slots  # the odd cycle, from the part holding the base
+    links: list = [None] * slots  # links[b][i] joins kids[b][i] to kids[b][i + 1]
+    unused = list(range(slots - 1, n - 1, -1))
+    queue: list[int] = []
 
-    @cache
-    def cost(key: int) -> int:
-        mask, spare = key >> 2, key & 3
-        if not mask:
-            return 0
-        low = mask & -mask
-        rest = mask ^ low
-        row = dist[low.bit_length() - 1]
-        best = cost(rest << 2 | spare - 1) if spare else -1
-        chosen = 0
-        sub = rest
-        while sub:
-            bit = sub & -sub
-            cand = cost((rest ^ bit) << 2 | spare) + row[bit.bit_length() - 1]
-            if best < 0 or cand < best:
-                best, chosen = cand, bit
-            sub ^= bit
-        choice[key] = chosen
-        return best
+    def leaves(b: int) -> list[int]:
+        out, stack = [], [b]
+        while stack:
+            x = stack.pop()
+            if x < n:
+                out.append(x)
+            else:
+                stack.extend(kids[x])
+        return out
 
-    return cost, choice
+    def slack(x: int, y: int) -> int:
+        return w[x][y] - dual[x] - dual[y]
+
+    def assign(v, x, lab):
+        # label the outermost blossom of x, reached from the outer vertex v
+        # (None at a root), and the mate of an inner blossom's base outer
+        while True:
+            b = top[x]
+            label[x] = label[b] = lab
+            edge[x] = edge[b] = None if v is None else (v, x)
+            if lab == OUTER:
+                queue.extend(leaves(b))
+                return
+            v = base[b]
+            x, lab = mate[v], OUTER
+
+    def meet(v, x):
+        # the outermost blossom where the tree paths of v and x meet, or -1
+        # when they lie in two trees
+        seen = set()
+        a, b = top[v], top[x]
+        while a >= 0 or b >= 0:
+            if a >= 0:
+                if a in seen:
+                    return a
+                seen.add(a)
+                e = edge[a]
+                a = -1 if e is None else top[edge[top[e[0]]][0]]
+            a, b = b, a
+        return -1
+
+    def shrink(bb, v, x):
+        # the cycle bb .. top[v] - top[x] .. bb becomes one outer blossom
+        b = unused.pop()
+        cycle, joins = [], []
+        t = top[v]
+        while t != bb:
+            cycle.append(t)
+            joins.append(edge[t])
+            t = top[edge[t][0]]
+        cycle.append(bb)
+        cycle.reverse()
+        joins.reverse()
+        joins.append((v, x))
+        t = top[x]
+        while t != bb:
+            cycle.append(t)
+            joins.append(edge[t][::-1])
+            t = top[edge[t][0]]
+        for t in cycle:
+            parent[t] = b
+        parent[b], base[b], kids[b], links[b] = -1, base[bb], cycle, joins
+        label[b], edge[b], dual[b] = OUTER, edge[bb], 0
+        for y in leaves(b):
+            if label[top[y]] == INNER:
+                queue.append(y)  # inner vertices turn outer and are scanned
+            top[y] = b
+        # the least slack edge to each other outer blossom, from the parts'
+        # lists, or from the rows of parts that have none
+        best: dict[int, tuple[int, int, int]] = {}
+        for t in cycle:
+            edges = out_list[t]
+            if edges is None:
+                edges = [(y, z) for y in leaves(t) for z in range(n) if w[y][z] is not None]
+            for y, z in edges:
+                bz = top[z]
+                if bz != b and label[bz] == OUTER:
+                    s = slack(y, z)
+                    if bz not in best or s < best[bz][0]:
+                        best[bz] = (s, y, z)
+            out_list[t] = best_out[t] = None
+        out_list[b] = [(y, z) for _, y, z in best.values()]
+        best_out[b] = min(best.values())[1:] if best else None
+
+    def rebase(b, v):
+        # make the vertex v the base of blossom b, swapping matched and
+        # unmatched links along the even side of the cycle
+        t = v
+        while parent[t] != b:
+            t = parent[t]
+        if t >= n:
+            rebase(t, v)
+        cycle, joins = kids[b], links[b]
+        size, i = len(cycle), cycle.index(t)
+        for k in range(i - 2, -1, -2) if i % 2 == 0 else range(i + 1, size, 2):
+            y, z = joins[k]
+            if cycle[k] >= n:
+                rebase(cycle[k], y)
+            if cycle[(k + 1) % size] >= n:
+                rebase(cycle[(k + 1) % size], z)
+            mate[y], mate[z] = z, y
+        kids[b], links[b] = cycle[i:] + cycle[:i], joins[i:] + joins[:i]
+        base[b] = v
+
+    def augment(v, x):
+        for s, j in ((v, x), (x, v)):
+            while True:
+                bs = top[s]
+                if bs >= n:
+                    rebase(bs, s)
+                mate[s] = j
+                if edge[bs] is None:
+                    break
+                bt = top[edge[bs][0]]
+                s, j = edge[bt]
+                if bt >= n:
+                    rebase(bt, j)
+                mate[j] = s
+
+    def expand(b, stage_end):
+        for t in kids[b]:
+            parent[t] = -1
+            if t < n:
+                top[t] = t
+            elif stage_end and dual[t] == 0:
+                expand(t, stage_end)
+            else:
+                for y in leaves(t):
+                    top[y] = t
+        if not stage_end and label[b] == INNER:
+            # relabel the even path from the part the label entered by to
+            # the base: inner, outer, ..., inner
+            cycle, joins = kids[b], links[b]
+            size = len(cycle)
+            entry = top[edge[b][1]]
+            j = cycle.index(entry)
+            step = 1 if j % 2 else -1
+            v, x = edge[b]
+            while j % size:
+                assign(v, x, INNER)
+                if step == 1:
+                    v, x = joins[(j + 1) % size]
+                else:
+                    x, v = joins[j - 2]
+                j += 2 * step
+            t = cycle[0]
+            label[x] = label[t] = INNER
+            edge[x] = edge[t] = (v, x)
+            # the other parts stay free unless an outer vertex has reached
+            # one of their vertices by a tight edge
+            j += step
+            while cycle[j % size] != entry:
+                t = cycle[j % size]
+                j += step
+                if label[t] == OUTER:
+                    continue
+                reached = [y for y in leaves(t) if label[y] == INNER]
+                if reached:
+                    assign(edge[reached[0]][0], reached[0], INNER)
+        base[b] = -1  # the slot is free; its dual is 0
+        unused.append(b)
+
+    def scan(v) -> bool:
+        # every edge of the outer vertex v; True once the matching grew
+        row = w[v]
+        for x in range(n):
+            c = row[x]
+            bv, bx = top[v], top[x]
+            if c is None or bv == bx:
+                continue
+            s = c - dual[v] - dual[x]
+            if s == 0:
+                if label[bx] == FREE:
+                    assign(v, x, INNER)
+                elif label[bx] == OUTER:
+                    bb = meet(v, x)
+                    if bb < 0:
+                        augment(v, x)
+                        return True
+                    shrink(bb, v, x)
+                elif label[x] == FREE:
+                    label[x], edge[x] = INNER, (v, x)  # reached inside an inner blossom
+            elif label[bx] == OUTER:
+                if best_out[bv] is None or s < slack(*best_out[bv]):
+                    best_out[bv] = (v, x)
+            elif label[x] == FREE and (best_in[x] < 0 or s < slack(best_in[x], x)):
+                best_in[x] = v
+        return False
+
+    while -1 in mate:
+        label = [FREE] * slots
+        edge: list = [None] * slots  # the edge (outer v, x in b) that labelled b
+        best_in = [-1] * n  # the outer vertex of the least slack edge into x
+        best_out: list = [None] * slots  # least slack edge from an outer blossom
+        out_list: list = [None] * slots  # ... to each other outer blossom
+        for v in range(n):
+            if mate[v] < 0 and label[top[v]] == FREE:
+                assign(None, v, OUTER)
+        grown = False
+        while not grown:
+            while queue and not grown:
+                grown = scan(queue.pop())
+            if grown:
+                break
+            step, event = None, None
+            for x in range(n):
+                if label[top[x]] == FREE and best_in[x] >= 0:
+                    s = slack(best_in[x], x)
+                    if step is None or s < step:
+                        step, event = s, best_in[x]
+            for b in range(slots):
+                if parent[b] < 0 and (b < n or base[b] >= 0):
+                    if label[b] == OUTER and best_out[b] is not None:
+                        s = slack(*best_out[b]) // 2
+                        if step is None or s < step:
+                            step, event = s, best_out[b][0]
+                    elif label[b] == INNER and b >= n and (step is None or dual[b] // 2 < step):
+                        step, event = dual[b] // 2, ~b
+            if step is None:
+                raise InternalError("no perfect matching exists")
+            for x in range(n):
+                lab = label[top[x]]
+                if lab == OUTER:
+                    dual[x] += step
+                elif lab == INNER:
+                    dual[x] -= step
+            for b in range(n, slots):
+                if parent[b] < 0 and base[b] >= 0:
+                    if label[b] == OUTER:
+                        dual[b] += 2 * step
+                    elif label[b] == INNER:
+                        dual[b] -= 2 * step
+            if event >= 0:
+                queue.append(event)  # its least slack edge is tight now
+            else:
+                expand(~event, False)
+        for b in range(n, slots):
+            if parent[b] < 0 and base[b] >= 0 and label[b] == OUTER and dual[b] == 0:
+                expand(b, True)
+        queue.clear()
+    return mate
 
 
-def _recorded_pairing(choice: dict[int, int], key: int) -> tuple[list[tuple[int, int]], list[int]]:
-    """The pairs and the unpaired vertices that choice records from key on."""
-    mask, spare = key >> 2, key & 3
-    pairs, ends = [], []
-    while mask:
-        low = mask & -mask
-        partner = choice[mask << 2 | spare]
-        if partner:
-            pairs.append((low.bit_length() - 1, partner.bit_length() - 1))
-        else:
-            ends.append(low.bit_length() - 1)
-            spare -= 1
-        mask ^= low | partner
-    return pairs, ends
+def _pair_odd_vertices(dist, odd: list[int], free: bool) -> tuple[list[tuple[int, int]], list[int]]:
+    """The pairs (a, b), a < b, of a least-distance pairing of the odd
+    vertices (given in increasing order), and the two left unpaired in free
+    mode, lower first.
+
+    Free mode adds two vertices joined at cost 0 to every odd vertex and not
+    to each other: a perfect matching then joins each to one end of the
+    walk, and pairs the other odd vertices at least total distance.
+    """
+    k = len(odd)
+    if not k:
+        return [], []
+    extra = 2 if free else 0
+    cost = [[dist[a][b] for b in odd] + [0] * extra for a in odd]
+    cost += [[0] * k + [None] * extra for _ in range(extra)]
+    mate = _min_perfect_matching(cost)
+    pairs = [(odd[i], odd[j]) for i, j in enumerate(mate[:k]) if i < j < k]
+    return pairs, [odd[i] for i in range(k) if mate[i] >= k]
 
 
 def _augmenting_paths(g: Graph, pairs: list[tuple[int, int]]) -> list[Edge]:
@@ -180,24 +434,17 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
 
     'closed' forces equal endpoints (classical route inspection); the default
     'free_endpoints' also minimizes over distinct start/end. Minimality comes
-    from an exact minimum-cost pairing of odd-degree vertices by shortest-path
-    distance; in free_endpoints mode the pairing may leave two of them
-    unpaired, and the walk runs from the lower of the two to the other.
+    from a minimum-cost perfect matching of the odd-degree vertices by
+    shortest-path distance; in free_endpoints mode two dummy vertices leave
+    two of them unpaired, and the walk runs from the lower of the two to the
+    higher.
     """
     if g.m == 0:
         raise EmptyEdgeSet("covering walk needs at least one edge")
     if mode not in ("closed", "free_endpoints"):
         raise InvalidParams(f"unknown mode {mode!r}")
-    odd = sum(1 << u for u in range(g.n) if g.degree(u) % 2)
-    if odd.bit_count() > PAIRING_LIMIT:
-        raise TooLarge(
-            f"route inspection pairs at most {PAIRING_LIMIT} odd-degree vertices, "
-            f"graph has {odd.bit_count()}"
-        )
-    cost, choice = _min_pairing(g.dist)
-    key = odd << 2 | (0 if mode == "closed" else 2)
-    cost(key)
-    pairs, ends = _recorded_pairing(choice, key)
+    odd = [u for u in range(g.n) if g.degree(u) % 2]
+    pairs, ends = _pair_odd_vertices(g.dist, odd, mode != "closed")
     extra = _augmenting_paths(g, pairs)
     counts = Counter(g.edges)
     for e in extra:

@@ -269,9 +269,12 @@ class TestPostmanCommand:
         code, _, err = run(capsys, "postman", "--family", "path:1")
         assert code == 2 and "input error" in err
 
-    def test_pairing_bound_is_input_error(self, capsys):
-        code, _, err = run(capsys, "postman", "--family", "complete:30")
-        assert code == 2 and "at most 24 odd-degree vertices, graph has 30" in err
+    @pytest.mark.parametrize("spec,free,closed", [("complete:30", 449, 450), ("star:40", 76, 78)])
+    def test_thirty_odd_vertices_and_more(self, capsys, spec, free, closed):
+        # 30 and 40 odd vertices, above the 24 the pairing recursion allowed
+        for mode, length in (("free", free), ("closed", closed)):
+            code, out, _ = run(capsys, "postman", "--family", spec, "--mode", mode)
+            assert code == 0 and f"length_edges: {length}" in out
 
 
 class TestVerifyCommands:
@@ -364,7 +367,11 @@ class TestRepeatedMain:
 # representative labeling that enumerate_connected yields. The two witness
 # prefixes were retaken when the witnesses became depth-first walks of a
 # pruned BFS tree instead of Euler circuits of the doubled component: only
-# their walk lines changed, not their distance headers.
+# their walk lines changed, not their distance headers. The four postman
+# prefixes were retaken when the odd vertices began to be paired by a
+# minimum-weight perfect matching instead of the subset recursion: on a
+# complete graph every pairing ties, the matching takes another one, and so
+# the walk and duplicated lines changed; length_edges did not.
 GOLDEN = [
     (("witness", "--family", "kn_plus:5"), "40b1d2c4038ee0ed"),
     (("witness", "--family", "complete_bipartite:2,3", "--format", "structured"),
@@ -373,10 +380,10 @@ GOLDEN = [
     (("minlen", "--family", "cycle:6"), "d5aac20f392bf324"),
     (("search-gap",), "280d4359cbebdbf3"),
     (("search-gap", "--format", "structured"), "d5d48203b199ed4b"),
-    (("postman", "--family", "complete:16", "--mode", "closed"), "43c8f28818d83cab"),
-    (("postman", "--family", "complete:12"), "d0689fd568ca97b6"),
+    (("postman", "--family", "complete:16", "--mode", "closed"), "4f89a7de9f7cb95a"),
+    (("postman", "--family", "complete:12"), "590cf16606d96beb"),
     (("postman", "--family", "complete:16", "--mode", "closed", "--format", "structured"),
-     "a7fb0bf564f57321"),
+     "3c92eccfd83d8678"),
     # taken before the handlers stopped emitting their own output, so that
     # every subcommand and format is pinned through the single emit point
     (("span", "--family", "kn_plus:5", "--format", "structured"), "f57b839b98048480"),
@@ -386,7 +393,7 @@ GOLDEN = [
     (("minlen", "--family", "complete:4", "--budget", "0"), "2039409d7bb5cf46"),
     (("witness", "--family", "kn_plus:5", "--rule", "cartesian", "--target", "vertices"),
      "a54bf7a759c4cc63"),
-    (("postman", "--family", "complete:12", "--format", "structured"), "f56b3271eb4de8a8"),
+    (("postman", "--family", "complete:12", "--format", "structured"), "9cb79319c2d4ace2"),
     (("verify-fixtures",), "12f79d565929d6e9"),
     (("verify-fixtures", "--format", "structured"), "6df8ac2cb9a691bf"),
     (("verify-family", "--budget", "100000"), "7c77ea9b269402ed"),

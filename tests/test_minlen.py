@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,8 +30,11 @@ from graphspan import (
 from graphspan.families import _canonical_answers, closed_minlen
 from graphspan.graph import FamilySpec
 from graphspan.minlen import (
+    KEPT_BOUND_ROWS,
     SEARCH_ORDER_LIMIT,
     _best_first,
+    _bound_rows,
+    _canonical_copy,
     _remaining_bound,
     _start_pairs,
 )
@@ -298,6 +303,23 @@ class TestRemainingBound:
                     for x, y in rule_moves(g, rule, p, q):
                         after = combine(bound(x, visited(uf, p, x)), bound(y, visited(ug, q, y)))
                         assert after >= before - 1, (rule, p, q, x, y)
+
+
+    def test_a_large_table_is_not_kept(self):
+        # the K7 lazy/edges search builds 25,219 rows, about 3 MB with the
+        # pairing costs behind them; capped at 100,000 stored states, to keep
+        # the traced run short, it builds 9,430 rows and 0.98 MB. Once the
+        # search ends the graph keeps none of them
+        g = complete(7)
+        tracemalloc.start()
+        try:
+            min_length(g, Rule.LAZY, Target.EDGES, state_budget=100_000)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000
+        assert len(_bound_rows(_canonical_copy(g)[0], Target.EDGES)) <= KEPT_BOUND_ROWS
 
 
 def _assert_one_start_per_orbit(g):

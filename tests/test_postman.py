@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -11,6 +13,8 @@ from hypothesis import strategies as st
 
 from graphspan import (
     EmptyEdgeSet,
+    Graph,
+    InternalError,
     InvalidParams,
     NotEulerian,
     complete,
@@ -23,8 +27,8 @@ from graphspan import (
     shortest_covering_walk,
     star,
 )
-from graphspan import postman
-from graphspan.postman import _min_pairing, _recorded_pairing, euler_walk_multigraph
+from graphspan.minlen import _min_pairing
+from graphspan.postman import _min_perfect_matching, _pair_odd_vertices, euler_walk_multigraph
 
 from oracles import (
     brute_force_pairing_cost,
@@ -147,15 +151,56 @@ class TestEulerianWalk:
                 euler_walk_multigraph(g.adj, counts, start)
 
 
+def _seeded_graphs(count: int, seed: int):
+    """Random connected graphs of order 6-30 with at most 20 odd vertices:
+    a random spanning tree plus random chords."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(6, 30)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        for _ in range(rng.randint(0, n)):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = Graph(n, sorted(edges))
+        if sum(g.degree(u) % 2 for u in range(n)) <= 20:
+            out.append(g)
+    return out
+
+
+def _random_costs(rng: random.Random, n: int) -> list[list[int]]:
+    top = rng.choice((1, 3, 20))
+    cost = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            cost[i][j] = cost[j][i] = rng.randint(0, top)
+    return cost
+
+
+def _weighted_distances(rng: random.Random, n: int) -> list[list[int]]:
+    """Shortest-path distances of a random connected graph with edge weights
+    1-5: a random spanning tree plus random chords."""
+    d = [[0 if i == j else float("inf") for j in range(n)] for i in range(n)]
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, n))]
+    for u, v in edges:
+        d[u][v] = d[v][u] = min(d[u][v], rng.randint(1, 5))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
 class TestPairing:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(12))
     def test_matches_brute_force_pairings(self, g):
-        # every mask whose popcount has the parity of spare, the only ones
-        # the recursion reads, against the best pairing over the members it
-        # may leave out
+        # the recursion, at every mask whose popcount has the parity of
+        # spare, against the best pairing over the members it may leave out;
+        # the matching at every even mask, with no spare end or two
         odd = [u for u in range(g.n) if g.degree(u) % 2][:10]
-        cost, choice = _min_pairing(g.dist)
+        cost = _min_pairing(g.dist)
         for r in range(len(odd) + 1):
             for members in combinations(odd, r):
                 for spare in range(r % 2, 3, 2):
@@ -164,48 +209,80 @@ class TestPairing:
                         for d in range(spare % 2, spare + 1, 2)
                         for dropped in combinations(members, d)
                     )
-                    key = sum(1 << v for v in members) << 2 | spare
-                    assert cost(key) == want
-                    pairs, ends = _recorded_pairing(choice, key)
+                    assert cost(sum(1 << v for v in members) << 2 | spare) == want
+                    if r % 2:
+                        continue
+                    pairs, ends = _pair_odd_vertices(g.dist, list(members), spare == 2)
                     assert sorted([*ends, *(x for p in pairs for x in p)]) == list(members)
-                    assert len(ends) <= spare
+                    assert len(ends) == (min(r, 2) if spare else 0)
                     assert sum(g.dist[a][b] for a, b in pairs) == want
 
-    def test_free_walk_runs_between_the_first_optimal_ends(self):
-        # of the optimal pairings, the one taken decides for the lowest
-        # vertex still open first: it stays unpaired if that is optimal, else
-        # it takes its lowest optimal partner; the walk runs from the first
-        # vertex left unpaired to the second
+    @pytest.mark.parametrize("mode", ["closed", "free_endpoints"])
+    def test_matching_equals_recursion(self, mode):
+        # on corpus(6) and graphs with up to 20 odd vertices the matching
+        # costs what the recursion does (no spare end closed, two free), and
+        # for up to 10 what the enumeration of every pairing does; its pairs
+        # and ends partition the odd vertices, with exactly two ends in free
+        # mode
+        free = mode == "free_endpoints"
+        for g in [*(g for g in corpus(6) if g.m), *_seeded_graphs(120, 21)]:
+            odd = [u for u in range(g.n) if g.degree(u) % 2]
+            pairs, ends = _pair_odd_vertices(g.dist, odd, free)
+            assert sorted([*ends, *(x for p in pairs for x in p)]) == odd
+            assert all(a < b for a, b in pairs) and ends == sorted(ends)
+            assert len(ends) == (2 if free and odd else 0)
+            paired = sum(g.dist[a][b] for a, b in pairs)
+            assert paired == _min_pairing(g.dist)(sum(1 << u for u in odd) << 2 | 2 * free)
+            if len(odd) <= 10:
+                assert paired == min(
+                    brute_force_pairing_cost([u for u in odd if u not in left], g.dist)
+                    for left in combinations(odd, 2 if free and odd else 0)
+                )
+            assert shortest_covering_walk(g, mode).length_edges == g.m + paired
+
+    def test_random_cost_matrices(self):
+        # arbitrary symmetric costs with many ties, and the distances of
+        # graphs with edge weights 1-5: these reach every relabeling case of
+        # an inner blossom's expansion, and the vertices reached inside one
+        rng = random.Random(2)
+        for trial in range(600):
+            n = 2 * rng.randint(1, 8)
+            cost = _weighted_distances(rng, n) if trial % 2 else _random_costs(rng, n)
+            mate = _min_perfect_matching(cost)
+            assert all(mate[v] != v and mate[mate[v]] == v for v in range(n))
+            total = sum(cost[v][mate[v]] for v in range(n)) // 2
+            assert total == _min_pairing(cost)((1 << n) - 1 << 2), cost
+
+    def test_free_walk_runs_between_the_matched_ends(self):
+        # the walk runs from the lower to the higher of the two odd vertices
+        # the matching leaves to the dummy vertices, and is optimal: its
+        # extra length is the cheapest pairing that leaves two unpaired
         for g in corpus(6):
             if g.m == 0:
                 continue
             odd = [u for u in range(g.n) if g.degree(u) % 2]
-            seq = shortest_covering_walk(g).walk.seq
-            first = min(
-                pairings(odd, 2),
-                key=lambda p: sum(g.dist[u][v] for u, v in p if v is not None),
+            res = shortest_covering_walk(g)
+            ends = _pair_odd_vertices(g.dist, odd, True)[1] or [0, 0]
+            assert [res.walk.seq[0], res.walk.seq[-1]] == ends
+            best = min(
+                sum(g.dist[u][v] for u, v in p if v is not None) for p in pairings(odd, 2)
             )
-            ends = [u for u, v in first if v is None] or [0, 0]
-            assert [seq[0], seq[-1]] == ends
+            assert res.length_edges == g.m + best
 
-    def test_stores_only_the_masks_it_reads(self, monkeypatch):
-        # closed mode reads the masks reachable from the full mask by removing
-        # its lowest member and one other: Fibonacci(k + 1) of them for k odd
-        # vertices, against the 2^k entries of a table over every subset;
-        # free mode reads twice that, 8,362 for k = 18
-        costs = []
+    def test_no_perfect_matching_is_internal_error(self):
+        # route inspection always has one; a cost matrix without is a bug:
+        # two vertices that may not be joined, and the star K1,3
+        star = [[None, 1, 1, 1], [1, None, None, None], [1, None, None, None], [1, None, None, None]]
+        for cost in ([[None, None], [None, None]], star):
+            with pytest.raises(InternalError):
+                _min_perfect_matching(cost)
 
-        def recorded(dist):
-            pairing = _min_pairing(dist)
-            costs.append(pairing[0])
-            return pairing
-
-        monkeypatch.setattr(postman, "_min_pairing", recorded)
-        shortest_covering_walk(complete(16), "closed")
-        shortest_covering_walk(complete(18))
-        closed, free = (cost.cache_info().currsize for cost in costs)
-        assert closed <= 1597
-        assert free <= 10926
+    def test_hundred_odd_vertices_in_well_under_a_second(self):
+        # star(100) has k = 100 odd vertices; the matching takes O(k^3)
+        start = time.perf_counter()
+        res = shortest_covering_walk(star(100))
+        assert res.length_edges == 196
+        assert time.perf_counter() - start < 1.0
 
 
 class TestShortestCoveringWalk:
