@@ -177,7 +177,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     Grammar: the first non-comment line holds the vertex count n; every
-    following non-comment line holds one edge "u v" with 0 <= u < v < n.
+    following non-comment line holds one edge "u v" with 0 <= u, v < n and
+    u != v, its endpoints in either order ("1 0" is the edge "0 1").
     Lines starting with '#' and blank lines are ignored; LF and CRLF both
     accepted. A vertex count above ORDER_LIMIT raises TooLarge before any
     edge is read.

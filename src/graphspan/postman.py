@@ -3,22 +3,25 @@
 A shortest covering walk is an Eulerian walk of the graph with one more
 traversal of every edge on a shortest path between paired odd-degree
 vertices. The pairs come from a minimum-weight perfect matching on the
-distances between the k odd vertices, by Edmonds' blossom algorithm in
-O(k^3) time (``_min_perfect_matching``). With free endpoints two dummy
-vertices, joined at cost 0 to every odd vertex and not to each other, pick
-the two odd vertices the walk ends at. Duplicated edges live only in an
-internal multigraph; results are flattened back to plain vertex sequences on
-the simple input graph. The matching breaks ties in a fixed scan order, the
-walk starts at the lower of its two ends, and the shortest paths and the
-Hierholzer walk take the lowest available index, so outputs are
-reproducible.
+distances between the k odd vertices, by Edmonds' blossom algorithm
+(``_min_perfect_matching``). It takes O(k^2) per tree growth, with one
+growth per augmentation plus one per inner blossom whose dual reaches 0:
+such a growth ends, and the next expands that blossom and grows the trees
+again. With free endpoints two dummy vertices, joined at cost 0 to every
+odd vertex and to each other, pick the two odd vertices the walk ends at;
+no least-cost matching joins the two dummies. Duplicated edges live only in
+an internal multigraph; results are flattened back to plain vertex
+sequences on the simple input graph. The matching breaks ties in a fixed
+scan order, the walk starts at the lower of its two ends, and the shortest
+paths and the Hierholzer walk take the lowest available index, so outputs
+are reproducible.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Literal, Optional
+from typing import Literal
 
 from .errors import EmptyEdgeSet, InternalError, InvalidParams, NotEulerian
 from .graph import Edge, Graph, _norm
@@ -108,38 +111,49 @@ def euler_walk_multigraph(adj, counts: Counter, start: int) -> list[int]:
     return out
 
 
-def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
+def _min_perfect_matching(cost: list[list[int]]) -> list[int]:
     """mate[v] of a perfect matching of the vertices 0..n-1 of least total
     cost, where cost[u][v] = cost[v][u] >= 0 is the integer cost of joining u
-    and v, or None where they may not be joined.
+    and v; every two vertices may be joined.
 
     Edmonds' primal-dual blossom algorithm ("Paths, trees, and flowers",
     1965; Edmonds and Johnson, "Matching, Euler tours and the Chinese
-    postman", 1973), in O(n^3) time. The dual holds y(v) per vertex and
-    z(B) >= 0 per blossom B, an odd set shrunk to one vertex, and keeps the
-    slack w(u, v) - y(u) - y(v) + (z of the blossoms holding both u and v)
-    >= 0 on every edge. With w = 2 * cost every dual stays an integer: the
-    exposed vertices share one dual value, so the slack between two outer
-    blossoms is even and half of it is a whole step. A stage grows alternating trees of tight (zero slack) edges
-    from every exposed vertex: outer vertices are the roots and the mates of
+    postman", 1973). The dual holds y(v) per vertex and z(B) >= 0 per
+    blossom B, an odd set shrunk to one vertex, and keeps the slack
+    w(u, v) - y(u) - y(v) + (z of the blossoms holding both u and v) >= 0 on
+    every edge. With w = 2 * cost every dual stays an integer: the exposed
+    vertices share one dual value, so the slack between two outer blossoms
+    is even and half of it is a whole step.
+
+    A growth first expands every outermost blossom whose z is 0 (and its
+    parts whose z is 0), then grows alternating trees of tight (zero slack)
+    edges from every exposed vertex. Labels and tree edges live on
+    outermost blossoms only: outer ones are the roots and the mates of
     inner ones. A tight edge from an outer vertex labels a free blossom
     inner and its mate outer, shrinks the odd cycle it closes in one tree
     into a blossom, or joins two trees into an augmenting path, which ends
-    the stage. With no tight edge left, the dual moves by the largest step
+    the growth. With no tight edge left, the dual moves by the largest step
     that keeps it feasible: +step on outer vertices and -step on inner ones
     (z moves by twice that on outer and inner blossoms, so their inside
     edges keep their slack). The step makes an edge to a free vertex tight,
     or an edge between two outer blossoms, or the z of an inner blossom
-    zero, which then expands into its parts. At the end every matched edge
-    is tight and every blossom with z > 0 is full, so the matching is
-    optimal. Each stage takes O(n^2): every vertex is scanned once as an
-    outer vertex, and the least slack edge into each free vertex and out of
-    each outer blossom is kept, so a step reads O(n) entries. Ties go
-    however the scan order meets them, so the result depends only on cost.
-    Raises InternalError when no perfect matching exists.
+    zero, which also ends the growth: the labels are cleared and the next
+    growth expands that blossom. Such a growth has made a step above 0 (z
+    was above 0 when it began), and each such step raises the dual
+    objective by step per tree, so the growths end. At the end every
+    matched edge is tight and every blossom with z > 0 is full, so the
+    matching is optimal.
+
+    Each growth takes O(n^2): every vertex is scanned once as an outer
+    vertex, and the least slack edge into each free vertex and out of each
+    outer blossom is kept, so a step reads O(n) entries. There is one
+    growth per augmentation, n/2 in all, plus one per inner blossom whose z
+    reaches 0. Ties go however the scan order meets them, so the result
+    depends only on cost. Raises InternalError when no perfect matching
+    exists, as for odd n.
     """
     n = len(cost)
-    w = [[None if c is None else 2 * c for c in row] for row in cost]
+    w = [[2 * c for c in row] for row in cost]
     FREE, OUTER, INNER = 0, 1, 2
     slots = 2 * n  # vertices 0..n-1, blossoms n..2n-1
     mate = [-1] * n
@@ -150,7 +164,6 @@ def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
     kids: list = [None] * slots  # the odd cycle, from the part holding the base
     links: list = [None] * slots  # links[b][i] joins kids[b][i] to kids[b][i + 1]
     unused = list(range(slots - 1, n - 1, -1))
-    queue: list[int] = []
 
     def leaves(b: int) -> list[int]:
         out, stack = [], [b]
@@ -170,8 +183,8 @@ def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
         # (None at a root), and the mate of an inner blossom's base outer
         while True:
             b = top[x]
-            label[x] = label[b] = lab
-            edge[x] = edge[b] = None if v is None else (v, x)
+            label[b] = lab
+            edge[b] = None if v is None else (v, x)
             if lab == OUTER:
                 queue.extend(leaves(b))
                 return
@@ -225,7 +238,7 @@ def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
         for t in cycle:
             edges = out_list[t]
             if edges is None:
-                edges = [(y, z) for y in leaves(t) for z in range(n) if w[y][z] is not None]
+                edges = [(y, z) for y in leaves(t) for z in range(n)]
             for y, z in edges:
                 bz = top[z]
                 if bz != b and label[bz] == OUTER:
@@ -271,46 +284,18 @@ def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
                     rebase(bt, j)
                 mate[j] = s
 
-    def expand(b, stage_end):
+    def expand(b):
+        # the parts of b become outermost, except those whose z is 0,
+        # which expand in turn
         for t in kids[b]:
             parent[t] = -1
             if t < n:
                 top[t] = t
-            elif stage_end and dual[t] == 0:
-                expand(t, stage_end)
+            elif dual[t] == 0:
+                expand(t)
             else:
                 for y in leaves(t):
                     top[y] = t
-        if not stage_end and label[b] == INNER:
-            # relabel the even path from the part the label entered by to
-            # the base: inner, outer, ..., inner
-            cycle, joins = kids[b], links[b]
-            size = len(cycle)
-            entry = top[edge[b][1]]
-            j = cycle.index(entry)
-            step = 1 if j % 2 else -1
-            v, x = edge[b]
-            while j % size:
-                assign(v, x, INNER)
-                if step == 1:
-                    v, x = joins[(j + 1) % size]
-                else:
-                    x, v = joins[j - 2]
-                j += 2 * step
-            t = cycle[0]
-            label[x] = label[t] = INNER
-            edge[x] = edge[t] = (v, x)
-            # the other parts stay free unless an outer vertex has reached
-            # one of their vertices by a tight edge
-            j += step
-            while cycle[j % size] != entry:
-                t = cycle[j % size]
-                j += step
-                if label[t] == OUTER:
-                    continue
-                reached = [y for y in leaves(t) if label[y] == INNER]
-                if reached:
-                    assign(edge[reached[0]][0], reached[0], INNER)
         base[b] = -1  # the slot is free; its dual is 0
         unused.append(b)
 
@@ -318,11 +303,10 @@ def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
         # every edge of the outer vertex v; True once the matching grew
         row = w[v]
         for x in range(n):
-            c = row[x]
             bv, bx = top[v], top[x]
-            if c is None or bv == bx:
+            if bv == bx:
                 continue
-            s = c - dual[v] - dual[x]
+            s = row[x] - dual[v] - dual[x]
             if s == 0:
                 if label[bx] == FREE:
                     assign(v, x, INNER)
@@ -332,30 +316,31 @@ def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
                         augment(v, x)
                         return True
                     shrink(bb, v, x)
-                elif label[x] == FREE:
-                    label[x], edge[x] = INNER, (v, x)  # reached inside an inner blossom
             elif label[bx] == OUTER:
                 if best_out[bv] is None or s < slack(*best_out[bv]):
                     best_out[bv] = (v, x)
-            elif label[x] == FREE and (best_in[x] < 0 or s < slack(best_in[x], x)):
+            elif label[bx] == FREE and (best_in[x] < 0 or s < slack(best_in[x], x)):
                 best_in[x] = v
         return False
 
     while -1 in mate:
+        for b in range(n, slots):
+            if parent[b] < 0 and base[b] >= 0 and dual[b] == 0:
+                expand(b)
         label = [FREE] * slots
         edge: list = [None] * slots  # the edge (outer v, x in b) that labelled b
         best_in = [-1] * n  # the outer vertex of the least slack edge into x
         best_out: list = [None] * slots  # least slack edge from an outer blossom
         out_list: list = [None] * slots  # ... to each other outer blossom
+        queue: list[int] = []  # outer vertices still to scan
         for v in range(n):
             if mate[v] < 0 and label[top[v]] == FREE:
                 assign(None, v, OUTER)
         grown = False
         while not grown:
-            while queue and not grown:
+            if queue:
                 grown = scan(queue.pop())
-            if grown:
-                break
+                continue
             step, event = None, None
             for x in range(n):
                 if label[top[x]] == FREE and best_in[x] >= 0:
@@ -369,7 +354,7 @@ def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
                         if step is None or s < step:
                             step, event = s, best_out[b][0]
                     elif label[b] == INNER and b >= n and (step is None or dual[b] // 2 < step):
-                        step, event = dual[b] // 2, ~b
+                        step, event = dual[b] // 2, -1
             if step is None:
                 raise InternalError("no perfect matching exists")
             for x in range(n):
@@ -384,14 +369,9 @@ def _min_perfect_matching(cost: list[list[Optional[int]]]) -> list[int]:
                         dual[b] += 2 * step
                     elif label[b] == INNER:
                         dual[b] -= 2 * step
-            if event >= 0:
-                queue.append(event)  # its least slack edge is tight now
-            else:
-                expand(~event, False)
-        for b in range(n, slots):
-            if parent[b] < 0 and base[b] >= 0 and label[b] == OUTER and dual[b] == 0:
-                expand(b, True)
-        queue.clear()
+            if event < 0:
+                break  # an inner blossom's z is 0: the next growth expands it
+            queue.append(event)  # its least slack edge is tight now
     return mate
 
 
@@ -400,16 +380,19 @@ def _pair_odd_vertices(dist, odd: list[int], free: bool) -> tuple[list[tuple[int
     vertices (given in increasing order), and the two left unpaired in free
     mode, lower first.
 
-    Free mode adds two vertices joined at cost 0 to every odd vertex and not
-    to each other: a perfect matching then joins each to one end of the
-    walk, and pairs the other odd vertices at least total distance.
+    Free mode adds two vertices joined at cost 0 to every odd vertex and to
+    each other. No least matching joins the two: it would pair the odd
+    vertices at some cost PM, and for any pair (a, b) of it, joining a and b
+    to the two instead costs PM - dist(a, b) < PM. So a perfect matching of
+    least cost joins each to one end of the walk, and pairs the other odd
+    vertices at least total distance.
     """
     k = len(odd)
     if not k:
         return [], []
     extra = 2 if free else 0
     cost = [[dist[a][b] for b in odd] + [0] * extra for a in odd]
-    cost += [[0] * k + [None] * extra for _ in range(extra)]
+    cost += [[0] * (k + extra) for _ in range(extra)]
     mate = _min_perfect_matching(cost)
     pairs = [(odd[i], odd[j]) for i, j in enumerate(mate[:k]) if i < j < k]
     return pairs, [odd[i] for i in range(k) if mate[i] >= k]

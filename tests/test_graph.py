@@ -57,6 +57,11 @@ class TestParseEdgeList:
         with pytest.raises(SelfLoop, match="line 4"):
             parse_edge_list("3\n0 1\n# comment\n2 2\n")
 
+    def test_endpoints_in_either_order(self):
+        g = parse_edge_list("3\n1 0\n2 1\n")
+        assert g.edges == parse_edge_list("3\n0 1\n1 2\n").edges == ((0, 1), (1, 2))
+        assert g.has_edge(0, 1) and g.dist[0][2] == 2
+
     def test_duplicate_edge(self):
         with pytest.raises(DuplicateEdge):
             parse_edge_list("2\n0 1\n1 0\n")
