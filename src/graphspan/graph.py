@@ -71,12 +71,14 @@ class Graph:
     construction; instances are immutable afterwards and safe to share
     between threads.
 
-    Answers derived from the graph alone (the span pass of each rule, the
-    pairs grouped by span-pass level under ``"levels"``, the coverage table
-    per target under ``("cover", target)`` that the span pass, the witness
-    BFS and the minimal-length search read, the canonical search, the
-    canonical copy the minimal-length search runs on, and that copy's bound
-    table per target under ``("bound", target)``) are computed on first use
+    Answers derived from the graph alone (the span values and witness roots
+    of each rule under the rule, of which one traditional query stores all
+    three, the pairs grouped by span-pass level under ``"levels"``, the
+    coverage table per target under ``("cover", target)`` that the span
+    pass, the witness BFS and the minimal-length search read, the canonical
+    search, the canonical copy the minimal-length search runs on with its
+    orbit start pairs, and that copy's bound table per target under
+    ``("bound", target)``) are computed on first use
     and kept in ``_memo``, so every later query on the same instance reads
     them. Each stored value is computed from the graph only, and it is
     stored with one ``dict.setdefault``: two threads that compute it at once

@@ -38,11 +38,11 @@ One canonical search gives generators of Aut(G) for the orbits and the
 canonical relabeling of the graph, on which the search runs before mapping the
 witness back: the order in which it takes ties, and with it the states it
 stores, its time and its memory, are then the same for every labeling. The
-relabeled copy, its coverage tables (``spans._cover``, the bits a start or a
-move adds) and its bound rows are built once per graph and kept on it, so
-the six searches of one graph share them; a search that leaves more than
-``KEPT_BOUND_ROWS`` rows empties its table, so what a graph keeps stays
-bounded.
+relabeled copy, its orbit starts, its coverage tables (``spans._cover``, the
+bits a start or a move adds) and its bound rows are built once per graph and
+kept on it, so the six searches of one graph share them; a search that
+leaves more than ``KEPT_BOUND_ROWS`` rows empties its table, so what a graph
+keeps stays bounded.
 """
 
 from __future__ import annotations
@@ -130,21 +130,23 @@ def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int):
     return succ
 
 
-def _start_pairs(g: Graph, sigma: int, gens: list[list[int]]) -> list[tuple[int, int]]:
-    """One ordered pair at distance >= sigma per orbit of Aut(g) x player swap.
+def _orbit_starts(g: Graph, gens) -> tuple[int, ...]:
+    """The flat index u*n + v of the lowest ordered pair of each orbit of
+    Aut(g) x player swap, in increasing order.
 
     ``gens`` generate Aut(g). Pairs are scanned in u*n + v order, and each
     one not yet reached starts an orbit, closed under the generators and the
-    swap, so each orbit is represented by its lowest pair. Swapping maps the
-    state (u, v, F, G) to (v, u, G, F).
+    swap. Swapping maps the state (u, v, F, G) to (v, u, G, F). Both keep
+    distances, so the starts of a search at span value sigma are the pairs
+    here at distance >= sigma, in this order.
     """
-    reps: list[tuple[int, int]] = []
+    reps: list[int] = []
     seen: set[tuple[int, int]] = set()
     for u in range(g.n):
         for v in range(g.n):
-            if g.dist[u][v] < sigma or (u, v) in seen:
+            if (u, v) in seen:
                 continue
-            reps.append((u, v))
+            reps.append(u * g.n + v)
             seen.add((u, v))
             orbit = [(u, v)]
             for a, b in orbit:  # grows while it is walked
@@ -152,7 +154,7 @@ def _start_pairs(g: Graph, sigma: int, gens: list[list[int]]) -> list[tuple[int,
                     if pair not in seen:
                         seen.add(pair)
                         orbit.append(pair)
-    return reps
+    return tuple(reps)
 
 
 def _min_pairing(dist) -> Callable[[int], int]:
@@ -370,16 +372,18 @@ def _best_first(
     raise InternalError("best-first search ran out of states before covering")
 
 
-def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
     """The canonical relabeling c of g, the vertex of g behind each vertex
-    of c, and generators of Aut(c); built once per graph and kept on it."""
+    of c, and the orbit starts of c (``_orbit_starts``); built once per
+    graph and kept on it, so the six searches of a graph scan the orbits
+    once."""
 
     def compute():
         label, gens, _ = _canonical_answers(g)
         vertex = tuple(sorted(range(g.n), key=label.__getitem__))
         c = Graph(g.n, [(label[u], label[v]) for u, v in g.edges])
         c_gens = tuple(tuple(label[t[v]] for v in vertex) for t in gens)
-        return c, vertex, c_gens
+        return c, vertex, _orbit_starts(c, c_gens)
 
     return g._memoized("canonical copy", compute)
 
@@ -389,12 +393,13 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     than ``budget`` states) and the number of states it stored."""
     # search the canonical copy, so that the order of the search, and with it
     # the states stored and the witness, do not depend on the input's labels
-    c, vertex, c_gens = _canonical_copy(g)
+    c, vertex, orbit_starts = _canonical_copy(g)
     width, bit = _cover(c, target)
-    starts = [
-        (u * g.n + v) << 2 * width | bit[u][u] << width | bit[v][v]
-        for u, v in _start_pairs(c, sigma, c_gens)
-    ]
+    starts = []
+    for s in orbit_starts:
+        u, v = divmod(s, g.n)
+        if c.dist[u][v] >= sigma:
+            starts.append(s << 2 * width | bit[u][u] << width | bit[v][v])
     goal, parent = _best_first(
         starts,
         _transition_tables(c, rule, target, sigma),

@@ -8,31 +8,38 @@ tree, with an out-and-back detour over each product edge whose base edges the
 tree walk misses, has coordinate projections that are valid witness walks,
 and conversely a valid walk pair never leaves its component, so the
 component test is exact; an independent brute-force oracle over walk pairs
-confirms this on all small graphs in the test suite. One union-find pass per
-rule, adding states in decreasing distance order, decides every threshold for
-both targets from one coverage word per component, the vertex bits of both
-players above their edge bits, and its result is kept on the graph, so every
-later query of the same rule on the same graph reads it. The pass takes the
-states from per-level lists of flat indices, built once per graph and shared
-by the rules, so each pair enters once. At threshold k the pass reads a
-reduced move set for the strong and active rules, one that ends every level
-with the components and coverage of the full move set (see ``_moves``): the
-strong rule's lazy moves plus the diagonals whose two lazy intermediates are
-both at distance < k, and for the active rule one half of a spanning double
-star of each complete bipartite block of active moves, each star edge read
-from one end only. The witness BFS reads the same thresholded moves at the
-span value: from any pair they reach its whole component of the full move
-set and cover what it covers (see ``_moves``). Only the minimal-length
-search, ``minlen._transition_tables``, reads each rule's full move set. What
-a step covers, a vertex or an edge, has one definition per graph and
-target, ``_cover``, which the span pass, the witness BFS and the
-minimal-length search read.
+confirms this on all small graphs in the test suite.
+
+The lazy and the active rule each run one union-find pass, adding states in
+decreasing distance order, which decides every threshold for both targets
+from one coverage word per component, the vertex bits of both players above
+their edge bits. The strong product's edges are the Cartesian edges plus the
+direct edges, so at every threshold each traditional component is the join
+of lazy and active components, and its word the OR of theirs: the
+traditional pass reads no move, and joins the levels of the other two,
+which run in step (``_joined_pass``). Each rule's result is kept on the
+graph, so every later query of the same rule on the same graph reads it; a
+traditional query keeps all three. The passes take the states from
+per-level lists of flat indices, built once per graph and shared, so each
+pair enters once. At threshold k the active pass reads a reduced move set,
+one that ends every level with the components and coverage of the full move
+set (see ``_moves``): one half of a spanning double star of each complete
+bipartite block of active moves, each star edge read from one end only. The
+witness BFS reads the thresholded moves of its rule at the span value, for
+the strong rule the lazy moves plus the diagonals whose two lazy
+intermediates are both at distance < k: from any pair they reach its whole
+component of the full move set and cover what it covers (see ``_moves``).
+Only the minimal-length search, ``minlen._transition_tables``, reads each
+rule's full move set. What a step covers, a vertex or an edge, has one
+definition per graph and target, ``_cover``, which the span pass, the
+witness BFS and the minimal-length search read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import InternalError, InvalidParams, ThresholdOutOfRange
 from .graph import Graph
@@ -90,20 +97,19 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
     """Successor pairs of (u, v) under the rule, before threshold filtering.
 
     Without a threshold k, every move of the rule; only the minimal-length
-    search reads it. With one, the moves read at threshold k by the span
-    pass, which end every level with the components and coverage of the
-    full move set, and by the witness BFS, which follows them from one pair
-    with every pair at distance >= k present (the witness claim below). The
+    search reads it. With one, the moves read at threshold k: by the lazy
+    and active span passes, which end every level with the components and
+    coverage of the full move set, and by the witness BFS of every rule,
+    which follows them from one pair with every pair at distance >= k
+    present (the witness claim below). The traditional span pass reads no
+    move; it joins the lazy and active levels (``_joined_levels``). The
     lazy move set does not depend on k.
 
     Lazy and strong rules: for each x in N(u), the strong diagonals (x, y),
     then (x, v); after them every (u, y). The minimal-length search breaks
     its ties in this order. At threshold k the strong rule keeps only the
     diagonals with d(x, v) < k and d(u, y) < k, which exist only when
-    d(u, v) = k. A dropped diagonal has a lazy intermediate, (x, v) or
-    (u, y), at distance >= k; it is present by the end of level k, and its
-    two lazy moves join the same states and cover the same f-edge ux and
-    g-edge vy.
+    d(u, v) = k.
 
     Active rule: let first(a, b) be the lowest neighbour of b at distance
     >= k from a. Every active move (u', v)-(x, y) lies in the block A x B with
@@ -252,7 +258,7 @@ def _find(parent: list[int], x: int) -> int:
 
 def _levels(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Flat indices u*n + v grouped by min(d(u, v), radius), each level in
-    increasing order; built once per graph and shared by the three rules."""
+    increasing order; built once per graph and shared by the passes."""
 
     def compute():
         n = g.n
@@ -266,34 +272,42 @@ def _levels(g: Graph) -> tuple[tuple[int, ...], ...]:
     return g._memoized("levels", compute)
 
 
+def _identity(g: Graph) -> list[int]:
+    """A new parent list [0, 1, ..., n*n - 1] of the int objects ``_levels``
+    holds, so that the lists of the passes add no ints of their own."""
+    return sorted(chain.from_iterable(_levels(g)))
+
+
 def _union_levels(g: Graph, rule: Rule):
     """The union-find pass of ``rule``, one threshold level at a time.
 
     States enter in decreasing distance order, one level of ``_levels`` at a
     time, so each pair enters exactly once, and are unioned with the
     successors already present, taken from ``_moves`` at the level's
-    threshold; those reduced move sets end every level with the components
-    and coverage of the full move set. Each root is the lowest index of its
-    component and carries one coverage word, the OR of what the component
-    covers: both players' vertex bits above both players' edge bits, f bits
-    above g bits within each. A state writes its two vertices into its word
-    when it enters, so a state is present iff its word is nonzero, and a
-    product edge adds its base edges when it is unioned. A root unioned
-    below another hands its word over and keeps the word 1, since only root
-    words and the nonzero test are read again; so the words hold one full
-    word per component, not one per state. After each level k it yields
-    (k, the roots touched on the level, parent, cov); both lists are updated
-    in place by the later levels.
+    threshold; for the lazy and active rules those reduced move sets end
+    every level with the components and coverage of the full move set. Each
+    root is the lowest index of its component and carries one coverage word,
+    the OR of what the component covers: both players' vertex bits above
+    both players' edge bits, f bits above g bits within each. A state writes
+    its two vertices into its word when it enters, so a state is present iff
+    its word is nonzero, and a product edge adds its base edges when it is
+    unioned. A root unioned below another hands its word over and keeps the
+    word 1, since only root words and the nonzero test are read again; so
+    the words hold one full word per component, not one per state. After
+    each level k it yields (k, the roots touched on the level, parent, cov,
+    the roots unioned below another on the level); parent and cov are
+    updated in place by the later levels.
     """
     n = g.n
     vertex_bit = _cover(g, Target.VERTICES)[1]
     m, g_bit = _cover(g, Target.EDGES)
     f_bit = [[b << m for b in row] for row in g_bit]
-    parent = list(range(n * n))
+    parent = _identity(g)
     cov = [0] * (n * n)
     levels = _levels(g)
     for k in range(g.radius, -1, -1):
         touched = []
+        merged = []
         for s in levels[k]:
             u, v = divmod(s, n)
             cov[s] = (vertex_bit[u][u] << n | vertex_bit[v][v]) << 2 * m
@@ -312,11 +326,86 @@ def _union_levels(g: Graph, rule: Rule):
                     if other < root:
                         root, other = other, root
                     parent[other] = root
+                    merged.append(other)
                     bits |= cov[other]
                     cov[other] = 1
                 cov[root] |= bits
             touched.append(root)
-        yield k, {_find(parent, r) for r in touched}, parent, cov
+        yield k, {_find(parent, r) for r in touched}, parent, cov, merged
+
+
+def _joined_levels(g: Graph, lazy, active):
+    """The traditional levels, joined from the levels of the lazy and the
+    active pass, read in step.
+
+    The strong product's edges are the Cartesian edges plus the direct
+    edges, so at every threshold each traditional component is a union of
+    lazy components and of active components, the finest such, and its word
+    is the OR of their words. After each level, this union-find applies the
+    unions both passes made on it, each root unioned below another joined to
+    that pass's root of its component, with the lowest index as root and
+    the word 1 left at a root unioned below another, as in
+    ``_union_levels``. A component whose word changed on the level holds a
+    root either pass touched on it, so ORing in the final words of those
+    roots gives every root its component's word. It yields
+    (k, the roots touched on the level, parent, cov, (the lazy level, the
+    active level)).
+    """
+    n = g.n
+    parent = _identity(g)
+    cov = [0] * (n * n)
+    for levels in zip(lazy, active):
+        for _, _, rule_parent, _, merged in levels:
+            for s in merged:
+                a = _find(parent, s)
+                b = _find(parent, _find(rule_parent, s))
+                if a != b:
+                    if b < a:
+                        a, b = b, a
+                    parent[b] = a
+                    cov[a] |= cov[b]
+                    cov[b] = 1
+        touched = set()
+        for _, roots, _, rule_cov, _ in levels:
+            for r in roots:
+                root = _find(parent, r)
+                cov[root] |= rule_cov[r]
+                touched.add(root)
+        yield levels[0][0], touched, parent, cov, levels
+
+
+def _full_words(g: Graph) -> tuple[int, int]:
+    """The coverage words of a root that covers the vertex target, then the
+    edge target, for both players."""
+    edge_bits = 2 * g.m
+    return ((1 << 2 * g.n) - 1) << edge_bits, (1 << edge_bits) - 1
+
+
+def _record_hits(k: int, roots, cov: list[int], fulls: tuple[int, int], hits: list) -> bool:
+    """Set hits[i] to (k, lowest full root) for each target i not yet hit
+    that a root of the level covers; True once both targets are hit.
+
+    Only roots touched on a level can have become full on it.
+    """
+    for i, full in enumerate(fulls):
+        if hits[i] is None:
+            full_roots = [r for r in roots if cov[r] & full == full]
+            if full_roots:
+                hits[i] = (k, min(full_roots))
+    return None not in hits
+
+
+def _first_full(g: Graph, levels, hits: list) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Read levels of a pass until both targets are hit, adding to the hits
+    of the levels already read; the pass stops there."""
+    if None in hits:
+        fulls = _full_words(g)
+        for k, roots, _, cov, _ in levels:
+            if _record_hits(k, roots, cov, fulls, hits):
+                break
+        else:
+            raise InternalError("threshold 0 must be feasible for a connected graph")
+    return tuple(hits)
 
 
 def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -325,25 +414,46 @@ def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
 
     The unions do not depend on the target, so one pass of
     ``_union_levels`` decides both, each from its bits of the coverage word.
-    Only roots touched on a level can have become full on it. The pass stops
-    on the first level at which both targets have been full.
+    The pass stops on the first level at which both targets have been full.
     """
-    edge_bits = 2 * g.m
-    fulls = (((1 << 2 * g.n) - 1) << edge_bits, (1 << edge_bits) - 1)
+    return _first_full(g, _union_levels(g, rule), [None, None])
+
+
+def _joined_pass(g: Graph) -> dict[Rule, tuple[tuple[int, int], tuple[int, int]]]:
+    """_span_pass of each of the three rules, from one lazy and one active
+    pass and the traditional levels joined from them.
+
+    A traditional component covers at least what its lazy and active parts
+    cover, so the traditional targets are hit first, on a level the two
+    passes also read; the join's lists are freed there, and each pass runs
+    on alone until its own targets are hit.
+    """
+    passes = (_union_levels(g, Rule.LAZY), _union_levels(g, Rule.ACTIVE))
+    fulls = _full_words(g)
+    pass_hits = ([None, None], [None, None])
     hits = [None, None]
-    for k, roots, _, cov in _union_levels(g, rule):
-        for i, full in enumerate(fulls):
-            if hits[i] is None:
-                full_roots = [r for r in roots if cov[r] & full == full]
-                if full_roots:
-                    hits[i] = (k, min(full_roots))
-        if None not in hits:
-            return tuple(hits)
-    raise InternalError("threshold 0 must be feasible for a connected graph")
+    for k, roots, parent, cov, levels in _joined_levels(g, *passes):
+        for (_, rule_roots, _, rule_cov, _), rule_hits in zip(levels, pass_hits):
+            _record_hits(k, rule_roots, rule_cov, fulls, rule_hits)
+        if _record_hits(k, roots, cov, fulls, hits):
+            break
+    else:
+        raise InternalError("threshold 0 must be feasible for a connected graph")
+    del parent, cov  # the join's lists, which its closed generator no longer holds
+    return {
+        Rule.TRADITIONAL: tuple(hits),
+        Rule.LAZY: _first_full(g, passes[0], pass_hits[0]),
+        Rule.ACTIVE: _first_full(g, passes[1], pass_hits[1]),
+    }
 
 
 def _rule_spans(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
-    """_span_pass(g, rule), run once per graph and rule."""
+    """_span_pass(g, rule), kept on the graph under the rule. A lazy or
+    active query runs only its own pass; a traditional one runs
+    ``_joined_pass`` and keeps all three rules' answers."""
+    if rule is Rule.TRADITIONAL and rule not in g._memo:
+        for joined_rule, hits in _joined_pass(g).items():
+            g._memo.setdefault(joined_rule, hits)
     return g._memoized(rule, lambda: _span_pass(g, rule))
 
 

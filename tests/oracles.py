@@ -40,24 +40,25 @@ def connected_graphs(draw, max_n: int) -> Graph:
 
 def count_engine_calls(monkeypatch) -> tuple[list, list]:
     """Record every span pass and every canonical search, the uncached cores
-    behind the per-graph memo: the rule of each pass and the order of each
-    search, one list entry per call."""
+    behind the per-graph memo: the rule of each union-find pass (a
+    traditional query runs one lazy and one active pass and joins them) and
+    the order of each search, one list entry per call."""
     from graphspan import families, spans
 
     passes: list = []
     searches: list = []
-    span_pass = spans._span_pass
+    union_levels = spans._union_levels
     refined_positions = families._refined_positions
 
     def counted_pass(*args):
         passes.append(args[1])
-        return span_pass(*args)
+        return union_levels(*args)
 
     def counted_search(*args):
         searches.append(args[0])
         return refined_positions(*args)
 
-    monkeypatch.setattr(spans, "_span_pass", counted_pass)
+    monkeypatch.setattr(spans, "_union_levels", counted_pass)
     monkeypatch.setattr(families, "_refined_positions", counted_search)
     return passes, searches
 

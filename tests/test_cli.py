@@ -443,7 +443,7 @@ def test_minlen_golden_lengths(capsys):
     ]
 
 
-def test_minlen_runs_one_pass_per_rule_and_one_canonical_search(capsys, monkeypatch):
+def test_minlen_runs_one_lazy_and_one_active_pass_and_one_canonical_search(capsys, monkeypatch):
     passes, searches = count_engine_calls(monkeypatch)
     built = []
     memoized = Graph._memoized
@@ -458,7 +458,7 @@ def test_minlen_runs_one_pass_per_rule_and_one_canonical_search(capsys, monkeypa
     monkeypatch.setattr(Graph, "_memoized", counted)
     code, _, _ = run(capsys, "minlen", "--family", "cycle:6")
     assert code == 0
-    assert (len(passes), len(searches)) == (3, 1)
+    assert (sorted(rule.value for rule in passes), len(searches)) == (["active", "lazy"], 1)
     # one canonical copy and one bound table per target, shared by the rules
     keys = ("canonical copy", ("bound", Target.VERTICES), ("bound", Target.EDGES))
     assert [built.count(key) for key in keys] == [1, 1, 1]

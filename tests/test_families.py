@@ -211,14 +211,14 @@ class TestIsomorphism:
 
     def test_search_refuses_large_orders_at_once(self, monkeypatch):
         # above the order limit these searches run for minutes or more
-        _, searches = count_engine_calls(monkeypatch)
+        passes, searches = count_engine_calls(monkeypatch)
         with pytest.raises(TooLarge):
             canonical_form(path(40))
         with pytest.raises(TooLarge):
             automorphism_count(cycle(18))
         with pytest.raises(TooLarge):
             is_isomorphic(star(40), star(40))
-        assert searches == []
+        assert passes == searches == []
         assert automorphism_count(cycle(SEARCH_ORDER_LIMIT)) == 2 * SEARCH_ORDER_LIMIT
 
 
@@ -227,6 +227,12 @@ class TestMinimalityScan:
         hit = find_minimal_direct_gap()
         assert hit.n == 5 and hit.m == 7
         assert is_isomorphic(hit, kn_plus(4))
+
+    def test_scan_runs_only_active_passes(self, monkeypatch):
+        # the scan asks only direct spans, so no graph joins a lazy pass in
+        passes, _ = count_engine_calls(monkeypatch)
+        find_minimal_direct_gap()
+        assert passes and set(passes) == {Rule.ACTIVE}
 
     def test_no_gap_up_to_order_four(self):
         for g in corpus(4):

@@ -36,7 +36,7 @@ from graphspan.minlen import (
     _bound_rows,
     _canonical_copy,
     _remaining_bound,
-    _start_pairs,
+    _orbit_starts,
 )
 
 from oracles import (
@@ -325,9 +325,31 @@ class TestRemainingBound:
 def _assert_one_start_per_orbit(g):
     # the lowest pair of each orbit of Aut(G) x player swap, no other
     gens = _canonical_answers(g)[1]
+    starts = [divmod(s, g.n) for s in _orbit_starts(g, gens)]
     for sigma in range(g.radius + 1):
         orbits = brute_force_pair_orbits(g, sigma)
-        assert _start_pairs(g, sigma, gens) == sorted(min(o) for o in orbits)
+        kept = [(u, v) for u, v in starts if g.dist[u][v] >= sigma]
+        assert kept == sorted(min(o) for o in orbits)
+
+
+def _scanned_starts(g, sigma, gens):
+    """The starts of one scan per threshold: pairs at distance >= sigma in
+    u*n + v order, each one not yet reached starting an orbit."""
+    reps = []
+    seen = set()
+    for u in range(g.n):
+        for v in range(g.n):
+            if g.dist[u][v] < sigma or (u, v) in seen:
+                continue
+            reps.append((u, v))
+            seen.add((u, v))
+            orbit = [(u, v)]
+            for a, b in orbit:
+                for pair in [(b, a)] + [(t[a], t[b]) for t in gens]:
+                    if pair not in seen:
+                        seen.add(pair)
+                        orbit.append(pair)
+    return reps
 
 
 class TestStarts:
@@ -339,6 +361,19 @@ class TestStarts:
     @given(connected_graphs(7))
     def test_one_start_per_symmetry_orbit_random(self, g):
         _assert_one_start_per_orbit(g)
+
+    def test_starts_match_the_per_threshold_scan(self):
+        # the canonical copy keeps one scan of every orbit, and a search at
+        # span value sigma keeps its pairs at distance >= sigma; orbits keep
+        # distance, so the starts and their order are those of a scan per
+        # threshold
+        for g in corpus(6):
+            c, _, orbit_starts = _canonical_copy(g)
+            starts = [divmod(s, c.n) for s in orbit_starts]
+            gens = _canonical_answers(c)[1]
+            for sigma in range(c.radius + 1):
+                kept = [(u, v) for u, v in starts if c.dist[u][v] >= sigma]
+                assert kept == _scanned_starts(c, sigma, gens), (g.edges, sigma)
 
 
 class TestBudget:

@@ -61,6 +61,20 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_modules_parse_as_the_oldest_supported_python():
+    # the suite may run on a newer Python than the oldest one pyproject.toml
+    # admits, which would accept syntax that one rejects
+    pyproject = SOURCES[0].parents[2] / "pyproject.toml"
+    assert 'requires-python = ">=3.10"' in pyproject.read_text(encoding="utf-8")
+    failed = []
+    for path in SOURCES:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+        except SyntaxError as exc:
+            failed.append((path.name, exc.lineno, exc.msg))
+    assert failed == []
+
+
 def test_every_error_is_exported():
     defined = [obj for obj in vars(errors).values()
                if isinstance(obj, type) and issubclass(obj, errors.GraphSpanError)

@@ -268,7 +268,8 @@ def _lowest_covering_state(g, rule, target, k):
 
 
 class TestMemo:
-    def test_one_pass_per_rule_and_one_canonical_search(self, monkeypatch):
+    def test_one_lazy_and_one_active_pass_and_one_canonical_search(self, monkeypatch):
+        # the traditional answers are joined from the lazy and active passes
         passes, searches = count_engine_calls(monkeypatch)
         g = kn_plus(4)
         all_spans(g)
@@ -276,8 +277,16 @@ class TestMemo:
             witness_sweeps(g, rule, target)
         for rule in Rule:
             min_length(g, rule, Target.VERTICES)
-        assert sorted(rule.value for rule in passes) == sorted(rule.value for rule in Rule)
+        assert sorted(rule.value for rule in passes) == ["active", "lazy"]
         assert len(searches) == 1
+
+    def test_lazy_and_active_queries_run_only_their_own_pass(self, monkeypatch):
+        passes, _ = count_engine_calls(monkeypatch)
+        g = kn_plus(5)
+        span(g, Rule.LAZY, Target.EDGES)
+        span(g, Rule.ACTIVE, Target.VERTICES)
+        assert passes == [Rule.LAZY, Rule.ACTIVE]
+        assert Rule.TRADITIONAL not in g._memo
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(6))
@@ -331,19 +340,29 @@ def _full_moves(monkeypatch):
 
 def _full_move_pass(monkeypatch, g, rule):
     """_span_pass(g, rule) with its moves taken from the oracle's full move
-    set."""
+    set, which for the traditional rule is the whole strong product."""
     with monkeypatch.context() as patch:
         _full_moves(patch)
         return spans._span_pass(g, rule)
 
 
-def _level_ends(g, rule):
+def _pass_levels(g, rule):
+    """The levels the span pass of rule reads: its own union-find pass for
+    the lazy and active rules, the join of those two for the traditional
+    rule."""
+    if rule is Rule.TRADITIONAL:
+        return spans._joined_levels(
+            g, spans._union_levels(g, Rule.LAZY), spans._union_levels(g, Rule.ACTIVE))
+    return spans._union_levels(g, rule)
+
+
+def _level_ends(levels, g):
     """After every level of the pass, down to threshold 0: each component
     of the present states, keyed by its root, with its states and the
     root's coverage word."""
     n = g.n
     ends = []
-    for k, _, parent, cov in spans._union_levels(g, rule):
+    for k, _, parent, cov, _ in levels:
         components = {}
         for s in range(n * n):
             if g.dist[s // n][s % n] >= k:
@@ -375,11 +394,12 @@ def _covered(moves, component, width, bit):
 
 
 class TestReducedMoves:
-    """At each level's threshold the span pass reads reduced strong and
-    active move sets: the strong rule's lazy moves plus the diagonals whose
-    lazy intermediates are both closer than the threshold, and half of a
+    """At each level's threshold the active span pass reads half of a
     spanning double star per block of active moves, each star edge read from
-    its A end. Every level must end as with the full set, and at a fixed
+    its A end, and the traditional span pass reads no move: it joins the
+    lazy and active levels. Every level must end as with the full set. The
+    witness BFS reads the strong rule's lazy moves plus the diagonals whose
+    lazy intermediates are both closer than the threshold; at a fixed
     threshold, with every pair at or above it present, the moves read from
     any pair must reach and cover its whole full-set component."""
 
@@ -391,11 +411,15 @@ class TestReducedMoves:
             star(40),
             path(50),
             kn_plus(12),
+            complete_bipartite(20, 30),
         ]
         for g in graphs:
+            joined = spans._joined_pass(g)
             for rule in Rule:
-                assert spans._span_pass(g, rule) == _full_move_pass(monkeypatch, g, rule), (
+                assert joined[rule] == _full_move_pass(monkeypatch, g, rule), (
                     g.n, g.edges, rule)
+            for rule in (Rule.LAZY, Rule.ACTIVE):
+                assert spans._span_pass(g, rule) == joined[rule], (g.n, g.edges, rule)
 
     def test_every_level_ends_as_with_full_move_set(self, monkeypatch):
         # the final (value, root) can hide a level whose partition or
@@ -406,13 +430,15 @@ class TestReducedMoves:
         # rests on the labels, through first() and the u*n + v entry order,
         # so every labeling of every graph of order <= 5 runs too
         graphs = [*corpus(6), *_dense_graphs(), complete(12), kn_plus(8),
-                  star(6), star(9), *all_trees(8), *labeled_connected(5)]
-        reduced = {(i, rule): _level_ends(g, rule)
+                  star(6), star(9), *all_trees(8), *labeled_connected(5),
+                  complete_bipartite(20, 30)]
+        reduced = {(i, rule): _level_ends(_pass_levels(g, rule), g)
                    for i, g in enumerate(graphs) for rule in Rule}
         _full_moves(monkeypatch)
         for i, g in enumerate(graphs):
             for rule in Rule:
-                assert reduced[i, rule] == _level_ends(g, rule), (g.n, g.edges, rule)
+                assert reduced[i, rule] == _level_ends(spans._union_levels(g, rule), g), (
+                    g.n, g.edges, rule)
 
     def test_thresholded_moves_are_real_moves(self):
         # a reduction that invents a move can keep the final values when
@@ -463,14 +489,26 @@ class TestReducedMoves:
                 yield move
 
         monkeypatch.setattr(spans, "_moves", counted)
-        for rule in Rule:
-            spans._span_pass(complete(20), rule)
-        # 380 pairs at distance 1 enter, and the pass stops there: the strong
-        # rule keeps its 38 lazy moves plus the swap (v, u), the only diagonal
-        # with both intermediates at distance 0; the active rule reads each
+        all_spans(complete(20))
+        # 380 pairs at distance 1 enter, and every pass stops there: the lazy
+        # rule reads its 38 moves per pair; the active rule reads each
         # block's double star from its A ends only, instead of its
-        # 19 * 19 - 19 moves
-        assert counts == {Rule.TRADITIONAL: 14_820, Rule.ACTIVE: 14_420, Rule.LAZY: 14_440}
+        # 19 * 19 - 19 moves; the traditional levels are joined from those
+        # two passes and read no move
+        assert counts == {Rule.ACTIVE: 14_420, Rule.LAZY: 14_440}
+
+    def test_span_pass_reads_no_strong_move(self, monkeypatch):
+        rules = set()
+        moves = spans._moves
+
+        def recorded(g, rule, u, v, k=None):
+            rules.add(rule)
+            return moves(g, rule, u, v, k)
+
+        monkeypatch.setattr(spans, "_moves", recorded)
+        for g in (*corpus(5), complete(12), kn_plus(8), complete_bipartite(4, 6)):
+            all_spans(g)
+        assert rules == {Rule.LAZY, Rule.ACTIVE}
 
     def test_unthresholded_moves_are_the_full_set(self):
         # the minimal-length search reads this move set
@@ -484,13 +522,23 @@ class TestReducedMoves:
 
     def test_merged_states_keep_a_marker_word(self):
         # only root words and the nonzero presence test are read, so a state
-        # unioned below another root keeps the word 1, not its 2n + 2m bits
+        # unioned below another root keeps the word 1, not its 2n + 2m bits;
+        # the traditional join keeps its words the same way
         for g in (path(30), complete(8)):
             for rule in Rule:
-                *_, (k, _, parent, cov) = spans._union_levels(g, rule)
+                *_, (k, _, parent, cov, _) = _pass_levels(g, rule)
                 assert k == 0
                 merged = [s for s in range(g.n * g.n) if parent[s] != s]
                 assert merged and all(cov[s] == 1 for s in merged), (g.n, rule)
+
+    def test_parent_lists_hold_the_level_ints(self):
+        # indices above 256 are separate int objects in CPython, so parent
+        # lists of new ints would add 28 bytes per pair to each pass
+        g = path(30)
+        level_ints = {id(s) for level in spans._levels(g) for s in level}
+        for rule in Rule:
+            *_, (_, _, parent, _, _) = _pass_levels(g, rule)
+            assert all(id(s) in level_ints for s in parent), rule
 
     def test_levels_hold_each_pair_once(self):
         for g in (path(1), cycle(7), kn_plus(6), star(9)):
