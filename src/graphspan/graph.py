@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -67,18 +68,26 @@ def _digits(token: str) -> int:
 class Graph:
     """Simple undirected finite connected graph.
 
-    All-pairs distances (hop metric) and the radius are computed once at
-    construction; instances are immutable afterwards and safe to share
-    between threads.
+    Construction runs one BFS, from vertex 0, which decides connectivity.
+    The all-pairs distance table ``dist`` (hop metric), whose row 0 is that
+    BFS, and the ``radius`` are built on first read and kept on the
+    instance (``functools.cached_property``); route inspection and the walk
+    checks never read them. Two threads that read one first at once build
+    equal values, and a reader sees either no value or the whole one, so
+    instances, immutable otherwise, are safe to share between threads.
 
     Answers derived from the graph alone (the span values and witness roots
     of each rule under the rule, of which one traditional query stores all
     three, the pairs grouped by span-pass level under ``"levels"``, the
     coverage table per target under ``("cover", target)`` that the span
-    pass, the witness BFS and the minimal-length search read, the canonical
+    pass, the witness BFS and the minimal-length search read, with the
+    table of both targets under ``("cover", None)`` for a witness BFS of
+    both, the canonical
     search, the canonical copy the minimal-length search runs on with its
-    orbit start pairs, and that copy's bound table per target under
-    ``("bound", target)``) are computed on first use
+    orbit start pairs, that copy's bound table per target under
+    ``("bound", target)``, and the witness walk pair of each rule and target
+    under ``("witness", rule, target)``, of which one edge-target BFS may
+    store the vertex target's too) are computed on first use
     and kept in ``_memo``, so every later query on the same instance reads
     them. Each stored value is computed from the graph only, and it is
     stored with one ``dict.setdefault``: two threads that compute it at once
@@ -90,7 +99,10 @@ class Graph:
     reader sees either no row or the whole row.
     """
 
-    __slots__ = ("n", "edges", "adj", "dist", "radius", "_memo")
+    # __dict__ holds dist and radius once read; a __getattr__ filling
+    # slots instead would slow every attribute read, as CPython does not
+    # specialize attribute reads on a class that defines one
+    __slots__ = ("n", "edges", "adj", "_row0", "_memo", "__dict__")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 1:
@@ -109,15 +121,23 @@ class Graph:
             nbrs[v].append(u)
         self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
 
-        # one BFS row decides connectivity before the n^2 table is built
         row0 = _bfs_distances(self.adj, 0, n)
         if -1 in row0:
             raise DisconnectedInput("graph is not connected")
-        self.dist: tuple[tuple[int, ...], ...] = (tuple(row0),) + tuple(
-            tuple(_bfs_distances(self.adj, s, n)) for s in range(1, n)
-        )
-        self.radius = min(max(row) for row in self.dist)
+        self._row0 = tuple(row0)
         self._memo: dict = {}
+
+    @cached_property
+    def dist(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs distances: row 0 is the connectivity BFS, and each other
+        row one BFS, run on the first read."""
+        return (self._row0,) + tuple(
+            tuple(_bfs_distances(self.adj, s, self.n)) for s in range(1, self.n)
+        )
+
+    @cached_property
+    def radius(self) -> int:
+        return min(map(max, self.dist))
 
     def _memoized(self, key, compute):
         """The value stored under key, computed by compute() on first use."""
@@ -139,7 +159,11 @@ class Graph:
         return len(self.adj[u])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and self.dist[u][v] == 1
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
+        row = self.adj[u]
+        i = bisect_left(row, v)
+        return i < len(row) and row[i] == v
 
     def edge_index(self, u: int, v: int) -> int:
         """Position of the edge in the sorted edge tuple (used as a bit

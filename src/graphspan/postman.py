@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import EmptyEdgeSet, InternalError, InvalidParams, NotEulerian
-from .graph import Edge, Graph, _norm
+from .graph import Edge, Graph, _bfs_distances, _norm
 from .walks import Walk
 
 EulerClass = Literal["circuit", "trail", "none"]
@@ -378,7 +378,8 @@ def _min_perfect_matching(cost: list[list[int]]) -> list[int]:
 def _pair_odd_vertices(dist, odd: list[int], free: bool) -> tuple[list[tuple[int, int]], list[int]]:
     """The pairs (a, b), a < b, of a least-distance pairing of the odd
     vertices (given in increasing order), and the two left unpaired in free
-    mode, lower first.
+    mode, lower first. dist[a][b] is read for odd a and b only, so dist may
+    map each odd vertex to its distance row.
 
     Free mode adds two vertices joined at cost 0 to every odd vertex and to
     each other. No least matching joins the two: it would pair the odd
@@ -398,15 +399,17 @@ def _pair_odd_vertices(dist, odd: list[int], free: bool) -> tuple[list[tuple[int
     return pairs, [odd[i] for i in range(k) if mate[i] >= k]
 
 
-def _augmenting_paths(g: Graph, pairs: list[tuple[int, int]]) -> list[Edge]:
-    """Edges along a deterministic shortest path for each matched pair."""
+def _augmenting_paths(g: Graph, dist, pairs: list[tuple[int, int]]) -> list[Edge]:
+    """Edges along a deterministic shortest path for each matched pair (a, b),
+    read from dist[a], the distances from a."""
     extra: list[Edge] = []
     for a, b in pairs:
         # walk from b back to a, always stepping to the lowest neighbor
         # that decreases the distance to a
+        row = dist[a]
         cur = b
         while cur != a:
-            nxt = min(u for u in g.adj[cur] if g.dist[a][u] == g.dist[a][cur] - 1)
+            nxt = min(u for u in g.adj[cur] if row[u] == row[cur] - 1)
             extra.append(_norm(cur, nxt))
             cur = nxt
     return extra
@@ -421,14 +424,19 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
     shortest-path distance; in free_endpoints mode two dummy vertices leave
     two of them unpaired, and the walk runs from the lower of the two to the
     higher.
+
+    Only the distances from the k odd vertices are read, one BFS from each,
+    and never the graph's all-pairs table: the distances cost O(k(n + m))
+    time and O(kn) memory, beside the matching and the Eulerian walk.
     """
     if g.m == 0:
         raise EmptyEdgeSet("covering walk needs at least one edge")
     if mode not in ("closed", "free_endpoints"):
         raise InvalidParams(f"unknown mode {mode!r}")
     odd = [u for u in range(g.n) if g.degree(u) % 2]
-    pairs, ends = _pair_odd_vertices(g.dist, odd, mode != "closed")
-    extra = _augmenting_paths(g, pairs)
+    dist = {a: _bfs_distances(g.adj, a, g.n) for a in odd}
+    pairs, ends = _pair_odd_vertices(dist, odd, mode != "closed")
+    extra = _augmenting_paths(g, dist, pairs)
     counts = Counter(g.edges)
     for e in extra:
         counts[e] += 1

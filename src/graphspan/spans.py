@@ -32,7 +32,10 @@ component of the full move set and cover what it covers (see ``_moves``).
 Only the minimal-length search, ``minlen._transition_tables``, reads each
 rule's full move set. What a step covers, a vertex or an edge, has one
 definition per graph and target, ``_cover``, which the span pass, the
-witness BFS and the minimal-length search read.
+witness BFS and the minimal-length search read. Each witness pair is kept
+on the graph; when a rule's two targets share a span value and witness
+root, an edge-target query runs one BFS for both (``_component_witness``),
+as a walk pair that covers every edge also visits every vertex.
 """
 
 from __future__ import annotations
@@ -61,6 +64,11 @@ class Rule(Enum):
     ACTIVE = "active"            # tensor product: both players move
     LAZY = "lazy"                # Cartesian product: exactly one player moves
 
+    # members are singletons compared by identity, so the identity hash
+    # agrees with equality; it spares every memo key holding a rule the
+    # Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
     @property
     def product_name(self) -> str:
         return _PRODUCT_NAMES[self.value][0]
@@ -78,6 +86,8 @@ class Rule(Enum):
 class Target(Enum):
     VERTICES = "vertices"
     EDGES = "edges"
+
+    __hash__ = object.__hash__  # as for Rule
 
 
 RULES = (Rule.TRADITIONAL, Rule.ACTIVE, Rule.LAZY)
@@ -229,18 +239,29 @@ class SpanReport:
     witness_component: int
 
 
-def _cover(g: Graph, target: Target) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _cover(g: Graph, target: Target | None) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(width, bit): the bits per player of the target, and bit[a][b], what a
     player covers when it steps from a to b, or stands at a when b == a.
 
     Vertex target: 1 << b. Edge target: 1 << (index of edge ab in g.edges),
-    0 for a stay. Built once per graph and target, and read by the span
-    pass, the witness BFS and the minimal-length search.
+    0 for a stay. None, both targets: the edge target's bit shifted above
+    the vertex target's, width n + m, read only by a witness BFS of both.
+    Built once per graph and target, and read by the span pass, the witness
+    BFS and the minimal-length search.
     """
 
     def compute():
         if target is Target.VERTICES:
             return g.n, (tuple(1 << b for b in range(g.n)),) * g.n
+        if target is None:
+            n = g.n
+            m, edge_bit = _cover(g, Target.EDGES)
+            vertex_row = _cover(g, Target.VERTICES)[1][0]
+            # a stay or non-edge reuses the vertex table's int
+            return n + m, tuple(
+                tuple(e << n | b if e else b for e, b in zip(row, vertex_row))
+                for row in edge_bit
+            )
         bit = [[0] * g.n for _ in range(g.n)]
         for i, (a, b) in enumerate(g.edges):
             bit[a][b] = bit[b][a] = 1 << i
@@ -471,17 +492,23 @@ def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
 
 
 def _component_witness(
-    g: Graph, rule: Rule, target: Target, k: int, root: int
-) -> tuple[Walk, Walk]:
-    """Walk a pruned BFS tree of the witness component and project it.
+    g: Graph, rule: Rule, target: Target, k: int, root: int, both: bool
+) -> tuple[tuple[Walk, Walk], tuple[Walk, Walk] | None]:
+    """Walk a pruned BFS tree of the witness component and project it: the
+    pair of the target, then, if both (for the edge target), the pair of
+    the vertex target from the same BFS, else None.
 
     One BFS from root over the states at distance >= k, successors in
     increasing flat index, credits each target of each player to the first
-    element in BFS order that covers it: a state for a vertex target, a
-    product edge for an edge target. It stops once every target is credited.
-    It follows the moves ``_moves`` reads at threshold k, which reach the
-    whole component and cover what its full move set covers (the witness
-    claim there).
+    element in BFS order that covers it: for a vertex target the state a
+    read enters, for an edge target the read, a product edge. The BFS order
+    does not depend on the targets, so the credits of each target, and the
+    walk built from them, are those of a BFS for it alone. The BFS stops
+    once every target is credited; with both targets, once the edges are,
+    as every read enters a state whose vertices are covered, so the vertex
+    target adds no read. It follows the moves ``_moves`` reads at threshold
+    k, which reach the whole component and cover what its full move set
+    covers (the witness claim there).
     The kept subtree holds every credited state and the child end of every
     credited tree edge, with their tree paths to root; a credited non-tree
     edge s-t becomes the detour s, t, s at s. The depth-first walk of the
@@ -492,12 +519,18 @@ def _component_witness(
     """
     n = g.n
     dist = g.dist
-    width, bit = _cover(g, target)
+    # the word holds f's bits above g's; with both targets, each player's
+    # edge bits above its vertex bits (_cover), which v_mask selects
+    width, bit = _cover(g, None if both else target)
+    player_v = (1 << n) - 1 if both else 0
+    v_mask = player_v << width | player_v
+    full = (1 << 2 * width) - 1
+    mask = full ^ v_mask
     u, v = divmod(root, n)
     covered = bit[u][u] << width | bit[v][v]
-    full = (1 << 2 * width) - 1
     parent = {root: root}
-    kept = []
+    kept: list[int] = []
+    v_kept: list[int] = []
     detours: dict[int, list[int]] = {}
     order = [root]
     head = 0
@@ -507,22 +540,47 @@ def _component_witness(
         s = order[head]
         head += 1
         u, v = divmod(s, n)
+        f_row, g_row = bit[u], bit[v]
         for t in sorted(x * n + y for x, y in _moves(g, rule, u, v, k) if dist[x][y] >= k):
             x, y = divmod(t, n)
-            bits = bit[u][x] << width | bit[v][y]
+            bits = f_row[x] << width | g_row[y]
             if t not in parent:
                 parent[t] = s
                 order.append(t)
-                if bits & ~covered:
+                fresh = bits & ~covered
+                if not fresh:
+                    continue
+                if fresh & mask:
                     kept.append(t)
+                if fresh & v_mask:
+                    v_kept.append(t)
             elif bits & ~covered:
-                # only an edge target gets here: a visited state's vertices
-                # were covered when it was reached
+                # only edge bits: a visited state's vertices were covered
+                # when it was reached
                 kept.append(s)
                 detours.setdefault(s, []).append(t)
+            else:
+                continue
             covered |= bits
             if covered == full:
                 break
+    return (
+        _tree_walk(n, root, parent, order, kept, detours),
+        _tree_walk(n, root, parent, order, v_kept, {}) if both else None,
+    )
+
+
+def _tree_walk(
+    n: int,
+    root: int,
+    parent: dict[int, int],
+    order: list[int],
+    kept: list[int],
+    detours: dict[int, list[int]],
+) -> tuple[Walk, Walk]:
+    """The projections of the depth-first walk of the BFS subtree that holds
+    the kept states and their tree paths to root, children in BFS order,
+    with the detours s, t, s of detours[s] at each state's first visit."""
     marked = {root}
     for s in kept:
         while s not in marked:
@@ -545,15 +603,36 @@ def _component_witness(
             seq.extend((t, s))
         pending.append(~s)
         pending.extend(reversed(children.get(s, ())))
-    return Walk(tuple(s // n for s in seq)), Walk(tuple(s % n for s in seq))
+    # list comprehensions: faster than generators on these short walks
+    return Walk(tuple([s // n for s in seq])), Walk(tuple([s % n for s in seq]))
 
 
 def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
     """Walk pair achieving the span value: the depth-first walk of a pruned
-    BFS tree of the witness component, coordinates projected."""
+    BFS tree of the witness component, coordinates projected.
+
+    Each pair is kept on the graph under ``("witness", rule, target)``. An
+    edge-target query whose vertex target has the same span value and
+    witness root, and no kept pair yet, runs one BFS for both targets and
+    keeps both pairs, each equal to what a BFS for it alone gives.
+    """
     _check_variant(rule, target)
-    value, root = _rule_spans(g, rule)[target is Target.EDGES]
-    return _component_witness(g, rule, target, value, root)
+    memo = g._memo
+    key = ("witness", rule, target)
+    pair = memo.get(key)
+    if pair is None:
+        hits = _rule_spans(g, rule)
+        edge = target is Target.EDGES
+        value, root = hits[edge]
+        both = edge and hits[0] == hits[1]
+        if both:
+            vertex_key = ("witness", rule, Target.VERTICES)
+            both = vertex_key not in memo
+        pair, vertex_pair = _component_witness(g, rule, target, value, root, both)
+        if both:
+            memo.setdefault(vertex_key, vertex_pair)
+        pair = memo.setdefault(key, pair)
+    return pair
 
 
 def all_spans(g: Graph) -> tuple[SpanReport, ...]:

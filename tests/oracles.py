@@ -38,17 +38,20 @@ def connected_graphs(draw, max_n: int) -> Graph:
     return Graph(n, [(label[u], label[v]) for u, v in (*tree, *chords)])
 
 
-def count_engine_calls(monkeypatch) -> tuple[list, list]:
-    """Record every span pass and every canonical search, the uncached cores
-    behind the per-graph memo: the rule of each union-find pass (a
-    traditional query runs one lazy and one active pass and joins them) and
-    the order of each search, one list entry per call."""
+def count_engine_calls(monkeypatch) -> tuple[list, list, list]:
+    """Record every span pass, every canonical search and every witness BFS,
+    the uncached cores behind the per-graph memo: the rule of each
+    union-find pass (a traditional query runs one lazy and one active pass
+    and joins them), the order of each search and the rule of each BFS (one
+    BFS may build the witnesses of both targets), one list entry per call."""
     from graphspan import families, spans
 
     passes: list = []
     searches: list = []
+    witness_runs: list = []
     union_levels = spans._union_levels
     refined_positions = families._refined_positions
+    component_witness = spans._component_witness
 
     def counted_pass(*args):
         passes.append(args[1])
@@ -58,9 +61,14 @@ def count_engine_calls(monkeypatch) -> tuple[list, list]:
         searches.append(args[0])
         return refined_positions(*args)
 
+    def counted_witness(*args):
+        witness_runs.append(args[1])
+        return component_witness(*args)
+
     monkeypatch.setattr(spans, "_union_levels", counted_pass)
     monkeypatch.setattr(families, "_refined_positions", counted_search)
-    return passes, searches
+    monkeypatch.setattr(spans, "_component_witness", counted_witness)
+    return passes, searches, witness_runs
 
 
 def rule_moves(g: Graph, rule: Rule, u: int, v: int):

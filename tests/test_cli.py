@@ -205,6 +205,18 @@ class TestWitnessCommand:
         assert classify(g, f).is_lazy_sweep and classify(g, h).is_lazy_sweep
         assert pair_distance(g, f, h) == 2
 
+    @pytest.mark.parametrize("spec,runs", [("path:30", 3), ("kn_plus:9", 4)])
+    def test_one_bfs_per_rule_when_the_targets_share_a_root(self, capsys, monkeypatch, spec, runs):
+        # kn_plus(9) has direct spans 2 (vertices) and 1 (edges), so its
+        # active targets need a BFS each; every other rule shares one
+        _, _, witness_runs = count_engine_calls(monkeypatch)
+        code, _, _ = run(capsys, "witness", "--family", spec)
+        assert code == 0
+        assert len(witness_runs) == runs
+        code, _, _ = run(capsys, "span", "--family", spec)
+        assert code == 0
+        assert len(witness_runs) == runs
+
 
 class TestMinlenCommand:
     def test_text(self, capsys):
@@ -444,7 +456,7 @@ def test_minlen_golden_lengths(capsys):
 
 
 def test_minlen_runs_one_lazy_and_one_active_pass_and_one_canonical_search(capsys, monkeypatch):
-    passes, searches = count_engine_calls(monkeypatch)
+    passes, searches, witness_runs = count_engine_calls(monkeypatch)
     built = []
     memoized = Graph._memoized
 
@@ -459,6 +471,7 @@ def test_minlen_runs_one_lazy_and_one_active_pass_and_one_canonical_search(capsy
     code, _, _ = run(capsys, "minlen", "--family", "cycle:6")
     assert code == 0
     assert (sorted(rule.value for rule in passes), len(searches)) == (["active", "lazy"], 1)
+    assert witness_runs == []
     # one canonical copy and one bound table per target, shared by the rules
     keys = ("canonical copy", ("bound", Target.VERTICES), ("bound", Target.EDGES))
     assert [built.count(key) for key in keys] == [1, 1, 1]

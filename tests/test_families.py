@@ -211,14 +211,14 @@ class TestIsomorphism:
 
     def test_search_refuses_large_orders_at_once(self, monkeypatch):
         # above the order limit these searches run for minutes or more
-        passes, searches = count_engine_calls(monkeypatch)
+        passes, searches, witness_runs = count_engine_calls(monkeypatch)
         with pytest.raises(TooLarge):
             canonical_form(path(40))
         with pytest.raises(TooLarge):
             automorphism_count(cycle(18))
         with pytest.raises(TooLarge):
             is_isomorphic(star(40), star(40))
-        assert passes == searches == []
+        assert passes == searches == witness_runs == []
         assert automorphism_count(cycle(SEARCH_ORDER_LIMIT)) == 2 * SEARCH_ORDER_LIMIT
 
 
@@ -230,7 +230,7 @@ class TestMinimalityScan:
 
     def test_scan_runs_only_active_passes(self, monkeypatch):
         # the scan asks only direct spans, so no graph joins a lazy pass in
-        passes, _ = count_engine_calls(monkeypatch)
+        passes, _, _ = count_engine_calls(monkeypatch)
         find_minimal_direct_gap()
         assert passes and set(passes) == {Rule.ACTIVE}
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import re
+import sys
+import threading
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -18,6 +21,8 @@ from graphspan import (
     InvalidParams,
     MalformedInput,
     SelfLoop,
+    Walk,
+    classify,
     complete,
     complete_bipartite,
     cycle,
@@ -214,6 +219,55 @@ class TestFamilies:
     def test_spec_only_ascii_decimal_parameters(self, token):
         with pytest.raises(MalformedInput, match=re.escape(repr(token))):
             FamilySpec.from_string(f"complete_bipartite:2,{token}")
+
+
+class TestDistancesOnDemand:
+    def test_classify_builds_no_distance_table(self):
+        # has_edge reads the sorted adjacency row; the n x n table of order
+        # 1000 takes about 24 MB
+        tracemalloc.start()
+        try:
+            g = path(1000)
+            flags = classify(g, Walk(tuple(range(1000))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert flags.is_sweep
+
+    def test_has_edge_matches_edge_set(self):
+        for g in corpus(5):
+            edges = set(g.edges)
+            for u in range(-1, g.n + 1):
+                for v in range(-1, g.n + 1):
+                    assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+    @staticmethod
+    def _read(g, barrier, seen):
+        barrier.wait(timeout=10)
+        seen.append((g.dist, g.radius))
+
+    def test_threads_reading_a_fresh_graph_agree(self):
+        # the graph is documented as safe to share: two threads that build
+        # dist and radius at once read equal values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for g in (kn_plus(30), cycle(61)):
+                barrier = threading.Barrier(2)
+                seen = []
+                threads = [
+                    threading.Thread(target=self._read, args=(g, barrier, seen)) for _ in range(2)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                want = tuple(tuple(_bfs_row(g, s)) for s in range(g.n))
+                assert seen == [(want, min(map(max, want)))] * 2
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRadii:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -365,6 +366,26 @@ class TestShortestCoveringWalk:
             free = shortest_covering_walk(g).length_edges
             closed = shortest_covering_walk(g, "closed").length_edges
             assert free <= closed <= free + g.diameter
+
+    @pytest.mark.parametrize("make,mode,seq,duplicated", [
+        (path, "free_endpoints", tuple(range(1000)), ()),
+        (path, "closed", (*range(1000), *range(998, -1, -1)),
+         tuple((i, i + 1) for i in range(999))),
+        (cycle, "free_endpoints", (*range(1000), 0), ()),
+        (cycle, "closed", (*range(1000), 0), ()),
+    ])
+    def test_large_sparse_graphs_read_only_odd_vertex_distances(self, make, mode, seq, duplicated):
+        # the n x n distance table of order 1000 takes about 24 MB; the walk
+        # needs one BFS row per odd vertex, and these graphs have 2 or none
+        tracemalloc.start()
+        try:
+            res = shortest_covering_walk(make(1000), mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert (res.walk.seq, res.duplicated) == (seq, duplicated)
+        assert res.length_edges == len(seq) - 1
 
     def test_empty_edge_set(self):
         with pytest.raises(EmptyEdgeSet):

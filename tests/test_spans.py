@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from graphspan import (
+    FamilySpec,
     Graph,
     InvalidParams,
     Rule,
@@ -19,6 +20,7 @@ from graphspan import (
     complete,
     cycle,
     feasible,
+    generate,
     kn_plus,
     length_lower_bounds,
     line_graph,
@@ -65,6 +67,7 @@ class TestVariantArguments:
         lambda g: span(g, "direct", Target.EDGES),
         lambda g: span(g, Rule.ACTIVE, "edges"),
         lambda g: witness_sweeps(g, "lazy", Target.VERTICES),
+        lambda g: witness_sweeps(g, Rule.ACTIVE, "edges"),
         lambda g: feasible(g, Rule.TRADITIONAL, "vertices", 1),
         lambda g: min_length(g, "active", Target.VERTICES),
         lambda g: length_lower_bounds(g, Rule.LAZY, "edges"),
@@ -270,7 +273,7 @@ def _lowest_covering_state(g, rule, target, k):
 class TestMemo:
     def test_one_lazy_and_one_active_pass_and_one_canonical_search(self, monkeypatch):
         # the traditional answers are joined from the lazy and active passes
-        passes, searches = count_engine_calls(monkeypatch)
+        passes, searches, _ = count_engine_calls(monkeypatch)
         g = kn_plus(4)
         all_spans(g)
         for rule, target in ALL_VARIANTS:
@@ -281,7 +284,7 @@ class TestMemo:
         assert len(searches) == 1
 
     def test_lazy_and_active_queries_run_only_their_own_pass(self, monkeypatch):
-        passes, _ = count_engine_calls(monkeypatch)
+        passes, _, _ = count_engine_calls(monkeypatch)
         g = kn_plus(5)
         span(g, Rule.LAZY, Target.EDGES)
         span(g, Rule.ACTIVE, Target.VERTICES)
@@ -570,6 +573,30 @@ class TestWitnesses:
         f, h = witness_sweeps(complete(5), Rule.TRADITIONAL, Target.EDGES)
         assert len(f) == len(h) == 39
 
+    def test_edge_first_and_vertex_first_give_the_same_walks(self, monkeypatch):
+        # asked first, an edge target runs one BFS for both targets where
+        # they share a span value and root; asked first, a vertex target
+        # runs one BFS per target
+        _, _, witness_runs = count_engine_calls(monkeypatch)
+        specs = ("complete:10", "complete:11", "path:30", "kn_plus:9", "cycle:40",
+                 "complete_bipartite:5,6")
+        graphs = [
+            *corpus(6),
+            *(generate(FamilySpec.from_string(spec)) for spec in specs),
+            *_seeded_graphs(100, 24, orders=(1, 20)),
+        ]
+        runs = {TARGETS: 0, TARGETS[::-1]: 0}
+        for g in graphs:
+            walks = []
+            for targets in runs:
+                fresh = Graph(g.n, g.edges)
+                before = len(witness_runs)
+                walks.append({(rule, target): witness_sweeps(fresh, rule, target)
+                              for rule in Rule for target in targets})
+                runs[targets] += len(witness_runs) - before
+            assert walks[0] == walks[1]
+        assert runs[TARGETS] == 6 * len(graphs) > runs[TARGETS[::-1]]
+
     def test_all_witnesses_revalidate_small_corpus(self):
         for g in corpus(6):
             for rule, target in ALL_VARIANTS:
@@ -597,8 +624,9 @@ class TestWitnesses:
 
     def test_witness_reads_the_thresholded_moves(self, monkeypatch):
         # the reads at the span value reach the whole full-set component
-        # (see TestReducedMoves), so the BFS never needs the full move set
-        graphs = corpus(5)
+        # (see TestReducedMoves), so the BFS never needs the full move set;
+        # fresh copies, as the shared corpus graphs keep their witnesses
+        graphs = [Graph(g.n, g.edges) for g in corpus(5)]
         for g in graphs:
             all_spans(g)
         moves = spans._moves
