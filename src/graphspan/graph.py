@@ -82,7 +82,8 @@ class Graph:
     coverage table per target under ``("cover", target)`` that the span
     pass, the witness BFS and the minimal-length search read, with the
     table of both targets under ``("cover", None)`` for a witness BFS of
-    both, the canonical
+    both, the step rows of each vertex under ``"steps"`` that the lazy and
+    active passes and the lazy witness BFS read, the canonical
     search, the canonical copy the minimal-length search runs on with its
     orbit start pairs, that copy's bound table per target under
     ``("bound", target)``, and the witness walk pair of each rule and target
@@ -285,8 +286,8 @@ def parse_graph6(text: str) -> Graph:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named graph family plus its integer parameters, each at most
-    ORDER_LIMIT."""
+    """A named graph family plus its integer parameters, whose graph has
+    order at most ORDER_LIMIT."""
 
     family: str
     params: tuple[int, ...]
@@ -302,6 +303,11 @@ class FamilySpec:
         for p in self.params:
             if p > ORDER_LIMIT:
                 raise TooLarge(f"{self.family} parameter {p} above the limit {ORDER_LIMIT}")
+        # each family's order is the sum of its parameters, plus the
+        # subdivision vertex of kn_plus
+        order = sum(self.params) + (self.family == "kn_plus")
+        if order > ORDER_LIMIT:
+            raise TooLarge(f"{self.family} order {order} above the limit {ORDER_LIMIT}")
 
     @classmethod
     def from_string(cls, text: str) -> "FamilySpec":

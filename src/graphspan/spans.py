@@ -24,15 +24,21 @@ per-level lists of flat indices, built once per graph and shared, so each
 pair enters once. At threshold k the active pass reads a reduced move set,
 one that ends every level with the components and coverage of the full move
 set (see ``_moves``): one half of a spanning double star of each complete
-bipartite block of active moves, each star edge read from one end only. The
-witness BFS reads the thresholded moves of its rule at the span value, for
-the strong rule the lazy moves plus the diagonals whose two lazy
-intermediates are both at distance < k: from any pair they reach its whole
-component of the full move set and cover what it covers (see ``_moves``).
-Only the minimal-length search, ``minlen._transition_tables``, reads each
-rule's full move set. What a step covers, a vertex or an edge, has one
-definition per graph and target, ``_cover``, which the span pass, the
-witness BFS and the minimal-length search read. Each witness pair is kept
+bipartite block of active moves, each star edge read from one end only.
+``_moves`` defines each rule's moves; the lazy and active passes copy its
+reads inline from per-vertex step rows (``_steps``), built once per graph,
+with no generator and no per-read index or table lookup, and
+``tests/test_spans.py::TestReducedMoves::test_inline_reads_follow_moves``
+pins the copy. The witness BFS reads the thresholded moves of its rule at
+the span value, for the strong rule the lazy moves plus the diagonals whose
+two lazy intermediates are both at distance < k: from any pair they reach
+its whole component of the full move set and cover what it covers (see
+``_moves``). The lazy BFS reads them from the step rows, the active and
+strong BFS from ``_moves``. Only the minimal-length search,
+``minlen._transition_tables``, reads each rule's full move set. What a step
+covers, a vertex or an edge, has one definition per graph and target,
+``_cover``, which the span pass (through the step rows), the witness BFS and
+the minimal-length search read. Each witness pair is kept
 on the graph; when a rule's two targets share a span value and witness
 root, an edge-target query runs one BFS for both (``_component_witness``),
 as a walk pair that covers every edge also visits every vertex.
@@ -111,9 +117,13 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
     and active span passes, which end every level with the components and
     coverage of the full move set, and by the witness BFS of every rule,
     which follows them from one pair with every pair at distance >= k
-    present (the witness claim below). The traditional span pass reads no
-    move; it joins the lazy and active levels (``_joined_levels``). The
-    lazy move set does not depend on k.
+    present (the witness claim below). The span passes and the lazy BFS
+    read copies of these moves inline from the step rows (``_steps``), in
+    the same order; this generator is the definition they copy, and
+    ``test_inline_reads_follow_moves`` checks that the passes union as a
+    pass reading it does. The traditional span pass reads no move; it joins
+    the lazy and active levels (``_joined_levels``). The lazy move set does
+    not depend on k.
 
     Lazy and strong rules: for each x in N(u), the strong diagonals (x, y),
     then (x, v); after them every (u, y). The minimal-length search breaks
@@ -270,6 +280,29 @@ def _cover(g: Graph, target: Target | None) -> tuple[int, tuple[tuple[int, ...],
     return g._memoized(("cover", target), compute)
 
 
+def _steps(g: Graph) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
+    """(f_rows, g_rows): the step rows of each vertex u, one entry per
+    neighbour x in increasing order, 2m entries per player.
+
+    An f-row entry is (x, (x - u) * n, the f-step's edge word) and a g-row
+    entry (x, x - u, the g-step's edge word): the offset a step of that
+    player adds to a flat index u*n + v, and its edge bit (``_cover``) in
+    the span pass's word, f bits above g bits. Built once per graph and read
+    by the lazy and active span passes and the lazy witness BFS.
+    """
+
+    def compute():
+        n = g.n
+        m, bit = _cover(g, Target.EDGES)
+        f_rows, g_rows = [], []
+        for u, (xs, row) in enumerate(zip(g.adj, bit)):
+            f_rows.append(tuple((x, (x - u) * n, row[x] << m) for x in xs))
+            g_rows.append(tuple((x, x - u, row[x]) for x in xs))
+        return tuple(f_rows), tuple(g_rows)
+
+    return g._memoized("steps", compute)
+
+
 def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -300,29 +333,43 @@ def _identity(g: Graph) -> list[int]:
 
 
 def _union_levels(g: Graph, rule: Rule):
-    """The union-find pass of ``rule``, one threshold level at a time.
+    """The union-find pass of the lazy or the active rule, one threshold
+    level at a time.
 
     States enter in decreasing distance order, one level of ``_levels`` at a
     time, so each pair enters exactly once, and are unioned with the
-    successors already present, taken from ``_moves`` at the level's
-    threshold; for the lazy and active rules those reduced move sets end
-    every level with the components and coverage of the full move set. Each
-    root is the lowest index of its component and carries one coverage word,
-    the OR of what the component covers: both players' vertex bits above
-    both players' edge bits, f bits above g bits within each. A state writes
-    its two vertices into its word when it enters, so a state is present iff
-    its word is nonzero, and a product edge adds its base edges when it is
-    unioned. A root unioned below another hands its word over and keeps the
-    word 1, since only root words and the nonzero test are read again; so
-    the words hold one full word per component, not one per state. After
-    each level k it yields (k, the roots touched on the level, parent, cov,
-    the roots unioned below another on the level); parent and cov are
-    updated in place by the later levels.
+    successors already present: the moves ``_moves`` yields at the level's
+    threshold, which end every level with the components and coverage of
+    the full move set. The pass reads them inline from the step rows
+    (``_steps``), in the order ``_moves`` yields them: lazy, the f-row of u,
+    then the g-row of v; active, for each x in the f-row of u, the whole
+    g-row of v when first(v, x) = u, else the first y of it at distance
+    >= k from x. A move's target index is the state's index plus the
+    offsets of its steps, and its edge bits the OR of their words.
+    ``tests/test_spans.py::TestReducedMoves`` checks every level against
+    ``_moves`` and against an independent pass over the full move set.
+
+    Each root is the lowest index of its component and carries one coverage
+    word, the OR of what the component covers: both players' vertex bits
+    above both players' edge bits, f bits above g bits within each. A state
+    writes its two vertices into its word when it enters, so a state is
+    present iff its word is nonzero, and a product edge adds its base edges
+    when it is unioned. A root unioned below another hands its word over
+    and keeps the word 1, since only root words and the nonzero test are
+    read again; so the words hold one full word per component, not one per
+    state. After each level k it yields (k, the roots touched on the level,
+    parent, cov, the roots unioned below another on the level); parent and
+    cov are updated in place by the later levels.
     """
+    if rule is Rule.TRADITIONAL:
+        raise InternalError("the traditional levels are joined from the lazy and active passes")
     n = g.n
+    adj = g.adj
+    dist = g.dist
+    lazy = rule is Rule.LAZY
     vertex_bit = _cover(g, Target.VERTICES)[1]
-    m, g_bit = _cover(g, Target.EDGES)
-    f_bit = [[b << m for b in row] for row in g_bit]
+    shift = 2 * g.m
+    f_rows, g_rows = _steps(g)
     parent = _identity(g)
     cov = [0] * (n * n)
     levels = _levels(g)
@@ -331,26 +378,63 @@ def _union_levels(g: Graph, rule: Rule):
         merged = []
         for s in levels[k]:
             u, v = divmod(s, n)
-            cov[s] = (vertex_bit[u][u] << n | vertex_bit[v][v]) << 2 * m
-            f_row = f_bit[u]
-            g_row = g_bit[v]
+            cov[s] = (vertex_bit[u][u] << n | vertex_bit[v][v]) << shift
             root = s
-            for x, y in _moves(g, rule, u, v, k):
-                t = x * n + y
-                if not cov[t]:
-                    continue
-                bits = f_row[x] | g_row[y]
-                other = parent[t]
-                if parent[other] != other:  # most successors sit next to their root
-                    other = _find(parent, other)
-                if other != root:
-                    if other < root:
-                        root, other = other, root
-                    parent[other] = root
-                    merged.append(other)
-                    bits |= cov[other]
-                    cov[other] = 1
-                cov[root] |= bits
+            # the union body is written out in both branches: one loop over
+            # (base, word, row) groups, shared by both rules, made the pass
+            # 7-12 % slower on the family-queries graphs
+            if lazy:
+                for row in (f_rows[u], g_rows[v]):
+                    for _, off, bits in row:
+                        t = s + off
+                        if not cov[t]:
+                            continue
+                        other = parent[t]
+                        if parent[other] != other:  # most successors sit next to their root
+                            other = _find(parent, other)
+                        if other != root:
+                            if other < root:
+                                root, other = other, root
+                            parent[other] = root
+                            merged.append(other)
+                            bits |= cov[other]
+                            cov[other] = 1
+                        cov[root] |= bits
+            else:
+                dv = dist[v]
+                g_row = g_rows[v]
+                for x, f_off, f_word in f_rows[u]:
+                    # first(v, x) exists and is at most u, which qualifies
+                    for w in adj[x]:
+                        if dv[w] >= k:
+                            break
+                    if w == u:
+                        reads = g_row
+                    else:
+                        dx = dist[x]
+                        for read in g_row:
+                            if dx[read[0]] >= k:
+                                reads = (read,)
+                                break
+                        else:
+                            continue
+                    base = s + f_off
+                    for _, off, bits in reads:
+                        t = base + off
+                        if not cov[t]:
+                            continue
+                        bits |= f_word
+                        other = parent[t]
+                        if parent[other] != other:
+                            other = _find(parent, other)
+                        if other != root:
+                            if other < root:
+                                root, other = other, root
+                            parent[other] = root
+                            merged.append(other)
+                            bits |= cov[other]
+                            cov[other] = 1
+                        cov[root] |= bits
             touched.append(root)
         yield k, {_find(parent, r) for r in touched}, parent, cov, merged
 
@@ -508,7 +592,9 @@ def _component_witness(
     as every read enters a state whose vertices are covered, so the vertex
     target adds no read. It follows the moves ``_moves`` reads at threshold
     k, which reach the whole component and cover what its full move set
-    covers (the witness claim there).
+    covers (the witness claim there); the lazy BFS reads them from the step
+    rows, each step kept when the pair's distance row puts its target at
+    distance >= k.
     The kept subtree holds every credited state and the child end of every
     credited tree edge, with their tree paths to root; a credited non-tree
     edge s-t becomes the detour s, t, s at s. The depth-first walk of the
@@ -519,6 +605,9 @@ def _component_witness(
     """
     n = g.n
     dist = g.dist
+    lazy = rule is Rule.LAZY
+    if lazy:
+        f_rows, g_rows = _steps(g)
     # the word holds f's bits above g's; with both targets, each player's
     # edge bits above its vertex bits (_cover), which v_mask selects
     width, bit = _cover(g, None if both else target)
@@ -541,7 +630,14 @@ def _component_witness(
         head += 1
         u, v = divmod(s, n)
         f_row, g_row = bit[u], bit[v]
-        for t in sorted(x * n + y for x, y in _moves(g, rule, u, v, k) if dist[x][y] >= k):
+        if lazy:
+            du, dv = dist[u], dist[v]
+            reads = [s + off for x, off, _ in f_rows[u] if dv[x] >= k]
+            reads += [s + off for y, off, _ in g_rows[v] if du[y] >= k]
+            reads.sort()
+        else:
+            reads = sorted(x * n + y for x, y in _moves(g, rule, u, v, k) if dist[x][y] >= k)
+        for t in reads:
             x, y = divmod(t, n)
             bits = f_row[x] << width | g_row[y]
             if t not in parent:

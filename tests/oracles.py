@@ -84,6 +84,68 @@ def rule_moves(g: Graph, rule: Rule, u: int, v: int):
     ]
 
 
+def oracle_levels(g: Graph, rule: Rule):
+    """A plain union-find over the rule's full move set (``rule_moves``),
+    adding the pairs at distance >= k for k from the radius down to 0.
+
+    After each level it yields (k, {root: (states, word)}): every component
+    of the present pairs, keyed by its lowest flat index u*n + v, with its
+    states in increasing order and its coverage word in the span pass's
+    layout: both players' vertex bits above both players' edge bits, f bits
+    above g bits within each."""
+    n, m = g.n, g.m
+    edge_bit = {}
+    for i, (a, b) in enumerate(g.edges):
+        edge_bit[a, b] = edge_bit[b, a] = 1 << i
+    parent: dict[int, int] = {}
+    word: dict[int, int] = {}
+
+    def find(s):
+        while parent[s] != s:
+            s = parent[s]
+        return s
+
+    for k in range(g.radius, -1, -1):
+        for s in range(n * n):
+            u, v = divmod(s, n)
+            if s in parent or g.dist[u][v] < k:
+                continue
+            parent[s] = s
+            word[s] = ((1 << (n + u)) | (1 << v)) << (2 * m)
+            # every move set is symmetric, so each move between present
+            # pairs is read from the pair that enters last
+            for x, y in rule_moves(g, rule, u, v):
+                t = x * n + y
+                if t not in parent:
+                    continue
+                a, b = sorted((find(s), find(t)))
+                if a != b:
+                    parent[b] = a
+                    word[a] |= word.pop(b)
+                word[a] |= edge_bit.get((u, x), 0) << m | edge_bit.get((v, y), 0)
+        components: dict[int, list[int]] = {}
+        for s in sorted(parent):
+            components.setdefault(find(s), []).append(s)
+        yield k, {r: (states, word[r]) for r, states in components.items()}
+
+
+def oracle_pass(g: Graph, rule: Rule):
+    """((value, root) of the vertex target, then of the edge target): the
+    first level of ``oracle_levels`` at which a component covers the target
+    for both players, and the lowest root of such a component."""
+    edge_bits = 2 * g.m
+    fulls = (((1 << 2 * g.n) - 1) << edge_bits, (1 << edge_bits) - 1)
+    hits = [None, None]
+    for k, components in oracle_levels(g, rule):
+        for i, full in enumerate(fulls):
+            roots = [r for r, (_, word) in components.items() if word & full == full]
+            if hits[i] is None and roots:
+                hits[i] = (k, min(roots))
+        if None not in hits:
+            return tuple(hits)
+    raise AssertionError("threshold 0 must be feasible for a connected graph")
+
+
 def _cover_bump(g: Graph, target: Target, cov: frozenset, a: int, b: int) -> frozenset:
     if a == b:
         return cov

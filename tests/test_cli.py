@@ -142,10 +142,14 @@ class TestSpanCommand:
         ("path:1001", "path parameter 1001"),
         ("complete:99999999999999999999", "complete parameter 99999999999999999999"),
         ("complete_bipartite:2,1001", "complete_bipartite parameter 1001"),
+        ("complete_bipartite:1000,1000", "complete_bipartite order 2000"),
+        ("kn_plus:1000", "kn_plus order 1001"),
     ])
     def test_oversized_family_is_too_large(self, capsys, spec, param):
         # checked as the spec is parsed, so nothing large is allocated; the
-        # second spec used to end in an OverflowError traceback with exit 1
+        # second spec used to end in an OverflowError traceback with exit 1,
+        # and the last two, each parameter within the limit, used to build
+        # graphs of order 2,000 and 1,001
         code, out, err = run(capsys, "span", "--family", spec)
         assert code == 2 and out == ""
         assert f"{param} above the limit {ORDER_LIMIT}" in err

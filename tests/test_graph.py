@@ -21,6 +21,7 @@ from graphspan import (
     InvalidParams,
     MalformedInput,
     SelfLoop,
+    TooLarge,
     Walk,
     classify,
     complete,
@@ -214,6 +215,13 @@ class TestFamilies:
         with pytest.raises(InvalidParams):
             FamilySpec.from_string("path:1,2")
         assert FamilySpec.from_string("complete_bipartite:2, 3").params == (2, 3)
+
+    def test_specs_of_order_at_the_limit_are_accepted(self):
+        # complete_bipartite and kn_plus have orders a + b and n + 1
+        assert FamilySpec.from_string("complete_bipartite:500,500").params == (500, 500)
+        assert FamilySpec.from_string("kn_plus:999").params == (999,)
+        with pytest.raises(TooLarge, match="order 1001"):
+            FamilySpec.from_string("complete_bipartite:500,501")
 
     @pytest.mark.parametrize("token", ["1_0", "+9", "\u0663", "-1", "x"])
     def test_spec_only_ascii_decimal_parameters(self, token):

@@ -39,6 +39,8 @@ from oracles import (
     corpus,
     count_engine_calls,
     labeled_connected,
+    oracle_levels,
+    oracle_pass,
     oracle_span,
     rule_moves,
     validate_pair,
@@ -335,20 +337,6 @@ def _dense_graphs():
     return _seeded_graphs(40, 15, orders=(10, 18), densities=(0.5, 0.7, 0.9))
 
 
-def _full_moves(monkeypatch):
-    """Make the span pass read the oracle's full move set, which ignores the
-    threshold."""
-    monkeypatch.setattr(spans, "_moves", lambda g, rule, u, v, k=None: rule_moves(g, rule, u, v))
-
-
-def _full_move_pass(monkeypatch, g, rule):
-    """_span_pass(g, rule) with its moves taken from the oracle's full move
-    set, which for the traditional rule is the whole strong product."""
-    with monkeypatch.context() as patch:
-        _full_moves(patch)
-        return spans._span_pass(g, rule)
-
-
 def _pass_levels(g, rule):
     """The levels the span pass of rule reads: its own union-find pass for
     the lazy and active rules, the join of those two for the traditional
@@ -362,7 +350,7 @@ def _pass_levels(g, rule):
 def _level_ends(levels, g):
     """After every level of the pass, down to threshold 0: each component
     of the present states, keyed by its root, with its states and the
-    root's coverage word."""
+    root's coverage word, as ``oracle_levels`` yields them."""
     n = g.n
     ends = []
     for k, _, parent, cov, _ in levels:
@@ -371,6 +359,30 @@ def _level_ends(levels, g):
             if g.dist[s // n][s % n] >= k:
                 components.setdefault(spans._find(parent, s), []).append(s)
         ends.append((k, {r: (states, cov[r]) for r, states in components.items()}))
+    return ends
+
+
+def _moves_unions(g, rule):
+    """After every level, the roots a union-find pass that reads its moves
+    from ``spans._moves`` unions below another, in order: the pass the span
+    pass's inline reads copy, with the same entry order and the lowest index
+    as root."""
+    n = g.n
+    parent = list(range(n * n))
+    present = [False] * (n * n)
+    ends = []
+    for k, level in reversed(list(enumerate(spans._levels(g)))):
+        merged = []
+        for s in level:
+            present[s] = True
+            for x, y in spans._moves(g, rule, *divmod(s, n), k):
+                t = x * n + y
+                if present[t]:
+                    a, b = sorted((spans._find(parent, s), spans._find(parent, t)))
+                    if a != b:
+                        parent[b] = a
+                        merged.append(b)
+        ends.append((k, merged))
     return ends
 
 
@@ -400,13 +412,16 @@ class TestReducedMoves:
     """At each level's threshold the active span pass reads half of a
     spanning double star per block of active moves, each star edge read from
     its A end, and the traditional span pass reads no move: it joins the
-    lazy and active levels. Every level must end as with the full set. The
-    witness BFS reads the strong rule's lazy moves plus the diagonals whose
-    lazy intermediates are both closer than the threshold; at a fixed
-    threshold, with every pair at or above it present, the moves read from
-    any pair must reach and cover its whole full-set component."""
+    lazy and active levels. The passes read their moves inline from the step
+    rows, copying ``_moves``. Every level must end as with the full set,
+    which an independent union-find over the full move set
+    (``oracle_levels``) gives. The witness BFS reads the strong rule's lazy
+    moves plus the diagonals whose lazy intermediates are both closer than
+    the threshold; at a fixed threshold, with every pair at or above it
+    present, the moves read from any pair must reach and cover its whole
+    full-set component."""
 
-    def test_pass_matches_full_move_set(self, monkeypatch):
+    def test_pass_matches_full_move_set(self):
         graphs = [
             *corpus(7),  # all 996 connected graphs of order <= 7, K1 and K2 included
             *_seeded_graphs(60, 12),
@@ -419,12 +434,11 @@ class TestReducedMoves:
         for g in graphs:
             joined = spans._joined_pass(g)
             for rule in Rule:
-                assert joined[rule] == _full_move_pass(monkeypatch, g, rule), (
-                    g.n, g.edges, rule)
+                assert joined[rule] == oracle_pass(g, rule), (g.n, g.edges, rule)
             for rule in (Rule.LAZY, Rule.ACTIVE):
                 assert spans._span_pass(g, rule) == joined[rule], (g.n, g.edges, rule)
 
-    def test_every_level_ends_as_with_full_move_set(self, monkeypatch):
+    def test_every_level_ends_as_with_full_move_set(self):
         # the final (value, root) can hide a level whose partition or
         # coverage differs; compare every level's components and the
         # coverage bits of their roots; the library stars (centre 0) and the
@@ -435,13 +449,21 @@ class TestReducedMoves:
         graphs = [*corpus(6), *_dense_graphs(), complete(12), kn_plus(8),
                   star(6), star(9), *all_trees(8), *labeled_connected(5),
                   complete_bipartite(20, 30)]
-        reduced = {(i, rule): _level_ends(_pass_levels(g, rule), g)
-                   for i, g in enumerate(graphs) for rule in Rule}
-        _full_moves(monkeypatch)
-        for i, g in enumerate(graphs):
+        for g in graphs:
             for rule in Rule:
-                assert reduced[i, rule] == _level_ends(spans._union_levels(g, rule), g), (
+                assert _level_ends(_pass_levels(g, rule), g) == list(oracle_levels(g, rule)), (
                     g.n, g.edges, rule)
+
+    def test_inline_reads_follow_moves(self):
+        # the passes copy _moves inline; reading the same moves in the same
+        # order, they union the same roots at every level, which a read the
+        # copy adds, drops or reorders changes
+        graphs = [*corpus(6), *_dense_graphs(), complete(12), kn_plus(8), path(20),
+                  complete_bipartite(6, 9), *labeled_connected(5)]
+        for g in graphs:
+            for rule in (Rule.LAZY, Rule.ACTIVE):
+                unions = [(k, merged) for k, _, _, _, merged in spans._union_levels(g, rule)]
+                assert unions == _moves_unions(g, rule), (g.n, g.edges, rule)
 
     def test_thresholded_moves_are_real_moves(self):
         # a reduction that invents a move can keep the final values when
@@ -482,36 +504,31 @@ class TestReducedMoves:
                             assert _covered(reads, component, width, bit) == _covered(
                                 full, component, width, bit), (g.n, g.edges, rule, k)
 
-    def test_complete_20_move_counts(self, monkeypatch):
-        counts = {}
-        moves = spans._moves
-
-        def counted(*args):
-            for move in moves(*args):
-                counts[args[1]] = counts.get(args[1], 0) + 1
-                yield move
-
-        monkeypatch.setattr(spans, "_moves", counted)
-        all_spans(complete(20))
+    def test_complete_20_move_counts(self):
         # 380 pairs at distance 1 enter, and every pass stops there: the lazy
         # rule reads its 38 moves per pair; the active rule reads each
         # block's double star from its A ends only, instead of its
         # 19 * 19 - 19 moves; the traditional levels are joined from those
-        # two passes and read no move
+        # two passes and read no move; the passes read these moves inline
+        # (test_inline_reads_follow_moves)
+        g = complete(20)
+        pairs = spans._levels(g)[1]
+        assert len(pairs) == 380
+        assert {k for hits in spans._joined_pass(g).values() for k, _ in hits} == {1}
+        counts = {rule: sum(len(list(spans._moves(g, rule, *divmod(s, g.n), 1))) for s in pairs)
+                  for rule in (Rule.ACTIVE, Rule.LAZY)}
         assert counts == {Rule.ACTIVE: 14_420, Rule.LAZY: 14_440}
 
     def test_span_pass_reads_no_strong_move(self, monkeypatch):
-        rules = set()
-        moves = spans._moves
-
-        def recorded(g, rule, u, v, k=None):
-            rules.add(rule)
-            return moves(g, rule, u, v, k)
-
-        monkeypatch.setattr(spans, "_moves", recorded)
+        # only the lazy and active rules run a pass, and the passes read
+        # their moves from the step rows, not from _moves; fresh copies, as
+        # the shared corpus graphs keep their answers
+        passes, _, _ = count_engine_calls(monkeypatch)
+        calls = []
+        monkeypatch.setattr(spans, "_moves", lambda *args: calls.append(args))
         for g in (*corpus(5), complete(12), kn_plus(8), complete_bipartite(4, 6)):
-            all_spans(g)
-        assert rules == {Rule.LAZY, Rule.ACTIVE}
+            all_spans(Graph(g.n, g.edges))
+        assert set(passes) == {Rule.LAZY, Rule.ACTIVE} and calls == []
 
     def test_unthresholded_moves_are_the_full_set(self):
         # the minimal-length search reads this move set
@@ -552,6 +569,32 @@ class TestReducedMoves:
                 assert list(level) == sorted(level)
                 assert all(min(g.dist[s // g.n][s % g.n], g.radius) == k for s in level)
             assert g._memo["levels"] is levels
+
+    def test_step_rows_built_once_per_graph(self, monkeypatch):
+        # one table per graph, shared by the lazy and active passes and the
+        # lazy witness BFS, with 2m entries per player
+        built = []
+        memoized = Graph._memoized
+
+        def recorded(g, key, compute):
+            return memoized(g, key, lambda: built.append(key) or compute())
+
+        monkeypatch.setattr(Graph, "_memoized", recorded)
+        for g in (path(1), cycle(7), kn_plus(6), star(9), complete_bipartite(3, 4)):
+            g = Graph(g.n, g.edges)
+            all_spans(g)
+            for target in TARGETS:
+                witness_sweeps(g, Rule.LAZY, target)
+            f_rows, g_rows = g._memo["steps"]
+            assert built.count("steps") == 1
+            built.clear()
+            n, m = g.n, g.m
+            for rows, offset, shift in ((f_rows, n, m), (g_rows, 1, 0)):
+                assert sum(map(len, rows)) == 2 * m
+                assert rows == tuple(
+                    tuple((x, (x - u) * offset, 1 << g.edges.index((min(u, x), max(u, x))) << shift)
+                          for x in g.adj[u])
+                    for u in g.vertices)
 
 
 class TestWitnesses:
