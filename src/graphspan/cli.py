@@ -133,11 +133,8 @@ def _cmd_witness(args) -> tuple[int, dict, list[str]]:
     lines = []
     reports = []
     for r in rules:
-        # the edge target first: its BFS also builds the vertex pair when
-        # both targets share a span value and witness root
-        pairs = {t: witness_sweeps(g, r, t) for t in reversed(targets)}
         for t in targets:
-            f, h = pairs[t]
+            f, h = witness_sweeps(g, r, t)
             value = pair_distance(g, f, h)
             fw, hw = format_walk(f), format_walk(h)
             lines += [f"# {r.product_name} {t.value} (distance {value})", fw, hw]

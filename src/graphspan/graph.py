@@ -28,8 +28,9 @@ from .errors import (
 Edge = tuple[int, int]
 
 # the largest family parameter or edge-list vertex count the parsers accept:
-# `span --family path:1000` takes 15-20 s and 615 MB (2 cores, Python 3.11),
-# and an unchecked count can ask for more memory than there is, or overflow
+# `span --family path:1000` takes 4-5 s and peaks at 151-153 MB RSS (2 cores,
+# Python 3.11), and an unchecked count can ask for more memory than there
+# is, or overflow
 ORDER_LIMIT = 1000
 
 
@@ -77,23 +78,23 @@ class Graph:
     instances, immutable otherwise, are safe to share between threads.
 
     Answers derived from the graph alone (the span values and witness roots
-    of each rule under the rule, of which one traditional query stores all
-    three, the pairs grouped by span-pass level under ``"levels"``, the
+    of all three rules under ``"spans"``, stored by the first span query of
+    any rule, the pairs grouped by span-pass level under ``"levels"``, the
     coverage table per target under ``("cover", target)`` that the span
     pass, the witness BFS and the minimal-length search read, with the
     table of both targets under ``("cover", None)`` for a witness BFS of
     both, the step rows of each vertex under ``"steps"`` that the lazy and
     active passes and the lazy witness BFS read, the canonical
     search, the canonical copy the minimal-length search runs on with its
-    orbit start pairs, that copy's bound table per target under
-    ``("bound", target)``, and the witness walk pair of each rule and target
-    under ``("witness", rule, target)``, of which one edge-target BFS may
-    store the vertex target's too) are computed on first use
-    and kept in ``_memo``, so every later query on the same instance reads
-    them. Each stored value is computed from the graph only, and it is
-    stored with one ``dict.setdefault``: two threads that compute it at once
-    store one copy and both return it, so sharing a graph between threads
-    stays safe. All of them are immutable tuples but the bound table, which
+    orbit start pairs, that copy's lower bound and its table of rows per
+    target under ``("bound", target)``, and the witness walk pairs of both
+    targets of each rule under ``("witness", rule)``) are computed on first
+    use and kept in ``_memo``, which only ``_memoized`` reads, so every
+    later query on the same instance reads them. Each stored value is
+    computed from the graph only, and it is stored with one
+    ``dict.setdefault``: two threads that compute it at once store one copy
+    and both return it, so sharing a graph between threads stays safe. All
+    of them are immutable tuples, but the bound entry holds its table, which
     grows by one row per coverage word a search meets. A row depends on the
     graph and its word only, so two threads that compute it at once produce
     the same bytes, and it is stored with one ``dict.setdefault``, so a

@@ -202,14 +202,12 @@ def _min_pairing(dist) -> Callable[[int], int]:
     return cost
 
 
-def _bound_rows(c: Graph, target: Target) -> dict[int, bytes]:
-    """The rows of ``_remaining_bound`` kept on c, keyed by coverage word."""
-    return c._memoized(("bound rows", target), dict)
-
-
-def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
-    """rest(cov, p): a lower bound on the steps a lone player at p still
-    needs to cover the targets whose bits are clear in the coverage word cov.
+def _remaining_bound(
+    c: Graph, target: Target
+) -> tuple[Callable[[int, int], int], dict[int, bytes]]:
+    """(rest, rows): rest(cov, p) is a lower bound on the steps a lone
+    player at p still needs to cover the targets whose bits are clear in the
+    coverage word cov, and rows its table, keyed by coverage word.
 
     Vertex target, with U the uncovered vertices: MST(U) + d(p, U), the
     minimum spanning tree weight of U in the graph metric plus the distance
@@ -227,16 +225,16 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
 
     Both bounds drop by at most one per step (the module docstring gives
     the argument), so the search stays exact. The rows depend on the graph
-    and the target only, so they are kept on the graph (``_bound_rows``)
-    and shared by every rule and span value, as is rest with the distance
-    masks and the pairing costs it reads them from. Each row is
-    computed once, on first use, and stored as n bytes (every value fits in
-    a byte up to order 14) in a dict keyed by the coverage words met, for
+    and the target only, so they are kept on the graph with rest, under
+    ``("bound", target)``, and shared by every rule and span value, as are
+    the distance masks and the pairing costs rest reads them from. Each row
+    is computed once, on first use, and stored as n bytes (every value fits
+    in a byte up to order 14) in a dict keyed by the coverage words met, for
     both targets. ``_shortest_pair`` empties a table that has grown past
     ``KEPT_BOUND_ROWS`` once its search ends.
     """
 
-    def build() -> Callable[[int, int], int]:
+    def build() -> tuple[Callable[[int, int], int], dict[int, bytes]]:
         n = c.n
         if target is Target.VERTICES:
             near = [
@@ -287,7 +285,7 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
                 k = left.bit_count()
                 return bytes(k + cost((odd ^ 1 << p) << 2 | 1) for p in range(n))
 
-        rows = _bound_rows(c, target)
+        rows: dict[int, bytes] = {}
         full = (1 << _cover(c, target)[0]) - 1
 
         def rest(cov: int, p: int) -> int:
@@ -296,7 +294,7 @@ def _remaining_bound(c: Graph, target: Target) -> Callable[[int, int], int]:
             except KeyError:
                 return rows.setdefault(cov, row_of(full ^ cov))[p]
 
-        return rest
+        return rest, rows
 
     return c._memoized(("bound", target), build)
 
@@ -395,6 +393,7 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     # the states stored and the witness, do not depend on the input's labels
     c, vertex, orbit_starts = _canonical_copy(g)
     width, bit = _cover(c, target)
+    rest, rows = _remaining_bound(c, target)
     starts = []
     for s in orbit_starts:
         u, v = divmod(s, g.n)
@@ -406,10 +405,9 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
         g.n,
         width,
         rule is Rule.LAZY,
-        _remaining_bound(c, target),
+        rest,
         budget,
     )
-    rows = _bound_rows(c, target)
     if len(rows) > KEPT_BOUND_ROWS:
         rows.clear()  # what a graph keeps after its searches stays bounded
     if goal is None:

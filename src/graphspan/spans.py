@@ -17,9 +17,9 @@ their edge bits. The strong product's edges are the Cartesian edges plus the
 direct edges, so at every threshold each traditional component is the join
 of lazy and active components, and its word the OR of theirs: the
 traditional pass reads no move, and joins the levels of the other two,
-which run in step (``_joined_pass``). Each rule's result is kept on the
-graph, so every later query of the same rule on the same graph reads it; a
-traditional query keeps all three. The passes take the states from
+which run in step (``_joined_pass``). The three rules' results are kept
+on the graph as one entry, so the first span query of any rule answers
+every later one on the same graph. The passes take the states from
 per-level lists of flat indices, built once per graph and shared, so each
 pair enters once. At threshold k the active pass reads a reduced move set,
 one that ends every level with the components and coverage of the full move
@@ -38,10 +38,10 @@ strong BFS from ``_moves``. Only the minimal-length search,
 ``minlen._transition_tables``, reads each rule's full move set. What a step
 covers, a vertex or an edge, has one definition per graph and target,
 ``_cover``, which the span pass (through the step rows), the witness BFS and
-the minimal-length search read. Each witness pair is kept
-on the graph; when a rule's two targets share a span value and witness
-root, an edge-target query runs one BFS for both (``_component_witness``),
-as a walk pair that covers every edge also visits every vertex.
+the minimal-length search read. The witness pairs of a rule's two targets
+are kept on the graph as one entry; when the targets share a span value
+and witness root, one BFS builds both (``_component_witness``), as a walk
+pair that covers every edge also visits every vertex.
 """
 
 from __future__ import annotations
@@ -513,25 +513,18 @@ def _first_full(g: Graph, levels, hits: list) -> tuple[tuple[int, int], tuple[in
     return tuple(hits)
 
 
-def _span_pass(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(span value, lowest flat index u*n + v of the witness component) of
-    the vertex target, then of the edge target, from one union-find pass.
+def _joined_pass(g: Graph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """For each rule in ``RULES`` order, (span value, lowest flat index
+    u*n + v of the witness component) of the vertex target, then of the
+    edge target, from one lazy and one active pass and the traditional
+    levels joined from them.
 
-    The unions do not depend on the target, so one pass of
-    ``_union_levels`` decides both, each from its bits of the coverage word.
-    The pass stops on the first level at which both targets have been full.
-    """
-    return _first_full(g, _union_levels(g, rule), [None, None])
-
-
-def _joined_pass(g: Graph) -> dict[Rule, tuple[tuple[int, int], tuple[int, int]]]:
-    """_span_pass of each of the three rules, from one lazy and one active
-    pass and the traditional levels joined from them.
-
-    A traditional component covers at least what its lazy and active parts
-    cover, so the traditional targets are hit first, on a level the two
-    passes also read; the join's lists are freed there, and each pass runs
-    on alone until its own targets are hit.
+    The unions do not depend on the target, so one pass decides both, each
+    from its bits of the coverage word. A traditional component covers at
+    least what its lazy and active parts cover, so the traditional targets
+    are hit first, on a level the two passes also read; the join's lists
+    are freed there, and each pass runs on alone until its own targets are
+    hit, and stops there.
     """
     passes = (_union_levels(g, Rule.LAZY), _union_levels(g, Rule.ACTIVE))
     fulls = _full_words(g)
@@ -545,21 +538,15 @@ def _joined_pass(g: Graph) -> dict[Rule, tuple[tuple[int, int], tuple[int, int]]
     else:
         raise InternalError("threshold 0 must be feasible for a connected graph")
     del parent, cov  # the join's lists, which its closed generator no longer holds
-    return {
-        Rule.TRADITIONAL: tuple(hits),
-        Rule.LAZY: _first_full(g, passes[0], pass_hits[0]),
-        Rule.ACTIVE: _first_full(g, passes[1], pass_hits[1]),
-    }
+    lazy = _first_full(g, passes[0], pass_hits[0])
+    active = _first_full(g, passes[1], pass_hits[1])
+    return tuple(hits), active, lazy
 
 
 def _rule_spans(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
-    """_span_pass(g, rule), kept on the graph under the rule. A lazy or
-    active query runs only its own pass; a traditional one runs
-    ``_joined_pass`` and keeps all three rules' answers."""
-    if rule is Rule.TRADITIONAL and rule not in g._memo:
-        for joined_rule, hits in _joined_pass(g).items():
-            g._memo.setdefault(joined_rule, hits)
-    return g._memoized(rule, lambda: _span_pass(g, rule))
+    """The rule's entry of ``_joined_pass``, which is kept on the graph
+    under ``"spans"``, so the first query of any rule answers all three."""
+    return g._memoized("spans", lambda: _joined_pass(g))[RULES.index(rule)]
 
 
 def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
@@ -576,11 +563,11 @@ def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
 
 
 def _component_witness(
-    g: Graph, rule: Rule, target: Target, k: int, root: int, both: bool
-) -> tuple[tuple[Walk, Walk], tuple[Walk, Walk] | None]:
+    g: Graph, rule: Rule, target: Target | None, k: int, root: int
+) -> tuple[Walk, Walk] | tuple[tuple[Walk, Walk], tuple[Walk, Walk]]:
     """Walk a pruned BFS tree of the witness component and project it: the
-    pair of the target, then, if both (for the edge target), the pair of
-    the vertex target from the same BFS, else None.
+    pair of the target, or with target None, the pairs of the vertex target
+    and of the edge target from the same BFS.
 
     One BFS from root over the states at distance >= k, successors in
     increasing flat index, credits each target of each player to the first
@@ -610,7 +597,8 @@ def _component_witness(
         f_rows, g_rows = _steps(g)
     # the word holds f's bits above g's; with both targets, each player's
     # edge bits above its vertex bits (_cover), which v_mask selects
-    width, bit = _cover(g, None if both else target)
+    both = target is None
+    width, bit = _cover(g, target)
     player_v = (1 << n) - 1 if both else 0
     v_mask = player_v << width | player_v
     full = (1 << 2 * width) - 1
@@ -660,10 +648,10 @@ def _component_witness(
             covered |= bits
             if covered == full:
                 break
-    return (
-        _tree_walk(n, root, parent, order, kept, detours),
-        _tree_walk(n, root, parent, order, v_kept, {}) if both else None,
-    )
+    pair = _tree_walk(n, root, parent, order, kept, detours)
+    if both:
+        return _tree_walk(n, root, parent, order, v_kept, {}), pair
+    return pair
 
 
 def _tree_walk(
@@ -707,28 +695,24 @@ def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
     """Walk pair achieving the span value: the depth-first walk of a pruned
     BFS tree of the witness component, coordinates projected.
 
-    Each pair is kept on the graph under ``("witness", rule, target)``. An
-    edge-target query whose vertex target has the same span value and
-    witness root, and no kept pair yet, runs one BFS for both targets and
-    keeps both pairs, each equal to what a BFS for it alone gives.
+    The pairs of both targets are kept on the graph under
+    ``("witness", rule)``, built on the first query of either. When the
+    targets share a span value and witness root, one BFS builds both, each
+    equal to what a BFS for it alone gives; otherwise each target runs its
+    own.
     """
     _check_variant(rule, target)
-    memo = g._memo
-    key = ("witness", rule, target)
-    pair = memo.get(key)
-    if pair is None:
-        hits = _rule_spans(g, rule)
-        edge = target is Target.EDGES
-        value, root = hits[edge]
-        both = edge and hits[0] == hits[1]
-        if both:
-            vertex_key = ("witness", rule, Target.VERTICES)
-            both = vertex_key not in memo
-        pair, vertex_pair = _component_witness(g, rule, target, value, root, both)
-        if both:
-            memo.setdefault(vertex_key, vertex_pair)
-        pair = memo.setdefault(key, pair)
-    return pair
+
+    def compute():
+        vertex_hits, edge_hits = _rule_spans(g, rule)
+        if vertex_hits == edge_hits:
+            return _component_witness(g, rule, None, *edge_hits)
+        return (
+            _component_witness(g, rule, Target.VERTICES, *vertex_hits),
+            _component_witness(g, rule, Target.EDGES, *edge_hits),
+        )
+
+    return g._memoized(("witness", rule), compute)[target is Target.EDGES]
 
 
 def all_spans(g: Graph) -> tuple[SpanReport, ...]:

@@ -41,9 +41,10 @@ def connected_graphs(draw, max_n: int) -> Graph:
 def count_engine_calls(monkeypatch) -> tuple[list, list, list]:
     """Record every span pass, every canonical search and every witness BFS,
     the uncached cores behind the per-graph memo: the rule of each
-    union-find pass (a traditional query runs one lazy and one active pass
-    and joins them), the order of each search and the rule of each BFS (one
-    BFS may build the witnesses of both targets), one list entry per call."""
+    union-find pass (the first span query of any rule runs one lazy and one
+    active pass and joins them), the order of each search and the rule of
+    each BFS (one BFS builds the witnesses of both targets where they share
+    a span value and root), one list entry per call."""
     from graphspan import families, spans
 
     passes: list = []

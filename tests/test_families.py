@@ -228,11 +228,13 @@ class TestMinimalityScan:
         assert hit.n == 5 and hit.m == 7
         assert is_isomorphic(hit, kn_plus(4))
 
-    def test_scan_runs_only_active_passes(self, monkeypatch):
-        # the scan asks only direct spans, so no graph joins a lazy pass in
+    def test_scan_runs_one_lazy_and_one_active_pass_per_graph(self, monkeypatch):
+        # the scan asks only direct spans, but a graph's first span query
+        # keeps all three rules' answers, joined from both passes
         passes, _, _ = count_engine_calls(monkeypatch)
-        find_minimal_direct_gap()
-        assert passes and set(passes) == {Rule.ACTIVE}
+        hit = find_minimal_direct_gap()
+        scanned = [(g.n, g.edges) for g in enumerate_connected(5)].index((hit.n, hit.edges)) + 1
+        assert passes == [Rule.LAZY, Rule.ACTIVE] * (scanned + len(ORDER5_SMALL_GRAPHS))
 
     def test_no_gap_up_to_order_four(self):
         for g in corpus(4):

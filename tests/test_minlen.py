@@ -33,7 +33,6 @@ from graphspan.minlen import (
     KEPT_BOUND_ROWS,
     SEARCH_ORDER_LIMIT,
     _best_first,
-    _bound_rows,
     _canonical_copy,
     _remaining_bound,
     _orbit_starts,
@@ -271,7 +270,7 @@ class TestRemainingBound:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(6), st.sampled_from(list(Target)), st.data())
     def test_admissible_and_consistent(self, g, target, data):
-        rest = _remaining_bound(g, target)
+        rest, _ = _remaining_bound(g, target)
         if target is Target.VERTICES:
             items, bit, steps = list(range(g.n)), (lambda t: 1 << t), vertex_cover_steps
             full = (1 << g.n) - 1
@@ -319,7 +318,8 @@ class TestRemainingBound:
         finally:
             tracemalloc.stop()
         assert held < 100_000
-        assert len(_bound_rows(_canonical_copy(g)[0], Target.EDGES)) <= KEPT_BOUND_ROWS
+        _, rows = _remaining_bound(_canonical_copy(g)[0], Target.EDGES)
+        assert len(rows) <= KEPT_BOUND_ROWS
 
 
 def _assert_one_start_per_orbit(g):

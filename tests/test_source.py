@@ -1,7 +1,8 @@
 """Source guards over the package modules: the runtime imports only the
 standard library, the imports among package modules form no cycle, a
-breached invariant raises InternalError, never a bare AssertionError, and
-every typed error is importable from the package."""
+breached invariant raises InternalError, never a bare AssertionError, only
+the graph module touches a graph's memo, and every typed error is
+importable from the package."""
 
 from __future__ import annotations
 
@@ -73,6 +74,15 @@ def test_modules_parse_as_the_oldest_supported_python():
         except SyntaxError as exc:
             failed.append((path.name, exc.lineno, exc.msg))
     assert failed == []
+
+
+def test_only_the_graph_module_touches_the_memo():
+    # every other module reads and stores per-graph answers through
+    # Graph._memoized, which computes each at most once per key
+    found = [(name, node.lineno) for name, node in _nodes() if name != "graph.py"
+             and ((isinstance(node, ast.Attribute) and node.attr == "_memo")
+                  or (isinstance(node, ast.Constant) and node.value == "_memo"))]
+    assert found == []
 
 
 def test_every_error_is_exported():

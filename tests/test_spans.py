@@ -285,13 +285,24 @@ class TestMemo:
         assert sorted(rule.value for rule in passes) == ["active", "lazy"]
         assert len(searches) == 1
 
-    def test_lazy_and_active_queries_run_only_their_own_pass(self, monkeypatch):
-        passes, _, _ = count_engine_calls(monkeypatch)
-        g = kn_plus(5)
-        span(g, Rule.LAZY, Target.EDGES)
-        span(g, Rule.ACTIVE, Target.VERTICES)
-        assert passes == [Rule.LAZY, Rule.ACTIVE]
-        assert Rule.TRADITIONAL not in g._memo
+    def test_any_first_span_query_runs_one_lazy_and_one_active_pass(self, monkeypatch):
+        # the first span or witness query of any rule and target keeps the
+        # answers of all three rules, joined from one lazy and one active
+        # pass; later queries of every rule read them, and each rule runs
+        # one or two witness BFS
+        passes, _, witness_runs = count_engine_calls(monkeypatch)
+        for query in (span, witness_sweeps):
+            for first in ALL_VARIANTS:
+                g = kn_plus(5)
+                query(g, *first)
+                assert passes == [Rule.LAZY, Rule.ACTIVE], (query, first)
+                all_spans(g)
+                for rule, target in ALL_VARIANTS:
+                    witness_sweeps(g, rule, target)
+                assert passes == [Rule.LAZY, Rule.ACTIVE], (query, first)
+                assert {witness_runs.count(rule) for rule in Rule} <= {1, 2}, (query, first)
+                passes.clear()
+                witness_runs.clear()
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(6))
@@ -299,8 +310,8 @@ class TestMemo:
         first = all_spans(g)
         fresh = Graph(g.n, g.edges)
         for rule in Rule:
-            assert g._memo[rule] == tuple((r.value, r.witness_component) for r in first
-                                          if r.rule is rule)
+            assert g._memo["spans"][spans.RULES.index(rule)] == tuple(
+                (r.value, r.witness_component) for r in first if r.rule is rule)
             for target in TARGETS:
                 rep = span(g, rule, target)  # read from the memo
                 assert rep in first
@@ -433,10 +444,8 @@ class TestReducedMoves:
         ]
         for g in graphs:
             joined = spans._joined_pass(g)
-            for rule in Rule:
-                assert joined[rule] == oracle_pass(g, rule), (g.n, g.edges, rule)
-            for rule in (Rule.LAZY, Rule.ACTIVE):
-                assert spans._span_pass(g, rule) == joined[rule], (g.n, g.edges, rule)
+            for rule, hits in zip(spans.RULES, joined):
+                assert hits == oracle_pass(g, rule), (g.n, g.edges, rule)
 
     def test_every_level_ends_as_with_full_move_set(self):
         # the final (value, root) can hide a level whose partition or
@@ -514,7 +523,7 @@ class TestReducedMoves:
         g = complete(20)
         pairs = spans._levels(g)[1]
         assert len(pairs) == 380
-        assert {k for hits in spans._joined_pass(g).values() for k, _ in hits} == {1}
+        assert {k for hits in spans._joined_pass(g) for k, _ in hits} == {1}
         counts = {rule: sum(len(list(spans._moves(g, rule, *divmod(s, g.n), 1))) for s in pairs)
                   for rule in (Rule.ACTIVE, Rule.LAZY)}
         assert counts == {Rule.ACTIVE: 14_420, Rule.LAZY: 14_440}
@@ -597,6 +606,16 @@ class TestReducedMoves:
                     for u in g.vertices)
 
 
+def _witness_order_graphs() -> list[Graph]:
+    specs = ("complete:10", "complete:11", "path:30", "kn_plus:9", "cycle:40",
+             "complete_bipartite:5,6")
+    return [
+        *corpus(6),
+        *(generate(FamilySpec.from_string(spec)) for spec in specs),
+        *_seeded_graphs(100, 24, orders=(1, 20)),
+    ]
+
+
 class TestWitnesses:
     def test_knplus_traditional_edges(self):
         g = kn_plus(5)
@@ -617,17 +636,10 @@ class TestWitnesses:
         assert len(f) == len(h) == 39
 
     def test_edge_first_and_vertex_first_give_the_same_walks(self, monkeypatch):
-        # asked first, an edge target runs one BFS for both targets where
-        # they share a span value and root; asked first, a vertex target
-        # runs one BFS per target
+        # either order runs one BFS for a rule whose targets share a span
+        # value and root, and one per target otherwise
         _, _, witness_runs = count_engine_calls(monkeypatch)
-        specs = ("complete:10", "complete:11", "path:30", "kn_plus:9", "cycle:40",
-                 "complete_bipartite:5,6")
-        graphs = [
-            *corpus(6),
-            *(generate(FamilySpec.from_string(spec)) for spec in specs),
-            *_seeded_graphs(100, 24, orders=(1, 20)),
-        ]
+        graphs = _witness_order_graphs()
         runs = {TARGETS: 0, TARGETS[::-1]: 0}
         for g in graphs:
             walks = []
@@ -638,7 +650,24 @@ class TestWitnesses:
                               for rule in Rule for target in targets})
                 runs[targets] += len(witness_runs) - before
             assert walks[0] == walks[1]
-        assert runs[TARGETS] == 6 * len(graphs) > runs[TARGETS[::-1]]
+        assert runs[TARGETS] == runs[TARGETS[::-1]] < 6 * len(graphs)
+
+    def test_shared_bfs_gives_the_single_target_walks(self):
+        # a walk pair that covers every edge also visits every vertex, so
+        # one BFS builds both pairs where the targets share a span value
+        # and root; each must equal the pair of a BFS for its target alone
+        shared = 0
+        for g in _witness_order_graphs():
+            for rule in Rule:
+                vertex_hits, edge_hits = spans._rule_spans(g, rule)
+                if vertex_hits != edge_hits:
+                    continue
+                shared += 1
+                singles = tuple(spans._component_witness(g, rule, target, *edge_hits)
+                                for target in TARGETS)
+                assert spans._component_witness(g, rule, None, *edge_hits) == singles, (
+                    g.n, g.edges, rule)
+        assert shared
 
     def test_all_witnesses_revalidate_small_corpus(self):
         for g in corpus(6):
