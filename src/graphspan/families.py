@@ -221,8 +221,40 @@ def _code(n: int, rows: list[int], pos: Sequence[int]) -> int:
     return code
 
 
-def _canon_bits(n: int, rows: list[int]) -> int:
-    return _code(n, rows, _refined_positions(n, rows)[0])
+def _subset_orbits(n: int, gens) -> tuple[int, ...]:
+    """The lowest member of each orbit of the nonempty vertex sets of an
+    order-n graph (bit v is vertex v) under the group that the maps t
+    (sending v to t[v]) generate, in increasing order."""
+    images = []
+    for t in gens:
+        image = [0]  # image[s] of every set s of the vertices below v
+        for v in range(n):
+            bit = 1 << t[v]
+            image += [x | bit for x in image]
+        images.append(image)
+    return _lowest_of_orbits(1 << n, images)[1:]
+
+
+def _lowest_of_orbits(size: int, images: list[list[int]]) -> tuple[int, ...]:
+    """The lowest member of each orbit of range(size) under the group that
+    the permutations image (sending i to image[i]) generate, in increasing
+    order. Each member not yet reached starts an orbit, closed under every
+    image."""
+    seen = bytearray(size)
+    reps = []
+    for s in range(size):
+        if seen[s]:
+            continue
+        reps.append(s)
+        seen[s] = 1
+        orbit = [s]
+        for a in orbit:  # grows while it is walked
+            for image in images:
+                b = image[a]
+                if not seen[b]:
+                    seen[b] = 1
+                    orbit.append(b)
+    return tuple(reps)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -240,33 +272,43 @@ def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Gra
     canonical form).
 
     Order n is grown from the classes of order n-1: vertex n-1 is added with
-    every nonempty neighbour set, and the results are deduplicated by
-    canonical form. This reaches every class because every connected graph
-    has a vertex whose removal leaves it connected. Each class is yielded as
-    its labeled copy with the lowest edge bitmask over the pairs (0, 1), (0,
-    2), ..., (n-2, n-1), with pair (n-2, n-1) most significant. Bounded to
-    order 8.
+    one nonempty neighbour set per orbit of the sets under Aut(parent), the
+    lowest (``_subset_orbits``), and the results are deduplicated by
+    canonical form. Sets in one orbit give isomorphic graphs, and every
+    connected graph has a vertex whose removal leaves it connected, so this
+    reaches every class. Each class keeps its first candidate, with the
+    generators ``_sift`` takes from the merges of its canonical search,
+    which prune its own augmentations at the next order. Growing by every
+    set would first reach a class at the lowest set of some orbit, so the
+    kept copies are the same. Each class is yielded as its labeled copy
+    with the lowest edge bitmask over the pairs (0, 1), (0, 2), ...,
+    (n-2, n-1), with pair (n-2, n-1) most significant. Bounded to order 8.
     """
     if max_n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration supported up to order {ENUMERATION_LIMIT}")
-    classes: list[list[int]] = []  # one labeled copy of each class of the previous order
+    # one labeled copy of each class of the previous order, with generators
+    # of its automorphism group
+    classes: list[tuple[list[int], list[list[int]]]] = []
     for n in range(1, max_n + 1):
         new = 1 << (n - 1)
-        found: dict[tuple[int, int], list[int]] = {}
+        found: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
         if n == 1 and (max_m is None or max_m >= 0):
-            found[0, 0] = [0]
-        for rows in classes:
+            found[0, 0] = [0], []
+        for rows, gens in classes:
             m0 = sum(r.bit_count() for r in rows) // 2
-            for nbrs in range(1, new):
+            for nbrs in _subset_orbits(n - 1, gens):
                 m = m0 + nbrs.bit_count()
                 if max_m is not None and m > max_m:
                     continue
                 grown = [r | new if nbrs >> u & 1 else r for u, r in enumerate(rows)]
                 grown.append(nbrs)
-                found.setdefault((m, _canon_bits(n, grown)), grown)
+                pos, merges, count = _refined_positions(n, grown)
+                key = m, _code(n, grown, pos)
+                if key not in found:
+                    found[key] = grown, _sift(n, merges, count)
         classes = [found[key] for key in sorted(found)]
         full = (1 << n) - 1
-        for rows in classes:
+        for rows, _ in classes:
             pos = _lowest_positions(n, rows, [full] * n)[0]
             yield Graph(n, [(pos[u], pos[v]) for u, v in _edges(n, rows)])
 

@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
 
-from .errors import InternalError
-from .families import SEARCH_ORDER_LIMIT, _canonical_answers
+from .errors import InternalError, InvalidParams
+from .families import SEARCH_ORDER_LIMIT, _canonical_answers, _lowest_of_orbits
 from .graph import Graph
 from .spans import Rule, Target, _check_variant, _cover, _moves, span
 from .walks import Walk
@@ -134,27 +134,17 @@ def _orbit_starts(g: Graph, gens) -> tuple[int, ...]:
     """The flat index u*n + v of the lowest ordered pair of each orbit of
     Aut(g) x player swap, in increasing order.
 
-    ``gens`` generate Aut(g). Pairs are scanned in u*n + v order, and each
-    one not yet reached starts an orbit, closed under the generators and the
-    swap. Swapping maps the state (u, v, F, G) to (v, u, G, F). Both keep
-    distances, so the starts of a search at span value sigma are the pairs
-    here at distance >= sigma, in this order.
+    ``gens`` generate Aut(g). Each generator and the swap become one list of
+    the flat index of each pair's image, and ``_lowest_of_orbits`` closes
+    the orbits over them. Swapping maps the state (u, v, F, G) to
+    (v, u, G, F). Both keep distances, so the starts of a search at span
+    value sigma are the pairs here at distance >= sigma, in this order.
     """
-    reps: list[int] = []
-    seen: set[tuple[int, int]] = set()
-    for u in range(g.n):
-        for v in range(g.n):
-            if (u, v) in seen:
-                continue
-            reps.append(u * g.n + v)
-            seen.add((u, v))
-            orbit = [(u, v)]
-            for a, b in orbit:  # grows while it is walked
-                for pair in [(b, a)] + [(t[a], t[b]) for t in gens]:
-                    if pair not in seen:
-                        seen.add(pair)
-                        orbit.append(pair)
-    return tuple(reps)
+    n = g.n
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    images = [[v * n + u for u, v in pairs]]
+    images += [[t[u] * n + t[v] for u, v in pairs] for t in gens]
+    return _lowest_of_orbits(n * n, images)
 
 
 def _min_pairing(dist) -> Callable[[int], int]:
@@ -204,10 +194,13 @@ def _min_pairing(dist) -> Callable[[int], int]:
 
 def _remaining_bound(
     c: Graph, target: Target
-) -> tuple[Callable[[int, int], int], dict[int, bytes]]:
-    """(rest, rows): rest(cov, p) is a lower bound on the steps a lone
+) -> tuple[Callable[[int, int], int], dict[int, bytes], Callable[[int], bytes]]:
+    """(rest, rows, row): rest(cov, p) is a lower bound on the steps a lone
     player at p still needs to cover the targets whose bits are clear in the
-    coverage word cov, and rows its table, keyed by coverage word.
+    coverage word cov; rows is its table, whose row for the word cov holds
+    rest(cov, p) as byte p; and row(cov) builds a missing row and stores it
+    in the table. rest reads ``rows.get(cov) or row(cov)``, and
+    ``_best_first`` reads the same expression inline.
 
     Vertex target, with U the uncovered vertices: MST(U) + d(p, U), the
     minimum spanning tree weight of U in the graph metric plus the distance
@@ -225,16 +218,16 @@ def _remaining_bound(
 
     Both bounds drop by at most one per step (the module docstring gives
     the argument), so the search stays exact. The rows depend on the graph
-    and the target only, so they are kept on the graph with rest, under
-    ``("bound", target)``, and shared by every rule and span value, as are
-    the distance masks and the pairing costs rest reads them from. Each row
+    and the target only, so they are kept on the graph with rest and row,
+    under ``("bound", target)``, and shared by every rule and span value,
+    as are the distance masks and the pairing costs they are read from. Each row
     is computed once, on first use, and stored as n bytes (every value fits
     in a byte up to order 14) in a dict keyed by the coverage words met, for
     both targets. ``_shortest_pair`` empties a table that has grown past
     ``KEPT_BOUND_ROWS`` once its search ends.
     """
 
-    def build() -> tuple[Callable[[int, int], int], dict[int, bytes]]:
+    def build() -> tuple[Callable[[int, int], int], dict[int, bytes], Callable[[int], bytes]]:
         n = c.n
         if target is Target.VERTICES:
             near = [
@@ -288,13 +281,13 @@ def _remaining_bound(
         rows: dict[int, bytes] = {}
         full = (1 << _cover(c, target)[0]) - 1
 
-        def rest(cov: int, p: int) -> int:
-            try:
-                return rows[cov][p]
-            except KeyError:
-                return rows.setdefault(cov, row_of(full ^ cov))[p]
+        def row(cov: int) -> bytes:
+            return rows.setdefault(cov, row_of(full ^ cov))
 
-        return rest, rows
+        def rest(cov: int, p: int) -> int:
+            return (rows.get(cov) or row(cov))[p]
+
+        return rest, rows, row
 
     return c._memoized(("bound", target), build)
 
@@ -305,7 +298,8 @@ def _best_first(
     n: int,
     width: int,
     lazy: bool,
-    rest: Callable[[int, int], int],
+    rows: dict[int, bytes],
+    row: Callable[[int], bytes],
     budget: int,
 ):
     """Best-first search for a shortest covering pair.
@@ -314,26 +308,28 @@ def _best_first(
     popped LIFO. f never falls along a path, as the bound drops by at most
     one per step, so the first full state popped ends a shortest pair, and a
     state popped again was reached by a longer prefix. ``succ(pos)`` lists
-    the moves from a position, and ``rest(cov, p)`` bounds the steps left to
-    one player at p with coverage word cov; the bound of a state is the
-    larger of the two players' values, or their sum under the lazy rule.
-    Returns that state and the parent map, which holds every stored state,
-    or None and the parent map once more than ``budget`` states are stored.
+    the moves from a position. A player's bound is byte p of its coverage
+    word's row in the table ``rows``, built by ``row(cov)`` where missing
+    (``_remaining_bound``), and read inline for each stored state; the bound
+    of a state is the larger of the two players' values, or their sum under
+    the lazy rule. Returns that state and the parent map, which holds every
+    stored state, or None and the parent map once more than ``budget``
+    states are stored.
     """
     cov_bits = 2 * width
     full_each = (1 << width) - 1
     full_cov = (full_each << width) | full_each
-
-    def bound(cov: int, x: int, y: int) -> int:
-        hf = rest(cov >> width, x)
-        hg = rest(cov & full_each, y)
-        return hf + hg if lazy else (hf if hf > hg else hg)
+    get = rows.get
 
     depth = dict.fromkeys(starts, 1)
     parent: dict[int, Optional[int]] = dict.fromkeys(starts)
     buckets: list[list[int]] = []
     for s in reversed(starts):  # LIFO: the lowest start pops first
-        f = 1 + bound(s & full_cov, *divmod(s >> cov_bits, n))
+        cov = s & full_cov
+        x, y = divmod(s >> cov_bits, n)
+        hf = (get(cov >> width) or row(cov >> width))[x]
+        hg = (get(cov & full_each) or row(cov & full_each))[y]
+        f = 1 + hf + hg if lazy else 1 + (hf if hf > hg else hg)
         while len(buckets) <= f:
             buckets.append([])
         buckets[f].append(s)
@@ -355,12 +351,15 @@ def _best_first(
             nd = d + 1
             unseen = nd + 1  # the depth a state not stored yet reads as
             for npb, add, x, y in succ(s >> cov_bits):
-                ns = npb | cov | add
+                ncov = cov | add
+                ns = npb | ncov
                 if depth.get(ns, unseen) <= nd:
                     continue
                 depth[ns] = nd
                 parent[ns] = s
-                nf = nd + bound(cov | add, x, y)
+                hf = (get(ncov >> width) or row(ncov >> width))[x]
+                hg = (get(ncov & full_each) or row(ncov & full_each))[y]
+                nf = nd + hf + hg if lazy else nd + (hf if hf > hg else hg)
                 try:
                     buckets[nf].append(ns)
                 except IndexError:
@@ -393,7 +392,7 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     # the states stored and the witness, do not depend on the input's labels
     c, vertex, orbit_starts = _canonical_copy(g)
     width, bit = _cover(c, target)
-    rest, rows = _remaining_bound(c, target)
+    _, rows, row = _remaining_bound(c, target)
     starts = []
     for s in orbit_starts:
         u, v = divmod(s, g.n)
@@ -405,7 +404,8 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
         g.n,
         width,
         rule is Rule.LAZY,
-        rest,
+        rows,
+        row,
         budget,
     )
     if len(rows) > KEPT_BOUND_ROWS:
@@ -438,8 +438,11 @@ def min_length(
     ``state_budget`` of them, the report carries ``capped=True`` and
     ``length`` is only the combinatorial lower bound, never an unproven
     exact claim. Graphs of order above ``SEARCH_ORDER_LIMIT`` are capped
-    without a search.
+    without a search. A budget that is not a non-negative int raises
+    InvalidParams, as the CLI's ``--budget`` does.
     """
+    if isinstance(state_budget, bool) or not isinstance(state_budget, int) or state_budget < 0:
+        raise InvalidParams(f"budget must be a non-negative integer, got {state_budget!r}")
     sigma = span(g, rule, target).value
     witness, explored = None, 0
     if g.n <= SEARCH_ORDER_LIMIT:

@@ -307,6 +307,17 @@ def brute_force_pair_orbits(g: Graph, sigma: int) -> list[frozenset[tuple[int, i
     return orbits
 
 
+def brute_force_subset_orbits(g: Graph) -> list[int]:
+    """The lowest member of each orbit of the nonempty vertex sets of g
+    (bit v is vertex v) under Aut(g), in increasing order: each set's orbit
+    is its image under every distance-preserving permutation."""
+    auts = distance_preserving_permutations(g)
+    return sorted({
+        min(sum(1 << p[v] for v in range(g.n) if s >> v & 1) for p in auts)
+        for s in range(1, 1 << g.n)
+    })
+
+
 def oracle_covering_free(g: Graph) -> int:
     """Minimal edge-length over all walks covering every edge, free endpoints,
     by BFS in (vertex, covered-edge-bitset) space."""

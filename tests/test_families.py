@@ -33,6 +33,7 @@ from graphspan.families import (
     ORDER5_SMALL_GRAPHS,
     SEARCH_ORDER_LIMIT,
     _canonical_answers,
+    _subset_orbits,
     automorphism_count,
     canonical_form,
     is_isomorphic,
@@ -40,6 +41,7 @@ from graphspan.families import (
 from graphspan.cli import family_closed_checks
 
 from oracles import (
+    brute_force_subset_orbits,
     connected_graphs,
     count_engine_calls,
     corpus,
@@ -115,6 +117,21 @@ class TestEnumeration:
     @given(connected_graphs(7))
     def test_canonical_form_matches_reference(self, g):
         assert canonical_form(g) == (g.n, reference_canon_bits(g.n, [set(a) for a in g.adj]))
+
+    def test_one_neighbour_set_per_orbit(self):
+        # a parent is grown by the lowest neighbour set of each orbit of
+        # Aut(parent), with the generators of its own canonical search
+        for g in corpus(5):
+            gens = _canonical_answers(g)[1]
+            assert list(_subset_orbits(g.n, gens)) == brute_force_subset_orbits(g), g.edges
+
+    def test_one_canonical_search_per_orbit_of_neighbour_sets(self, monkeypatch):
+        # 388 candidates up to order 6, against 759 neighbour sets of the
+        # parents; the final lowest labeling of each class is not counted
+        _, searches, _ = count_engine_calls(monkeypatch)
+        list(enumerate_connected(6))
+        assert len(searches) == 388
+        assert [searches.count(n) for n in range(1, 7)] == [0, 1, 2, 8, 44, 333]
 
     def test_no_isomorphic_duplicates(self):
         forms = [canonical_form(g) for g in enumerate_connected(5)]

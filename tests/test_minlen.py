@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from graphspan import (
     Graph,
     InternalError,
+    InvalidParams,
     Rule,
     Target,
     complete,
@@ -30,6 +31,7 @@ from graphspan import (
 from graphspan.families import _canonical_answers, closed_minlen
 from graphspan.graph import FamilySpec
 from graphspan.minlen import (
+    DEFAULT_STATE_BUDGET,
     KEPT_BOUND_ROWS,
     SEARCH_ORDER_LIMIT,
     _best_first,
@@ -172,7 +174,7 @@ class TestReports:
     def test_empty_queue_is_internal_error(self):
         # one start with no successors and one target left uncovered
         with pytest.raises(InternalError):
-            _best_first([0], lambda pos: [], 1, 1, False, lambda cov, p: 1, 1)
+            _best_first([0], lambda pos: [], 1, 1, False, {}, lambda cov: b"\x01", 1)
 
     def test_deterministic(self):
         a = min_length(cycle(6), Rule.LAZY, Target.EDGES)
@@ -270,7 +272,7 @@ class TestRemainingBound:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(6), st.sampled_from(list(Target)), st.data())
     def test_admissible_and_consistent(self, g, target, data):
-        rest, _ = _remaining_bound(g, target)
+        rest, _, _ = _remaining_bound(g, target)
         if target is Target.VERTICES:
             items, bit, steps = list(range(g.n)), (lambda t: 1 << t), vertex_cover_steps
             full = (1 << g.n) - 1
@@ -318,7 +320,7 @@ class TestRemainingBound:
         finally:
             tracemalloc.stop()
         assert held < 100_000
-        _, rows = _remaining_bound(_canonical_copy(g)[0], Target.EDGES)
+        _, rows, _ = _remaining_bound(_canonical_copy(g)[0], Target.EDGES)
         assert len(rows) <= KEPT_BOUND_ROWS
 
 
@@ -410,3 +412,13 @@ class TestBudget:
     def test_order_above_limit_caps_without_search(self):
         rep = min_length(cycle(SEARCH_ORDER_LIMIT + 1), Rule.ACTIVE, Target.VERTICES)
         assert rep.capped and rep.explored_states == 0
+
+    @pytest.mark.parametrize("budget", [-1, -DEFAULT_STATE_BUDGET, 10.0, "10", None, True])
+    def test_budget_must_be_a_non_negative_int(self, budget):
+        # the forms the CLI's --budget refuses, and the values it cannot pass
+        with pytest.raises(InvalidParams, match="budget must be a non-negative integer"):
+            min_length(cycle(4), Rule.ACTIVE, Target.VERTICES, state_budget=budget)
+
+    def test_zero_budget_caps_at_once(self):
+        rep = min_length(cycle(4), Rule.ACTIVE, Target.VERTICES, state_budget=0)
+        assert rep.capped and rep.witness is None and rep.explored_states == 1
