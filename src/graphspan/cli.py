@@ -422,10 +422,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InternalError as exc:
         print(f"internal error ({args.command}): {exc}", file=sys.stderr)
         return 3
-    except GraphSpanError as exc:
-        print(f"input error ({args.command}): {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphSpanError, OSError) as exc:
         print(f"input error ({args.command}): {exc}", file=sys.stderr)
         return 2
 

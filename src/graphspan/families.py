@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .errors import NoClosedForm, TooLarge, VerificationFailure
-from .graph import FamilySpec, Graph, kn_plus
+from .errors import InvalidParams, NoClosedForm, TooLarge, VerificationFailure
+from .graph import FamilySpec, Graph, _is_int, kn_plus
 from .spans import Rule, Target, span
 
 ENUMERATION_LIMIT = 8
@@ -184,9 +184,9 @@ def canonical_form(g: Graph) -> tuple[int, int]:
 def _canonical_answers(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
     """New label of each vertex, the one canonical_form encodes, generators
     t (sending v to t[v]) of Aut(g) sifted from the same search, and
-    |Aut(g)|, from one canonical search per graph. Relabeling g by the
-    labels gives one graph for all graphs isomorphic to g. Raises TooLarge
-    above SEARCH_ORDER_LIMIT."""
+    |Aut(g)|, from one canonical search per graph, kept on the graph under
+    ``"canonical search"``. Relabeling g by the labels gives one graph for
+    all graphs isomorphic to g. Raises TooLarge above SEARCH_ORDER_LIMIT."""
     if g.n > SEARCH_ORDER_LIMIT:
         raise TooLarge(f"canonical search supported up to order {SEARCH_ORDER_LIMIT}")
 
@@ -283,7 +283,10 @@ def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Gra
     kept copies are the same. Each class is yielded as its labeled copy
     with the lowest edge bitmask over the pairs (0, 1), (0, 2), ...,
     (n-2, n-1), with pair (n-2, n-1) most significant. Bounded to order 8.
+    A max_n or max_m that is not an int raises InvalidParams.
     """
+    if not _is_int(max_n) or not (max_m is None or _is_int(max_m)):
+        raise InvalidParams(f"max_n and max_m must be ints, got {max_n!r} and {max_m!r}")
     if max_n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration supported up to order {ENUMERATION_LIMIT}")
     # one labeled copy of each class of the previous order, with generators

@@ -28,10 +28,16 @@ from .errors import (
 Edge = tuple[int, int]
 
 # the largest family parameter or edge-list vertex count the parsers accept:
-# `span --family path:1000` takes 4-5 s and peaks at 151-153 MB RSS (2 cores,
-# Python 3.11), and an unchecked count can ask for more memory than there
-# is, or overflow
+# `span --family path:1000` takes about 5-6 s and peaks at 151 MB RSS
+# (2 cores, Python 3.11), and an unchecked count can ask for more memory
+# than there is, or overflow
 ORDER_LIMIT = 1000
+
+
+def _is_int(value) -> bool:
+    """True for an int that is not a bool: what every count, endpoint,
+    family parameter, threshold and budget argument must be."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _norm(u: int, v: int) -> Edge:
@@ -77,28 +83,17 @@ class Graph:
     equal values, and a reader sees either no value or the whole one, so
     instances, immutable otherwise, are safe to share between threads.
 
-    Answers derived from the graph alone (the span values and witness roots
-    of all three rules under ``"spans"``, stored by the first span query of
-    any rule, the pairs grouped by span-pass level under ``"levels"``, the
-    coverage table per target under ``("cover", target)`` that the span
-    pass, the witness BFS and the minimal-length search read, with the
-    table of both targets under ``("cover", None)`` for a witness BFS of
-    both, the step rows of each vertex under ``"steps"`` that the lazy and
-    active passes and the lazy witness BFS read, the canonical
-    search, the canonical copy the minimal-length search runs on with its
-    orbit start pairs, that copy's lower bound and its table of rows per
-    target under ``("bound", target)``, and the witness walk pairs of both
-    targets of each rule under ``("witness", rule)``) are computed on first
-    use and kept in ``_memo``, which only ``_memoized`` reads, so every
-    later query on the same instance reads them. Each stored value is
+    Answers derived from the graph alone are computed on first use and kept
+    in ``_memo``, which only ``_memoized`` reads, so every later query on the
+    same instance reads them. Each key is a string, or a tuple whose first
+    item is a string, and belongs to one module, which documents it where it
+    stores it (``tests/test_source.py`` checks both). Each stored value is
     computed from the graph only, and it is stored with one
     ``dict.setdefault``: two threads that compute it at once store one copy
-    and both return it, so sharing a graph between threads stays safe. All
-    of them are immutable tuples, but the bound entry holds its table, which
-    grows by one row per coverage word a search meets. A row depends on the
-    graph and its word only, so two threads that compute it at once produce
-    the same bytes, and it is stored with one ``dict.setdefault``, so a
-    reader sees either no row or the whole row.
+    and both return it, so sharing a graph between threads stays safe. A
+    stored value that grows afterwards grows the same way, by entries
+    computed from the graph only and stored with one ``dict.setdefault``,
+    so a reader sees either no entry or the whole entry.
     """
 
     # __dict__ holds dist and radius once read; a __getattr__ filling
@@ -107,10 +102,12 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "_row0", "_memo", "__dict__")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        if n < 1:
-            raise InvalidParams(f"vertex count must be positive, got {n}")
+        if not _is_int(n) or n < 1:
+            raise InvalidParams(f"vertex count must be a positive int, got {n!r}")
         seen: set[Edge] = set()
         for u, v in edges:
+            if not (_is_int(u) and _is_int(v)):
+                raise InvalidParams(f"edge endpoints must be ints, got ({u!r}, {v!r})")
             _add_edge(seen, n, u, v)
         if len(seen) < n - 1:
             raise DisconnectedInput("graph is not connected")
@@ -302,6 +299,8 @@ class FamilySpec:
                 f"{self.family} takes {arity} parameter(s), got {len(self.params)}"
             )
         for p in self.params:
+            if not _is_int(p):
+                raise InvalidParams(f"{self.family} parameters must be ints, got {p!r}")
             if p > ORDER_LIMIT:
                 raise TooLarge(f"{self.family} parameter {p} above the limit {ORDER_LIMIT}")
         # each family's order is the sum of its parameters, plus the

@@ -53,7 +53,7 @@ from typing import Callable, Optional
 
 from .errors import InternalError, InvalidParams
 from .families import SEARCH_ORDER_LIMIT, _canonical_answers, _lowest_of_orbits
-from .graph import Graph
+from .graph import Graph, _is_int
 from .spans import Rule, Target, _check_variant, _cover, _moves, span
 from .walks import Walk
 
@@ -194,13 +194,13 @@ def _min_pairing(dist) -> Callable[[int], int]:
 
 def _remaining_bound(
     c: Graph, target: Target
-) -> tuple[Callable[[int, int], int], dict[int, bytes], Callable[[int], bytes]]:
-    """(rest, rows, row): rest(cov, p) is a lower bound on the steps a lone
-    player at p still needs to cover the targets whose bits are clear in the
-    coverage word cov; rows is its table, whose row for the word cov holds
-    rest(cov, p) as byte p; and row(cov) builds a missing row and stores it
-    in the table. rest reads ``rows.get(cov) or row(cov)``, and
-    ``_best_first`` reads the same expression inline.
+) -> tuple[dict[int, bytes], Callable[[int], bytes]]:
+    """(rows, row): byte p of the row for the coverage word cov,
+    ``(rows.get(cov) or row(cov))[p]``, is a lower bound on the steps a lone
+    player at p still needs to cover the targets whose bits are clear in
+    cov; rows is the table of the rows built so far, and row(cov) builds a
+    missing row and stores it in the table. ``_best_first`` reads that
+    expression inline.
 
     Vertex target, with U the uncovered vertices: MST(U) + d(p, U), the
     minimum spanning tree weight of U in the graph metric plus the distance
@@ -218,16 +218,19 @@ def _remaining_bound(
 
     Both bounds drop by at most one per step (the module docstring gives
     the argument), so the search stays exact. The rows depend on the graph
-    and the target only, so they are kept on the graph with rest and row,
-    under ``("bound", target)``, and shared by every rule and span value,
+    and the target only, so they are kept on the graph with row, under
+    ``("bound", target)``, and shared by every rule and span value,
     as are the distance masks and the pairing costs they are read from. Each row
     is computed once, on first use, and stored as n bytes (every value fits
     in a byte up to order 14) in a dict keyed by the coverage words met, for
-    both targets. ``_shortest_pair`` empties a table that has grown past
+    both targets. A row depends on the graph and its word only, so two
+    threads that build it at once produce the same bytes, and it is stored
+    with one ``dict.setdefault``: a reader sees either no row or the whole
+    row. ``_shortest_pair`` empties a table that has grown past
     ``KEPT_BOUND_ROWS`` once its search ends.
     """
 
-    def build() -> tuple[Callable[[int, int], int], dict[int, bytes], Callable[[int], bytes]]:
+    def build() -> tuple[dict[int, bytes], Callable[[int], bytes]]:
         n = c.n
         if target is Target.VERTICES:
             near = [
@@ -284,10 +287,7 @@ def _remaining_bound(
         def row(cov: int) -> bytes:
             return rows.setdefault(cov, row_of(full ^ cov))
 
-        def rest(cov: int, p: int) -> int:
-            return (rows.get(cov) or row(cov))[p]
-
-        return rest, rows, row
+        return rows, row
 
     return c._memoized(("bound", target), build)
 
@@ -372,8 +372,8 @@ def _best_first(
 def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
     """The canonical relabeling c of g, the vertex of g behind each vertex
     of c, and the orbit starts of c (``_orbit_starts``); built once per
-    graph and kept on it, so the six searches of a graph scan the orbits
-    once."""
+    graph and kept on it under ``"canonical copy"``, so the six searches of
+    a graph scan the orbits once."""
 
     def compute():
         label, gens, _ = _canonical_answers(g)
@@ -392,7 +392,7 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     # the states stored and the witness, do not depend on the input's labels
     c, vertex, orbit_starts = _canonical_copy(g)
     width, bit = _cover(c, target)
-    _, rows, row = _remaining_bound(c, target)
+    rows, row = _remaining_bound(c, target)
     starts = []
     for s in orbit_starts:
         u, v = divmod(s, g.n)
@@ -441,7 +441,7 @@ def min_length(
     without a search. A budget that is not a non-negative int raises
     InvalidParams, as the CLI's ``--budget`` does.
     """
-    if isinstance(state_budget, bool) or not isinstance(state_budget, int) or state_budget < 0:
+    if not _is_int(state_budget) or state_budget < 0:
         raise InvalidParams(f"budget must be a non-negative integer, got {state_budget!r}")
     sigma = span(g, rule, target).value
     witness, explored = None, 0

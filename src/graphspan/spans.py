@@ -20,11 +20,13 @@ traditional pass reads no move, and joins the levels of the other two,
 which run in step (``_joined_pass``). The three rules' results are kept
 on the graph as one entry, so the first span query of any rule answers
 every later one on the same graph. The passes take the states from
-per-level lists of flat indices, built once per graph and shared, so each
-pair enters once. At threshold k the active pass reads a reduced move set,
-one that ends every level with the components and coverage of the full move
-set (see ``_moves``): one half of a spanning double star of each complete
-bipartite block of active moves, each star edge read from one end only.
+per-level lists of flat indices, built once per span pass and shared by
+the two passes and the join, so each pair enters once; the graph keeps
+none of the lists after the pass. At threshold k the active pass reads a
+reduced move set, one that ends every level with the components and
+coverage of the full move set (see ``_moves``): one half of a spanning
+double star of each complete bipartite block of active moves, each star
+edge read from one end only.
 ``_moves`` defines each rule's moves; the lazy and active passes copy its
 reads inline from per-vertex step rows (``_steps``), built once per graph,
 with no generator and no per-read index or table lookup, and
@@ -38,20 +40,21 @@ strong BFS from ``_moves``. Only the minimal-length search,
 ``minlen._transition_tables``, reads each rule's full move set. What a step
 covers, a vertex or an edge, has one definition per graph and target,
 ``_cover``, which the span pass (through the step rows), the witness BFS and
-the minimal-length search read. The witness pairs of a rule's two targets
-are kept on the graph as one entry; when the targets share a span value
-and witness root, one BFS builds both (``_component_witness``), as a walk
-pair that covers every edge also visits every vertex.
+the minimal-length search read. The witness BFS serves one target
+(``_component_witness``). The witness pairs of a rule's two targets are
+kept on the graph as one entry; when the targets share a span value and
+witness root, only the edge target runs a BFS, as a walk pair that covers
+every edge also visits every vertex, and the vertex pair is read off that
+BFS's visit order (``witness_sweeps``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 from .errors import InternalError, InvalidParams, ThresholdOutOfRange
-from .graph import Graph
+from .graph import Graph, _is_int
 from .walks import Walk
 
 
@@ -235,7 +238,14 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
 
 
 def feasible(g: Graph, rule: Rule, target: Target, k: int) -> bool:
-    """True iff a covering walk pair at distance >= k exists under the rule."""
+    """True iff a covering walk pair at distance >= k exists under the rule.
+
+    A rule or target that is not an enum member, or a threshold that is not
+    an int, raises InvalidParams, checked in that order before any work; a
+    threshold outside 0..radius raises ThresholdOutOfRange."""
+    _check_variant(rule, target)
+    if not _is_int(k):
+        raise InvalidParams(f"threshold must be an int, got {k!r}")
     if not 0 <= k <= g.radius:
         raise ThresholdOutOfRange(f"threshold {k} outside 0..{g.radius}")
     return span(g, rule, target).value >= k
@@ -249,29 +259,18 @@ class SpanReport:
     witness_component: int
 
 
-def _cover(g: Graph, target: Target | None) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _cover(g: Graph, target: Target) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(width, bit): the bits per player of the target, and bit[a][b], what a
     player covers when it steps from a to b, or stands at a when b == a.
 
     Vertex target: 1 << b. Edge target: 1 << (index of edge ab in g.edges),
-    0 for a stay. None, both targets: the edge target's bit shifted above
-    the vertex target's, width n + m, read only by a witness BFS of both.
-    Built once per graph and target, and read by the span pass, the witness
-    BFS and the minimal-length search.
+    0 for a stay. Kept on the graph under ``("cover", target)``, and read by
+    the span pass, the witness BFS and the minimal-length search.
     """
 
     def compute():
         if target is Target.VERTICES:
             return g.n, (tuple(1 << b for b in range(g.n)),) * g.n
-        if target is None:
-            n = g.n
-            m, edge_bit = _cover(g, Target.EDGES)
-            vertex_row = _cover(g, Target.VERTICES)[1][0]
-            # a stay or non-edge reuses the vertex table's int
-            return n + m, tuple(
-                tuple(e << n | b if e else b for e, b in zip(row, vertex_row))
-                for row in edge_bit
-            )
         bit = [[0] * g.n for _ in range(g.n)]
         for i, (a, b) in enumerate(g.edges):
             bit[a][b] = bit[b][a] = 1 << i
@@ -287,8 +286,9 @@ def _steps(g: Graph) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
     An f-row entry is (x, (x - u) * n, the f-step's edge word) and a g-row
     entry (x, x - u, the g-step's edge word): the offset a step of that
     player adds to a flat index u*n + v, and its edge bit (``_cover``) in
-    the span pass's word, f bits above g bits. Built once per graph and read
-    by the lazy and active span passes and the lazy witness BFS.
+    the span pass's word, f bits above g bits. Kept on the graph under
+    ``"steps"``, and read by the lazy and active span passes and the lazy
+    witness BFS.
     """
 
     def compute():
@@ -312,39 +312,30 @@ def _find(parent: list[int], x: int) -> int:
 
 def _levels(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Flat indices u*n + v grouped by min(d(u, v), radius), each level in
-    increasing order; built once per graph and shared by the passes."""
-
-    def compute():
-        n = g.n
-        radius = g.radius
-        levels: list[list[int]] = [[] for _ in range(radius + 1)]
-        for u, row in enumerate(g.dist):
-            for v, d in enumerate(row):
-                levels[min(d, radius)].append(u * n + v)
-        return tuple(map(tuple, levels))
-
-    return g._memoized("levels", compute)
+    increasing order. ``_joined_pass`` builds them for its two passes and
+    the join, and nothing keeps them after it."""
+    n = g.n
+    radius = g.radius
+    levels: list[list[int]] = [[] for _ in range(radius + 1)]
+    for u, row in enumerate(g.dist):
+        for v, d in enumerate(row):
+            levels[min(d, radius)].append(u * n + v)
+    return tuple(map(tuple, levels))
 
 
-def _identity(g: Graph) -> list[int]:
-    """A new parent list [0, 1, ..., n*n - 1] of the int objects ``_levels``
-    holds, so that the lists of the passes add no ints of their own."""
-    return sorted(chain.from_iterable(_levels(g)))
-
-
-def _union_levels(g: Graph, rule: Rule):
+def _union_levels(g: Graph, rule: Rule, levels: tuple[tuple[int, ...], ...]):
     """The union-find pass of the lazy or the active rule, one threshold
     level at a time.
 
-    States enter in decreasing distance order, one level of ``_levels`` at a
-    time, so each pair enters exactly once, and are unioned with the
-    successors already present: the moves ``_moves`` yields at the level's
-    threshold, which end every level with the components and coverage of
-    the full move set. The pass reads them inline from the step rows
-    (``_steps``), in the order ``_moves`` yields them: lazy, the f-row of u,
-    then the g-row of v; active, for each x in the f-row of u, the whole
-    g-row of v when first(v, x) = u, else the first y of it at distance
-    >= k from x. A move's target index is the state's index plus the
+    States enter in decreasing distance order, one level of ``levels``
+    (``_levels``) at a time, so each pair enters exactly once, and are
+    unioned with the successors already present: the moves ``_moves``
+    yields at the level's threshold, which end every level with the
+    components and coverage of the full move set. The pass reads them
+    inline from the step rows (``_steps``), in the order ``_moves`` yields
+    them: lazy, the f-row of u, then the g-row of v; active, for each x in
+    the f-row of u, the whole g-row of v when first(v, x) = u, else the
+    first y of it at distance >= k from x. A move's target index is the state's index plus the
     offsets of its steps, and its edge bits the OR of their words.
     ``tests/test_spans.py::TestReducedMoves`` checks every level against
     ``_moves`` and against an independent pass over the full move set.
@@ -357,9 +348,12 @@ def _union_levels(g: Graph, rule: Rule):
     when it is unioned. A root unioned below another hands its word over
     and keeps the word 1, since only root words and the nonzero test are
     read again; so the words hold one full word per component, not one per
-    state. After each level k it yields (k, the roots touched on the level,
-    parent, cov, the roots unioned below another on the level); parent and
-    cov are updated in place by the later levels.
+    state. A state's parent entry is set to the state itself, an int of
+    ``levels``, when it enters, so the parent list holds no ints of its own;
+    the entry of a state not yet present is never read, as the presence test
+    guards every read. After each level k it yields (k, the roots touched on
+    the level, parent, cov, the roots unioned below another on the level);
+    parent and cov are updated in place by the later levels.
     """
     if rule is Rule.TRADITIONAL:
         raise InternalError("the traditional levels are joined from the lazy and active passes")
@@ -370,14 +364,14 @@ def _union_levels(g: Graph, rule: Rule):
     vertex_bit = _cover(g, Target.VERTICES)[1]
     shift = 2 * g.m
     f_rows, g_rows = _steps(g)
-    parent = _identity(g)
+    parent = [0] * (n * n)
     cov = [0] * (n * n)
-    levels = _levels(g)
     for k in range(g.radius, -1, -1):
         touched = []
         merged = []
         for s in levels[k]:
             u, v = divmod(s, n)
+            parent[s] = s
             cov[s] = (vertex_bit[u][u] << n | vertex_bit[v][v]) << shift
             root = s
             # the union body is written out in both branches: one loop over
@@ -439,15 +433,16 @@ def _union_levels(g: Graph, rule: Rule):
         yield k, {_find(parent, r) for r in touched}, parent, cov, merged
 
 
-def _joined_levels(g: Graph, lazy, active):
+def _joined_levels(g: Graph, lazy, active, levels: tuple[tuple[int, ...], ...]):
     """The traditional levels, joined from the levels of the lazy and the
     active pass, read in step.
 
     The strong product's edges are the Cartesian edges plus the direct
     edges, so at every threshold each traditional component is a union of
     lazy components and of active components, the finest such, and its word
-    is the OR of their words. After each level, this union-find applies the
-    unions both passes made on it, each root unioned below another joined to
+    is the OR of their words. After each level, this union-find enters the
+    level's states of ``levels``, as the passes do, and applies the unions
+    both passes made on it, each root unioned below another joined to
     that pass's root of its component, with the lowest index as root and
     the word 1 left at a root unioned below another, as in
     ``_union_levels``. A component whose word changed on the level holds a
@@ -457,10 +452,12 @@ def _joined_levels(g: Graph, lazy, active):
     active level)).
     """
     n = g.n
-    parent = _identity(g)
+    parent = [0] * (n * n)
     cov = [0] * (n * n)
-    for levels in zip(lazy, active):
-        for _, _, rule_parent, _, merged in levels:
+    for level, rule_levels in zip(reversed(levels), zip(lazy, active)):
+        for s in level:
+            parent[s] = s
+        for _, _, rule_parent, _, merged in rule_levels:
             for s in merged:
                 a = _find(parent, s)
                 b = _find(parent, _find(rule_parent, s))
@@ -471,12 +468,12 @@ def _joined_levels(g: Graph, lazy, active):
                     cov[a] |= cov[b]
                     cov[b] = 1
         touched = set()
-        for _, roots, _, rule_cov, _ in levels:
+        for _, roots, _, rule_cov, _ in rule_levels:
             for r in roots:
                 root = _find(parent, r)
                 cov[root] |= rule_cov[r]
                 touched.add(root)
-        yield levels[0][0], touched, parent, cov, levels
+        yield rule_levels[0][0], touched, parent, cov, rule_levels
 
 
 def _full_words(g: Graph) -> tuple[int, int]:
@@ -526,12 +523,13 @@ def _joined_pass(g: Graph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...
     are freed there, and each pass runs on alone until its own targets are
     hit, and stops there.
     """
-    passes = (_union_levels(g, Rule.LAZY), _union_levels(g, Rule.ACTIVE))
+    levels = _levels(g)
+    passes = (_union_levels(g, Rule.LAZY, levels), _union_levels(g, Rule.ACTIVE, levels))
     fulls = _full_words(g)
     pass_hits = ([None, None], [None, None])
     hits = [None, None]
-    for k, roots, parent, cov, levels in _joined_levels(g, *passes):
-        for (_, rule_roots, _, rule_cov, _), rule_hits in zip(levels, pass_hits):
+    for k, roots, parent, cov, rule_levels in _joined_levels(g, *passes, levels):
+        for (_, rule_roots, _, rule_cov, _), rule_hits in zip(rule_levels, pass_hits):
             _record_hits(k, rule_roots, rule_cov, fulls, rule_hits)
         if _record_hits(k, roots, cov, fulls, hits):
             break
@@ -563,25 +561,21 @@ def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
 
 
 def _component_witness(
-    g: Graph, rule: Rule, target: Target | None, k: int, root: int
-) -> tuple[Walk, Walk] | tuple[tuple[Walk, Walk], tuple[Walk, Walk]]:
+    g: Graph, rule: Rule, target: Target, k: int, root: int
+) -> tuple[tuple[Walk, Walk], dict[int, int], list[int]]:
     """Walk a pruned BFS tree of the witness component and project it: the
-    pair of the target, or with target None, the pairs of the vertex target
-    and of the edge target from the same BFS.
+    pair of the target, with the BFS's parent map and visit order.
 
     One BFS from root over the states at distance >= k, successors in
     increasing flat index, credits each target of each player to the first
     element in BFS order that covers it: for a vertex target the state a
     read enters, for an edge target the read, a product edge. The BFS order
-    does not depend on the targets, so the credits of each target, and the
-    walk built from them, are those of a BFS for it alone. The BFS stops
-    once every target is credited; with both targets, once the edges are,
-    as every read enters a state whose vertices are covered, so the vertex
-    target adds no read. It follows the moves ``_moves`` reads at threshold
-    k, which reach the whole component and cover what its full move set
-    covers (the witness claim there); the lazy BFS reads them from the step
-    rows, each step kept when the pair's distance row puts its target at
-    distance >= k.
+    does not depend on the target, and the BFS stops once every target is
+    credited. It follows the moves ``_moves`` reads at threshold k, which
+    reach the whole component and cover what its full move set covers (the
+    witness claim there); the lazy BFS reads them from the step rows, each
+    step kept when the pair's distance row puts its target at distance
+    >= k.
     The kept subtree holds every credited state and the child end of every
     credited tree edge, with their tree paths to root; a credited non-tree
     edge s-t becomes the detour s, t, s at s. The depth-first walk of the
@@ -595,19 +589,13 @@ def _component_witness(
     lazy = rule is Rule.LAZY
     if lazy:
         f_rows, g_rows = _steps(g)
-    # the word holds f's bits above g's; with both targets, each player's
-    # edge bits above its vertex bits (_cover), which v_mask selects
-    both = target is None
+    # the word holds f's bits above g's
     width, bit = _cover(g, target)
-    player_v = (1 << n) - 1 if both else 0
-    v_mask = player_v << width | player_v
     full = (1 << 2 * width) - 1
-    mask = full ^ v_mask
     u, v = divmod(root, n)
     covered = bit[u][u] << width | bit[v][v]
     parent = {root: root}
     kept: list[int] = []
-    v_kept: list[int] = []
     detours: dict[int, list[int]] = {}
     order = [root]
     head = 0
@@ -631,13 +619,9 @@ def _component_witness(
             if t not in parent:
                 parent[t] = s
                 order.append(t)
-                fresh = bits & ~covered
-                if not fresh:
+                if not bits & ~covered:
                     continue
-                if fresh & mask:
-                    kept.append(t)
-                if fresh & v_mask:
-                    v_kept.append(t)
+                kept.append(t)
             elif bits & ~covered:
                 # only edge bits: a visited state's vertices were covered
                 # when it was reached
@@ -648,10 +632,7 @@ def _component_witness(
             covered |= bits
             if covered == full:
                 break
-    pair = _tree_walk(n, root, parent, order, kept, detours)
-    if both:
-        return _tree_walk(n, root, parent, order, v_kept, {}), pair
-    return pair
+    return _tree_walk(n, root, parent, order, kept, detours), parent, order
 
 
 def _tree_walk(
@@ -697,20 +678,31 @@ def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
 
     The pairs of both targets are kept on the graph under
     ``("witness", rule)``, built on the first query of either. When the
-    targets share a span value and witness root, one BFS builds both, each
-    equal to what a BFS for it alone gives; otherwise each target runs its
-    own.
+    targets share a span value and witness root, only the edge target runs
+    a BFS: a walk pair that covers every edge also visits every vertex, so
+    that BFS has entered every vertex of both players when it stops, and a
+    vertex BFS from the same root would follow a prefix of its order. That
+    BFS credits each state that enters a vertex, of either player, that no
+    earlier state holds, so the vertex pair is read off the edge BFS's order
+    with those credits, and equals what a BFS for the vertex target gives.
     """
     _check_variant(rule, target)
 
     def compute():
         vertex_hits, edge_hits = _rule_spans(g, rule)
-        if vertex_hits == edge_hits:
-            return _component_witness(g, rule, None, *edge_hits)
-        return (
-            _component_witness(g, rule, Target.VERTICES, *vertex_hits),
-            _component_witness(g, rule, Target.EDGES, *edge_hits),
-        )
+        edge_pair, parent, order = _component_witness(g, rule, Target.EDGES, *edge_hits)
+        if vertex_hits != edge_hits:
+            return _component_witness(g, rule, Target.VERTICES, *vertex_hits)[0], edge_pair
+        n = g.n
+        f_seen, g_seen = set(), set()
+        kept = []
+        for s in order:
+            u, v = divmod(s, n)
+            if u not in f_seen or v not in g_seen:
+                f_seen.add(u)
+                g_seen.add(v)
+                kept.append(s)
+        return _tree_walk(n, edge_hits[1], parent, order, kept, {}), edge_pair
 
     return g._memoized(("witness", rule), compute)[target is Target.EDGES]
 

@@ -43,8 +43,9 @@ def count_engine_calls(monkeypatch) -> tuple[list, list, list]:
     the uncached cores behind the per-graph memo: the rule of each
     union-find pass (the first span query of any rule runs one lazy and one
     active pass and joins them), the order of each search and the rule of
-    each BFS (one BFS builds the witnesses of both targets where they share
-    a span value and root), one list entry per call."""
+    each BFS (where a rule's targets share a span value and root, the edge
+    target's BFS alone gives the witnesses of both), one list entry per
+    call."""
     from graphspan import families, spans
 
     passes: list = []

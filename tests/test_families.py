@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from graphspan import (
     FamilySpec,
     Graph,
+    InvalidParams,
     NoClosedForm,
     Rule,
     Target,
@@ -92,6 +93,13 @@ class TestClosedForms:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("args", [(2.5,), ("3",), (True,), (3, 2.0), (3, False), (3, "2")])
+    def test_non_int_bounds_rejected(self, args):
+        # 2.5 and "3" failed with a bare TypeError, and True enumerated
+        # order 1
+        with pytest.raises(InvalidParams, match="max_n and max_m must be ints"):
+            list(enumerate_connected(*args))
+
     def test_small_counts(self):
         assert len(list(enumerate_connected(3, 3))) == 4
         assert len(list(enumerate_connected(4))) == 10

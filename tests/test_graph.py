@@ -171,6 +171,22 @@ def test_too_few_edges_rejected_before_any_bfs_row(monkeypatch):
     assert calls == []
 
 
+class TestGraphArguments:
+    @pytest.mark.parametrize("n", [True, False, "2", 2.5, 2.0, None])
+    def test_non_int_vertex_count_rejected(self, n):
+        # True was accepted as order 1, "2" failed with a bare TypeError,
+        # and 2.5 was reported as disconnected
+        with pytest.raises(InvalidParams, match="vertex count must be a positive int"):
+            Graph(n, [(0, 1)] if n else [])
+
+    @pytest.mark.parametrize("edge", [(0, True), (False, 1), (0, 1.0), ("0", 1), (0, None)])
+    def test_non_int_endpoint_rejected(self, edge):
+        # (0, True) stored a bool endpoint, and (0, 1.0) failed with a bare
+        # TypeError
+        with pytest.raises(InvalidParams, match="edge endpoints must be ints"):
+            Graph(2, [edge])
+
+
 class TestFamilies:
     def test_kn_plus_order_and_size(self):
         g = kn_plus(5)
@@ -204,6 +220,15 @@ class TestFamilies:
     def test_invalid_params(self, family, params):
         with pytest.raises(InvalidParams):
             generate(FamilySpec(family, params))
+
+    @pytest.mark.parametrize("family,params", [
+        ("path", (True,)), ("path", (2.5,)), ("path", ("3",)),
+        ("complete_bipartite", (2, False)), ("kn_plus", (None,)),
+    ])
+    def test_non_int_params_rejected(self, family, params):
+        # True built Graph(n=True), and 2.5 failed with a bare TypeError
+        with pytest.raises(InvalidParams, match="parameters must be ints"):
+            FamilySpec(family, params)
 
     def test_spec_parsing(self):
         spec = FamilySpec.from_string("complete_bipartite:2,3")

@@ -272,7 +272,7 @@ class TestRemainingBound:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(6), st.sampled_from(list(Target)), st.data())
     def test_admissible_and_consistent(self, g, target, data):
-        rest, _, _ = _remaining_bound(g, target)
+        rows, row = _remaining_bound(g, target)
         if target is Target.VERTICES:
             items, bit, steps = list(range(g.n)), (lambda t: 1 << t), vertex_cover_steps
             full = (1 << g.n) - 1
@@ -287,8 +287,10 @@ class TestRemainingBound:
                 return left - {(min(a, b), max(a, b))}
 
         def bound(p, left):
-            # the engine's per-player bound, read at the coverage word of left
-            return rest(full ^ sum(map(bit, left)), p)
+            # the engine's per-player bound, read at the coverage word of
+            # left as _best_first reads it
+            cov = full ^ sum(map(bit, left))
+            return (rows.get(cov) or row(cov))[p]
 
         subsets = st.lists(st.sampled_from(items), max_size=8, unique=True) if items else st.just([])
         uf, ug = frozenset(data.draw(subsets)), frozenset(data.draw(subsets))
@@ -320,7 +322,7 @@ class TestRemainingBound:
         finally:
             tracemalloc.stop()
         assert held < 100_000
-        _, rows, _ = _remaining_bound(_canonical_copy(g)[0], Target.EDGES)
+        rows, _ = _remaining_bound(_canonical_copy(g)[0], Target.EDGES)
         assert len(rows) <= KEPT_BOUND_ROWS
 
 

@@ -1,8 +1,8 @@
 """Source guards over the package modules: the runtime imports only the
 standard library, the imports among package modules form no cycle, a
 breached invariant raises InternalError, never a bare AssertionError, only
-the graph module touches a graph's memo, and every typed error is
-importable from the package."""
+the graph module touches a graph's memo, each memo key belongs to one
+module, and every typed error is importable from the package."""
 
 from __future__ import annotations
 
@@ -83,6 +83,28 @@ def test_only_the_graph_module_touches_the_memo():
              and ((isinstance(node, ast.Attribute) and node.attr == "_memo")
                   or (isinstance(node, ast.Constant) and node.value == "_memo"))]
     assert found == []
+
+
+def test_each_memo_key_belongs_to_one_module():
+    # a key is a string, or a tuple whose first item is a string; each is
+    # documented where it is stored, so one used by two modules would be
+    # one entry with two owners
+    owners: dict[str, set[str]] = {}
+    unread = []
+    for name, node in _nodes():
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_memoized"):
+            continue
+        key = node.args[0] if node.args else None
+        if isinstance(key, ast.Tuple) and key.elts:
+            key = key.elts[0]
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            owners.setdefault(key.value, set()).add(name)
+        else:
+            unread.append((name, node.lineno))
+    assert unread == []
+    assert len(owners) >= 5
+    assert {key: names for key, names in owners.items() if len(names) > 1} == {}
 
 
 def test_every_error_is_exported():

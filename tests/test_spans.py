@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,21 @@ class TestFeasible:
             feasible(path(3), Rule.LAZY, Target.VERTICES, 2)
         with pytest.raises(ThresholdOutOfRange):
             feasible(path(3), Rule.LAZY, Target.VERTICES, -1)
+
+    @pytest.mark.parametrize("k", [0.5, True, "1", None])
+    def test_non_int_threshold_rejected(self, k):
+        # 0.5 read as a threshold answered False, True was taken as 1 and
+        # "1" failed with a bare TypeError
+        g = kn_plus(5)
+        with pytest.raises(InvalidParams, match="threshold must be an int"):
+            feasible(g, Rule.ACTIVE, Target.VERTICES, k)
+        assert g._memo == {}
+
+    def test_variant_checked_before_threshold(self):
+        # a string rule is an InvalidParams even with a threshold above the
+        # radius, which alone raises ThresholdOutOfRange
+        with pytest.raises(InvalidParams, match="rule must be a Rule"):
+            feasible(kn_plus(5), "lazy", Target.VERTICES, 9)
 
     def test_monotone_in_threshold(self):
         for g in corpus(4):
@@ -348,14 +365,15 @@ def _dense_graphs():
     return _seeded_graphs(40, 15, orders=(10, 18), densities=(0.5, 0.7, 0.9))
 
 
-def _pass_levels(g, rule):
-    """The levels the span pass of rule reads: its own union-find pass for
-    the lazy and active rules, the join of those two for the traditional
-    rule."""
+def _pass_levels(g, rule, levels):
+    """The levels the span pass of rule reads, entering the states of
+    levels: its own union-find pass for the lazy and active rules, the join
+    of those two for the traditional rule."""
     if rule is Rule.TRADITIONAL:
         return spans._joined_levels(
-            g, spans._union_levels(g, Rule.LAZY), spans._union_levels(g, Rule.ACTIVE))
-    return spans._union_levels(g, rule)
+            g, spans._union_levels(g, Rule.LAZY, levels),
+            spans._union_levels(g, Rule.ACTIVE, levels), levels)
+    return spans._union_levels(g, rule, levels)
 
 
 def _level_ends(levels, g):
@@ -459,9 +477,10 @@ class TestReducedMoves:
                   star(6), star(9), *all_trees(8), *labeled_connected(5),
                   complete_bipartite(20, 30)]
         for g in graphs:
+            levels = spans._levels(g)
             for rule in Rule:
-                assert _level_ends(_pass_levels(g, rule), g) == list(oracle_levels(g, rule)), (
-                    g.n, g.edges, rule)
+                assert _level_ends(_pass_levels(g, rule, levels), g) == list(
+                    oracle_levels(g, rule)), (g.n, g.edges, rule)
 
     def test_inline_reads_follow_moves(self):
         # the passes copy _moves inline; reading the same moves in the same
@@ -470,8 +489,9 @@ class TestReducedMoves:
         graphs = [*corpus(6), *_dense_graphs(), complete(12), kn_plus(8), path(20),
                   complete_bipartite(6, 9), *labeled_connected(5)]
         for g in graphs:
+            levels = spans._levels(g)
             for rule in (Rule.LAZY, Rule.ACTIVE):
-                unions = [(k, merged) for k, _, _, _, merged in spans._union_levels(g, rule)]
+                unions = [(k, merged) for k, _, _, _, merged in spans._union_levels(g, rule, levels)]
                 assert unions == _moves_unions(g, rule), (g.n, g.edges, rule)
 
     def test_thresholded_moves_are_real_moves(self):
@@ -554,19 +574,23 @@ class TestReducedMoves:
         # unioned below another root keeps the word 1, not its 2n + 2m bits;
         # the traditional join keeps its words the same way
         for g in (path(30), complete(8)):
+            levels = spans._levels(g)
             for rule in Rule:
-                *_, (k, _, parent, cov, _) = _pass_levels(g, rule)
+                *_, (k, _, parent, cov, _) = _pass_levels(g, rule, levels)
                 assert k == 0
                 merged = [s for s in range(g.n * g.n) if parent[s] != s]
                 assert merged and all(cov[s] == 1 for s in merged), (g.n, rule)
 
     def test_parent_lists_hold_the_level_ints(self):
         # indices above 256 are separate int objects in CPython, so parent
-        # lists of new ints would add 28 bytes per pair to each pass
+        # lists of new ints would add 28 bytes per pair to each pass; each
+        # state's entry is set as it enters, so after threshold 0 every
+        # entry holds an int of the levels
         g = path(30)
-        level_ints = {id(s) for level in spans._levels(g) for s in level}
+        levels = spans._levels(g)
+        level_ints = {id(s) for level in levels for s in level}
         for rule in Rule:
-            *_, (_, _, parent, _, _) = _pass_levels(g, rule)
+            *_, (_, _, parent, _, _) = _pass_levels(g, rule, levels)
             assert all(id(s) in level_ints for s in parent), rule
 
     def test_levels_hold_each_pair_once(self):
@@ -577,7 +601,38 @@ class TestReducedMoves:
             for k, level in enumerate(levels):
                 assert list(level) == sorted(level)
                 assert all(min(g.dist[s // g.n][s % g.n], g.radius) == k for s in level)
-            assert g._memo["levels"] is levels
+
+    def test_graph_keeps_only_the_answers(self):
+        # the level lists and the parent lists of the passes live only as
+        # long as the pass, and the witness BFS of each target reads its
+        # own coverage table, so no sequence of queries leaves the level
+        # lists or a table of both targets on the graph
+        for g in (path(1), cycle(7), kn_plus(6), star(9), complete_bipartite(3, 4)):
+            for first in (span, witness_sweeps):
+                fresh = Graph(g.n, g.edges)
+                first(fresh, Rule.LAZY, Target.EDGES)
+                for rule, target in ALL_VARIANTS:
+                    witness_sweeps(fresh, rule, target)
+                    span(fresh, rule, target)
+                assert "levels" not in fresh._memo and ("cover", None) not in fresh._memo
+                assert set(fresh._memo) == {
+                    "spans", "steps", *(("cover", target) for target in TARGETS),
+                    *(("witness", rule) for rule in Rule)}
+
+    def test_span_pass_leaves_little_on_the_graph(self):
+        # what a graph keeps after all_spans is its memo: the answers, the
+        # distance table, the coverage tables and the step rows, about
+        # 3.6 MB on path(400); keeping the level lists, n * n ints, and a
+        # coverage table of both targets took it to 10.0 MB
+        g = path(400)
+        tracemalloc.start()
+        try:
+            all_spans(g)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 6_000_000
 
     def test_step_rows_built_once_per_graph(self, monkeypatch):
         # one table per graph, shared by the lazy and active passes and the
@@ -654,8 +709,9 @@ class TestWitnesses:
 
     def test_shared_bfs_gives_the_single_target_walks(self):
         # a walk pair that covers every edge also visits every vertex, so
-        # one BFS builds both pairs where the targets share a span value
-        # and root; each must equal the pair of a BFS for its target alone
+        # where the targets share a span value and root the vertex pair is
+        # read off the edge BFS's order; it must equal the pair of a
+        # vertex-only BFS at the same root
         shared = 0
         for g in _witness_order_graphs():
             for rule in Rule:
@@ -663,9 +719,9 @@ class TestWitnesses:
                 if vertex_hits != edge_hits:
                     continue
                 shared += 1
-                singles = tuple(spans._component_witness(g, rule, target, *edge_hits)
+                singles = tuple(spans._component_witness(g, rule, target, *edge_hits)[0]
                                 for target in TARGETS)
-                assert spans._component_witness(g, rule, None, *edge_hits) == singles, (
+                assert tuple(witness_sweeps(g, rule, target) for target in TARGETS) == singles, (
                     g.n, g.edges, rule)
         assert shared
 
