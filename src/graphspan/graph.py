@@ -105,7 +105,15 @@ class Graph:
         if not _is_int(n) or n < 1:
             raise InvalidParams(f"vertex count must be a positive int, got {n!r}")
         seen: set[Edge] = set()
-        for u, v in edges:
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise InvalidParams(f"edges must be an iterable of (u, v) pairs, got {edges!r}") from None
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InvalidParams(f"each edge must be a (u, v) pair, got {edge!r}") from None
             if not (_is_int(u) and _is_int(v)):
                 raise InvalidParams(f"edge endpoints must be ints, got ({u!r}, {v!r})")
             _add_edge(seen, n, u, v)
@@ -293,6 +301,8 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in _GENERATORS:
             raise InvalidParams(f"unknown family {self.family!r}")
+        if not isinstance(self.params, tuple):
+            raise InvalidParams(f"{self.family} parameters must be a tuple, got {self.params!r}")
         arity = _GENERATORS[self.family].__code__.co_argcount
         if len(self.params) != arity:
             raise InvalidParams(

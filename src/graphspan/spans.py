@@ -35,8 +35,10 @@ pins the copy. The witness BFS reads the thresholded moves of its rule at
 the span value, for the strong rule the lazy moves plus the diagonals whose
 two lazy intermediates are both at distance < k: from any pair they reach
 its whole component of the full move set and cover what it covers (see
-``_moves``). The lazy BFS reads them from the step rows, the active and
-strong BFS from ``_moves``. Only the minimal-length search,
+``_moves``). Every rule's BFS reads them inline from the step rows too,
+each read with its word, and
+``TestWitnesses::test_witness_bfs_follows_the_thresholded_moves`` pins
+them to ``_moves``. Only the minimal-length search,
 ``minlen._transition_tables``, reads each rule's full move set. What a step
 covers, a vertex or an edge, has one definition per graph and target,
 ``_cover``, which the span pass (through the step rows), the witness BFS and
@@ -120,11 +122,12 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
     and active span passes, which end every level with the components and
     coverage of the full move set, and by the witness BFS of every rule,
     which follows them from one pair with every pair at distance >= k
-    present (the witness claim below). The span passes and the lazy BFS
-    read copies of these moves inline from the step rows (``_steps``), in
-    the same order; this generator is the definition they copy, and
-    ``test_inline_reads_follow_moves`` checks that the passes union as a
-    pass reading it does. The traditional span pass reads no move; it joins
+    present (the witness claim below). The span passes and the witness BFS
+    read copies of these moves inline from the step rows (``_steps``); this
+    generator is the definition they copy. ``test_inline_reads_follow_moves``
+    checks that the passes union as a pass reading it does, and
+    ``test_witness_bfs_follows_the_thresholded_moves`` that each BFS visits
+    as a BFS reading it does. The traditional span pass reads no move; it joins
     the lazy and active levels (``_joined_levels``). The lazy move set does
     not depend on k.
 
@@ -287,20 +290,45 @@ def _steps(g: Graph) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
     entry (x, x - u, the g-step's edge word): the offset a step of that
     player adds to a flat index u*n + v, and its edge bit (``_cover``) in
     the span pass's word, f bits above g bits. Kept on the graph under
-    ``"steps"``, and read by the lazy and active span passes and the lazy
-    witness BFS.
+    ``"steps"``, and read by the lazy and active span passes and every
+    rule's witness BFS. The two directions of an edge share one f-step
+    word.
     """
 
     def compute():
         n = g.n
         m, bit = _cover(g, Target.EDGES)
-        f_rows, g_rows = [], []
-        for u, (xs, row) in enumerate(zip(g.adj, bit)):
-            f_rows.append(tuple((x, (x - u) * n, row[x] << m) for x in xs))
-            g_rows.append(tuple((x, x - u, row[x]) for x in xs))
-        return tuple(f_rows), tuple(g_rows)
+        f_rows: list[list] = [[] for _ in range(n)]
+        g_rows: list[list] = [[] for _ in range(n)]
+        # the edges are sorted, so each row fills in increasing neighbour
+        # order; both directions of an edge share its one f-step word
+        for a, b in g.edges:
+            word = bit[a][b]
+            f_word = word << m
+            f_rows[a].append((b, (b - a) * n, f_word))
+            f_rows[b].append((a, (a - b) * n, f_word))
+            g_rows[a].append((b, b - a, word))
+            g_rows[b].append((a, a - b, word))
+        return tuple(map(tuple, f_rows)), tuple(map(tuple, g_rows))
 
     return g._memoized("steps", compute)
+
+
+def _witness_steps(g: Graph, target: Target):
+    """The step rows the witness BFS of the target reads: for the edge
+    target ``_steps``, whose words are the steps' edge bits; for the vertex
+    target the same steps, each word the bit of the vertex the step enters,
+    f's shifted above g's, built for each BFS from ``_cover``. A player
+    that stays covers nothing new: no edge, and a vertex that the state it
+    stays from already covered."""
+    f_rows, g_rows = _steps(g)
+    if target is Target.EDGES:
+        return f_rows, g_rows
+    n, bit = _cover(g, Target.VERTICES)
+    return (
+        tuple(tuple((x, off, row[x] << n) for x, off, _ in steps) for row, steps in zip(bit, f_rows)),
+        tuple(tuple((x, off, row[x]) for x, off, _ in steps) for row, steps in zip(bit, g_rows)),
+    )
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -314,12 +342,15 @@ def _levels(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Flat indices u*n + v grouped by min(d(u, v), radius), each level in
     increasing order. ``_joined_pass`` builds them for its two passes and
     the join, and nothing keeps them after it."""
-    n = g.n
     radius = g.radius
     levels: list[list[int]] = [[] for _ in range(radius + 1)]
-    for u, row in enumerate(g.dist):
-        for v, d in enumerate(row):
-            levels[min(d, radius)].append(u * n + v)
+    # the flat index counted up and one comparison per pair: a min() call
+    # and a product per pair took four times as long
+    s = 0
+    for row in g.dist:
+        for d in row:
+            levels[d if d < radius else radius].append(s)
+            s += 1
     return tuple(map(tuple, levels))
 
 
@@ -361,8 +392,11 @@ def _union_levels(g: Graph, rule: Rule, levels: tuple[tuple[int, ...], ...]):
     adj = g.adj
     dist = g.dist
     lazy = rule is Rule.LAZY
-    vertex_bit = _cover(g, Target.VERTICES)[1]
+    # an entering state (u, v) writes f_entry[u] | g_entry[v]: its two
+    # vertex bits above both players' 2m edge bits, f's above g's
     shift = 2 * g.m
+    g_entry = [row[u] << shift for u, row in enumerate(_cover(g, Target.VERTICES)[1])]
+    f_entry = [word << n for word in g_entry]
     f_rows, g_rows = _steps(g)
     parent = [0] * (n * n)
     cov = [0] * (n * n)
@@ -372,7 +406,7 @@ def _union_levels(g: Graph, rule: Rule, levels: tuple[tuple[int, ...], ...]):
         for s in levels[k]:
             u, v = divmod(s, n)
             parent[s] = s
-            cov[s] = (vertex_bit[u][u] << n | vertex_bit[v][v]) << shift
+            cov[s] = f_entry[u] | g_entry[v]
             root = s
             # the union body is written out in both branches: one loop over
             # (base, word, row) groups, shared by both rules, made the pass
@@ -430,7 +464,12 @@ def _union_levels(g: Graph, rule: Rule, levels: tuple[tuple[int, ...], ...]):
                             cov[other] = 1
                         cov[root] |= bits
             touched.append(root)
-        yield k, {_find(parent, r) for r in touched}, parent, cov, merged
+        roots = set()
+        for r in touched:
+            while parent[r] != r:
+                parent[r] = r = parent[parent[r]]
+            roots.add(r)
+        yield k, roots, parent, cov, merged
 
 
 def _joined_levels(g: Graph, lazy, active, levels: tuple[tuple[int, ...], ...]):
@@ -457,10 +496,20 @@ def _joined_levels(g: Graph, lazy, active, levels: tuple[tuple[int, ...], ...]):
     for level, rule_levels in zip(reversed(levels), zip(lazy, active)):
         for s in level:
             parent[s] = s
+        # the finds are written out, path halving, as most take no step and
+        # a call cost more than the find; the step is written
+        # parent[x] = x = ..., as x = parent[x] = ... would point the
+        # grandparent at itself, making it a root
         for _, _, rule_parent, _, merged in rule_levels:
             for s in merged:
-                a = _find(parent, s)
-                b = _find(parent, _find(rule_parent, s))
+                a = s
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                b = rule_parent[s]
+                while rule_parent[b] != b:
+                    rule_parent[b] = b = rule_parent[rule_parent[b]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
                 if a != b:
                     if b < a:
                         a, b = b, a
@@ -470,7 +519,9 @@ def _joined_levels(g: Graph, lazy, active, levels: tuple[tuple[int, ...], ...]):
         touched = set()
         for _, roots, _, rule_cov, _ in rule_levels:
             for r in roots:
-                root = _find(parent, r)
+                root = r
+                while parent[root] != root:
+                    parent[root] = root = parent[parent[root]]
                 cov[root] |= rule_cov[r]
                 touched.add(root)
         yield rule_levels[0][0], touched, parent, cov, rule_levels
@@ -562,9 +613,9 @@ def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
 
 def _component_witness(
     g: Graph, rule: Rule, target: Target, k: int, root: int
-) -> tuple[tuple[Walk, Walk], dict[int, int], list[int]]:
+) -> tuple[tuple[Walk, Walk], list[int], list[int]]:
     """Walk a pruned BFS tree of the witness component and project it: the
-    pair of the target, with the BFS's parent map and visit order.
+    pair of the target, with the BFS's parent list and visit order.
 
     One BFS from root over the states at distance >= k, successors in
     increasing flat index, credits each target of each player to the first
@@ -573,9 +624,12 @@ def _component_witness(
     does not depend on the target, and the BFS stops once every target is
     credited. It follows the moves ``_moves`` reads at threshold k, which
     reach the whole component and cover what its full move set covers (the
-    witness claim there); the lazy BFS reads them from the step rows, each
-    step kept when the pair's distance row puts its target at distance
-    >= k.
+    witness claim there), copied inline from the step rows of the target
+    (``_witness_steps``), each read kept when the distance rows put its
+    target at distance >= k and carrying its word, the OR of its steps'
+    words. The active reads come in increasing index, the others are
+    sorted; the strong diagonals are read only when d(u, v) = k. The parent
+    list holds -1 at every state not visited.
     The kept subtree holds every credited state and the child end of every
     credited tree edge, with their tree paths to root; a credited non-tree
     edge s-t becomes the detour s, t, s at s. The depth-first walk of the
@@ -585,16 +639,18 @@ def _component_witness(
     distance stays at the threshold.
     """
     n = g.n
+    adj = g.adj
     dist = g.dist
     lazy = rule is Rule.LAZY
-    if lazy:
-        f_rows, g_rows = _steps(g)
+    active = rule is Rule.ACTIVE
+    f_rows, g_rows = _witness_steps(g, target)
     # the word holds f's bits above g's
     width, bit = _cover(g, target)
     full = (1 << 2 * width) - 1
     u, v = divmod(root, n)
     covered = bit[u][u] << width | bit[v][v]
-    parent = {root: root}
+    parent = [-1] * (n * n)  # -1: not visited
+    parent[root] = root
     kept: list[int] = []
     detours: dict[int, list[int]] = {}
     order = [root]
@@ -605,18 +661,44 @@ def _component_witness(
         s = order[head]
         head += 1
         u, v = divmod(s, n)
-        f_row, g_row = bit[u], bit[v]
-        if lazy:
-            du, dv = dist[u], dist[v]
-            reads = [s + off for x, off, _ in f_rows[u] if dv[x] >= k]
-            reads += [s + off for y, off, _ in g_rows[v] if du[y] >= k]
-            reads.sort()
+        du, dv = dist[u], dist[v]
+        f_row, g_row = f_rows[u], g_rows[v]
+        # each read is (target index, word), cut to distance >= k
+        if active:
+            # x ascending, then y ascending: already in index order
+            reads = []
+            for x, f_off, f_word in f_row:
+                # first(v, x) exists and is at most u, which qualifies
+                for w in adj[x]:
+                    if dv[w] >= k:
+                        break
+                dx = dist[x]
+                base = s + f_off
+                if w == u:
+                    reads += [(base + off, f_word | word) for y, off, word in g_row if dx[y] >= k]
+                else:
+                    for y, off, word in g_row:
+                        if dx[y] >= k:
+                            reads.append((base + off, f_word | word))
+                            break
         else:
-            reads = sorted(x * n + y for x, y in _moves(g, rule, u, v, k) if dist[x][y] >= k)
-        for t in reads:
-            x, y = divmod(t, n)
-            bits = f_row[x] << width | g_row[y]
-            if t not in parent:
+            reads = [(s + off, word) for y, off, word in g_row if du[y] >= k]
+            if lazy or du[v] > k:
+                # the strong diagonals kept at k exist only when d(u, v) = k
+                reads += [(s + off, word) for x, off, word in f_row if dv[x] >= k]
+            else:
+                ys = [read for read in g_row if du[read[0]] < k]
+                for x, f_off, f_word in f_row:
+                    if dv[x] >= k:
+                        reads.append((s + f_off, f_word))
+                    elif ys:
+                        dx = dist[x]
+                        base = s + f_off
+                        reads += [(base + off, f_word | word) for y, off, word in ys if dx[y] >= k]
+            # no two reads share a target index, so no word is compared
+            reads.sort()
+        for t, bits in reads:
+            if parent[t] < 0:
                 parent[t] = s
                 order.append(t)
                 if not bits & ~covered:
@@ -638,7 +720,7 @@ def _component_witness(
 def _tree_walk(
     n: int,
     root: int,
-    parent: dict[int, int],
+    parent: list[int],
     order: list[int],
     kept: list[int],
     detours: dict[int, list[int]],

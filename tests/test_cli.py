@@ -414,6 +414,13 @@ GOLDEN = [
     (("verify-fixtures", "--format", "structured"), "6df8ac2cb9a691bf"),
     (("verify-family", "--budget", "100000"), "7c77ea9b269402ed"),
     (("verify-family", "--budget", "100000", "--format", "structured"), "53356f14e9ec0b11"),
+    # taken before every rule's witness BFS read its moves from the step
+    # rows, so that each rule and both targets are pinned through it;
+    # kn_plus:9 runs a BFS of its own for the active vertex target
+    (("witness", "--family", "path:30"), "0da694b79994b887"),
+    (("witness", "--family", "complete_bipartite:5,6"), "f85c756a465de63c"),
+    (("witness", "--family", "kn_plus:9"), "fbd9440c8a3d38c4"),
+    (("witness", "--family", "cycle:40", "--format", "structured"), "f6dc5f32845953d6"),
 ]
 
 

@@ -186,6 +186,19 @@ class TestGraphArguments:
         with pytest.raises(InvalidParams, match="edge endpoints must be ints"):
             Graph(2, [edge])
 
+    @pytest.mark.parametrize("build,named", [
+        (lambda: Graph(2, [(0,)]), "each edge must be a (u, v) pair, got (0,)"),
+        (lambda: Graph(3, [(0, 1, 2)]), "each edge must be a (u, v) pair, got (0, 1, 2)"),
+        (lambda: Graph(2, [0]), "each edge must be a (u, v) pair, got 0"),
+        (lambda: Graph(2, None), "edges must be an iterable of (u, v) pairs, got None"),
+        (lambda: FamilySpec("path", 3), "path parameters must be a tuple, got 3"),
+    ], ids=["short-edge", "long-edge", "int-edge", "no-edges", "int-params"])
+    def test_wrong_shape_arguments_rejected(self, build, named):
+        # each raised a bare ValueError (unpacking) or TypeError (iterating
+        # or taking the len of a non-sequence)
+        with pytest.raises(InvalidParams, match=re.escape(named)):
+            build()
+
 
 class TestFamilies:
     def test_kn_plus_order_and_size(self):

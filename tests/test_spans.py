@@ -635,8 +635,9 @@ class TestReducedMoves:
         assert held < 6_000_000
 
     def test_step_rows_built_once_per_graph(self, monkeypatch):
-        # one table per graph, shared by the lazy and active passes and the
-        # lazy witness BFS, with 2m entries per player
+        # one table per graph, shared by the lazy and active passes and
+        # every rule's witness BFS, with 2m entries per player; the two
+        # directions of an edge share one f-step word
         built = []
         memoized = Graph._memoized
 
@@ -647,8 +648,8 @@ class TestReducedMoves:
         for g in (path(1), cycle(7), kn_plus(6), star(9), complete_bipartite(3, 4)):
             g = Graph(g.n, g.edges)
             all_spans(g)
-            for target in TARGETS:
-                witness_sweeps(g, Rule.LAZY, target)
+            for rule, target in ALL_VARIANTS:
+                witness_sweeps(g, rule, target)
             f_rows, g_rows = g._memo["steps"]
             assert built.count("steps") == 1
             built.clear()
@@ -659,6 +660,25 @@ class TestReducedMoves:
                     tuple((x, (x - u) * offset, 1 << g.edges.index((min(u, x), max(u, x))) << shift)
                           for x in g.adj[u])
                     for u in g.vertices)
+            f_words = {(u, x): word for u, row in enumerate(f_rows) for x, _, word in row}
+            assert all(word is f_words[x, u] for (u, x), word in f_words.items())
+
+
+def _reference_bfs(g, rule, k, root):
+    """The visit order and parents of a BFS from root over the reads of
+    ``spans._moves`` at threshold k, cut to distance >= k, each state's
+    reads in increasing flat index: the whole component, unlike the
+    witness BFS, which stops once its target is covered."""
+    n = g.n
+    parent = {root: root}
+    order = [root]
+    for s in order:  # grows while it is read
+        u, v = divmod(s, n)
+        for t in sorted(x * n + y for x, y in spans._moves(g, rule, u, v, k) if g.dist[x][y] >= k):
+            if t not in parent:
+                parent[t] = s
+                order.append(t)
+    return order, parent
 
 
 def _witness_order_graphs() -> list[Graph]:
@@ -750,25 +770,29 @@ class TestWitnesses:
             f, h = witness_sweeps(g, rule, target)
             assert validate_pair(g, rule, target, f, h, span(g, rule, target).value) == []
 
-    def test_witness_reads_the_thresholded_moves(self, monkeypatch):
-        # the reads at the span value reach the whole full-set component
-        # (see TestReducedMoves), so the BFS never needs the full move set;
-        # fresh copies, as the shared corpus graphs keep their witnesses
-        graphs = [Graph(g.n, g.edges) for g in corpus(5)]
-        for g in graphs:
-            all_spans(g)
-        moves = spans._moves
-        thresholds = []
-
-        def recorded(g, rule, u, v, k=None):
-            thresholds.append(k)
-            return moves(g, rule, u, v, k)
-
-        monkeypatch.setattr(spans, "_moves", recorded)
-        for g in graphs:
-            for rule, target in ALL_VARIANTS:
-                witness_sweeps(g, rule, target)
-        assert thresholds and None not in thresholds
+    def test_witness_bfs_follows_the_thresholded_moves(self):
+        # every rule's witness BFS reads its moves inline from the step
+        # rows; a BFS over the sorted reads of _moves at the same threshold,
+        # cut to distance >= k, must visit the same states in the same
+        # order with the same parents, up to where the witness BFS stops,
+        # at the span value and every threshold below it, from the witness
+        # root of either target
+        checked = 0
+        for g in (*labeled_connected(5), *_dense_graphs()):
+            references = {}
+            for rule in Rule:
+                for target, (value, root) in zip(TARGETS, spans._rule_spans(g, rule)):
+                    for k in range(value + 1):
+                        _, parent, order = spans._component_witness(g, rule, target, k, root)
+                        key = rule, k, root
+                        if key not in references:
+                            references[key] = _reference_bfs(g, rule, k, root)
+                        ref_order, ref_parent = references[key]
+                        assert order == ref_order[:len(order)], (g.n, g.edges, rule, target, k)
+                        assert [parent[t] for t in order] == [ref_parent[t] for t in order]
+                        assert parent.count(-1) == g.n * g.n - len(order)
+                        checked += 1
+        assert checked > 6 * 772
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(8))
