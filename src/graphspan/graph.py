@@ -402,8 +402,16 @@ def generate(spec: FamilySpec) -> Graph:
 
 
 def subdivide_edge(g: Graph, e: Edge) -> Graph:
-    """Replace edge uv with the two-edge path u-w-v through a new vertex w."""
-    e = _norm(*e)
+    """Replace edge uv with the two-edge path u-w-v through a new vertex w.
+
+    An e that is not a pair of ints raises InvalidParams, as in ``Graph``."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise InvalidParams(f"the edge must be a (u, v) pair, got {e!r}") from None
+    if not (_is_int(u) and _is_int(v)):
+        raise InvalidParams(f"edge endpoints must be ints, got ({u!r}, {v!r})")
+    e = _norm(u, v)
     if not g.has_edge(*e):
         raise EdgeNotPresent(f"edge {e} not in graph")
     w = g.n

@@ -36,18 +36,20 @@ the span value, for the strong rule the lazy moves plus the diagonals whose
 two lazy intermediates are both at distance < k: from any pair they reach
 its whole component of the full move set and cover what it covers (see
 ``_moves``). Every rule's BFS reads them inline from the step rows too,
-each read with its word, and
+each read with its edge word, and
 ``TestWitnesses::test_witness_bfs_follows_the_thresholded_moves`` pins
 them to ``_moves``. Only the minimal-length search,
 ``minlen._transition_tables``, reads each rule's full move set. What a step
 covers, a vertex or an edge, has one definition per graph and target,
-``_cover``, which the span pass (through the step rows), the witness BFS and
-the minimal-length search read. The witness BFS serves one target
-(``_component_witness``). The witness pairs of a rule's two targets are
+``_cover``, which the span pass and the minimal-length search read, and the
+witness BFS through the step rows alone. There is one witness BFS
+(``_component_witness``): it credits each vertex of each player to the
+first state that enters it and, for the edge target, each edge to the
+first read that covers it. The witness pairs of a rule's two targets are
 kept on the graph as one entry; when the targets share a span value and
 witness root, only the edge target runs a BFS, as a walk pair that covers
-every edge also visits every vertex, and the vertex pair is read off that
-BFS's visit order (``witness_sweeps``).
+every edge also enters every vertex, and both pairs are built from its
+credits (``witness_sweeps``).
 """
 
 from __future__ import annotations
@@ -268,7 +270,8 @@ def _cover(g: Graph, target: Target) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
     Vertex target: 1 << b. Edge target: 1 << (index of edge ab in g.edges),
     0 for a stay. Kept on the graph under ``("cover", target)``, and read by
-    the span pass, the witness BFS and the minimal-length search.
+    the span pass and the minimal-length search; the edge table also by
+    ``_steps``, whose rows are all the witness BFS reads of it.
     """
 
     def compute():
@@ -290,9 +293,10 @@ def _steps(g: Graph) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
     entry (x, x - u, the g-step's edge word): the offset a step of that
     player adds to a flat index u*n + v, and its edge bit (``_cover``) in
     the span pass's word, f bits above g bits. Kept on the graph under
-    ``"steps"``, and read by the lazy and active span passes and every
-    rule's witness BFS. The two directions of an edge share one f-step
-    word.
+    ``"steps"``, and read by the lazy and active span passes and by the
+    witness BFS of every rule and target, whose edge credits are these
+    words and whose vertex credits need none. The two directions of an
+    edge share one f-step word.
     """
 
     def compute():
@@ -312,23 +316,6 @@ def _steps(g: Graph) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
         return tuple(map(tuple, f_rows)), tuple(map(tuple, g_rows))
 
     return g._memoized("steps", compute)
-
-
-def _witness_steps(g: Graph, target: Target):
-    """The step rows the witness BFS of the target reads: for the edge
-    target ``_steps``, whose words are the steps' edge bits; for the vertex
-    target the same steps, each word the bit of the vertex the step enters,
-    f's shifted above g's, built for each BFS from ``_cover``. A player
-    that stays covers nothing new: no edge, and a vertex that the state it
-    stays from already covered."""
-    f_rows, g_rows = _steps(g)
-    if target is Target.EDGES:
-        return f_rows, g_rows
-    n, bit = _cover(g, Target.VERTICES)
-    return (
-        tuple(tuple((x, off, row[x] << n) for x, off, _ in steps) for row, steps in zip(bit, f_rows)),
-        tuple(tuple((x, off, row[x]) for x, off, _ in steps) for row, steps in zip(bit, g_rows)),
-    )
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -612,50 +599,51 @@ def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
 
 
 def _component_witness(
-    g: Graph, rule: Rule, target: Target, k: int, root: int
-) -> tuple[tuple[Walk, Walk], list[int], list[int]]:
-    """Walk a pruned BFS tree of the witness component and project it: the
-    pair of the target, with the BFS's parent list and visit order.
+    g: Graph, rule: Rule, k: int, root: int, edges: bool
+) -> tuple[list[int], list[int], dict[int, list[int]], list[int], list[int]]:
+    """One BFS of the witness component from root, over the states at
+    distance >= k, successors in increasing flat index: (vertex credits,
+    edge credits, detours, parent list, visit order), from which
+    ``_tree_walk`` builds the pair of either target.
 
-    One BFS from root over the states at distance >= k, successors in
-    increasing flat index, credits each target of each player to the first
-    element in BFS order that covers it: for a vertex target the state a
-    read enters, for an edge target the read, a product edge. The BFS order
-    does not depend on the target, and the BFS stops once every target is
-    credited. It follows the moves ``_moves`` reads at threshold k, which
-    reach the whole component and cover what its full move set covers (the
-    witness claim there), copied inline from the step rows of the target
-    (``_witness_steps``), each read kept when the distance rows put its
-    target at distance >= k and carrying its word, the OR of its steps'
-    words. The active reads come in increasing index, the others are
-    sorted; the strong diagonals are read only when d(u, v) = k. The parent
-    list holds -1 at every state not visited.
-    The kept subtree holds every credited state and the child end of every
-    credited tree edge, with their tree paths to root; a credited non-tree
-    edge s-t becomes the detour s, t, s at s. The depth-first walk of the
-    kept subtree, detours taken at each state's first visit, has at most
-    2(|C| - 1) + 4w + 1 entries for a component of |C| states and w targets
-    per player, and its projections cover every target while the pair
-    distance stays at the threshold.
+    It credits each vertex of each player to the first state in BFS order
+    that enters it, and, when edges is true, each edge of each player to
+    the first read, a product edge s-t, that covers it: the credit is t
+    when the read first visits t, a tree edge, and otherwise s, with t in
+    ``detours[s]``. The BFS order does not depend on what it credits, and
+    the BFS stops once no vertex and no edge it credits is left: with
+    edges, once every edge is credited, as a pair that covers every edge
+    has entered every vertex; without, once the last vertex is. It follows the moves ``_moves`` reads at threshold
+    k, which reach the whole component and cover what its full move set
+    covers (the witness claim there), copied inline from the step rows
+    (``_steps``), each read kept when the distance rows put its target at
+    distance >= k and carrying its edge word, the OR of its steps' words.
+    The active reads come in increasing index, the others are sorted; the
+    strong diagonals are read only when d(u, v) = k. The parent list holds
+    -1 at every state not visited.
     """
     n = g.n
     adj = g.adj
     dist = g.dist
     lazy = rule is Rule.LAZY
     active = rule is Rule.ACTIVE
-    f_rows, g_rows = _witness_steps(g, target)
-    # the word holds f's bits above g's
-    width, bit = _cover(g, target)
-    full = (1 << 2 * width) - 1
+    f_rows, g_rows = _steps(g)
+    # the edge bits not yet credited, f's above g's
+    uncovered = (1 << 2 * g.m) - 1 if edges else 0
+    # per player, the vertices no state has entered yet
+    f_new = [True] * n
+    g_new = [True] * n
     u, v = divmod(root, n)
-    covered = bit[u][u] << width | bit[v][v]
+    f_new[u] = g_new[v] = False
+    left = 2 * n - 2
     parent = [-1] * (n * n)  # -1: not visited
     parent[root] = root
-    kept: list[int] = []
+    vertices = [root]
+    edge_credits: list[int] = []
     detours: dict[int, list[int]] = {}
     order = [root]
     head = 0
-    while covered != full:
+    while left or uncovered:
         if head == len(order):
             raise InternalError("witness component does not cover the target")
         s = order[head]
@@ -663,7 +651,7 @@ def _component_witness(
         u, v = divmod(s, n)
         du, dv = dist[u], dist[v]
         f_row, g_row = f_rows[u], g_rows[v]
-        # each read is (target index, word), cut to distance >= k
+        # each read is (target index, edge word), cut to distance >= k
         if active:
             # x ascending, then y ascending: already in index order
             reads = []
@@ -701,20 +689,24 @@ def _component_witness(
             if parent[t] < 0:
                 parent[t] = s
                 order.append(t)
-                if not bits & ~covered:
-                    continue
-                kept.append(t)
-            elif bits & ~covered:
-                # only edge bits: a visited state's vertices were covered
-                # when it was reached
-                kept.append(s)
+                if left:
+                    x, y = divmod(t, n)
+                    if f_new[x] or g_new[y]:
+                        left -= f_new[x] + g_new[y]
+                        f_new[x] = g_new[y] = False
+                        vertices.append(t)
+                if bits & uncovered:
+                    edge_credits.append(t)
+                    uncovered &= ~bits
+            elif bits & uncovered:
+                edge_credits.append(s)
                 detours.setdefault(s, []).append(t)
+                uncovered &= ~bits
             else:
                 continue
-            covered |= bits
-            if covered == full:
+            if not (left or uncovered):
                 break
-    return _tree_walk(n, root, parent, order, kept, detours), parent, order
+    return vertices, edge_credits, detours, parent, order
 
 
 def _tree_walk(
@@ -727,7 +719,12 @@ def _tree_walk(
 ) -> tuple[Walk, Walk]:
     """The projections of the depth-first walk of the BFS subtree that holds
     the kept states and their tree paths to root, children in BFS order,
-    with the detours s, t, s of detours[s] at each state's first visit."""
+    with the detours s, t, s of detours[s] at each state's first visit.
+
+    With the credits of one target of ``_component_witness`` kept, it has
+    at most 2(|C| - 1) + 4w + 1 entries for a component of |C| states and
+    w targets per player, and its projections cover every target while the
+    pair distance stays at the threshold."""
     marked = {root}
     for s in kept:
         while s not in marked:
@@ -759,32 +756,23 @@ def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
     BFS tree of the witness component, coordinates projected.
 
     The pairs of both targets are kept on the graph under
-    ``("witness", rule)``, built on the first query of either. When the
-    targets share a span value and witness root, only the edge target runs
-    a BFS: a walk pair that covers every edge also visits every vertex, so
-    that BFS has entered every vertex of both players when it stops, and a
-    vertex BFS from the same root would follow a prefix of its order. That
-    BFS credits each state that enters a vertex, of either player, that no
-    earlier state holds, so the vertex pair is read off the edge BFS's order
-    with those credits, and equals what a BFS for the vertex target gives.
+    ``("witness", rule)``, built on the first query of either. The edge
+    target's BFS (``_component_witness``) also credits every vertex, so
+    when the targets share a span value and witness root, the vertex pair
+    is built from its vertex credits; otherwise a second BFS, which
+    credits vertices only and stops at the last one, runs from the vertex
+    target's root at its span value.
     """
     _check_variant(rule, target)
 
     def compute():
         vertex_hits, edge_hits = _rule_spans(g, rule)
-        edge_pair, parent, order = _component_witness(g, rule, Target.EDGES, *edge_hits)
-        if vertex_hits != edge_hits:
-            return _component_witness(g, rule, Target.VERTICES, *vertex_hits)[0], edge_pair
         n = g.n
-        f_seen, g_seen = set(), set()
-        kept = []
-        for s in order:
-            u, v = divmod(s, n)
-            if u not in f_seen or v not in g_seen:
-                f_seen.add(u)
-                g_seen.add(v)
-                kept.append(s)
-        return _tree_walk(n, edge_hits[1], parent, order, kept, {}), edge_pair
+        vertices, edge_credits, detours, parent, order = _component_witness(g, rule, *edge_hits, True)
+        edge_pair = _tree_walk(n, edge_hits[1], parent, order, edge_credits, detours)
+        if vertex_hits != edge_hits:
+            vertices, _, _, parent, order = _component_witness(g, rule, *vertex_hits, False)
+        return _tree_walk(n, vertex_hits[1], parent, order, vertices, {}), edge_pair
 
     return g._memoized(("witness", rule), compute)[target is Target.EDGES]
 

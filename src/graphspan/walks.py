@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidVertex, LengthMismatch, MalformedInput, NotATrack
-from .graph import Graph, _content_lines, _digits, _norm
+from .errors import InvalidParams, InvalidVertex, LengthMismatch, MalformedInput, NotATrack
+from .graph import Graph, _content_lines, _digits, _is_int, _norm
 
 __all__ = [
     "Walk",
@@ -27,14 +27,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Walk:
-    """Vertex sequence of length l >= 1 (the number of entries)."""
+    """Vertex sequence of length l >= 1 (the number of entries), stored as
+    a tuple; a seq that is not iterable raises InvalidParams."""
 
     seq: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.seq) < 1:
+        try:
+            seq = tuple(self.seq)
+        except TypeError:
+            raise InvalidParams(f"a walk needs an iterable of vertices, got {self.seq!r}") from None
+        if not seq:
             raise MalformedInput("a walk needs at least one entry")
-        object.__setattr__(self, "seq", tuple(self.seq))
+        object.__setattr__(self, "seq", seq)
 
     @property
     def l(self) -> int:
@@ -57,9 +62,13 @@ class WalkClass:
 
 
 def _check_vertices(g: Graph, w: Walk) -> None:
+    """Raise InvalidVertex for the first entry of w that is not an int in
+    0..n-1; a bool is not taken for an int."""
+    n = g.n
     for x in w.seq:
-        if not 0 <= x < g.n:
-            raise InvalidVertex(f"walk entry {x} is not a vertex of a graph of order {g.n}")
+        # the type test spares a plain int the call
+        if not (type(x) is int or _is_int(x)) or not 0 <= x < n:
+            raise InvalidVertex(f"walk entry {x!r} is not a vertex of a graph of order {n}")
 
 
 def classify(g: Graph, w: Walk) -> WalkClass:

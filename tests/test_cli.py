@@ -12,13 +12,25 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from graphspan import Graph, InternalError, Target, classify, kn_plus, pair_distance
+from graphspan import (
+    TARGETS,
+    FamilySpec,
+    Graph,
+    InternalError,
+    Rule,
+    Target,
+    classify,
+    generate,
+    kn_plus,
+    pair_distance,
+    witness_sweeps,
+)
 from graphspan import cli
 from graphspan.cli import main
 from graphspan.graph import ORDER_LIMIT
 from graphspan.walks import parse_walk
 
-from oracles import connected_graphs, count_engine_calls
+from oracles import connected_graphs, corpus, count_engine_calls
 
 
 def run(capsys, *argv):
@@ -429,6 +441,29 @@ def test_golden_output(capsys, argv, prefix):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+# the family graphs of the benchmark's span and witness queries
+WITNESS_DIGEST_SPECS = (
+    "path:40", "path:50", "cycle:80", "complete:20", "kn_plus:12", "star:40",
+    "complete:10", "complete:11", "path:30", "kn_plus:9", "cycle:40", "complete_bipartite:5,6",
+)
+# taken before every witness BFS read its moves from the shared step rows
+# and credited vertices as states entered them
+WITNESS_DIGEST = "29ea3a3942ab543ed0bfbdfbe55c29ab391283ffb6bb8916abbd836f6180815a"
+
+
+def test_witness_pairs_digest():
+    # every rule's pairs of both targets, each target order on a fresh graph
+    digest = hashlib.sha256()
+    for g in (*corpus(6), *(generate(FamilySpec.from_string(s)) for s in WITNESS_DIGEST_SPECS)):
+        for targets in (TARGETS, TARGETS[::-1]):
+            fresh = Graph(g.n, g.edges)
+            for rule in Rule:
+                for target in targets:
+                    f, h = witness_sweeps(fresh, rule, target)
+                    digest.update(repr((rule.value, target.value, f.seq, h.seq)).encode())
+    assert digest.hexdigest() == WITNESS_DIGEST
 
 
 ENVELOPE_COMMANDS = [

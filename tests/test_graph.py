@@ -368,6 +368,11 @@ class TestSubdivide:
         with pytest.raises(EdgeNotPresent):
             subdivide_edge(path(3), (0, 2))
 
+    @pytest.mark.parametrize("edge", [(0,), (0, 1, 2), ("a", "b"), (0, 1.0), (True, 1), None, 0])
+    def test_wrong_shape_edge_rejected(self, edge):
+        with pytest.raises(InvalidParams):
+            subdivide_edge(path(3), edge)
+
     def test_counts(self):
         g = kn_plus(6)
         h = subdivide_edge(g, g.edges[0])

@@ -681,6 +681,40 @@ def _reference_bfs(g, rule, k, root):
     return order, parent
 
 
+def _reference_credits(g, rule, k, order):
+    """The credits of a BFS over the whole component, replaying the reads
+    of ``spans._moves`` at threshold k, cut to distance >= k, over the
+    visit order of ``_reference_bfs``: (vertex credits, the states that
+    first enter a vertex of either player; edge credits, for each read s-t
+    that first covers an edge of either player, t if the read first
+    visits t, else s; detours, the t of each such s)."""
+    n = g.n
+    root = order[0]
+    seen = {root}
+    entered = ({root // n}, {root % n})
+    covered = set()
+    vertices, edges, detours = [root], [], {}
+    for s in order:
+        u, v = divmod(s, n)
+        for t in sorted(x * n + y for x, y in spans._moves(g, rule, u, v, k) if g.dist[x][y] >= k):
+            x, y = divmod(t, n)
+            new = {(player, a, b) for player, a, b in ((0, *sorted((u, x))), (1, *sorted((v, y))))
+                   if a != b} - covered
+            if t not in seen:
+                seen.add(t)
+                if x not in entered[0] or y not in entered[1]:
+                    entered[0].add(x)
+                    entered[1].add(y)
+                    vertices.append(t)
+                if new:
+                    edges.append(t)
+            elif new:
+                edges.append(s)
+                detours.setdefault(s, []).append(t)
+            covered |= new
+    return vertices, edges, detours
+
+
 def _witness_order_graphs() -> list[Graph]:
     specs = ("complete:10", "complete:11", "path:30", "kn_plus:9", "cycle:40",
              "complete_bipartite:5,6")
@@ -727,23 +761,40 @@ class TestWitnesses:
             assert walks[0] == walks[1]
         assert runs[TARGETS] == runs[TARGETS[::-1]] < 6 * len(graphs)
 
-    def test_shared_bfs_gives_the_single_target_walks(self):
-        # a walk pair that covers every edge also visits every vertex, so
-        # where the targets share a span value and root the vertex pair is
-        # read off the edge BFS's order; it must equal the pair of a
-        # vertex-only BFS at the same root
+    def test_pairs_are_tree_walks_over_the_reference_credits(self):
+        # both targets' pairs are the tree walks over the credits of a BFS
+        # of the whole component over the reads of _moves: each vertex of
+        # each player credited to the first state that enters it, each edge
+        # to the first read that covers it
         shared = 0
         for g in _witness_order_graphs():
             for rule in Rule:
-                vertex_hits, edge_hits = spans._rule_spans(g, rule)
-                if vertex_hits != edge_hits:
-                    continue
-                shared += 1
-                singles = tuple(spans._component_witness(g, rule, target, *edge_hits)[0]
-                                for target in TARGETS)
-                assert tuple(witness_sweeps(g, rule, target) for target in TARGETS) == singles, (
-                    g.n, g.edges, rule)
+                hits = spans._rule_spans(g, rule)
+                shared += hits[0] == hits[1]
+                for target, (k, root) in zip(TARGETS, hits):
+                    order, parent = _reference_bfs(g, rule, k, root)
+                    vertices, edges, detours = _reference_credits(g, rule, k, order)
+                    if target is Target.VERTICES:
+                        edges, detours = vertices, {}
+                    expected = spans._tree_walk(g.n, root, parent, order, edges, detours)
+                    assert witness_sweeps(g, rule, target) == expected, (g.n, g.edges, rule, target)
         assert shared
+
+    def test_vertex_bfs_stops_at_the_last_vertex_credit(self):
+        # without edges the BFS credits no edge, and its visit order ends
+        # with the state that enters the last vertex, where the reference
+        # BFS credits it
+        for g in _witness_order_graphs():
+            for rule in Rule:
+                for k, root in spans._rule_spans(g, rule):
+                    vertices, edges, detours, _, order = spans._component_witness(
+                        g, rule, k, root, False)
+                    assert edges == [] and detours == {}
+                    ref_order, _ = _reference_bfs(g, rule, k, root)
+                    ref_vertices = _reference_credits(g, rule, k, ref_order)[0]
+                    assert vertices == ref_vertices
+                    assert order == ref_order[:ref_order.index(vertices[-1]) + 1], (
+                        g.n, g.edges, rule, k)
 
     def test_all_witnesses_revalidate_small_corpus(self):
         for g in corpus(6):
@@ -783,7 +834,8 @@ class TestWitnesses:
             for rule in Rule:
                 for target, (value, root) in zip(TARGETS, spans._rule_spans(g, rule)):
                     for k in range(value + 1):
-                        _, parent, order = spans._component_witness(g, rule, target, k, root)
+                        _, _, _, parent, order = spans._component_witness(
+                            g, rule, k, root, target is Target.EDGES)
                         key = rule, k, root
                         if key not in references:
                             references[key] = _reference_bfs(g, rule, k, root)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspan import (
+    InvalidParams,
     InvalidVertex,
     LengthMismatch,
     MalformedInput,
@@ -33,6 +34,21 @@ from oracles import all_trees, random_track_pair
 
 def w(*seq):
     return Walk(tuple(seq))
+
+
+class TestWalkArguments:
+    def test_any_iterable_becomes_a_tuple(self):
+        assert Walk(iter([0, 1])).seq == (0, 1)
+        assert Walk([2, 0]) == w(2, 0)
+
+    @pytest.mark.parametrize("seq", [None, 5])
+    def test_non_iterable_rejected(self, seq):
+        with pytest.raises(InvalidParams):
+            Walk(seq)
+
+    def test_empty_rejected(self):
+        with pytest.raises(MalformedInput):
+            Walk(iter(()))
 
 
 class TestClassify:
@@ -69,6 +85,15 @@ class TestClassify:
     def test_invalid_vertex(self):
         with pytest.raises(InvalidVertex):
             classify(path(2), w(0, 2))
+
+    @pytest.mark.parametrize("entry", ["a", 0.5, True, None])
+    def test_non_int_entry_rejected(self, entry):
+        with pytest.raises(InvalidVertex, match=re.escape(repr(entry))):
+            classify(path(3), w(0, entry))
+        with pytest.raises(InvalidVertex):
+            pair_distance(path(3), w(0, 1), w(1, entry))
+        with pytest.raises(InvalidVertex):
+            pair_distance(path(3), w(entry, 1), w(1, 0))
 
     def test_subclass_implications_random(self):
         rng = random.Random(7)
