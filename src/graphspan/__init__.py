@@ -79,4 +79,30 @@ from .walks import (
     parse_walk,
 )
 
+__all__ = [
+    # errors
+    "GraphSpanError", "DisconnectedInput", "DuplicateEdge", "EdgeNotPresent",
+    "EmptyEdgeSet", "IndexOutOfRange", "InternalError", "InvalidParams",
+    "InvalidVertex", "LengthMismatch", "MalformedInput", "NoClosedForm",
+    "NotATrack", "NotEulerian", "SelfLoop", "ThresholdOutOfRange", "TooLarge",
+    "VerificationFailure",
+    # graphs and families
+    "Graph", "FamilySpec", "generate", "path", "cycle", "complete",
+    "complete_bipartite", "star", "kn_plus", "subdivide_edge", "line_graph",
+    "parse_edge_list", "parse_graph6",
+    # spans and witnesses
+    "Rule", "Target", "RULES", "TARGETS", "SpanReport", "span", "all_spans",
+    "feasible", "witness_sweeps",
+    # walks
+    "Walk", "WalkClass", "classify", "pair_distance", "is_opposite_lazy",
+    "induce_opposite", "format_walk", "parse_walk",
+    # minimal lengths
+    "DEFAULT_STATE_BUDGET", "MinLenReport", "min_length", "length_lower_bounds",
+    # route inspection
+    "CoveringWalkResult", "euler_class", "eulerian_walk", "shortest_covering_walk",
+    # closed forms, canonical forms and enumeration
+    "closed_span", "closed_minlen", "canonical_form", "is_isomorphic",
+    "automorphism_count", "enumerate_connected", "find_minimal_direct_gap",
+]
+
 __version__ = "0.1.0"

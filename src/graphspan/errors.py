@@ -26,7 +26,11 @@ class DisconnectedInput(GraphSpanError):
 
 
 class InvalidParams(GraphSpanError):
-    """Family parameters outside the family's admissible range."""
+    """An argument of the wrong kind or outside its admissible range: a
+    graph, walk, family spec, rule, target, mode or text argument of another
+    type, or an int argument (a vertex count, family parameter, edge
+    endpoint, threshold, order or budget) that is not an int, is a bool, or
+    is below its least value."""
 
 
 class EdgeNotPresent(GraphSpanError):
@@ -58,12 +62,14 @@ class ThresholdOutOfRange(GraphSpanError):
 
 
 class TooLarge(GraphSpanError):
-    """The input exceeds a fixed size bound: a family parameter or edge-list
-    vertex count above graph.ORDER_LIMIT, raised as it is parsed, before any
-    graph is built; or a bound of an exhaustive computation, the enumeration
-    order or the order of the canonical search behind canonical_form,
-    is_isomorphic and automorphism_count, raised before that computation
-    runs."""
+    """The input exceeds a fixed size bound: a family parameter or family
+    graph order above graph.ORDER_LIMIT, raised by FamilySpec and by the
+    generators path, cycle, complete, complete_bipartite, star and kn_plus
+    before any edge is built; an edge-list vertex count above it, raised as
+    it is parsed, before any graph is built; or a bound of an exhaustive
+    computation, the enumeration order or the order of the canonical search
+    behind canonical_form, is_isomorphic and automorphism_count, raised
+    before that computation runs."""
 
 
 class NoClosedForm(GraphSpanError):

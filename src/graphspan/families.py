@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .errors import InvalidParams, NoClosedForm, TooLarge, VerificationFailure
-from .graph import FamilySpec, Graph, _is_int, kn_plus
-from .spans import Rule, Target, span
+from .errors import NoClosedForm, TooLarge, VerificationFailure
+from .graph import FamilySpec, Graph, _check_graph, _check_int, _check_spec, kn_plus
+from .spans import Rule, Target, _check_variant, span
 
 ENUMERATION_LIMIT = 8
 # the canonical search takes time exponential in the order on symmetric
@@ -22,6 +22,8 @@ SEARCH_ORDER_LIMIT = 14
 
 def closed_span(spec: FamilySpec, rule: Rule, target: Target) -> int:
     """Tabulated reference span value for the family member."""
+    _check_spec(spec)
+    _check_variant(rule, target)
     fam, p = spec.family, spec.params
     if fam == "path":
         n = p[0]
@@ -51,6 +53,8 @@ def closed_span(spec: FamilySpec, rule: Rule, target: Target) -> int:
 
 def closed_minlen(spec: FamilySpec, rule: Rule, target: Target) -> int:
     """Tabulated minimal walk length for the family member."""
+    _check_spec(spec)
+    _check_variant(rule, target)
     fam, p = spec.family, spec.params
     if fam == "path":
         n = p[0]
@@ -178,7 +182,8 @@ def canonical_form(g: Graph) -> tuple[int, int]:
     degree/neighbor-degree refinement, which always includes the image of any
     isomorphism, so equal forms mean isomorphic graphs and conversely.
     """
-    return g.n, _code(g.n, _rows(g), _canonical_answers(g)[0])
+    label = _canonical_answers(g)[0]
+    return g.n, _code(g.n, _rows(g), label)
 
 
 def _canonical_answers(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]:
@@ -186,7 +191,9 @@ def _canonical_answers(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...]
     t (sending v to t[v]) of Aut(g) sifted from the same search, and
     |Aut(g)|, from one canonical search per graph, kept on the graph under
     ``"canonical search"``. Relabeling g by the labels gives one graph for
-    all graphs isomorphic to g. Raises TooLarge above SEARCH_ORDER_LIMIT."""
+    all graphs isomorphic to g. Raises InvalidParams for a g that is not a
+    Graph, and TooLarge above SEARCH_ORDER_LIMIT."""
+    _check_graph(g)
     if g.n > SEARCH_ORDER_LIMIT:
         raise TooLarge(f"canonical search supported up to order {SEARCH_ORDER_LIMIT}")
 
@@ -258,6 +265,8 @@ def _lowest_of_orbits(size: int, images: list[list[int]]) -> tuple[int, ...]:
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
+    _check_graph(g)
+    _check_graph(h)
     return g.n == h.n and g.m == h.m and canonical_form(g) == canonical_form(h)
 
 
@@ -285,8 +294,9 @@ def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Gra
     (n-2, n-1), with pair (n-2, n-1) most significant. Bounded to order 8.
     A max_n or max_m that is not an int raises InvalidParams.
     """
-    if not _is_int(max_n) or not (max_m is None or _is_int(max_m)):
-        raise InvalidParams(f"max_n and max_m must be ints, got {max_n!r} and {max_m!r}")
+    _check_int(max_n, "max_n and max_m must be ints")
+    if max_m is not None:
+        _check_int(max_m, "max_n and max_m must be ints")
     if max_n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration supported up to order {ENUMERATION_LIMIT}")
     # one labeled copy of each class of the previous order, with generators

@@ -27,7 +27,8 @@ from .errors import (
 
 Edge = tuple[int, int]
 
-# the largest family parameter or edge-list vertex count the parsers accept:
+# the largest family graph order or edge-list vertex count that FamilySpec,
+# the generators and the parsers accept:
 # `span --family path:1000` takes about 5-6 s and peaks at 151 MB RSS
 # (2 cores, Python 3.11), and an unchecked count can ask for more memory
 # than there is, or overflow
@@ -38,6 +39,71 @@ def _is_int(value) -> bool:
     """True for an int that is not a bool: what every count, endpoint,
     family parameter, threshold and budget argument must be."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+# One check per argument kind, each called once where a public function
+# takes the argument, before any work; InvalidParams names what was wrong.
+
+
+def _check_int(value, requirement: str, least: int | None = None) -> None:
+    """Raise InvalidParams, naming the requirement, unless value is an int
+    (not a bool) and, when least is given, at least least."""
+    if not (_is_int(value) and (least is None or value >= least)):
+        raise InvalidParams(f"{requirement}, got {value!r}")
+
+
+def _check_text(text) -> None:
+    """Raise InvalidParams unless text is a str."""
+    if not isinstance(text, str):
+        raise InvalidParams(f"expected text (a str), got {text!r}")
+
+
+def _check_graph(g) -> None:
+    """Raise InvalidParams unless g is a Graph."""
+    if not isinstance(g, Graph):
+        raise InvalidParams(f"expected a Graph, got {g!r}")
+
+
+def _check_spec(spec) -> None:
+    """Raise InvalidParams unless spec is a FamilySpec."""
+    if not isinstance(spec, FamilySpec):
+        raise InvalidParams(f"expected a FamilySpec, got {spec!r}")
+
+
+def _check_family(family, params) -> None:
+    """Raise InvalidParams unless family names a family of ``_FAMILIES`` and
+    params is a tuple of as many ints as it takes, each at least its least
+    parameter, and TooLarge when a parameter or the order of the graph is
+    above ORDER_LIMIT, before any edge is built."""
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise InvalidParams(f"unknown family {family!r}")
+    if not isinstance(params, tuple):
+        raise InvalidParams(f"{family} parameters must be a tuple, got {params!r}")
+    _, arity, least = _FAMILIES[family]
+    if len(params) != arity:
+        raise InvalidParams(f"{family} takes {arity} parameter(s), got {len(params)}")
+    for p in params:
+        _check_int(p, f"{family} parameters must be ints >= {least}", least)
+        if p > ORDER_LIMIT:
+            raise TooLarge(f"{family} parameter {p} above the limit {ORDER_LIMIT}")
+    # each family's order is the sum of its parameters, plus the
+    # subdivision vertex of kn_plus
+    order = sum(params) + (family == "kn_plus")
+    if order > ORDER_LIMIT:
+        raise TooLarge(f"{family} order {order} above the limit {ORDER_LIMIT}")
+
+
+def _edge_pair(edge) -> Edge:
+    """The endpoints (u, v) of edge, after InvalidParams unless it is a
+    pair of ints."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise InvalidParams(f"each edge must be a (u, v) pair, got {edge!r}") from None
+    # the type tests spare plain ints the calls
+    if not ((type(u) is int or _is_int(u)) and (type(v) is int or _is_int(v))):
+        raise InvalidParams(f"edge endpoints must be ints, got ({u!r}, {v!r})")
+    return u, v
 
 
 def _norm(u: int, v: int) -> Edge:
@@ -102,20 +168,14 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "_row0", "_memo", "__dict__")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        if not _is_int(n) or n < 1:
-            raise InvalidParams(f"vertex count must be a positive int, got {n!r}")
+        _check_int(n, "vertex count must be a positive int", 1)
         seen: set[Edge] = set()
         try:
             edges = iter(edges)
         except TypeError:
             raise InvalidParams(f"edges must be an iterable of (u, v) pairs, got {edges!r}") from None
         for edge in edges:
-            try:
-                u, v = edge
-            except (TypeError, ValueError):
-                raise InvalidParams(f"each edge must be a (u, v) pair, got {edge!r}") from None
-            if not (_is_int(u) and _is_int(v)):
-                raise InvalidParams(f"edge endpoints must be ints, got ({u!r}, {v!r})")
+            u, v = _edge_pair(edge)
             _add_edge(seen, n, u, v)
         if len(seen) < n - 1:
             raise DisconnectedInput("graph is not connected")
@@ -216,6 +276,7 @@ def parse_edge_list(text: str) -> Graph:
     accepted. A vertex count above ORDER_LIMIT raises TooLarge before any
     edge is read.
     """
+    _check_text(text)
     n: int | None = None
     edges: list[Edge] = []
     seen: set[Edge] = set()
@@ -255,6 +316,7 @@ def parse_edge_list(text: str) -> Graph:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string (short form, at most 62 vertices)."""
+    _check_text(text)
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):].strip()
@@ -293,36 +355,20 @@ def parse_graph6(text: str) -> Graph:
 @dataclass(frozen=True)
 class FamilySpec:
     """A named graph family plus its integer parameters, whose graph has
-    order at most ORDER_LIMIT."""
+    order at most ORDER_LIMIT: ``_check_family`` rules on both at
+    construction, as each generator does on its own parameters."""
 
     family: str
     params: tuple[int, ...]
 
     def __post_init__(self):
-        if self.family not in _GENERATORS:
-            raise InvalidParams(f"unknown family {self.family!r}")
-        if not isinstance(self.params, tuple):
-            raise InvalidParams(f"{self.family} parameters must be a tuple, got {self.params!r}")
-        arity = _GENERATORS[self.family].__code__.co_argcount
-        if len(self.params) != arity:
-            raise InvalidParams(
-                f"{self.family} takes {arity} parameter(s), got {len(self.params)}"
-            )
-        for p in self.params:
-            if not _is_int(p):
-                raise InvalidParams(f"{self.family} parameters must be ints, got {p!r}")
-            if p > ORDER_LIMIT:
-                raise TooLarge(f"{self.family} parameter {p} above the limit {ORDER_LIMIT}")
-        # each family's order is the sum of its parameters, plus the
-        # subdivision vertex of kn_plus
-        order = sum(self.params) + (self.family == "kn_plus")
-        if order > ORDER_LIMIT:
-            raise TooLarge(f"{self.family} order {order} above the limit {ORDER_LIMIT}")
+        _check_family(self.family, self.params)
 
     @classmethod
     def from_string(cls, text: str) -> "FamilySpec":
         """Parse 'name:params' as used by the CLI, e.g. 'kn_plus:5' or
         'complete_bipartite:2,3'."""
+        _check_text(text)
         name, sep, rest = text.partition(":")
         if not sep or not rest:
             raise InvalidParams(f"expected 'family:params', got {text!r}")
@@ -339,33 +385,28 @@ class FamilySpec:
 
 
 def path(n: int) -> Graph:
-    if n < 1:
-        raise InvalidParams("path needs n >= 1")
+    _check_family("path", (n,))
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise InvalidParams("cycle needs n >= 3")
+    _check_family("cycle", (n,))
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise InvalidParams("complete graph needs n >= 1")
+    _check_family("complete", (n,))
     return Graph(n, list(combinations(range(n), 2)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
-        raise InvalidParams("complete bipartite needs both part sizes >= 1")
+    _check_family("complete_bipartite", (a, b))
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def star(n: int) -> Graph:
     """Star of order n (center 0 with n-1 leaves)."""
-    if n < 1:
-        raise InvalidParams("star needs n >= 1")
+    _check_family("star", (n,))
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
@@ -375,26 +416,28 @@ def kn_plus(n: int) -> Graph:
     Vertices 0..n-1 are the original complete-graph vertices; vertex n is the
     subdivision vertex, adjacent exactly to 0 and n-1.
     """
-    if n < 4:
-        raise InvalidParams("kn_plus needs n >= 4")
+    _check_family("kn_plus", (n,))
     edges = [e for e in combinations(range(n), 2) if e != (0, n - 1)]
     edges += [(0, n), (n - 1, n)]
     return Graph(n + 1, edges)
 
 
-_GENERATORS = {
-    "path": path,
-    "cycle": cycle,
-    "complete": complete,
-    "complete_bipartite": complete_bipartite,
-    "star": star,
-    "kn_plus": kn_plus,
+# family -> (generator, parameter count, least parameter), read by
+# _check_family
+_FAMILIES = {
+    "path": (path, 1, 1),
+    "cycle": (cycle, 1, 3),
+    "complete": (complete, 1, 1),
+    "complete_bipartite": (complete_bipartite, 2, 1),
+    "star": (star, 1, 1),
+    "kn_plus": (kn_plus, 1, 4),
 }
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Instantiate a family member with canonical labeling."""
-    return _GENERATORS[spec.family](*spec.params)
+    _check_spec(spec)
+    return _FAMILIES[spec.family][0](*spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -402,16 +445,9 @@ def generate(spec: FamilySpec) -> Graph:
 
 
 def subdivide_edge(g: Graph, e: Edge) -> Graph:
-    """Replace edge uv with the two-edge path u-w-v through a new vertex w.
-
-    An e that is not a pair of ints raises InvalidParams, as in ``Graph``."""
-    try:
-        u, v = e
-    except (TypeError, ValueError):
-        raise InvalidParams(f"the edge must be a (u, v) pair, got {e!r}") from None
-    if not (_is_int(u) and _is_int(v)):
-        raise InvalidParams(f"edge endpoints must be ints, got ({u!r}, {v!r})")
-    e = _norm(u, v)
+    """Replace edge uv with the two-edge path u-w-v through a new vertex w."""
+    _check_graph(g)
+    e = _norm(*_edge_pair(e))
     if not g.has_edge(*e):
         raise EdgeNotPresent(f"edge {e} not in graph")
     w = g.n
@@ -422,6 +458,7 @@ def subdivide_edge(g: Graph, e: Edge) -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Line graph: one vertex per edge, adjacent when the edges share an endpoint."""
+    _check_graph(g)
     if g.m == 0:
         raise EmptyEdgeSet("line graph needs at least one edge")
     edges = []

@@ -51,9 +51,9 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
 
-from .errors import InternalError, InvalidParams
+from .errors import InternalError
 from .families import SEARCH_ORDER_LIMIT, _canonical_answers, _lowest_of_orbits
-from .graph import Graph, _is_int
+from .graph import Graph, _check_int
 from .spans import Rule, Target, _check_variant, _cover, _moves, span
 from .walks import Walk
 
@@ -92,7 +92,7 @@ def length_lower_bounds(g: Graph, rule: Rule, target: Target) -> int:
     (edge target); under the lazy rule only one player advances per step, so
     the floors double to 2n-1 and 2m+1.
     """
-    _check_variant(rule, target)
+    _check_variant(rule, target, g)
     if target is Target.VERTICES:
         return 2 * g.n - 1 if rule is Rule.LAZY else g.n
     return 2 * g.m + 1 if rule is Rule.LAZY else g.m + 1
@@ -441,8 +441,7 @@ def min_length(
     without a search. A budget that is not a non-negative int raises
     InvalidParams, as the CLI's ``--budget`` does.
     """
-    if not _is_int(state_budget) or state_budget < 0:
-        raise InvalidParams(f"budget must be a non-negative integer, got {state_budget!r}")
+    _check_int(state_budget, "budget must be a non-negative integer", 0)
     sigma = span(g, rule, target).value
     witness, explored = None, 0
     if g.n <= SEARCH_ORDER_LIMIT:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import EmptyEdgeSet, InternalError, InvalidParams, NotEulerian
-from .graph import Edge, Graph, _bfs_distances, _norm
+from .graph import Edge, Graph, _bfs_distances, _check_graph, _norm
 from .walks import Walk
 
 EulerClass = Literal["circuit", "trail", "none"]
@@ -45,6 +45,7 @@ class CoveringWalkResult:
 
 def euler_class(g: Graph) -> EulerClass:
     """'circuit' with no odd-degree vertices, 'trail' with exactly two."""
+    _check_graph(g)
     odd = sum(1 for u in range(g.n) if g.degree(u) % 2)
     if odd == 0:
         return "circuit"
@@ -428,11 +429,14 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
     Only the distances from the k odd vertices are read, one BFS from each,
     and never the graph's all-pairs table: the distances cost O(k(n + m))
     time and O(kn) memory, beside the matching and the Eulerian walk.
+    A mode other than those two raises InvalidParams before the edge count
+    is read, and a graph without edges raises EmptyEdgeSet.
     """
-    if g.m == 0:
-        raise EmptyEdgeSet("covering walk needs at least one edge")
+    _check_graph(g)
     if mode not in ("closed", "free_endpoints"):
         raise InvalidParams(f"unknown mode {mode!r}")
+    if g.m == 0:
+        raise EmptyEdgeSet("covering walk needs at least one edge")
     odd = [u for u in range(g.n) if g.degree(u) % 2]
     dist = {a: _bfs_distances(g.adj, a, g.n) for a in odd}
     pairs, ends = _pair_odd_vertices(dist, odd, mode != "closed")

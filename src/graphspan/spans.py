@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalError, InvalidParams, ThresholdOutOfRange
-from .graph import Graph, _is_int
+from .graph import Graph, _check_graph, _check_int
 from .walks import Walk
 
 
@@ -88,8 +88,9 @@ class Rule(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "Rule":
-        """Rule by its own name or any of its product names, ignoring case."""
-        key = name.lower()
+        """Rule by its own name or any of its product names, ignoring case;
+        ValueError for any other name, or a name that is not a str."""
+        key = name.lower() if isinstance(name, str) else None
         for rule in cls:
             if key == rule.value or key in _PRODUCT_NAMES[rule.value]:
                 return rule
@@ -107,13 +108,17 @@ RULES = (Rule.TRADITIONAL, Rule.ACTIVE, Rule.LAZY)
 TARGETS = (Target.VERTICES, Target.EDGES)
 
 
-def _check_variant(rule: Rule, target: Target) -> None:
-    """Reject a rule or target that is not a member of its enum, before any
-    pass runs or any memo entry is stored under it."""
+def _check_variant(rule: Rule, target: Target, *graph: Graph) -> None:
+    """Raise InvalidParams for a rule or target that is not a member of its
+    enum, then for a graph passed that is not a Graph, before any pass runs
+    or any memo entry is stored under it. The closed forms, which take a
+    family spec in place of a graph, pass none."""
     if not isinstance(rule, Rule):
         raise InvalidParams(f"rule must be a Rule, got {rule!r}")
     if not isinstance(target, Target):
         raise InvalidParams(f"target must be a Target, got {target!r}")
+    for g in graph:
+        _check_graph(g)
 
 
 def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
@@ -245,12 +250,12 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
 def feasible(g: Graph, rule: Rule, target: Target, k: int) -> bool:
     """True iff a covering walk pair at distance >= k exists under the rule.
 
-    A rule or target that is not an enum member, or a threshold that is not
-    an int, raises InvalidParams, checked in that order before any work; a
-    threshold outside 0..radius raises ThresholdOutOfRange."""
-    _check_variant(rule, target)
-    if not _is_int(k):
-        raise InvalidParams(f"threshold must be an int, got {k!r}")
+    A rule or target that is not an enum member, a g that is not a Graph,
+    or a threshold that is not an int, raises InvalidParams, checked in
+    that order before any work; a threshold outside 0..radius raises
+    ThresholdOutOfRange."""
+    _check_variant(rule, target, g)
+    _check_int(k, "threshold must be an int")
     if not 0 <= k <= g.radius:
         raise ThresholdOutOfRange(f"threshold {k} outside 0..{g.radius}")
     return span(g, rule, target).value >= k
@@ -593,7 +598,7 @@ def span(g: Graph, rule: Rule, target: Target) -> SpanReport:
     radius, at which some product component covers the target for both
     players is the exact value. The threshold-0 product is always feasible.
     """
-    _check_variant(rule, target)
+    _check_variant(rule, target, g)
     value, root = _rule_spans(g, rule)[target is Target.EDGES]
     return SpanReport(rule=rule, target=target, value=value, witness_component=root)
 
@@ -763,7 +768,7 @@ def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
     credits vertices only and stops at the last one, runs from the vertex
     target's root at its span value.
     """
-    _check_variant(rule, target)
+    _check_variant(rule, target, g)
 
     def compute():
         vertex_hits, edge_hits = _rule_spans(g, rule)

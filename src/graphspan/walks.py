@@ -8,27 +8,19 @@ undirected, so traversing an edge in either direction counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidParams, InvalidVertex, LengthMismatch, MalformedInput, NotATrack
-from .graph import Graph, _content_lines, _digits, _is_int, _norm
-
-__all__ = [
-    "Walk",
-    "WalkClass",
-    "classify",
-    "pair_distance",
-    "is_opposite_lazy",
-    "induce_opposite",
-    "format_walk",
-    "parse_walk",
-]
+from .graph import Graph, _check_graph, _check_int, _check_text, _content_lines, _digits, _is_int, _norm
 
 
 @dataclass(frozen=True)
 class Walk:
     """Vertex sequence of length l >= 1 (the number of entries), stored as
-    a tuple; a seq that is not iterable raises InvalidParams."""
+    a tuple; a seq that is not iterable raises InvalidParams. The entries
+    are not checked here but by each function that reads them
+    (``_check_vertices``)."""
 
     seq: tuple[int, ...]
 
@@ -61,19 +53,24 @@ class WalkClass:
     is_lazy_sweep: bool
 
 
-def _check_vertices(g: Graph, w: Walk) -> None:
-    """Raise InvalidVertex for the first entry of w that is not an int in
-    0..n-1; a bool is not taken for an int."""
-    n = g.n
+def _check_vertices(w: Walk, n: float = math.inf) -> None:
+    """Raise InvalidParams unless w is a Walk, then InvalidVertex for the
+    first entry of w that is not an int in 0..n-1, where n is the order of
+    the graph, or any non-negative int where no graph is passed; a bool is
+    not taken for an int."""
+    if not isinstance(w, Walk):
+        raise InvalidParams(f"expected a Walk, got {w!r}")
     for x in w.seq:
         # the type test spares a plain int the call
         if not (type(x) is int or _is_int(x)) or not 0 <= x < n:
-            raise InvalidVertex(f"walk entry {x!r} is not a vertex of a graph of order {n}")
+            of = f" of a graph of order {n}" if n < math.inf else ""
+            raise InvalidVertex(f"walk entry {x!r} is not a vertex{of}")
 
 
 def classify(g: Graph, w: Walk) -> WalkClass:
     """Compute all four walk-class flags for w relative to g."""
-    _check_vertices(g, w)
+    _check_graph(g)
+    _check_vertices(w, g.n)
     strict = True
     lazy = True
     covered = set()
@@ -98,12 +95,13 @@ def classify(g: Graph, w: Walk) -> WalkClass:
 
 
 def _check_pair(g: Graph, f: Walk, h: Walk) -> None:
-    """Raise LengthMismatch unless f and h have equal lengths, then
-    InvalidVertex for the first entry of f, then of h, outside the graph."""
+    """Raise InvalidParams unless g is a Graph, then ``_check_vertices`` of
+    f, then of h, then LengthMismatch unless they have equal lengths."""
+    _check_graph(g)
+    _check_vertices(f, g.n)
+    _check_vertices(h, g.n)
     if f.l != h.l:
         raise LengthMismatch(f"walk lengths differ: {f.l} != {h.l}")
-    _check_vertices(g, f)
-    _check_vertices(g, h)
 
 
 def pair_distance(g: Graph, f: Walk, h: Walk) -> int:
@@ -139,6 +137,8 @@ def induce_opposite(f: Walk, h: Walk) -> tuple[Walk, Walk]:
     f' moves at odd steps, h' at even steps, each replaying its input's steps
     in order (so sweeps induce lazy sweeps over the same edge sets).
     """
+    _check_vertices(f)
+    _check_vertices(h)
     if f.l != h.l:
         raise LengthMismatch(f"walk lengths differ: {f.l} != {h.l}")
     for w in (f, h):
@@ -156,11 +156,15 @@ def induce_opposite(f: Walk, h: Walk) -> tuple[Walk, Walk]:
 
 
 def format_walk(w: Walk) -> str:
+    _check_vertices(w)
     return ",".join(f"v{x + 1}" for x in w.seq)
 
 
 def parse_walk(text: str, n: int) -> Walk:
-    """Parse 'v1,v2,...' (1-based names); '#' lines and blanks are skipped."""
+    """Parse 'v1,v2,...' (1-based names) of the vertices of a graph of
+    order n; '#' lines and blanks are skipped."""
+    _check_text(text)
+    _check_int(n, "order must be a positive int", 1)
     lines = _content_lines(text)
     if not lines:
         raise MalformedInput("no walk line found")

@@ -73,6 +73,17 @@ class TestClosedForms:
         with pytest.raises(NoClosedForm):
             closed_minlen(FamilySpec("kn_plus", (5,)), Rule.ACTIVE, Target.VERTICES)
 
+    @pytest.mark.parametrize("closed", [closed_span, closed_minlen])
+    def test_rule_and_target_must_be_members(self, closed):
+        # the string "lazy" failed every `is Rule.LAZY` test, so
+        # closed_span answered 3, the non-lazy value, for a lazy span of 2
+        spec = FamilySpec("cycle", (6,))
+        with pytest.raises(InvalidParams, match="rule must be a Rule, got 'lazy'"):
+            closed(spec, "lazy", Target.EDGES)
+        with pytest.raises(InvalidParams, match="target must be a Target, got 'edges'"):
+            closed(spec, Rule.LAZY, "edges")
+        assert closed_span(spec, Rule.LAZY, Target.EDGES) == 2
+
     def test_span_table_cross_validation(self):
         # the span rows come first; stop before the minimal-length searches run
         rows = list(takewhile(lambda row: row[0] == "span", family_closed_checks(0)))

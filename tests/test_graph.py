@@ -38,6 +38,7 @@ from graphspan import (
 )
 import graphspan.graph as graph_module
 from graphspan.families import is_isomorphic
+from graphspan.graph import ORDER_LIMIT
 
 from oracles import corpus
 
@@ -260,6 +261,32 @@ class TestFamilies:
         assert FamilySpec.from_string("kn_plus:999").params == (999,)
         with pytest.raises(TooLarge, match="order 1001"):
             FamilySpec.from_string("complete_bipartite:500,501")
+
+    @pytest.mark.parametrize("build", [
+        lambda: complete(ORDER_LIMIT + 1),
+        lambda: kn_plus(ORDER_LIMIT),
+        lambda: complete_bipartite(500, 501),
+    ], ids=["complete", "kn_plus", "complete_bipartite"])
+    def test_generators_refuse_orders_above_the_limit_before_building(self, monkeypatch, build):
+        # nothing refused complete(1500), which built and returned its
+        # 1,124,250 edges; each generator builds its edge list from range calls
+        calls = []
+
+        def recorder(name, real):
+            def record(*args):
+                calls.append(name)
+                return real(*args)
+            return record
+
+        for name, real in [("range", range), ("combinations", graph_module.combinations),
+                           ("Graph", graph_module.Graph)]:
+            monkeypatch.setattr(graph_module, name, recorder(name, real), raising=False)
+        complete(3)
+        assert {"range", "combinations", "Graph"} <= set(calls)
+        calls.clear()
+        with pytest.raises(TooLarge, match=f"above the limit {ORDER_LIMIT}"):
+            build()
+        assert calls == []
 
     @pytest.mark.parametrize("token", ["1_0", "+9", "\u0663", "-1", "x"])
     def test_spec_only_ascii_decimal_parameters(self, token):

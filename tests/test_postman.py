@@ -394,6 +394,10 @@ class TestShortestCoveringWalk:
     def test_unknown_mode_is_invalid_params(self):
         with pytest.raises(InvalidParams, match="unknown mode 'free'"):
             shortest_covering_walk(cycle(4), "free")
+        # the mode is checked before the edge count, which raised
+        # EmptyEdgeSet first
+        with pytest.raises(InvalidParams, match="unknown mode 'bogus'"):
+            shortest_covering_walk(path(1), "bogus")
 
     def test_deterministic(self):
         a = shortest_covering_walk(complete(6))

@@ -2,7 +2,8 @@
 standard library, the imports among package modules form no cycle, a
 breached invariant raises InternalError, never a bare AssertionError, only
 the graph module touches a graph's memo, each memo key belongs to one
-module, and every typed error is importable from the package."""
+module, every typed error is importable from the package, and ``__all__``
+lists every public name the package binds."""
 
 from __future__ import annotations
 
@@ -105,6 +106,21 @@ def test_each_memo_key_belongs_to_one_module():
     assert unread == []
     assert len(owners) >= 5
     assert {key: names for key, names in owners.items() if len(names) > 1} == {}
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    # the names bound by the imports and assignments of __init__.py, but
+    # for those starting with an underscore, each once
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    bound = []
+    for node in ast.parse(init.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom):
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets if isinstance(t, ast.Name)]
+    public = sorted(name for name in bound if not name.startswith("_"))
+    assert sorted(graphspan.__all__) == public
+    assert len(set(graphspan.__all__)) == len(graphspan.__all__)
 
 
 def test_every_error_is_exported():

@@ -57,6 +57,9 @@ class TestRuleNames:
         assert Rule.from_name("lazy") is Rule.LAZY
         with pytest.raises(ValueError):
             Rule.from_name("sideways")
+        # a name that is not a str raised a bare AttributeError
+        with pytest.raises(ValueError, match="unknown rule 5"):
+            Rule.from_name(5)
 
     def test_product_names(self):
         assert [r.product_name for r in Rule] == ["strong", "direct", "cartesian"]
