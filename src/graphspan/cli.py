@@ -35,7 +35,6 @@ from .spans import RULES, TARGETS, Rule, Target, span, witness_sweeps
 from .walks import Walk, classify, format_walk, is_opposite_lazy, pair_distance, parse_walk
 
 SCHEMA = "graphspan/v1"
-_BUDGET_HELP = "cap on the states the minimal-length search stores (default 2**20)"
 
 
 def _variants(args) -> tuple[tuple[Rule, ...], tuple[Target, ...]]:
@@ -134,9 +133,9 @@ def _cmd_witness(args) -> tuple[int, dict, list[str]]:
     reports = []
     for r in rules:
         for t in targets:
-            f, h = witness_sweeps(g, r, t)
-            value = pair_distance(g, f, h)
-            fw, hw = format_walk(f), format_walk(h)
+            # the pair keeps exactly the span value, a memo hit here
+            value = span(g, r, t).value
+            fw, hw = map(format_walk, witness_sweeps(g, r, t))
             lines += [f"# {r.product_name} {t.value} (distance {value})", fw, hw]
             reports.append(
                 {
@@ -193,15 +192,20 @@ def family_closed_checks(state_budget: int) -> Iterator[tuple[str, str, str, str
                         yield kind, str(spec), rule.value, target.value, want, got
 
 
+def _verdict(checks: list[dict], lines: list[str]) -> tuple[int, dict, list[str]]:
+    """The report of a verify command: it passes unless a check failed."""
+    ok = all(check["status"] != "FAIL" for check in checks)
+    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
+    return (0 if ok else 1), {"ok": ok, "checks": checks}, lines
+
+
 def _cmd_verify_family(args) -> tuple[int, dict, list[str]]:
-    ok = True
     lines = [
         f"{'check':<8}{'graph':<22}{'rule':<14}{'target':<10}{'table':>6}{'engine':>8}  status"
     ]
     checks = []
     for kind, family, rule, target, want, got in family_closed_checks(args.budget):
         status = "CAPPED" if got == "capped" else "PASS" if want == got else "FAIL"
-        ok &= status != "FAIL"
         lines.append(
             f"{kind:<8}{family:<22}{rule:<14}{target:<10}{want:>6}{str(got):>8}  {status}"
         )
@@ -216,8 +220,7 @@ def _cmd_verify_family(args) -> tuple[int, dict, list[str]]:
                 "status": status,
             }
         )
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), {"ok": ok, "checks": checks}, lines
+    return _verdict(checks, lines)
 
 
 _FIXTURES = (
@@ -278,17 +281,14 @@ def verify_fixture_pair(fix: dict) -> list[str]:
 
 
 def _cmd_verify_fixtures(args) -> tuple[int, dict, list[str]]:
-    ok = True
     lines = []
     checks = []
     for fix in _FIXTURES:
         problems = verify_fixture_pair(fix)
         status = "FAIL" if problems else "PASS"
-        ok &= not problems
         lines += [f"{fix['name']}: {status}", *(f"  {p}" for p in problems)]
         checks.append({"name": fix["name"], "status": status, "problems": problems})
-    lines.append(f"result: {'PASS' if ok else 'FAIL'}")
-    return (0 if ok else 1), {"ok": ok, "checks": checks}, lines
+    return _verdict(checks, lines)
 
 
 def _cmd_search_gap(args) -> tuple[int, dict, list[str]]:
@@ -312,21 +312,6 @@ def _cmd_search_gap(args) -> tuple[int, dict, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _add_input_args(p: argparse.ArgumentParser) -> None:
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--family", help="family spec, e.g. kn_plus:5 or complete_bipartite:2,3")
-    src.add_argument("--file", help="path to an edge-list or graph6 file")
-
-
-def _add_variant_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rule", choices=[*(r.product_name for r in RULES), "all"], default="all")
-    p.add_argument("--target", choices=["vertices", "edges", "both"], default="both")
-
-
-def _add_format_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "structured"], default="text")
-
-
 def _budget(text: str) -> int:
     try:
         return _digits(text)
@@ -336,6 +321,40 @@ def _budget(text: str) -> int:
         ) from None
 
 
+# each option group: its options' flags and add_argument keywords; the
+# input group is one required choice of a family or a file
+_GROUPS = {
+    "input": {
+        "--family": dict(help="family spec, e.g. kn_plus:5 or complete_bipartite:2,3"),
+        "--file": dict(help="path to an edge-list or graph6 file"),
+    },
+    "variant": {
+        "--rule": dict(choices=[*(r.product_name for r in RULES), "all"], default="all"),
+        "--target": dict(choices=["vertices", "edges", "both"], default="both"),
+    },
+    "mode": {"--mode": dict(choices=["closed", "free"], default="free")},
+    "budget": {"--budget": dict(
+        type=_budget, default=DEFAULT_STATE_BUDGET,
+        help="cap on the states the minimal-length search stores (default 2**20)")},
+    "format": {"--format": dict(choices=["text", "structured"], default="text")},
+}
+
+# each subcommand, in the order --help lists them: its help, its handler and
+# its option groups, in the order its --help lists their options; main runs
+# the handler of the parsed command
+_COMMANDS = {
+    "span": ("compute span values", _cmd_span, ("input", "variant", "format")),
+    "minlen": ("compute minimal walk lengths", _cmd_minlen, ("input", "variant", "format", "budget")),
+    "witness": ("emit witness walk pairs", _cmd_witness, ("input", "variant", "format")),
+    "postman": ("shortest covering walk", _cmd_postman, ("input", "mode", "format")),
+    "verify-family": ("cross-check closed forms against the engines", _cmd_verify_family,
+                      ("budget", "format")),
+    "verify-fixtures": ("validate the shipped walk-table fixtures", _cmd_verify_fixtures,
+                        ("format",)),
+    "search-gap": ("scan for the smallest direct-span gap graph", _cmd_search_gap, ("format",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Return a new parser for the graphspan command line."""
     parser = argparse.ArgumentParser(
@@ -343,45 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Safety-distance spans, witness walks, and minimal walk lengths.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("span", help="compute span values")
-    _add_input_args(p)
-    _add_variant_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_span)
-
-    p = sub.add_parser("minlen", help="compute minimal walk lengths")
-    _add_input_args(p)
-    _add_variant_args(p)
-    _add_format_arg(p)
-    p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET, help=_BUDGET_HELP)
-    p.set_defaults(func=_cmd_minlen)
-
-    p = sub.add_parser("witness", help="emit witness walk pairs")
-    _add_input_args(p)
-    _add_variant_args(p)
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("postman", help="shortest covering walk")
-    _add_input_args(p)
-    p.add_argument("--mode", choices=["closed", "free"], default="free")
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_postman)
-
-    p = sub.add_parser("verify-family", help="cross-check closed forms against the engines")
-    p.add_argument("--budget", type=_budget, default=DEFAULT_STATE_BUDGET, help=_BUDGET_HELP)
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_verify_family)
-
-    p = sub.add_parser("verify-fixtures", help="validate the shipped walk-table fixtures")
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_verify_fixtures)
-
-    p = sub.add_parser("search-gap", help="scan for the smallest direct-span gap graph")
-    _add_format_arg(p)
-    p.set_defaults(func=_cmd_search_gap)
-
+    for name, (text, _, groups) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for group in groups:
+            into = p.add_mutually_exclusive_group(required=True) if group == "input" else p
+            for flag, options in _GROUPS[group].items():
+                into.add_argument(flag, **options)
     return parser
 
 
@@ -408,7 +394,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     """
     args = _parser().parse_args(argv)
     try:
-        status, doc, lines = args.func(args)
+        status, doc, lines = _COMMANDS[args.command][1](args)
         if args.format == "structured":
             doc = {"schema": SCHEMA, "command": args.command, **doc}
             print(json.dumps(doc, indent=2, sort_keys=True))

@@ -292,13 +292,18 @@ def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Gra
     kept copies are the same. Each class is yielded as its labeled copy
     with the lowest edge bitmask over the pairs (0, 1), (0, 2), ...,
     (n-2, n-1), with pair (n-2, n-1) most significant. Bounded to order 8.
-    A max_n or max_m that is not an int raises InvalidParams.
+    A max_n or max_m that is not an int raises InvalidParams, and a max_n
+    above the bound TooLarge, at the call rather than at the first next().
     """
     _check_int(max_n, "max_n and max_m must be ints")
     if max_m is not None:
         _check_int(max_m, "max_n and max_m must be ints")
     if max_n > ENUMERATION_LIMIT:
         raise TooLarge(f"enumeration supported up to order {ENUMERATION_LIMIT}")
+    return _enumerate(max_n, max_m)
+
+
+def _enumerate(max_n: int, max_m: Optional[int]) -> Iterator[Graph]:
     # one labeled copy of each class of the previous order, with generators
     # of its automorphism group
     classes: list[tuple[list[int], list[list[int]]]] = []

@@ -430,7 +430,9 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
     and never the graph's all-pairs table: the distances cost O(k(n + m))
     time and O(kn) memory, beside the matching and the Eulerian walk.
     A mode other than those two raises InvalidParams before the edge count
-    is read, and a graph without edges raises EmptyEdgeSet.
+    is read, and a graph without edges raises EmptyEdgeSet. A covering
+    multigraph with no Eulerian walk is a breached invariant and raises
+    InternalError, never NotEulerian.
     """
     _check_graph(g)
     if mode not in ("closed", "free_endpoints"):
@@ -444,7 +446,11 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
     counts = Counter(g.edges)
     for e in extra:
         counts[e] += 1
-    seq = euler_walk_multigraph(g.adj, counts, ends[0] if ends else 0)
+    try:
+        seq = euler_walk_multigraph(g.adj, counts, ends[0] if ends else 0)
+    except NotEulerian as exc:
+        # the added paths leave every vertex even but the walk's two ends
+        raise InternalError(f"covering multigraph is not Eulerian: {exc}") from None
     # the walk crosses each edge counts[e] times: once, plus its extra traversals
     return CoveringWalkResult(
         walk=Walk(tuple(seq)),

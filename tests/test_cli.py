@@ -19,13 +19,15 @@ from graphspan import (
     InternalError,
     Rule,
     Target,
+    VerificationFailure,
     classify,
+    complete,
     generate,
     kn_plus,
     pair_distance,
     witness_sweeps,
 )
-from graphspan import cli
+from graphspan import cli, postman
 from graphspan.cli import main
 from graphspan.graph import ORDER_LIMIT
 from graphspan.walks import parse_walk
@@ -297,6 +299,13 @@ class TestPostmanCommand:
         code, _, err = run(capsys, "postman", "--family", "path:1")
         assert code == 2 and "input error" in err
 
+    def test_covering_multigraph_not_eulerian_is_internal_error(self, monkeypatch, capsys):
+        # an engine breach exits 3, not 2 as an input error would
+        monkeypatch.setattr(postman, "_augmenting_paths", lambda g, dist, pairs: [])
+        code, out, err = run(capsys, "postman", "--family", "complete:4")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error (postman): covering multigraph is not Eulerian")
+
     @pytest.mark.parametrize("spec,free,closed", [("complete:30", 449, 450), ("star:40", 76, 78)])
     def test_thirty_odd_vertices_and_more(self, capsys, spec, free, closed):
         # 30 and 40 odd vertices, above the 24 the pairing recursion allowed
@@ -316,6 +325,33 @@ class TestVerifyCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["ok"] is True and len(doc["checks"]) == 3
+
+    def test_fixture_problems_fail_the_run(self, monkeypatch, capsys):
+        lazy, k5, opposite = cli._FIXTURES
+        wrong = {**lazy, "kind": "sweep", "length": 20, "distance": 3}
+        assert cli.verify_fixture_pair(wrong) == [
+            "lengths 21/21, expected 20", "walks are not sweeps", "pair distance 2, expected 3",
+        ]
+        # K5's walks miss vertex 5 of K6; the sweep pair on K5 is not opposite
+        wider = {**opposite, "graph": lambda: complete(6)}
+        assert cli.verify_fixture_pair(wider) == ["walks are not lazy sweeps"]
+        assert cli.verify_fixture_pair({**k5, "kind": "opposite_lazy_sweep"}) == [
+            "pair is not opposite lazy",
+        ]
+        monkeypatch.setattr(cli, "_FIXTURES", (lazy, wrong))
+        code, out, _ = run(capsys, "verify-fixtures")
+        assert code == 1
+        assert out.splitlines()[-3:] == ["  walks are not sweeps", "  pair distance 2, expected 3",
+                                         "result: FAIL"]
+
+    def test_verification_failure_exit_status(self, monkeypatch, capsys):
+        def no_gap():
+            raise VerificationFailure("no direct-span gap found up to order 5")
+
+        monkeypatch.setattr(cli, "find_minimal_direct_gap", no_gap)
+        code, out, err = run(capsys, "search-gap")
+        assert (code, out) == (1, "")
+        assert "verification failed (search-gap): no direct-span gap found" in err
 
     def test_verify_family_small_budget(self, capsys):
         # heavy minlen rows cap under a small budget and must not fail the run
@@ -441,6 +477,30 @@ def test_golden_output(capsys, argv, prefix):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == prefix
+
+
+# sha256 prefixes of the --help text of the top level and of each
+# subcommand, as Python 3.11's argparse prints it at 80 columns, taken while
+# the parser was still built one subcommand block at a time
+HELP = [
+    ((), "6b72912187783c96"),
+    (("span",), "cd7147cc23ea0a55"),
+    (("minlen",), "e33032f55eb53c06"),
+    (("witness",), "46445b433528187f"),
+    (("postman",), "86f26971ad46cf0c"),
+    (("verify-family",), "206b0883305722ee"),
+    (("verify-fixtures",), "12b7b805c41d9b29"),
+    (("search-gap",), "a63a7bbbfb7e1837"),
+]
+
+
+@pytest.mark.parametrize("argv,prefix", HELP, ids=[" ".join(a) or "graphspan" for a, _ in HELP])
+def test_help_output(monkeypatch, capsys, argv, prefix):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == prefix
 
 
 # the family graphs of the benchmark's span and witness queries

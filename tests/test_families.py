@@ -63,6 +63,14 @@ class TestClosedForms:
         assert closed_minlen(FamilySpec("cycle", (4,)), Rule.ACTIVE, Target.VERTICES) == 4
         assert closed_minlen(FamilySpec("complete", (5,)), Rule.LAZY, Target.EDGES) == 21
 
+    def test_single_vertex_graphs(self):
+        # K1 has span 0 under every rule, and no minimal-length closed form
+        for rule in Rule:
+            for target in Target:
+                assert closed_span(FamilySpec("path", (1,)), rule, target) == 0
+                with pytest.raises(NoClosedForm, match="start at n = 2"):
+                    closed_minlen(FamilySpec("complete", (1,)), rule, target)
+
     def test_no_closed_form(self):
         with pytest.raises(NoClosedForm):
             closed_span(FamilySpec("complete_bipartite", (2, 3)), Rule.ACTIVE, Target.EDGES)
@@ -168,6 +176,12 @@ class TestEnumeration:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             list(enumerate_connected(9))
+
+    @pytest.mark.parametrize("args,error", [(("a",), InvalidParams), ((9,), TooLarge)])
+    def test_bad_arguments_raise_at_the_call(self, args, error):
+        # a generator function would raise only at the first next()
+        with pytest.raises(error):
+            enumerate_connected(*args)
 
     def test_labeled_count_cross_check(self):
         # sum of n!/|Aut| over classes = number of connected labeled graphs

@@ -85,7 +85,7 @@ class TestParseEdgeList:
         g = parse_edge_list("# a triangle\r\n3\r\n0 1\r\n# middle comment\r\n1 2\r\n0 2\r\n")
         assert g.m == 3 and g.radius == 1
 
-    @pytest.mark.parametrize("text", ["", "x\n", "2\n0\n", "2\n0 1 2\n", "0\n"])
+    @pytest.mark.parametrize("text", ["", "x\n", "2\n0\n", "2\n0 1 2\n", "0\n", "3 4\n"])
     def test_malformed(self, text):
         with pytest.raises(MalformedInput):
             parse_edge_list(text)
@@ -129,6 +129,15 @@ class TestParseGraph6:
     def test_truncated(self):
         with pytest.raises(MalformedInput):
             parse_graph6("D")
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty string"),
+        ("?", "at least one vertex"),
+        ("~??", "long form"),
+    ])
+    def test_empty_and_unsupported_orders(self, text, message):
+        with pytest.raises(MalformedInput, match=message):
+            parse_graph6(text)
 
     @pytest.mark.parametrize("text", ["Bx", "A`", "Dhd"])
     def test_nonzero_padding_rejected(self, text):
@@ -307,6 +316,12 @@ class TestDistancesOnDemand:
             tracemalloc.stop()
         assert peak < 2 << 20
         assert flags.is_sweep
+
+    def test_edge_index_of_a_non_edge_is_key_error(self):
+        g = path(3)
+        assert [g.edge_index(1, 0), g.edge_index(2, 1)] == [0, 1]
+        with pytest.raises(KeyError):
+            g.edge_index(0, 2)
 
     def test_has_edge_matches_edge_set(self):
         for g in corpus(5):

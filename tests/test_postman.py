@@ -28,6 +28,7 @@ from graphspan import (
     shortest_covering_walk,
     star,
 )
+from graphspan import postman
 from graphspan.minlen import _min_pairing
 from graphspan.postman import _min_perfect_matching, _pair_odd_vertices, euler_walk_multigraph
 
@@ -307,6 +308,16 @@ class TestPairing:
         for n in (1, 3, 5):
             with pytest.raises(InternalError):
                 _min_perfect_matching([[0] * n for _ in range(n)])
+
+    def test_covering_multigraph_not_eulerian_is_internal_error(self, monkeypatch):
+        # with no paths added, complete(4) keeps four odd vertices: an
+        # engine breach, not a graph without an Eulerian walk
+        monkeypatch.setattr(postman, "_augmenting_paths", lambda g, dist, pairs: [])
+        with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
+            shortest_covering_walk(complete(4))
+        g = complete(4)
+        with pytest.raises(NotEulerian):
+            euler_walk_multigraph(g.adj, Counter(g.edges), 1)
 
     def test_hundred_odd_vertices_in_well_under_a_second(self):
         # star(100) has k = 100 odd vertices; the matching takes O(k^2) per

@@ -625,9 +625,9 @@ class TestReducedMoves:
     def test_span_pass_leaves_little_on_the_graph(self):
         # what a graph keeps after all_spans is its memo: the answers, the
         # distance table, the coverage tables and the step rows, about
-        # 3.6 MB on path(400); keeping the level lists, n * n ints, and a
-        # coverage table of both targets took it to 10.0 MB
-        g = path(400)
+        # 0.76 MB on path(200); keeping the level lists, n * n ints, took
+        # it to 2.30 MB
+        g = path(200)
         tracemalloc.start()
         try:
             all_spans(g)
@@ -635,7 +635,7 @@ class TestReducedMoves:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < 6_000_000
+        assert held < 1_500_000
 
     def test_step_rows_built_once_per_graph(self, monkeypatch):
         # one table per graph, shared by the lazy and active passes and

@@ -146,6 +146,8 @@ class TestOppositeLazy:
 
     def test_invalid_step_is_not_opposite(self):
         assert not is_opposite_lazy(path(3), w(0, 2), w(1, 1))
+        assert not is_opposite_lazy(path(3), w(1, 1), w(0, 2))
+        assert is_opposite_lazy(path(3), w(1, 1), w(0, 1))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -248,6 +250,10 @@ class TestSerialization:
 
     def test_comments_skipped(self):
         assert parse_walk("# header\n\nv1,v2\n", 2) == w(0, 1)
+
+    def test_comments_only_rejected(self):
+        with pytest.raises(MalformedInput, match="no walk line found"):
+            parse_walk("# header\n\n# v1,v2\n", 2)
 
     def test_bad_token(self):
         with pytest.raises(MalformedInput):
