@@ -609,7 +609,8 @@ def _component_witness(
     """One BFS of the witness component from root, over the states at
     distance >= k, successors in increasing flat index: (vertex credits,
     edge credits, detours, parent list, visit order), from which
-    ``_tree_walk`` builds the pair of either target.
+    ``_tree_walk`` builds the pair of either target, ending at the last
+    state in visit order that its credits keep.
 
     It credits each vertex of each player to the first state in BFS order
     that enters it, and, when edges is true, each edge of each player to
@@ -723,12 +724,19 @@ def _tree_walk(
     detours: dict[int, list[int]],
 ) -> tuple[Walk, Walk]:
     """The projections of the depth-first walk of the BFS subtree that holds
-    the kept states and their tree paths to root, children in BFS order,
-    with the detours s, t, s of detours[s] at each state's first visit.
+    the kept states and their tree paths to root, with the detours s, t, s
+    of detours[s] at each state's first visit, ending at the final pair:
+    the last kept state in BFS order, a leaf that no state of the tree is
+    deeper than. Each state on the final pair's tree path visits the child
+    on that path last, and every other child in BFS order, so the walk
+    stops once the final pair and its detours are written instead of
+    walking back to root.
 
     With the credits of one target of ``_component_witness`` kept, it has
-    at most 2(|C| - 1) + 4w + 1 entries for a component of |C| states and
-    w targets per player, and its projections cover every target while the
+    at most 2(|C| - 1) + 4w + 1 - h entries for a component of |C| states,
+    w targets per player and a final pair at depth h: every credit and
+    detour happens at a first visit, and the entries not written only
+    retrace tree edges, so its projections cover every target while the
     pair distance stays at the threshold."""
     marked = {root}
     for s in kept:
@@ -736,20 +744,29 @@ def _tree_walk(
             marked.add(s)
             s = parent[s]
     children: dict[int, list[int]] = {}
+    final = root
     for s in order[1:]:
         if s in marked:
             children.setdefault(parent[s], []).append(s)
+            final = s
+    s = final
+    while s != root:
+        siblings = children[parent[s]]
+        siblings.remove(s)
+        siblings.append(s)
+        s = parent[s]
     seq: list[int] = []
-    pending = [root]  # ~s marks leaving s
+    pending = [root]  # ~s marks leaving s; root is never left
     while pending:
         s = pending.pop()
         if s < 0:
-            if ~s != root:
-                seq.append(parent[~s])
+            seq.append(parent[~s])
             continue
         seq.append(s)
         for t in detours.get(s, ()):
             seq.extend((t, s))
+        if s == final:
+            break
         pending.append(~s)
         pending.extend(reversed(children.get(s, ())))
     # list comprehensions: faster than generators on these short walks
@@ -758,7 +775,10 @@ def _tree_walk(
 
 def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
     """Walk pair achieving the span value: the depth-first walk of a pruned
-    BFS tree of the witness component, coordinates projected.
+    BFS tree of the witness component, coordinates projected, from the
+    witness root to the tree's deepest pair (``_tree_walk``), with at most
+    2(|C| - 1) + 4w + 1 - h entries for a component of |C| states, w targets
+    per player and a final pair at depth h.
 
     The pairs of both targets are kept on the graph under
     ``("witness", rule)``, built on the first query of either. The edge

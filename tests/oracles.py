@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the engine's component/pruning machinery:
 spans are re-derived by bounded walk-pair reachability, minimal lengths by a
-naive level-by-level BFS over tuple states, and covering-walk lengths by
-search in (vertex, covered-edge-set) space.
+naive level-by-level BFS over (positions, covered-bit masks) states, and
+covering-walk lengths by search in (vertex, covered-edge-set) space.
 """
 
 from __future__ import annotations
@@ -148,101 +148,76 @@ def oracle_pass(g: Graph, rule: Rule):
     raise AssertionError("threshold 0 must be feasible for a connected graph")
 
 
-def _cover_bump(g: Graph, target: Target, cov: frozenset, a: int, b: int) -> frozenset:
-    if a == b:
-        return cov
+def _fewest_covering_entries(g: Graph, rule: Rule, target: Target, k: int, max_entries: int):
+    """Fewest entries of a walk pair that covers the target for both players
+    while its simultaneous distance never drops below k, by naive
+    level-by-level BFS over (u, v, f's covered bits, g's covered bits)
+    states; None when no pair of at most max_entries entries does. Vertex v
+    is bit 1 << v and the i-th edge of ``g.edges`` bit 1 << i; bit[a, b]
+    holds what a step from a to b covers, absent when it covers nothing, and
+    a start at a covers what staying at a does. Each pair's moves at
+    distance >= k are listed once per call."""
+    n, dist = g.n, g.dist
     if target is Target.VERTICES:
-        return cov | {b}
-    return cov | {(a, b) if a < b else (b, a)}
-
-
-def _full_cover(g: Graph, target: Target) -> frozenset:
-    if target is Target.VERTICES:
-        return frozenset(range(g.n))
-    return frozenset(g.edges)
-
-
-def _initial_cover(g: Graph, target: Target, u: int, v: int):
-    if target is Target.VERTICES:
-        return frozenset({u}), frozenset({v})
-    return frozenset(), frozenset()
-
-
-def covering_pair_exists(g: Graph, rule: Rule, target: Target, k: int, cap: int) -> bool:
-    """Is there a covering pair of at most cap entries whose simultaneous
-    distance never drops below k?"""
-    full = _full_cover(g, target)
+        full = (1 << n) - 1
+        bit = {(a, b): 1 << b for a in range(n) for b in (a, *g.adj[a])}
+    else:
+        full = (1 << g.m) - 1
+        bit = {}
+        for i, (a, b) in enumerate(g.edges):
+            bit[a, b] = bit[b, a] = 1 << i
+    moves: dict[int, list[tuple[int, int, int, int]]] = {}
     seen = set()
     frontier = []
-    for u in range(g.n):
-        for v in range(g.n):
-            if g.dist[u][v] < k:
+    for u in range(n):
+        for v in range(n):
+            if dist[u][v] < k:
                 continue
-            fc, gc = _initial_cover(g, target, u, v)
-            if fc == full and gc == full:
-                return True
-            s = (u, v, fc, gc)
+            s = (u, v, bit.get((u, u), 0), bit.get((v, v), 0))
+            if s[2] == full and s[3] == full:
+                return 1
             seen.add(s)
             frontier.append(s)
-    for _ in range(cap - 1):
+    for entries in range(2, max_entries + 1):
         nxt = []
         for u, v, fc, gc in frontier:
-            for x, y in rule_moves(g, rule, u, v):
-                if g.dist[x][y] < k:
-                    continue
-                s = (x, y, _cover_bump(g, target, fc, u, x), _cover_bump(g, target, gc, v, y))
+            reads = moves.get(u * n + v)
+            if reads is None:
+                reads = moves[u * n + v] = [
+                    (x, y, bit.get((u, x), 0), bit.get((v, y), 0))
+                    for x, y in rule_moves(g, rule, u, v) if dist[x][y] >= k
+                ]
+            for x, y, f_bit, g_bit in reads:
+                s = (x, y, fc | f_bit, gc | g_bit)
                 if s in seen:
                     continue
                 if s[2] == full and s[3] == full:
-                    return True
+                    return entries
                 seen.add(s)
                 nxt.append(s)
         if not nxt:
-            return False
+            return None
         frontier = nxt
-    return False
+    return None
 
 
 def oracle_span(g: Graph, rule: Rule, target: Target) -> int:
+    """The highest k at which a covering pair of at most 2n(m + 1) entries
+    keeps its simultaneous distance at k or more."""
     cap = 2 * g.n * (g.m + 1)
     for k in range(g.radius, -1, -1):
-        if covering_pair_exists(g, rule, target, k, cap):
+        if _fewest_covering_entries(g, rule, target, k, cap) is not None:
             return k
     raise AssertionError("a covering pair must exist at threshold 0")
 
 
 def oracle_min_length(g: Graph, rule: Rule, target: Target, sigma: int, max_l: int = 64) -> int:
-    """Naive breadth-first enumeration of walk pairs by increasing length."""
-    full = _full_cover(g, target)
-    seen = set()
-    frontier = []
-    for u in range(g.n):
-        for v in range(g.n):
-            if g.dist[u][v] < sigma:
-                continue
-            fc, gc = _initial_cover(g, target, u, v)
-            if fc == full and gc == full:
-                return 1
-            s = (u, v, fc, gc)
-            seen.add(s)
-            frontier.append(s)
-    for steps in range(1, max_l):
-        nxt = []
-        for u, v, fc, gc in frontier:
-            for x, y in rule_moves(g, rule, u, v):
-                if g.dist[x][y] < sigma:
-                    continue
-                s = (x, y, _cover_bump(g, target, fc, u, x), _cover_bump(g, target, gc, v, y))
-                if s in seen:
-                    continue
-                if s[2] == full and s[3] == full:
-                    return steps + 1
-                seen.add(s)
-                nxt.append(s)
-        if not nxt:
-            break
-        frontier = nxt
-    raise AssertionError(f"no covering pair within {max_l} entries")
+    """Naive breadth-first enumeration of walk pairs by increasing length,
+    up to max_l entries."""
+    entries = _fewest_covering_entries(g, rule, target, sigma, max_l)
+    if entries is None:
+        raise AssertionError(f"no covering pair within {max_l} entries")
+    return entries
 
 
 def edge_cover_steps(g: Graph, p: int, uncovered: frozenset) -> int:

@@ -435,11 +435,14 @@ class TestRepeatedMain:
 # prefixes were retaken when the odd vertices began to be paired by a
 # minimum-weight perfect matching instead of the subset recursion: on a
 # complete graph every pairing ties, the matching takes another one, and so
-# the walk and duplicated lines changed; length_edges did not.
+# the walk and duplicated lines changed; length_edges did not. Every
+# witness prefix was retaken when the walks began to end at their deepest
+# kept pair instead of walking back to the start: shorter walks with the
+# same start and coverage.
 GOLDEN = [
-    (("witness", "--family", "kn_plus:5"), "40b1d2c4038ee0ed"),
+    (("witness", "--family", "kn_plus:5"), "7fc6b9a040592d3b"),
     (("witness", "--family", "complete_bipartite:2,3", "--format", "structured"),
-     "2b30ede51ea51487"),
+     "56c93066a79e9867"),
     (("span", "--family", "path:12"), "1f9d2dd4a88e1f6c"),
     (("minlen", "--family", "cycle:6"), "d5aac20f392bf324"),
     (("search-gap",), "280d4359cbebdbf3"),
@@ -456,7 +459,7 @@ GOLDEN = [
     (("minlen", "--family", "cycle:6", "--format", "structured"), "ab7bb4695e77bf94"),
     (("minlen", "--family", "complete:4", "--budget", "0"), "2039409d7bb5cf46"),
     (("witness", "--family", "kn_plus:5", "--rule", "cartesian", "--target", "vertices"),
-     "a54bf7a759c4cc63"),
+     "bb0c84c1e3624cc9"),
     (("postman", "--family", "complete:12", "--format", "structured"), "9cb79319c2d4ace2"),
     (("verify-fixtures",), "12f79d565929d6e9"),
     (("verify-fixtures", "--format", "structured"), "6df8ac2cb9a691bf"),
@@ -465,10 +468,10 @@ GOLDEN = [
     # taken before every rule's witness BFS read its moves from the step
     # rows, so that each rule and both targets are pinned through it;
     # kn_plus:9 runs a BFS of its own for the active vertex target
-    (("witness", "--family", "path:30"), "0da694b79994b887"),
-    (("witness", "--family", "complete_bipartite:5,6"), "f85c756a465de63c"),
-    (("witness", "--family", "kn_plus:9"), "fbd9440c8a3d38c4"),
-    (("witness", "--family", "cycle:40", "--format", "structured"), "f6dc5f32845953d6"),
+    (("witness", "--family", "path:30"), "0ada32120d141626"),
+    (("witness", "--family", "complete_bipartite:5,6"), "f93779c5db2b3706"),
+    (("witness", "--family", "kn_plus:9"), "79450d80157f2ff1"),
+    (("witness", "--family", "cycle:40", "--format", "structured"), "1bd4122621511efd"),
 ]
 
 
@@ -508,9 +511,9 @@ WITNESS_DIGEST_SPECS = (
     "path:40", "path:50", "cycle:80", "complete:20", "kn_plus:12", "star:40",
     "complete:10", "complete:11", "path:30", "kn_plus:9", "cycle:40", "complete_bipartite:5,6",
 )
-# taken before every witness BFS read its moves from the shared step rows
-# and credited vertices as states entered them
-WITNESS_DIGEST = "29ea3a3942ab543ed0bfbdfbe55c29ab391283ffb6bb8916abbd836f6180815a"
+# retaken when every witness walk began to end at its deepest kept pair
+# instead of walking back to its start: same start and coverage
+WITNESS_DIGEST = "ebb88f18ef45eee1200db95070c7dcd7a66cbc821261f0210b92c5696188b53e"
 
 
 def test_witness_pairs_digest():

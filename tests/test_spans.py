@@ -47,6 +47,7 @@ from oracles import (
     rule_moves,
     validate_pair,
 )
+from test_cli import WITNESS_DIGEST_SPECS
 
 
 class TestRuleNames:
@@ -745,7 +746,7 @@ class TestWitnesses:
 
     def test_k5_traditional_edges_witness_length(self):
         f, h = witness_sweeps(complete(5), Rule.TRADITIONAL, Target.EDGES)
-        assert len(f) == len(h) == 39
+        assert len(f) == len(h) == 37
 
     def test_edge_first_and_vertex_first_give_the_same_walks(self, monkeypatch):
         # either order runs one BFS for a rule whose targets share a span
@@ -782,6 +783,41 @@ class TestWitnesses:
                     expected = spans._tree_walk(g.n, root, parent, order, edges, detours)
                     assert witness_sweeps(g, rule, target) == expected, (g.n, g.edges, rule, target)
         assert shared
+
+    def test_walks_end_at_the_deepest_kept_pair(self):
+        # over the reference BFS and credits: the kept tree T holds the
+        # credited states and their tree paths to root, the final pair is
+        # its last state in BFS order, and the walk writes every tree edge
+        # twice and each detour s, t, s as two more entries, except that it
+        # ends at the final pair instead of walking back to root
+        corpus_f_entries = 0
+        small = corpus(6)
+        families = [generate(FamilySpec.from_string(spec)) for spec in WITNESS_DIGEST_SPECS]
+        for i, g in enumerate((*small, *families)):
+            for rule in Rule:
+                for target, (k, root) in zip(TARGETS, spans._rule_spans(g, rule)):
+                    order, parent = _reference_bfs(g, rule, k, root)
+                    vertices, kept, detours = _reference_credits(g, rule, k, order)
+                    if target is Target.VERTICES:
+                        kept, detours = vertices, {}
+                    tree = {root}
+                    for s in kept:
+                        while s not in tree:
+                            tree.add(s)
+                            s = parent[s]
+                    final = next(s for s in reversed(order) if s in tree)
+                    depth, s = 0, final
+                    while s != root:
+                        depth, s = depth + 1, parent[s]
+                    d = sum(map(len, detours.values()))
+                    f, h = witness_sweeps(g, rule, target)
+                    key = g.n, g.edges, rule, target
+                    assert f.seq[0] * g.n + h.seq[0] == root, key
+                    assert f.seq[-1] * g.n + h.seq[-1] == final, key
+                    assert len(f) == 2 * (len(tree) - 1) + 2 * d + 1 - depth, key
+                    if i < len(small):
+                        corpus_f_entries += len(f)
+        assert corpus_f_entries == 18_764
 
     def test_vertex_bfs_stops_at_the_last_vertex_credit(self):
         # without edges the BFS credits no edge, and its visit order ends
