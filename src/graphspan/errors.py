@@ -42,7 +42,8 @@ class EmptyEdgeSet(GraphSpanError):
 
 
 class InvalidVertex(GraphSpanError):
-    """A walk entry is not a vertex of the graph."""
+    """A walk entry, or an argument of ``Graph.degree`` or
+    ``Graph.has_edge``, is not a vertex of the graph."""
 
 
 class LengthMismatch(GraphSpanError):

@@ -20,6 +20,7 @@ from .errors import (
     EmptyEdgeSet,
     IndexOutOfRange,
     InvalidParams,
+    InvalidVertex,
     MalformedInput,
     SelfLoop,
     TooLarge,
@@ -223,23 +224,23 @@ class Graph:
         return range(self.n)
 
     def degree(self, u: int) -> int:
+        """Number of neighbours of u; InvalidVertex unless u is an int
+        (not a bool) in 0..n-1."""
+        if not (_is_int(u) and 0 <= u < self.n):
+            raise InvalidVertex(f"{u!r} is not a vertex of a graph of order {self.n}")
         return len(self.adj[u])
 
     def has_edge(self, u: int, v: int) -> bool:
+        """True iff uv is an edge; False for ints outside 0..n-1, and
+        InvalidVertex for an argument that is not an int, or is a bool."""
+        # the type tests spare plain ints the calls
+        if not ((type(u) is int or _is_int(u)) and (type(v) is int or _is_int(v))):
+            raise InvalidVertex(f"edge ends must be int vertices, got ({u!r}, {v!r})")
         if not (0 <= u < self.n and 0 <= v < self.n):
             return False
         row = self.adj[u]
         i = bisect_left(row, v)
         return i < len(row) and row[i] == v
-
-    def edge_index(self, u: int, v: int) -> int:
-        """Position of the edge in the sorted edge tuple (used as a bit
-        index); KeyError if uv is not an edge."""
-        e = _norm(u, v)
-        i = bisect_left(self.edges, e)
-        if i == len(self.edges) or self.edges[i] != e:
-            raise KeyError(e)
-        return i
 
     @property
     def diameter(self) -> int:

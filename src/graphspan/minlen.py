@@ -1,10 +1,13 @@
 """Minimal walk lengths achieving the span value.
 
-The minimum is found by one best-first (A*) search over (ordered vertex
-pair, coverage bitset, coverage bitset) states. States wait in a bucket queue
-keyed by the entries so far plus an admissible bound on the steps still
-needed. Each player's part is a metric lower bound on the steps a lone
-walker at p needs for its uncovered targets U (``_remaining_bound``):
+The minimum is found by one best-first (A*) search, ``_shortest_pair``, over
+(ordered vertex pair, coverage bitset, coverage bitset) states. It lists
+the moves of a position from ``spans._moves`` the first time it expands the
+position, and states wait in a bucket queue keyed by the entries so far
+plus an admissible bound on the steps still needed. Each player's part is
+a metric lower bound on the steps a lone walker at p needs for its
+uncovered targets U, read as ``rows[cov][p]`` from one table per graph and
+target that builds a missing row on its first read (``_remaining_bound``):
 MST(U) + d(p, U) for the vertex target, the spanning tree weight of U in the
 graph metric plus the distance to it; |U| plus the cheapest pairing of
 odd(U) ^ {p} that leaves one vertex out for the edge target, the route
@@ -98,38 +101,6 @@ def length_lower_bounds(g: Graph, rule: Rule, target: Target) -> int:
     return 2 * g.m + 1 if rule is Rule.LAZY else g.m + 1
 
 
-def _transition_tables(g: Graph, rule: Rule, target: Target, sigma: int):
-    """succ(pos): the successor list of position pos = u*n + v, as tuples
-    (encoded next base, coverage add bits, next f vertex, next g vertex).
-
-    Each list is built from ``_moves`` the first time the search expands its
-    position and kept for later expansions; positions the search never
-    expands cost nothing. A full search state is
-    (pos << 2*width) | (f_cov << width) | g_cov. The add bits come from
-    ``_cover``; for the vertex target a stay adds the player's own vertex,
-    which is already in its coverage word, so no state changes by it.
-    """
-    n = g.n
-    dist = g.dist
-    width, bit = _cover(g, target)
-    cov_bits = 2 * width
-    lists: list[Optional[list[tuple[int, int, int, int]]]] = [None] * (n * n)
-
-    def succ(pos: int) -> list[tuple[int, int, int, int]]:
-        out = lists[pos]
-        if out is None:
-            u, v = divmod(pos, n)
-            fu, gv = bit[u], bit[v]
-            out = lists[pos] = [
-                ((x * n + y) << cov_bits, fu[x] << width | gv[y], x, y)
-                for x, y in _moves(g, rule, u, v)
-                if dist[x][y] >= sigma
-            ]
-        return out
-
-    return succ
-
-
 def _orbit_starts(g: Graph, gens) -> tuple[int, ...]:
     """The flat index u*n + v of the lowest ordered pair of each orbit of
     Aut(g) x player swap, in increasing order.
@@ -192,15 +163,27 @@ def _min_pairing(dist) -> Callable[[int], int]:
     return cost
 
 
-def _remaining_bound(
-    c: Graph, target: Target
-) -> tuple[dict[int, bytes], Callable[[int], bytes]]:
-    """(rows, row): byte p of the row for the coverage word cov,
-    ``(rows.get(cov) or row(cov))[p]``, is a lower bound on the steps a lone
-    player at p still needs to cover the targets whose bits are clear in
-    cov; rows is the table of the rows built so far, and row(cov) builds a
-    missing row and stores it in the table. ``_best_first`` reads that
-    expression inline.
+class _BoundRows(dict):
+    """A table of bound rows keyed by coverage word: ``rows[cov]`` builds a
+    missing row with ``row_of(cov)`` on first read and stores it with one
+    ``setdefault``."""
+
+    __slots__ = ("row_of",)
+
+    def __init__(self, row_of: Callable[[int], bytes]):
+        super().__init__()
+        self.row_of = row_of
+
+    def __missing__(self, cov: int) -> bytes:
+        return self.setdefault(cov, self.row_of(cov))
+
+
+def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
+    """The bound table of c for the target: byte p of ``rows[cov]`` is a
+    lower bound on the steps a lone player at p still needs to cover the
+    targets whose bits are clear in the coverage word cov. A missing row is
+    built on its first read (``_BoundRows``), and ``_shortest_pair`` reads
+    ``rows[cov][p]`` inline.
 
     Vertex target, with U the uncovered vertices: MST(U) + d(p, U), the
     minimum spanning tree weight of U in the graph metric plus the distance
@@ -218,27 +201,29 @@ def _remaining_bound(
 
     Both bounds drop by at most one per step (the module docstring gives
     the argument), so the search stays exact. The rows depend on the graph
-    and the target only, so they are kept on the graph with row, under
-    ``("bound", target)``, and shared by every rule and span value,
-    as are the distance masks and the pairing costs they are read from. Each row
-    is computed once, on first use, and stored as n bytes (every value fits
-    in a byte up to order 14) in a dict keyed by the coverage words met, for
-    both targets. A row depends on the graph and its word only, so two
-    threads that build it at once produce the same bytes, and it is stored
-    with one ``dict.setdefault``: a reader sees either no row or the whole
-    row. ``_shortest_pair`` empties a table that has grown past
+    and the target only, so the table is kept on the graph under
+    ``("bound", target)`` and shared by every rule and span value, as are
+    the distance masks and the pairing costs the rows are read from. Each
+    row is computed once, on first read, and stored as n bytes (every value
+    fits in a byte up to order 14) under the coverage word it was read at.
+    A row depends on the graph and its word only, so two threads that build
+    it at once produce the same bytes, and the table stores it with one
+    ``dict.setdefault``: a reader sees either no row or the whole row.
+    ``_shortest_pair`` empties a table that has grown past
     ``KEPT_BOUND_ROWS`` once its search ends.
     """
 
-    def build() -> tuple[dict[int, bytes], Callable[[int], bytes]]:
+    def build() -> _BoundRows:
         n = c.n
+        full = (1 << _cover(c, target)[0]) - 1
         if target is Target.VERTICES:
             near = [
                 [sum(1 << v for v in range(n) if row[v] <= t) for row in c.dist]
                 for t in range(c.diameter + 1)
             ]
 
-            def row_of(left: int) -> bytes:
+            def row_of(cov: int) -> bytes:
+                left = full ^ cov
                 if not left:
                     return bytes(n)
                 tree = left.bit_count() - 1  # c_0(U) - 1: no two targets linked
@@ -271,9 +256,9 @@ def _remaining_bound(
             ends = [1 << u | 1 << v for u, v in c.edges]
             cost = _min_pairing(c.dist)
 
-            def row_of(left: int) -> bytes:
+            def row_of(cov: int) -> bytes:
                 odd = 0
-                todo = left
+                todo = left = full ^ cov
                 while todo:
                     bit = todo & -todo
                     odd ^= ends[bit.bit_length() - 1]
@@ -281,92 +266,9 @@ def _remaining_bound(
                 k = left.bit_count()
                 return bytes(k + cost((odd ^ 1 << p) << 2 | 1) for p in range(n))
 
-        rows: dict[int, bytes] = {}
-        full = (1 << _cover(c, target)[0]) - 1
-
-        def row(cov: int) -> bytes:
-            return rows.setdefault(cov, row_of(full ^ cov))
-
-        return rows, row
+        return _BoundRows(row_of)
 
     return c._memoized(("bound", target), build)
-
-
-def _best_first(
-    starts: list[int],
-    succ,
-    n: int,
-    width: int,
-    lazy: bool,
-    rows: dict[int, bytes],
-    row: Callable[[int], bytes],
-    budget: int,
-):
-    """Best-first search for a shortest covering pair.
-
-    Bucket f holds the states whose entries so far plus bound equal f,
-    popped LIFO. f never falls along a path, as the bound drops by at most
-    one per step, so the first full state popped ends a shortest pair, and a
-    state popped again was reached by a longer prefix. ``succ(pos)`` lists
-    the moves from a position. A player's bound is byte p of its coverage
-    word's row in the table ``rows``, built by ``row(cov)`` where missing
-    (``_remaining_bound``), and read inline for each stored state; the bound
-    of a state is the larger of the two players' values, or their sum under
-    the lazy rule. Returns that state and the parent map, which holds every
-    stored state, or None and the parent map once more than ``budget``
-    states are stored.
-    """
-    cov_bits = 2 * width
-    full_each = (1 << width) - 1
-    full_cov = (full_each << width) | full_each
-    get = rows.get
-
-    depth = dict.fromkeys(starts, 1)
-    parent: dict[int, Optional[int]] = dict.fromkeys(starts)
-    buckets: list[list[int]] = []
-    for s in reversed(starts):  # LIFO: the lowest start pops first
-        cov = s & full_cov
-        x, y = divmod(s >> cov_bits, n)
-        hf = (get(cov >> width) or row(cov >> width))[x]
-        hg = (get(cov & full_each) or row(cov & full_each))[y]
-        f = 1 + hf + hg if lazy else 1 + (hf if hf > hg else hg)
-        while len(buckets) <= f:
-            buckets.append([])
-        buckets[f].append(s)
-
-    f = 0
-    while f < len(buckets):
-        bucket = buckets[f]
-        while bucket:
-            if len(parent) > budget:
-                return None, parent
-            s = bucket.pop()
-            d = depth[s]
-            if not d:
-                continue  # stale: s was expanded from a shorter prefix
-            cov = s & full_cov
-            if cov == full_cov:
-                return s, parent
-            depth[s] = 0  # expanded at its least depth, as the bound is consistent
-            nd = d + 1
-            unseen = nd + 1  # the depth a state not stored yet reads as
-            for npb, add, x, y in succ(s >> cov_bits):
-                ncov = cov | add
-                ns = npb | ncov
-                if depth.get(ns, unseen) <= nd:
-                    continue
-                depth[ns] = nd
-                parent[ns] = s
-                hf = (get(ncov >> width) or row(ncov >> width))[x]
-                hg = (get(ncov & full_each) or row(ncov & full_each))[y]
-                nf = nd + hf + hg if lazy else nd + (hf if hf > hg else hg)
-                try:
-                    buckets[nf].append(ns)
-                except IndexError:
-                    buckets.extend([] for _ in range(nf + 1 - len(buckets)))
-                    buckets[nf].append(ns)
-        f += 1
-    raise InternalError("best-first search ran out of states before covering")
 
 
 def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
@@ -387,38 +289,110 @@ def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
 
 def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int):
     """The witness pair of one best-first search (None once it stores more
-    than ``budget`` states) and the number of states it stored."""
-    # search the canonical copy, so that the order of the search, and with it
-    # the states stored and the witness, do not depend on the input's labels
+    than ``budget`` states) and the number of states it stored.
+
+    The search runs on the canonical copy, so that the order in which it
+    takes ties, and with it the states stored and the witness, does not
+    depend on the input's labels. A state is
+    (pos << 2*width) | (f_cov << width) | g_cov, with pos = u*n + v. The
+    moves of a position are listed from ``_moves``, in its order and at
+    distance >= sigma, the first time the search expands the position, as
+    (next pos << 2*width, the coverage bits the move adds (``_cover``),
+    next f vertex, next g vertex), and kept for later expansions; for the
+    vertex target a stay adds the player's own vertex, already in its word.
+
+    Bucket f holds the states whose entries so far plus bound equal f,
+    popped LIFO. f never falls along a path, as the bound drops by at most
+    one per step, so the first full state popped ends a shortest pair, and a
+    state popped again was reached by a longer prefix. A player's bound is
+    byte p of its coverage word's row, ``rows[cov][p]``
+    (``_remaining_bound``); the bound of a state is the larger of the two
+    players' values, or their sum under the lazy rule. The parent map holds
+    every stored state, and the budget is checked once per pop.
+    """
     c, vertex, orbit_starts = _canonical_copy(g)
+    n, dist = c.n, c.dist
     width, bit = _cover(c, target)
-    rows, row = _remaining_bound(c, target)
-    starts = []
-    for s in orbit_starts:
-        u, v = divmod(s, g.n)
-        if c.dist[u][v] >= sigma:
-            starts.append(s << 2 * width | bit[u][u] << width | bit[v][v])
-    goal, parent = _best_first(
-        starts,
-        _transition_tables(c, rule, target, sigma),
-        g.n,
-        width,
-        rule is Rule.LAZY,
-        rows,
-        row,
-        budget,
-    )
+    cov_bits = 2 * width
+    full_each = (1 << width) - 1
+    full_cov = full_each << width | full_each
+    lazy = rule is Rule.LAZY
+    rows = _remaining_bound(c, target)
+    moves: list[Optional[list[tuple[int, int, int, int]]]] = [None] * (n * n)
+    depth: dict[int, int] = {}
+    parent: dict[int, Optional[int]] = {}
+    buckets: list[list[int]] = []
+    for pos in reversed(orbit_starts):  # LIFO: the lowest start pops first
+        u, v = divmod(pos, n)
+        if dist[u][v] >= sigma:
+            s = pos << cov_bits | bit[u][u] << width | bit[v][v]
+            depth[s], parent[s] = 1, None
+            hf, hg = rows[bit[u][u]][u], rows[bit[v][v]][v]
+            f = 1 + hf + hg if lazy else 1 + (hf if hf > hg else hg)
+            while len(buckets) <= f:
+                buckets.append([])
+            buckets[f].append(s)
+
+    # a local function, so the search returns from inside both loops; the
+    # loop reads the tables above as closure cells, which timed no slower
+    # than the locals of a separate function
+    def search() -> Optional[int]:
+        f = 0
+        while f < len(buckets):
+            bucket = buckets[f]
+            while bucket:
+                if len(parent) > budget:
+                    return None
+                s = bucket.pop()
+                d = depth[s]
+                if not d:
+                    continue  # stale: s was expanded from a shorter prefix
+                cov = s & full_cov
+                if cov == full_cov:
+                    return s
+                depth[s] = 0  # expanded at its least depth, as the bound is consistent
+                nd = d + 1
+                unseen = nd + 1  # the depth a state not stored yet reads as
+                pos = s >> cov_bits
+                out = moves[pos]
+                if out is None:
+                    u, v = divmod(pos, n)
+                    fu, gv = bit[u], bit[v]
+                    out = moves[pos] = [
+                        ((x * n + y) << cov_bits, fu[x] << width | gv[y], x, y)
+                        for x, y in _moves(c, rule, u, v)
+                        if dist[x][y] >= sigma
+                    ]
+                for npb, add, x, y in out:
+                    ncov = cov | add
+                    ns = npb | ncov
+                    if depth.get(ns, unseen) <= nd:
+                        continue
+                    depth[ns] = nd
+                    parent[ns] = s
+                    hf = rows[ncov >> width][x]
+                    hg = rows[ncov & full_each][y]
+                    nf = nd + hf + hg if lazy else nd + (hf if hf > hg else hg)
+                    try:
+                        buckets[nf].append(ns)
+                    except IndexError:
+                        buckets.extend([] for _ in range(nf + 1 - len(buckets)))
+                        buckets[nf].append(ns)
+            f += 1
+        raise InternalError("best-first search ran out of states before covering")
+
+    goal = search()
     if len(rows) > KEPT_BOUND_ROWS:
         rows.clear()  # what a graph keeps after its searches stays bounded
     if goal is None:
         return None, len(parent)
     positions = []
     while goal is not None:
-        positions.append(goal >> (2 * width))
+        positions.append(goal >> cov_bits)
         goal = parent[goal]
     positions.reverse()
-    f = Walk(tuple(vertex[p // g.n] for p in positions))
-    h = Walk(tuple(vertex[p % g.n] for p in positions))
+    f = Walk(tuple(vertex[p // n] for p in positions))
+    h = Walk(tuple(vertex[p % n] for p in positions))
     return (f, h), len(parent)
 
 

@@ -46,7 +46,7 @@ class CoveringWalkResult:
 def euler_class(g: Graph) -> EulerClass:
     """'circuit' with no odd-degree vertices, 'trail' with exactly two."""
     _check_graph(g)
-    odd = sum(1 for u in range(g.n) if g.degree(u) % 2)
+    odd = sum(1 for nbrs in g.adj if len(nbrs) % 2)
     if odd == 0:
         return "circuit"
     if odd == 2:
@@ -439,7 +439,7 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
         raise InvalidParams(f"unknown mode {mode!r}")
     if g.m == 0:
         raise EmptyEdgeSet("covering walk needs at least one edge")
-    odd = [u for u in range(g.n) if g.degree(u) % 2]
+    odd = [u for u, nbrs in enumerate(g.adj) if len(nbrs) % 2]
     dist = {a: _bfs_distances(g.adj, a, g.n) for a in odd}
     pairs, ends = _pair_odd_vertices(dist, odd, mode != "closed")
     extra = _augmenting_paths(g, dist, pairs)

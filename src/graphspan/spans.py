@@ -39,7 +39,7 @@ its whole component of the full move set and cover what it covers (see
 each read with its edge word, and
 ``TestWitnesses::test_witness_bfs_follows_the_thresholded_moves`` pins
 them to ``_moves``. Only the minimal-length search,
-``minlen._transition_tables``, reads each rule's full move set. What a step
+``minlen._shortest_pair``, reads each rule's full move set. What a step
 covers, a vertex or an edge, has one definition per graph and target,
 ``_cover``, which the span pass and the minimal-length search read, and the
 witness BFS through the step rows alone. There is one witness BFS
@@ -473,12 +473,17 @@ def _joined_levels(g: Graph, lazy, active, levels: tuple[tuple[int, ...], ...]):
     lazy components and of active components, the finest such, and its word
     is the OR of their words. After each level, this union-find enters the
     level's states of ``levels``, as the passes do, and applies the unions
-    both passes made on it, each root unioned below another joined to
-    that pass's root of its component, with the lowest index as root and
-    the word 1 left at a root unioned below another, as in
-    ``_union_levels``. A component whose word changed on the level holds a
-    root either pass touched on it, so ORing in the final words of those
-    roots gives every root its component's word. It yields
+    both passes made on it: each root unioned below another is joined to
+    the state that pass's parent list names for it, with the lowest index
+    as root and the word 1 left at a root unioned below another, as in
+    ``_union_levels``; it writes none of the passes' lists. That state is
+    an ancestor of the merged one in the pass's tree, as a find only skips
+    ancestors, and the join entered it on this level or an earlier one, so
+    following these links from any state of a pass component reaches its
+    root: each pass component is joined whole, and nothing more. A
+    component whose word changed on the level holds a root either pass
+    touched on it, so ORing in the final words of those roots gives every
+    root its component's word. It yields
     (k, the roots touched on the level, parent, cov, (the lazy level, the
     active level)).
     """
@@ -498,8 +503,6 @@ def _joined_levels(g: Graph, lazy, active, levels: tuple[tuple[int, ...], ...]):
                 while parent[a] != a:
                     parent[a] = a = parent[parent[a]]
                 b = rule_parent[s]
-                while rule_parent[b] != b:
-                    rule_parent[b] = b = rule_parent[rule_parent[b]]
                 while parent[b] != b:
                     parent[b] = b = parent[parent[b]]
                 if a != b:

@@ -73,6 +73,14 @@ def count_engine_calls(monkeypatch) -> tuple[list, list, list]:
     return passes, searches, witness_runs
 
 
+def edge_bits(g: Graph) -> dict[tuple[int, int], int]:
+    """1 << i for edge i of g.edges, keyed by both orders of its ends."""
+    bit = {}
+    for i, (a, b) in enumerate(g.edges):
+        bit[a, b] = bit[b, a] = 1 << i
+    return bit
+
+
 def rule_moves(g: Graph, rule: Rule, u: int, v: int):
     if rule is Rule.ACTIVE:
         return [(x, y) for x in g.adj[u] for y in g.adj[v]]
@@ -96,9 +104,7 @@ def oracle_levels(g: Graph, rule: Rule):
     layout: both players' vertex bits above both players' edge bits, f bits
     above g bits within each."""
     n, m = g.n, g.m
-    edge_bit = {}
-    for i, (a, b) in enumerate(g.edges):
-        edge_bit[a, b] = edge_bit[b, a] = 1 << i
+    edge_bit = edge_bits(g)
     parent: dict[int, int] = {}
     word: dict[int, int] = {}
 
@@ -163,9 +169,7 @@ def _fewest_covering_entries(g: Graph, rule: Rule, target: Target, k: int, max_e
         bit = {(a, b): 1 << b for a in range(n) for b in (a, *g.adj[a])}
     else:
         full = (1 << g.m) - 1
-        bit = {}
-        for i, (a, b) in enumerate(g.edges):
-            bit[a, b] = bit[b, a] = 1 << i
+        bit = edge_bits(g)
     moves: dict[int, list[tuple[int, int, int, int]]] = {}
     seen = set()
     frontier = []
@@ -300,6 +304,7 @@ def oracle_covering_free(g: Graph) -> int:
     full = (1 << g.m) - 1
     if g.m == 0:
         return 0
+    edge_bit = edge_bits(g)
     seen = set()
     frontier = []
     for u in range(g.n):
@@ -312,7 +317,7 @@ def oracle_covering_free(g: Graph) -> int:
         nxt = []
         for u, mask in frontier:
             for x in g.adj[u]:
-                nmask = mask | (1 << g.edge_index(u, x))
+                nmask = mask | edge_bit[u, x]
                 if nmask == full:
                     return steps
                 s = (x, nmask)
@@ -327,6 +332,7 @@ def oracle_covering_free(g: Graph) -> int:
 def oracle_covering_closed(g: Graph, cap: int) -> int:
     """Minimal closed covering walk length by per-start BFS with a length cap."""
     full = (1 << g.m) - 1
+    edge_bit = edge_bits(g)
     best = None
     for start in range(g.n):
         seen = {(start, 0)}
@@ -335,7 +341,7 @@ def oracle_covering_closed(g: Graph, cap: int) -> int:
             nxt = []
             for u, mask in frontier:
                 for x in g.adj[u]:
-                    nmask = mask | (1 << g.edge_index(u, x))
+                    nmask = mask | edge_bit[u, x]
                     if nmask == full and x == start:
                         if best is None or steps < best:
                             best = steps

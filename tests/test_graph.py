@@ -19,6 +19,7 @@ from graphspan import (
     Graph,
     IndexOutOfRange,
     InvalidParams,
+    InvalidVertex,
     MalformedInput,
     SelfLoop,
     TooLarge,
@@ -303,6 +304,20 @@ class TestFamilies:
             FamilySpec.from_string(f"complete_bipartite:2,{token}")
 
 
+class TestVertexArguments:
+    @pytest.mark.parametrize("g,u", [(path(4), -1), (star(5), -5), (path(4), 4), (path(4), True),
+                                     (path(4), "a"), (path(4), 1.0), (path(4), None)])
+    def test_degree_of_a_non_vertex_is_invalid_vertex(self, g, u):
+        # a negative index would read another vertex's row
+        with pytest.raises(InvalidVertex):
+            g.degree(u)
+
+    @pytest.mark.parametrize("u,v", [("a", 0), (0, "a"), (True, 0), (0, False), (None, 1), (1.0, 0)])
+    def test_has_edge_of_a_non_int_is_invalid_vertex(self, u, v):
+        with pytest.raises(InvalidVertex):
+            path(4).has_edge(u, v)
+
+
 class TestDistancesOnDemand:
     def test_classify_builds_no_distance_table(self):
         # has_edge reads the sorted adjacency row; the n x n table of order
@@ -316,12 +331,6 @@ class TestDistancesOnDemand:
             tracemalloc.stop()
         assert peak < 2 << 20
         assert flags.is_sweep
-
-    def test_edge_index_of_a_non_edge_is_key_error(self):
-        g = path(3)
-        assert [g.edge_index(1, 0), g.edge_index(2, 1)] == [0, 1]
-        with pytest.raises(KeyError):
-            g.edge_index(0, 2)
 
     def test_has_edge_matches_edge_set(self):
         for g in corpus(5):
@@ -407,8 +416,10 @@ class TestSubdivide:
         assert is_isomorphic(subdivide_edge(cycle(3), (1, 2)), cycle(4))
 
     def test_edge_not_present(self):
-        with pytest.raises(EdgeNotPresent):
-            subdivide_edge(path(3), (0, 2))
+        # has_edge answers False for ints outside 0..n-1
+        for e in [(0, 2), (0, 3), (-1, 0)]:
+            with pytest.raises(EdgeNotPresent):
+                subdivide_edge(path(3), e)
 
     @pytest.mark.parametrize("edge", [(0,), (0, 1, 2), ("a", "b"), (0, 1.0), (True, 1), None, 0])
     def test_wrong_shape_edge_rejected(self, edge):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import tracemalloc
 from pathlib import Path
 
@@ -28,13 +29,14 @@ from graphspan import (
     span,
     star,
 )
+from graphspan import minlen
+from graphspan.cli import main
 from graphspan.families import _canonical_answers, closed_minlen
 from graphspan.graph import FamilySpec
 from graphspan.minlen import (
     DEFAULT_STATE_BUDGET,
     KEPT_BOUND_ROWS,
     SEARCH_ORDER_LIMIT,
-    _best_first,
     _canonical_copy,
     _remaining_bound,
     _orbit_starts,
@@ -46,6 +48,7 @@ from oracles import (
     brute_force_pairing_cost,
     connected_graphs,
     corpus,
+    edge_bits,
     edge_cover_steps,
     oracle_min_length,
     rule_moves,
@@ -171,10 +174,16 @@ class TestReports:
             ]
             assert sum(rep.explored_states for rep in reps) < ceiling
 
-    def test_empty_queue_is_internal_error(self):
-        # one start with no successors and one target left uncovered
+    def test_empty_queue_is_internal_error(self, monkeypatch, capsys):
+        # no position has a move, so the queue empties with targets left
+        # uncovered: the library raises, and the CLI exits 3, not 2 as an
+        # input error would
+        monkeypatch.setattr(minlen, "_moves", lambda *args: iter(()))
         with pytest.raises(InternalError):
-            _best_first([0], lambda pos: [], 1, 1, False, {}, lambda cov: b"\x01", 1)
+            min_length(path(3), Rule.TRADITIONAL, Target.VERTICES)
+        assert main(["minlen", "--family", "path:3"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error (minlen)")
 
     def test_deterministic(self):
         a = min_length(cycle(6), Rule.LAZY, Target.EDGES)
@@ -206,14 +215,20 @@ def _reference_rest(g, target, p, left) -> int:
 
 ORDER_SIX_ROWS = Path(__file__).with_name("minlen_order6.txt")
 SMALL_FAMILY_REPORTS = Path(__file__).with_name("minlen_small_reports.txt")
+# sha256 of the lines "explored_states f-walk g-walk" of the 858 rows of
+# ORDER_SIX_ROWS, in file order
+ORDER_SIX_REPORTS_DIGEST = "d9d6037812e34b1ae5db0f9bbbd07a65b873f62f834d9934e17bef7b300548ad"
 
 
 class TestExactness:
     def test_order_six_rows_unchanged(self):
         # (length, capped, span) of all 858 (graph, rule, target) rows of
-        # order <= 6, as computed under one step per target plus the parity count
+        # order <= 6, as computed under one step per target plus the parity
+        # count; and a digest of every report's stored-state count and
+        # witness walks, which moves with the search's tie order
         graphs: dict[str, Graph] = {}
         rows = mismatches = 0
+        digest = hashlib.sha256()
         for line in ORDER_SIX_ROWS.read_text().splitlines():
             if line.startswith("#"):
                 continue
@@ -223,7 +238,10 @@ class TestExactness:
             rep = min_length(g, Rule(rule), Target(target))
             rows += 1
             mismatches += [rep.length, rep.capped, rep.span_value] != [int(x) for x in expected]
+            walks = [format_walk(w) for w in rep.witness] if rep.witness else ["-", "-"]
+            digest.update(f"{rep.explored_states} {' '.join(walks)}\n".encode())
         assert (rows, len(graphs), mismatches) == (858, 143, 0)
+        assert digest.hexdigest() == ORDER_SIX_REPORTS_DIGEST
 
     def test_small_family_reports_unchanged(self):
         # the whole report, stored-state count and witnesses included: the
@@ -272,7 +290,7 @@ class TestRemainingBound:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(6), st.sampled_from(list(Target)), st.data())
     def test_admissible_and_consistent(self, g, target, data):
-        rows, row = _remaining_bound(g, target)
+        rows = _remaining_bound(g, target)
         if target is Target.VERTICES:
             items, bit, steps = list(range(g.n)), (lambda t: 1 << t), vertex_cover_steps
             full = (1 << g.n) - 1
@@ -280,7 +298,7 @@ class TestRemainingBound:
             def visited(left, a, b):
                 return left if a == b else left - {b}
         else:
-            items, bit, steps = list(g.edges), (lambda e: 1 << g.edge_index(*e)), edge_cover_steps
+            items, bit, steps = list(g.edges), edge_bits(g).__getitem__, edge_cover_steps
             full = (1 << g.m) - 1
 
             def visited(left, a, b):
@@ -288,9 +306,8 @@ class TestRemainingBound:
 
         def bound(p, left):
             # the engine's per-player bound, read at the coverage word of
-            # left as _best_first reads it
-            cov = full ^ sum(map(bit, left))
-            return (rows.get(cov) or row(cov))[p]
+            # left as the search reads it
+            return rows[full ^ sum(map(bit, left))][p]
 
         subsets = st.lists(st.sampled_from(items), max_size=8, unique=True) if items else st.just([])
         uf, ug = frozenset(data.draw(subsets)), frozenset(data.draw(subsets))
@@ -322,8 +339,7 @@ class TestRemainingBound:
         finally:
             tracemalloc.stop()
         assert held < 100_000
-        rows, _ = _remaining_bound(_canonical_copy(g)[0], Target.EDGES)
-        assert len(rows) <= KEPT_BOUND_ROWS
+        assert len(_remaining_bound(_canonical_copy(g)[0], Target.EDGES)) <= KEPT_BOUND_ROWS
 
 
 def _assert_one_start_per_orbit(g):
