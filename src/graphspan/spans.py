@@ -16,15 +16,19 @@ from one coverage word per component, the vertex bits of both players above
 their edge bits. The strong product's edges are the Cartesian edges plus the
 direct edges, so at every threshold each traditional component is the join
 of lazy and active components, and its word the OR of theirs: the
-traditional pass reads no move, and joins the levels of the other two,
-which run in step (``_joined_pass``). The three rules' results are kept
-on the graph as one entry, so the first span query of any rule answers
-every later one on the same graph. The passes take the states from
-per-level lists of flat indices, built once per span pass and shared by
-the two passes and the join, so each pair enters once; the graph keeps
-none of the lists after the pass. At threshold k the active pass reads a
-reduced move set, one that ends every level with the components and
-coverage of the full move set (see ``_moves``): one half of a spanning
+traditional levels read no move, and are joined from the levels of the
+other two, read in step (``_joined_levels``). One driver,
+``_joined_pass``, records every rule's hits and stops each of the three
+structures: it reads the join until the traditional targets are hit, then
+each pass on alone while one of its own targets is unhit, so each reads
+the levels from the radius down to its rule's lower span value. The three
+rules' results are kept on the graph as one entry, so the first span query
+of any rule answers every later one on the same graph. The passes take the
+states from per-level lists of flat indices, built once per span pass and
+shared by the two passes and the join, so each pair enters once; the graph
+keeps none of the lists after the pass. At threshold k the active pass
+reads a reduced move set, one that ends every level with the components
+and coverage of the full move set (see ``_moves``): one half of a spanning
 double star of each complete bipartite block of active moves, each star
 edge read from one end only.
 ``_moves`` defines each rule's moves; the lazy and active passes copy its
@@ -323,13 +327,6 @@ def _steps(g: Graph) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
     return g._memoized("steps", compute)
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def _levels(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Flat indices u*n + v grouped by min(d(u, v), radius), each level in
     increasing order. ``_joined_pass`` builds them for its two passes and
@@ -409,9 +406,10 @@ def _union_levels(g: Graph, rule: Rule, levels: tuple[tuple[int, ...], ...]):
                         t = s + off
                         if not cov[t]:
                             continue
+                        # the find written out as in _joined_levels, as most take no step
                         other = parent[t]
-                        if parent[other] != other:  # most successors sit next to their root
-                            other = _find(parent, other)
+                        while parent[other] != other:
+                            parent[other] = other = parent[parent[other]]
                         if other != root:
                             if other < root:
                                 root, other = other, root
@@ -445,8 +443,8 @@ def _union_levels(g: Graph, rule: Rule, levels: tuple[tuple[int, ...], ...]):
                             continue
                         bits |= f_word
                         other = parent[t]
-                        if parent[other] != other:
-                            other = _find(parent, other)
+                        while parent[other] != other:
+                            parent[other] = other = parent[parent[other]]
                         if other != root:
                             if other < root:
                                 root, other = other, root
@@ -522,69 +520,62 @@ def _joined_levels(g: Graph, lazy, active, levels: tuple[tuple[int, ...], ...]):
         yield rule_levels[0][0], touched, parent, cov, rule_levels
 
 
-def _full_words(g: Graph) -> tuple[int, int]:
-    """The coverage words of a root that covers the vertex target, then the
-    edge target, for both players."""
-    edge_bits = 2 * g.m
-    return ((1 << 2 * g.n) - 1) << edge_bits, (1 << edge_bits) - 1
-
-
-def _record_hits(k: int, roots, cov: list[int], fulls: tuple[int, int], hits: list) -> bool:
-    """Set hits[i] to (k, lowest full root) for each target i not yet hit
-    that a root of the level covers; True once both targets are hit.
-
-    Only roots touched on a level can have become full on it.
-    """
-    for i, full in enumerate(fulls):
-        if hits[i] is None:
-            full_roots = [r for r in roots if cov[r] & full == full]
-            if full_roots:
-                hits[i] = (k, min(full_roots))
-    return None not in hits
-
-
-def _first_full(g: Graph, levels, hits: list) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Read levels of a pass until both targets are hit, adding to the hits
-    of the levels already read; the pass stops there."""
-    if None in hits:
-        fulls = _full_words(g)
-        for k, roots, _, cov, _ in levels:
-            if _record_hits(k, roots, cov, fulls, hits):
-                break
-        else:
-            raise InternalError("threshold 0 must be feasible for a connected graph")
-    return tuple(hits)
-
-
 def _joined_pass(g: Graph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
     """For each rule in ``RULES`` order, (span value, lowest flat index
     u*n + v of the witness component) of the vertex target, then of the
     edge target, from one lazy and one active pass and the traditional
     levels joined from them.
 
-    The unions do not depend on the target, so one pass decides both, each
-    from its bits of the coverage word. A traditional component covers at
+    The unions do not depend on the target, so one structure decides both,
+    each from its bits of the coverage word: a rule's target is hit on the
+    first level, scanning down, on which a root the level touched covers
+    all of it, as only those roots can have become full on it, and the
+    lowest such root is the witness root. This driver is the one place that
+    records hits and stops a structure. A traditional component covers at
     least what its lazy and active parts cover, so the traditional targets
-    are hit first, on a level the two passes also read; the join's lists
-    are freed there, and each pass runs on alone until its own targets are
-    hit, and stops there.
+    are hit first, on a level the two passes also read: the join is read,
+    and the hits of all three rules recorded, until the traditional targets
+    are hit; the join stops there and its lists are freed. Each pass then
+    reads on alone only while one of its own targets is unhit, so every
+    structure reads the levels from the radius down to the lower of its
+    rule's two span values. Levels that run out first breach an invariant
+    and raise InternalError. ``tests/test_spans.py::TestJoinedPass`` checks
+    both.
     """
     levels = _levels(g)
-    passes = (_union_levels(g, Rule.LAZY, levels), _union_levels(g, Rule.ACTIVE, levels))
-    fulls = _full_words(g)
-    pass_hits = ([None, None], [None, None])
-    hits = [None, None]
-    for k, roots, parent, cov, rule_levels in _joined_levels(g, *passes, levels):
-        for (_, rule_roots, _, rule_cov, _), rule_hits in zip(rule_levels, pass_hits):
-            _record_hits(k, rule_roots, rule_cov, fulls, rule_hits)
-        if _record_hits(k, roots, cov, fulls, hits):
+    lazy = _union_levels(g, Rule.LAZY, levels)
+    active = _union_levels(g, Rule.ACTIVE, levels)
+    # the words of a root that covers the vertex target, then the edge
+    # target, for both players
+    edge_bits = 2 * g.m
+    fulls = (((1 << 2 * g.n) - 1) << edge_bits, (1 << edge_bits) - 1)
+    hits = [[None, None] for _ in RULES]  # traditional, active, lazy
+
+    def record(i, k, roots, cov):
+        # hit each unhit target of RULES[i] that a root covers; True once
+        # both are hit
+        rule_hits = hits[i]
+        for t, full in enumerate(fulls):
+            if rule_hits[t] is None:
+                full_roots = [r for r in roots if cov[r] & full == full]
+                if full_roots:
+                    rule_hits[t] = (k, min(full_roots))
+        return None not in rule_hits
+
+    for k, roots, parent, cov, pass_levels in _joined_levels(g, lazy, active, levels):
+        for i, (_, pass_roots, _, pass_cov, _) in zip((2, 1), pass_levels):
+            record(i, k, pass_roots, pass_cov)
+        if record(0, k, roots, cov):
             break
     else:
         raise InternalError("threshold 0 must be feasible for a connected graph")
     del parent, cov  # the join's lists, which its closed generator no longer holds
-    lazy = _first_full(g, passes[0], pass_hits[0])
-    active = _first_full(g, passes[1], pass_hits[1])
-    return tuple(hits), active, lazy
+    for i, pass_levels in (1, active), (2, lazy):
+        # any() stops reading the pass on the level that hits its last target
+        if None in hits[i] and not any(
+                record(i, k, roots, cov) for k, roots, _, cov, _ in pass_levels):
+            raise InternalError("threshold 0 must be feasible for a connected graph")
+    return tuple(map(tuple, hits))
 
 
 def _rule_spans(g: Graph, rule: Rule) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -720,20 +711,19 @@ def _component_witness(
 
 def _tree_walk(
     n: int,
-    root: int,
     parent: list[int],
     order: list[int],
     kept: list[int],
     detours: dict[int, list[int]],
 ) -> tuple[Walk, Walk]:
     """The projections of the depth-first walk of the BFS subtree that holds
-    the kept states and their tree paths to root, with the detours s, t, s
-    of detours[s] at each state's first visit, ending at the final pair:
-    the last kept state in BFS order, a leaf that no state of the tree is
-    deeper than. Each state on the final pair's tree path visits the child
-    on that path last, and every other child in BFS order, so the walk
-    stops once the final pair and its detours are written instead of
-    walking back to root.
+    the kept states and their tree paths to the root, order[0], with the
+    detours s, t, s of detours[s] at each state's first visit, ending at
+    the final pair: the last kept state in BFS order, a leaf that no state
+    of the tree is deeper than. Each state on the final pair's tree path
+    visits the child on that path last, and every other child in BFS order,
+    so the walk stops once the final pair and its detours are written
+    instead of walking back to the root.
 
     With the credits of one target of ``_component_witness`` kept, it has
     at most 2(|C| - 1) + 4w + 1 - h entries for a component of |C| states,
@@ -741,6 +731,7 @@ def _tree_walk(
     detour happens at a first visit, and the entries not written only
     retrace tree edges, so its projections cover every target while the
     pair distance stays at the threshold."""
+    root = order[0]
     marked = {root}
     for s in kept:
         while s not in marked:
@@ -797,10 +788,10 @@ def witness_sweeps(g: Graph, rule: Rule, target: Target) -> tuple[Walk, Walk]:
         vertex_hits, edge_hits = _rule_spans(g, rule)
         n = g.n
         vertices, edge_credits, detours, parent, order = _component_witness(g, rule, *edge_hits, True)
-        edge_pair = _tree_walk(n, edge_hits[1], parent, order, edge_credits, detours)
+        edge_pair = _tree_walk(n, parent, order, edge_credits, detours)
         if vertex_hits != edge_hits:
             vertices, _, _, parent, order = _component_witness(g, rule, *vertex_hits, False)
-        return _tree_walk(n, vertex_hits[1], parent, order, vertices, {}), edge_pair
+        return _tree_walk(n, parent, order, vertices, {}), edge_pair
 
     return g._memoized(("witness", rule), compute)[target is Target.EDGES]
 

@@ -2,8 +2,9 @@
 standard library, the imports among package modules form no cycle, a
 breached invariant raises InternalError, never a bare AssertionError, only
 the graph module touches a graph's memo, each memo key belongs to one
-module, every typed error is importable from the package, and ``__all__``
-lists every public name the package binds."""
+module, every typed error is importable from the package, ``__all__`` lists
+every public name the package binds, and every private module-level name
+is read in the package."""
 
 from __future__ import annotations
 
@@ -129,3 +130,23 @@ def test_every_error_is_exported():
                and obj.__module__ == errors.__name__]
     assert len(defined) > 1
     assert [e.__name__ for e in defined if getattr(graphspan, e.__name__, None) is not e] == []
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    # a function, class or assigned name with one leading underscore that
+    # no package code reads is dead, or kept alive only by the tests
+    read = {node.id if isinstance(node, ast.Name) else node.attr for _, node in _nodes()
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [(path.name, node.lineno, name) for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert unread == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import random
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from graphspan import (
     FamilySpec,
     Graph,
+    InternalError,
     InvalidParams,
     Rule,
     TARGETS,
@@ -33,6 +35,7 @@ from graphspan import (
     witness_sweeps,
 )
 from graphspan import spans
+from graphspan.cli import main
 
 from oracles import (
     ALL_VARIANTS,
@@ -380,6 +383,14 @@ def _pass_levels(g, rule, levels):
     return spans._union_levels(g, rule, levels)
 
 
+def _root(parent, s):
+    """The root of s in a union-find parent list; it writes nothing, so it
+    can read the list of a suspended pass without changing it."""
+    while parent[s] != s:
+        s = parent[s]
+    return s
+
+
 def _level_ends(levels, g):
     """After every level of the pass, down to threshold 0: each component
     of the present states, keyed by its root, with its states and the
@@ -390,7 +401,7 @@ def _level_ends(levels, g):
         components = {}
         for s in range(n * n):
             if g.dist[s // n][s % n] >= k:
-                components.setdefault(spans._find(parent, s), []).append(s)
+                components.setdefault(_root(parent, s), []).append(s)
         ends.append((k, {r: (states, cov[r]) for r, states in components.items()}))
     return ends
 
@@ -411,7 +422,7 @@ def _moves_unions(g, rule):
             for x, y in spans._moves(g, rule, *divmod(s, n), k):
                 t = x * n + y
                 if present[t]:
-                    a, b = sorted((spans._find(parent, s), spans._find(parent, t)))
+                    a, b = sorted((_root(parent, s), _root(parent, t)))
                     if a != b:
                         parent[b] = a
                         merged.append(b)
@@ -668,6 +679,62 @@ class TestReducedMoves:
             assert all(word is f_words[x, u] for (u, x), word in f_words.items())
 
 
+def _record_levels(monkeypatch) -> dict:
+    """Wrap the lazy and active passes and the join so that each records,
+    under its rule, the threshold of every level it yields, as it yields
+    it."""
+    read: dict = {}
+    union_levels = spans._union_levels
+    joined_levels = spans._joined_levels
+
+    def recorded(rule, levels):
+        for level in levels:
+            read.setdefault(rule, []).append(level[0])
+            yield level
+
+    monkeypatch.setattr(spans, "_union_levels",
+                        lambda g, rule, *args: recorded(rule, union_levels(g, rule, *args)))
+    monkeypatch.setattr(spans, "_joined_levels",
+                        lambda *args: recorded(Rule.TRADITIONAL, joined_levels(*args)))
+    return read
+
+
+class TestJoinedPass:
+    """``_joined_pass`` reads the join until the traditional targets are
+    hit, then each pass on alone while one of its own targets is unhit."""
+
+    def test_each_structure_reads_down_to_its_own_span(self, monkeypatch):
+        # every structure yields the levels from the radius down to the
+        # lower of its rule's two span values, each once; a driver that
+        # reads all three in step until every target is hit gives the same
+        # answers, but drags the passes through levels they never need
+        read = _record_levels(monkeypatch)
+        families = [generate(FamilySpec.from_string(spec)) for spec in WITNESS_DIGEST_SPECS]
+        for g in (*families, *corpus(6), *_dense_graphs()):
+            read.clear()
+            for rule, hits in zip(spans.RULES, spans._joined_pass(g)):
+                lowest = min(k for k, _ in hits)
+                assert read[rule] == list(range(g.radius, lowest - 1, -1)), (g.n, g.edges, rule)
+
+    def test_levels_running_out_is_internal_error(self, monkeypatch, capsys):
+        # a join that yields no level, or passes that stop after their first
+        # level, leave targets unhit: the library raises InternalError, and
+        # the CLI exits 3, not with a bare traceback
+        union_levels = spans._union_levels
+        breaches = [
+            ("_joined_levels", lambda *args: iter(())),
+            ("_union_levels", lambda *args: itertools.islice(union_levels(*args), 1)),
+        ]
+        for name, breach in breaches:
+            with monkeypatch.context() as patched:
+                patched.setattr(spans, name, breach)
+                with pytest.raises(InternalError):
+                    span(path(5), Rule.LAZY, Target.EDGES)
+                assert main(["span", "--family", "path:6"]) == 3, name
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("internal error (span)"), name
+
+
 def _reference_bfs(g, rule, k, root):
     """The visit order and parents of a BFS from root over the reads of
     ``spans._moves`` at threshold k, cut to distance >= k, each state's
@@ -780,7 +847,7 @@ class TestWitnesses:
                     vertices, edges, detours = _reference_credits(g, rule, k, order)
                     if target is Target.VERTICES:
                         edges, detours = vertices, {}
-                    expected = spans._tree_walk(g.n, root, parent, order, edges, detours)
+                    expected = spans._tree_walk(g.n, parent, order, edges, detours)
                     assert witness_sweeps(g, rule, target) == expected, (g.n, g.edges, rule, target)
         assert shared
 
