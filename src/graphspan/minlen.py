@@ -7,10 +7,12 @@ position, and states wait in a bucket queue keyed by the entries so far
 plus an admissible bound on the steps still needed. Each player's part is
 a metric lower bound on the steps a lone walker at p needs for its
 uncovered targets U, read as ``rows[cov][p]`` from one table per graph and
-target that builds a missing row on its first read (``_remaining_bound``):
-MST(U) + d(p, U) for the vertex target, the spanning tree weight of U in the
-graph metric plus the distance to it; |U| plus the cheapest pairing of
-odd(U) ^ {p} that leaves one vertex out for the edge target, the route
+target that builds a missing row on its first read (``_remaining_bound``).
+For the vertex target it is W(p, U), the exact steps that visit U, while
+three or four vertices are uncovered, and otherwise MST(U) + d(p, U), the
+spanning tree weight of U in the graph metric plus the distance to it,
+which equals W(p, U) for at most two. For the edge target it is |U| plus
+the cheapest pairing of odd(U) ^ {p} that leaves one vertex out, the route
 inspection relaxation of Edmonds and Johnson, since the repeated crossings
 of a walk from p to its end e have odd degree exactly at odd(U) ^ {p} ^ {e}.
 The bound takes the larger of the two players' values, or their sum under
@@ -18,14 +20,16 @@ the lazy rule, where only one player moves per step.
 
 Each part drops by at most one per step. A vertex step off U moves d(p, U)
 by at most one; a step onto x in U comes from distance 1 and leaves at least
-MST(U), as MST(U) <= MST(U - x) + d(x, U - x). An edge step across an edge
-of U lowers |U| by one and leaves odd(U) ^ {p} unchanged; any other step
-moves p by one edge, and that edge added to an optimal set of repeats after
-the step gives one before it. So the bound is consistent: the first fully
-covered state popped ends a shortest pair, and its parent chain is the
-witness. Any pair whose distance never drops below the span value attains
-it exactly (the span is the maximum), so the search filters on distance >=
-span throughout.
+MST(U), as MST(U) <= MST(U - x) + d(x, U - x). W is exact, so W(p, U) <=
+1 + W(x, U - x) for a step to x, and MST(U) + d(p, U) <= W(p, U) carries
+this across the step from five uncovered vertices to four. An edge step
+across an edge of U lowers |U| by one and leaves odd(U) ^ {p} unchanged; any
+other step moves p by one edge, and that edge added to an optimal set of
+repeats after the step gives one before it. So the bound is consistent: the
+first fully covered state popped ends a shortest pair, and its parent chain
+is the witness. Any pair whose distance never drops below the span value
+attains it exactly (the span is the maximum), so the search filters on
+distance >= span throughout.
 
 The budget counts the states the search stores. It is checked once per pop,
 and a search past it stops with the combinatorial floor as a capped report,
@@ -51,7 +55,6 @@ keeps stays bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Optional
 
 from .errors import InternalError
@@ -118,6 +121,36 @@ def _orbit_starts(g: Graph, gens) -> tuple[int, ...]:
     return _lowest_of_orbits(n * n, images)
 
 
+class _Pairings(dict):
+    """Pairing costs keyed by ``mask << 2 | spare``; a missing key is
+    computed on first read from the keys below it, read through the table
+    itself, so the table holds no reference back to itself."""
+
+    __slots__ = ("dist",)
+
+    def __init__(self, dist):
+        super().__init__()
+        self.dist = dist
+
+    def __missing__(self, key: int) -> int:
+        mask, spare = key >> 2, key & 3
+        best = 0
+        if mask:
+            low = mask & -mask
+            rest = mask ^ low
+            row = self.dist[low.bit_length() - 1]
+            best = self[rest << 2 | spare - 1] if spare else -1
+            sub = rest
+            while sub:
+                bit = sub & -sub
+                cand = self[(rest ^ bit) << 2 | spare] + row[bit.bit_length() - 1]
+                if best < 0 or cand < best:
+                    best = cand
+                sub ^= bit
+        self[key] = best
+        return best
+
+
 def _min_pairing(dist) -> Callable[[int], int]:
     """cost(mask << 2 | spare): the minimum total distance of a pairing of
     the vertices whose bits are set in mask (bit v is vertex v) that leaves
@@ -127,8 +160,9 @@ def _min_pairing(dist) -> Callable[[int], int]:
     Exact recursion over subsets, computed on demand: cost(key) takes the
     lowest member and, while spare allows, leaves it unpaired, or pairs it
     with each other member, plus the cost of the rest. Only the keys
-    reachable from the queried ones are computed, each once. The cost of a
-    pair is the shortest-path distance.
+    reachable from the queried ones are computed, each once, and kept in a
+    ``_Pairings`` table; cost is its lookup. The cost of a pair is the
+    shortest-path distance.
 
     This stays beside ``postman._min_perfect_matching``, which pairs the odd
     vertices of a covering walk, because the edge-target bound asks for
@@ -141,26 +175,49 @@ def _min_pairing(dist) -> Callable[[int], int]:
     vertices, while the keys grow as Fibonacci(k + 1), so the recursion
     serves only the small graphs that ``min_length`` searches.
     """
+    return _Pairings(dist).__getitem__
 
-    @cache
-    def cost(key: int) -> int:
-        mask, spare = key >> 2, key & 3
-        if not mask:
-            return 0
-        low = mask & -mask
-        rest = mask ^ low
-        row = dist[low.bit_length() - 1]
-        best = cost(rest << 2 | spare - 1) if spare else -1
-        sub = rest
-        while sub:
-            bit = sub & -sub
-            cand = cost((rest ^ bit) << 2 | spare) + row[bit.bit_length() - 1]
-            if best < 0 or cand < best:
-                best = cand
-            sub ^= bit
-        return best
 
-    return cost
+# _PLUS[t], as a bytes.translate table, adds t to each byte below 256 - t.
+# On a graph the search takes, a tail is at most three steps across it, so
+# below 3 * SEARCH_ORDER_LIMIT, and a distance plus a tail stays below 256
+_PLUS = [bytes(range(t, 256)) + bytes(t) for t in range(3 * SEARCH_ORDER_LIMIT)]
+
+
+def _visiting_row(rows: list[bytes], left: int) -> bytes:
+    """Byte p: the fewest steps of a lone walker from p that enters each of
+    the three or four vertices whose bits are set in left: the least
+    d(p, x) + tail(x) over the first vertex x, where tail(x) is the
+    shortest order from x through the rest. rows[v] holds the distances
+    from v as bytes."""
+    us = []
+    while left:
+        bit = left & -left
+        us.append(bit.bit_length() - 1)
+        left ^= bit
+    if len(us) == 3:
+        a, b, c = us
+        ra, rb, rc = rows[a], rows[b], rows[c]
+        ab, ac, bc = ra[b], ra[c], rb[c]
+        return bytes(map(
+            min,
+            ra.translate(_PLUS[min(ab, ac) + bc]),
+            rb.translate(_PLUS[min(ab, bc) + ac]),
+            rc.translate(_PLUS[min(ac, bc) + ab]),
+        ))
+    a, b, c, d = us
+    ra, rb, rc, rd = rows[a], rows[b], rows[c], rows[d]
+    ab, ac, ad, bc, bd, cd = ra[b], ra[c], ra[d], rb[c], rb[d], rc[d]
+    # an order x, y, z, w steps along the pairing {xy, zw} of the four and
+    # across from y to z: each first vertex has six orders, two per pairing
+    m1, m2, m3 = ab + cd, ac + bd, ad + bc
+    return bytes(map(
+        min,
+        ra.translate(_PLUS[min(m1 + bc, m1 + bd, m2 + bc, m2 + cd, m3 + bd, m3 + cd)]),
+        rb.translate(_PLUS[min(m1 + ac, m1 + ad, m3 + ac, m3 + cd, m2 + ad, m2 + cd)]),
+        rc.translate(_PLUS[min(m2 + ab, m2 + ad, m3 + ab, m3 + bd, m1 + ad, m1 + bd)]),
+        rd.translate(_PLUS[min(m3 + ab, m3 + ac, m2 + ab, m2 + bc, m1 + ac, m1 + bc)]),
+    ))
 
 
 class _BoundRows(dict):
@@ -185,13 +242,20 @@ def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
     built on its first read (``_BoundRows``), and ``_shortest_pair`` reads
     ``rows[cov][p]`` inline.
 
-    Vertex target, with U the uncovered vertices: MST(U) + d(p, U), the
-    minimum spanning tree weight of U in the graph metric plus the distance
-    from p to U. By Kruskal over thresholds, MST(U) is the sum over t >= 0
-    of c_t(U) - 1, where c_t(U) counts the classes of U linked by distances
-    up to t; each class is flood-filled over the masks near[t][v] of the
-    vertices within distance t of v, and d(p, U) is the least t with
-    near[t][p] meeting U.
+    Vertex target, with U the uncovered vertices: for |U| = 3 or 4, the
+    exact steps a lone walker at p needs to enter every vertex of U
+    (``_visiting_row``). Otherwise MST(U) + d(p, U), the minimum spanning
+    tree weight of U in the graph metric plus the distance from p to U,
+    which is exact already for |U| <= 2. By Kruskal over thresholds, MST(U) is the sum
+    over t >= 0 of c_t(U) - 1, where c_t(U) counts the classes of U linked
+    by distances up to t; each class is flood-filled over the masks
+    near[t][v] of the vertices within distance t of v, and d(p, U) is the
+    least t with near[t][p] meeting U. Over the vertex searches of the
+    graphs of order <= 6 the exact rows store 38,126 states where the
+    spanning tree alone stored 59,003; an exact row of order 6 takes about
+    3 (|U| = 3) or 4 us (|U| = 4) to build, a spanning tree row about 2 us.
+    The rows are read from the distances as bytes, not from the graph, so
+    the table kept on the graph does not refer back to it.
 
     Edge target: |U| + min over v of PM(odd(U) ^ {p} - v), where odd(U)
     holds the vertices of odd degree in U and PM is the least total
@@ -217,8 +281,9 @@ def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
         n = c.n
         full = (1 << _cover(c, target)[0]) - 1
         if target is Target.VERTICES:
+            rows = [bytes(row) for row in c.dist]
             near = [
-                [sum(1 << v for v in range(n) if row[v] <= t) for row in c.dist]
+                [sum(1 << v for v in range(n) if row[v] <= t) for row in rows]
                 for t in range(c.diameter + 1)
             ]
 
@@ -226,7 +291,10 @@ def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
                 left = full ^ cov
                 if not left:
                     return bytes(n)
-                tree = left.bit_count() - 1  # c_0(U) - 1: no two targets linked
+                k = left.bit_count()
+                if k == 3 or k == 4:
+                    return _visiting_row(rows, left)
+                tree = k - 1  # c_0(U) - 1: no two targets linked
                 for within in near[1:]:
                     classes = 0
                     unlinked = left

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 import threading
@@ -21,27 +22,34 @@ from graphspan import (
     InvalidParams,
     InvalidVertex,
     MalformedInput,
+    Rule,
     SelfLoop,
+    Target,
     TooLarge,
     Walk,
+    all_spans,
+    canonical_form,
     classify,
     complete,
     complete_bipartite,
     cycle,
+    enumerate_connected,
     generate,
     kn_plus,
     line_graph,
+    min_length,
     parse_edge_list,
     parse_graph6,
     path,
     star,
     subdivide_edge,
+    witness_sweeps,
 )
 import graphspan.graph as graph_module
 from graphspan.families import is_isomorphic
 from graphspan.graph import ORDER_LIMIT
 
-from oracles import corpus
+from oracles import ALL_VARIANTS, corpus
 
 
 class TestParseEdgeList:
@@ -365,6 +373,32 @@ class TestDistancesOnDemand:
                 assert seen == [(want, min(map(max, want)))] * 2
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestMemoHygiene:
+    def test_what_a_graph_keeps_holds_no_reference_cycle(self):
+        # every table the engines keep on a graph, or build for one call, is
+        # freed by reference counting once the graph goes: none of them
+        # refers back to itself, so none waits for the cyclic collector.
+        # postman's matching closures do form cycles, but they write no
+        # memo and are left out here
+        gc.collect()
+        gc.disable()
+        try:
+            for g in (cycle(5), kn_plus(4), complete_bipartite(2, 3), star(5)):
+                g = Graph(g.n, g.edges)
+                all_spans(g)
+                for rule, target in ALL_VARIANTS:
+                    witness_sweeps(g, rule, target)
+                    min_length(g, rule, target)
+                canonical_form(g)
+                del g
+            for g in enumerate_connected(5):
+                pass
+            del g
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestRadii:
