@@ -9,12 +9,13 @@ a metric lower bound on the steps a lone walker at p needs for its
 uncovered targets U, read as ``rows[cov][p]`` from one table per graph and
 target that builds a missing row on its first read (``_remaining_bound``).
 For the vertex target it is W(p, U), the exact steps that visit U, while
-three or four vertices are uncovered, and otherwise MST(U) + d(p, U), the
-spanning tree weight of U in the graph metric plus the distance to it,
-which equals W(p, U) for at most two. For the edge target it is |U| plus
-the cheapest pairing of odd(U) ^ {p} that leaves one vertex out, the route
-inspection relaxation of Edmonds and Johnson, since the repeated crossings
-of a walk from p to its end e have odd degree exactly at odd(U) ^ {p} ^ {e}.
+at most four vertices are uncovered, from the subset recursion of Held and
+Karp over the rows of the table itself, and otherwise MST(U) + d(p, U), the
+spanning tree weight of U in the graph metric plus the distance to it. For
+the edge target it is |U| plus the cheapest pairing of odd(U) ^ {p} that
+leaves one vertex out, the route inspection relaxation of Edmonds and
+Johnson, since the repeated crossings of a walk from p to its end e have
+odd degree exactly at odd(U) ^ {p} ^ {e}.
 The bound takes the larger of the two players' values, or their sum under
 the lazy rule, where only one player moves per step.
 
@@ -66,8 +67,8 @@ from .walks import Walk
 DEFAULT_STATE_BUDGET = 1 << 20  # stored states, about 125 bytes each
 # Bound rows a graph keeps per target after a search, about 110 bytes each;
 # a search that leaves more empties the table. The graphs of order <= 6 keep
-# at most 1,794 (edges) and 54 (vertices); the K7 lazy/edges search builds
-# 25,219.
+# at most 1,794 (edges) and 58 (vertices, the sub-rows the exact rows read
+# included); the K7 lazy/edges search builds 25,219.
 KEPT_BOUND_ROWS = 1 << 12
 
 
@@ -121,34 +122,20 @@ def _orbit_starts(g: Graph, gens) -> tuple[int, ...]:
     return _lowest_of_orbits(n * n, images)
 
 
-class _Pairings(dict):
-    """Pairing costs keyed by ``mask << 2 | spare``; a missing key is
-    computed on first read from the keys below it, read through the table
-    itself, so the table holds no reference back to itself."""
+class _Table(dict):
+    """A table whose missing entry is computed on first read as
+    ``entry_of(table, key)`` and stored with one ``setdefault``. An entry
+    reads other entries only through the table it is given, so the table
+    holds no reference back to itself."""
 
-    __slots__ = ("dist",)
+    __slots__ = ("entry_of",)
 
-    def __init__(self, dist):
+    def __init__(self, entry_of: Callable[[dict, int], object]):
         super().__init__()
-        self.dist = dist
+        self.entry_of = entry_of
 
-    def __missing__(self, key: int) -> int:
-        mask, spare = key >> 2, key & 3
-        best = 0
-        if mask:
-            low = mask & -mask
-            rest = mask ^ low
-            row = self.dist[low.bit_length() - 1]
-            best = self[rest << 2 | spare - 1] if spare else -1
-            sub = rest
-            while sub:
-                bit = sub & -sub
-                cand = self[(rest ^ bit) << 2 | spare] + row[bit.bit_length() - 1]
-                if best < 0 or cand < best:
-                    best = cand
-                sub ^= bit
-        self[key] = best
-        return best
+    def __missing__(self, key: int):
+        return self.setdefault(key, self.entry_of(self, key))
 
 
 def _min_pairing(dist) -> Callable[[int], int]:
@@ -161,8 +148,8 @@ def _min_pairing(dist) -> Callable[[int], int]:
     lowest member and, while spare allows, leaves it unpaired, or pairs it
     with each other member, plus the cost of the rest. Only the keys
     reachable from the queried ones are computed, each once, and kept in a
-    ``_Pairings`` table; cost is its lookup. The cost of a pair is the
-    shortest-path distance.
+    ``_Table``; cost is its lookup. The cost of a pair is the shortest-path
+    distance.
 
     This stays beside ``postman._min_perfect_matching``, which pairs the odd
     vertices of a covering walk, because the edge-target bound asks for
@@ -175,7 +162,25 @@ def _min_pairing(dist) -> Callable[[int], int]:
     vertices, while the keys grow as Fibonacci(k + 1), so the recursion
     serves only the small graphs that ``min_length`` searches.
     """
-    return _Pairings(dist).__getitem__
+
+    def pairing(cost: dict, key: int) -> int:
+        mask, spare = key >> 2, key & 3
+        if not mask:
+            return 0
+        low = mask & -mask
+        rest = mask ^ low
+        row = dist[low.bit_length() - 1]
+        best = cost[rest << 2 | spare - 1] if spare else -1
+        sub = rest
+        while sub:
+            bit = sub & -sub
+            cand = cost[(rest ^ bit) << 2 | spare] + row[bit.bit_length() - 1]
+            if best < 0 or cand < best:
+                best = cand
+            sub ^= bit
+        return best
+
+    return _Table(pairing).__getitem__
 
 
 # _PLUS[t], as a bytes.translate table, adds t to each byte below 256 - t.
@@ -184,78 +189,33 @@ def _min_pairing(dist) -> Callable[[int], int]:
 _PLUS = [bytes(range(t, 256)) + bytes(t) for t in range(3 * SEARCH_ORDER_LIMIT)]
 
 
-def _visiting_row(rows: list[bytes], left: int) -> bytes:
-    """Byte p: the fewest steps of a lone walker from p that enters each of
-    the three or four vertices whose bits are set in left: the least
-    d(p, x) + tail(x) over the first vertex x, where tail(x) is the
-    shortest order from x through the rest. rows[v] holds the distances
-    from v as bytes."""
-    us = []
-    while left:
-        bit = left & -left
-        us.append(bit.bit_length() - 1)
-        left ^= bit
-    if len(us) == 3:
-        a, b, c = us
-        ra, rb, rc = rows[a], rows[b], rows[c]
-        ab, ac, bc = ra[b], ra[c], rb[c]
-        return bytes(map(
-            min,
-            ra.translate(_PLUS[min(ab, ac) + bc]),
-            rb.translate(_PLUS[min(ab, bc) + ac]),
-            rc.translate(_PLUS[min(ac, bc) + ab]),
-        ))
-    a, b, c, d = us
-    ra, rb, rc, rd = rows[a], rows[b], rows[c], rows[d]
-    ab, ac, ad, bc, bd, cd = ra[b], ra[c], ra[d], rb[c], rb[d], rc[d]
-    # an order x, y, z, w steps along the pairing {xy, zw} of the four and
-    # across from y to z: each first vertex has six orders, two per pairing
-    m1, m2, m3 = ab + cd, ac + bd, ad + bc
-    return bytes(map(
-        min,
-        ra.translate(_PLUS[min(m1 + bc, m1 + bd, m2 + bc, m2 + cd, m3 + bd, m3 + cd)]),
-        rb.translate(_PLUS[min(m1 + ac, m1 + ad, m3 + ac, m3 + cd, m2 + ad, m2 + cd)]),
-        rc.translate(_PLUS[min(m2 + ab, m2 + ad, m3 + ab, m3 + bd, m1 + ad, m1 + bd)]),
-        rd.translate(_PLUS[min(m3 + ab, m3 + ac, m2 + ab, m2 + bc, m1 + ac, m1 + bc)]),
-    ))
-
-
-class _BoundRows(dict):
-    """A table of bound rows keyed by coverage word: ``rows[cov]`` builds a
-    missing row with ``row_of(cov)`` on first read and stores it with one
-    ``setdefault``."""
-
-    __slots__ = ("row_of",)
-
-    def __init__(self, row_of: Callable[[int], bytes]):
-        super().__init__()
-        self.row_of = row_of
-
-    def __missing__(self, cov: int) -> bytes:
-        return self.setdefault(cov, self.row_of(cov))
-
-
-def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
+def _remaining_bound(c: Graph, target: Target) -> _Table:
     """The bound table of c for the target: byte p of ``rows[cov]`` is a
     lower bound on the steps a lone player at p still needs to cover the
     targets whose bits are clear in the coverage word cov. A missing row is
-    built on its first read (``_BoundRows``), and ``_shortest_pair`` reads
+    built on its first read (``_Table``), and ``_shortest_pair`` reads
     ``rows[cov][p]`` inline.
 
-    Vertex target, with U the uncovered vertices: for |U| = 3 or 4, the
-    exact steps a lone walker at p needs to enter every vertex of U
-    (``_visiting_row``). Otherwise MST(U) + d(p, U), the minimum spanning
-    tree weight of U in the graph metric plus the distance from p to U,
-    which is exact already for |U| <= 2. By Kruskal over thresholds, MST(U) is the sum
-    over t >= 0 of c_t(U) - 1, where c_t(U) counts the classes of U linked
-    by distances up to t; each class is flood-filled over the masks
-    near[t][v] of the vertices within distance t of v, and d(p, U) is the
-    least t with near[t][p] meeting U. Over the vertex searches of the
-    graphs of order <= 6 the exact rows store 38,126 states where the
-    spanning tree alone stored 59,003; an exact row of order 6 takes about
-    3 (|U| = 3) or 4 us (|U| = 4) to build, a spanning tree row about 2 us.
-    The rows are read from the distances as bytes, not from the graph, so
-    the table kept on the graph does not refer back to it.
+    Vertex target, with U the uncovered vertices: for 1 <= |U| <= 4, W(p, U),
+    the exact steps a lone walker at p needs to enter every vertex of U, by
+    the subset recursion of Held and Karp: the least d(p, x) + W(x, U - x)
+    over x in U, where W(x, U - x) is byte x of the row of cov | 1 << x,
+    read through the table, and is added to the distance row of x with one
+    ``bytes.translate``. Otherwise MST(U) + d(p, U), the minimum spanning
+    tree weight of U in the graph metric plus the distance from p to U. By
+    Kruskal over thresholds, MST(U) is the sum over t >= 0 of c_t(U) - 1,
+    where c_t(U) counts the classes of U linked by distances up to t; each
+    class is flood-filled over the masks near[t][v] of the vertices within
+    distance t of v, and d(p, U) is the least t with near[t][p] meeting U.
+    Over the vertex searches of the graphs of order <= 6 the exact rows
+    store 38,126 states where the spanning tree alone stored 59,003, and
+    6,060 rows are built, the sub-rows the recursion reads included. With
+    its sub-rows stored, an exact row of order 6 takes about 0.5 (|U| = 1)
+    to 3 us (|U| = 4) to build, and a spanning tree row about 2 us; Prim
+    over the distance rows took 9 us a row (22 against 5 us at order 14),
+    which is why the spanning tree rows flood-fill bitsets. The rows are
+    read from the distances as bytes, not from the graph, so the table kept
+    on the graph does not refer back to it.
 
     Edge target: |U| + min over v of PM(odd(U) ^ {p} - v), where odd(U)
     holds the vertices of odd degree in U and PM is the least total
@@ -277,7 +237,7 @@ def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
     ``KEPT_BOUND_ROWS`` once its search ends.
     """
 
-    def build() -> _BoundRows:
+    def build() -> _Table:
         n = c.n
         full = (1 << _cover(c, target)[0]) - 1
         if target is Target.VERTICES:
@@ -287,13 +247,19 @@ def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
                 for t in range(c.diameter + 1)
             ]
 
-            def row_of(cov: int) -> bytes:
+            def row_of(table: dict, cov: int) -> bytes:
                 left = full ^ cov
                 if not left:
                     return bytes(n)
                 k = left.bit_count()
-                if k == 3 or k == 4:
-                    return _visiting_row(rows, left)
+                if k <= 4:
+                    tails = []
+                    while left:
+                        bit = left & -left
+                        x = bit.bit_length() - 1
+                        tails.append(rows[x].translate(_PLUS[table[cov | bit][x]]))
+                        left ^= bit
+                    return bytes(map(min, *tails)) if k > 1 else tails[0]
                 tree = k - 1  # c_0(U) - 1: no two targets linked
                 for within in near[1:]:
                     classes = 0
@@ -324,7 +290,7 @@ def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
             ends = [1 << u | 1 << v for u, v in c.edges]
             cost = _min_pairing(c.dist)
 
-            def row_of(cov: int) -> bytes:
+            def row_of(table: dict, cov: int) -> bytes:
                 odd = 0
                 todo = left = full ^ cov
                 while todo:
@@ -334,7 +300,7 @@ def _remaining_bound(c: Graph, target: Target) -> _BoundRows:
                 k = left.bit_count()
                 return bytes(k + cost((odd ^ 1 << p) << 2 | 1) for p in range(n))
 
-        return _BoundRows(row_of)
+        return _Table(row_of)
 
     return c._memoized(("bound", target), build)
 
@@ -473,9 +439,10 @@ def min_length(
     """Exact minimum number of entries of a covering pair at the span value.
 
     The search bounds the steps left by a consistent metric lower bound per
-    player: the spanning tree weight of its uncovered vertices plus the
-    distance to them, or its uncovered edges plus the cheapest pairing of
-    the odd vertices the walk must still fix (see the module docstring). The
+    player: the exact steps that visit its last four or fewer uncovered
+    vertices, else their spanning tree weight plus the distance to them, or
+    its uncovered edges plus the cheapest pairing of the odd vertices the
+    walk must still fix (see the module docstring). The
     budget counts stored states: once the search stores more than
     ``state_budget`` of them, the report carries ``capped=True`` and
     ``length`` is only the combinatorial lower bound, never an unproven

@@ -357,6 +357,7 @@ def _min_perfect_matching(cost: list[list[int]]) -> list[int]:
                     elif label[b] == INNER and b >= n and (step is None or dual[b] // 2 < step):
                         step, event = dual[b] // 2, -1
             if step is None:
+                del rebase, expand
                 raise InternalError("no perfect matching exists")
             for x in range(n):
                 lab = label[top[x]]
@@ -373,6 +374,9 @@ def _min_perfect_matching(cost: list[list[int]]) -> list[int]:
             if event < 0:
                 break  # an inner blossom's z is 0: the next growth expands it
             queue.append(event)  # its least slack edge is tight now
+    # rebase and expand call themselves through their closure cells, a cycle
+    # that would leave the matching state to the cyclic collector
+    del rebase, expand
     return mate
 
 

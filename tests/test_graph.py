@@ -41,6 +41,7 @@ from graphspan import (
     parse_edge_list,
     parse_graph6,
     path,
+    shortest_covering_walk,
     star,
     subdivide_edge,
     witness_sweeps,
@@ -379,9 +380,7 @@ class TestMemoHygiene:
     def test_what_a_graph_keeps_holds_no_reference_cycle(self):
         # every table the engines keep on a graph, or build for one call, is
         # freed by reference counting once the graph goes: none of them
-        # refers back to itself, so none waits for the cyclic collector.
-        # postman's matching closures do form cycles, but they write no
-        # memo and are left out here
+        # refers back to itself, so none waits for the cyclic collector
         gc.collect()
         gc.disable()
         try:
@@ -391,6 +390,8 @@ class TestMemoHygiene:
                 for rule, target in ALL_VARIANTS:
                     witness_sweeps(g, rule, target)
                     min_length(g, rule, target)
+                shortest_covering_walk(g)
+                shortest_covering_walk(g, "closed")
                 canonical_form(g)
                 del g
             for g in enumerate_connected(5):

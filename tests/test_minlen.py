@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -329,6 +330,29 @@ class TestRemainingBound:
                         after = combine(bound(x, visited(uf, p, x)), bound(y, visited(ug, q, y)))
                         assert after >= before - 1, (rule, p, q, x, y)
 
+    @pytest.mark.parametrize("seed", [None, 14], ids=["path", "seeded"])
+    def test_vertex_rows_at_order_14(self, seed):
+        # path(14) has the largest diameter a search meets, 13, and with it
+        # the longest tails the exact rows add; the other graph is a seeded
+        # spanning tree plus chords. Rows of at most four uncovered vertices
+        # are exact, and the others never exceed the exact steps
+        g = path(14)
+        if seed is not None:
+            rng = random.Random(seed)
+            edges = {(rng.randrange(v), v) for v in range(1, 14)}
+            edges |= {tuple(sorted(rng.sample(range(14), 2))) for _ in range(6)}
+            g = Graph(14, sorted(edges))
+        rows = _remaining_bound(g, Target.VERTICES)
+        full = (1 << g.n) - 1
+        rng = random.Random(1)
+        for k in range(1, 9):
+            for _ in range(4):
+                left = frozenset(rng.sample(range(g.n), k))
+                row = rows[full ^ sum(1 << v for v in left)]
+                for p in range(g.n):
+                    # the reference is vertex_cover_steps itself for k <= 4
+                    assert row[p] == _reference_rest(g, Target.VERTICES, p, left), (k, p)
+                    assert row[p] <= vertex_cover_steps(g, p, left), (k, p)
 
     def test_a_large_table_is_not_kept(self):
         # the K7 lazy/edges search builds 25,219 rows, about 3 MB with the
