@@ -105,7 +105,11 @@ def _lowest_positions(n: int, rows: list[int], cells: list[int]) -> tuple[list[i
     first. The map sending the one onto the other and fixing the unplaced
     vertices is an automorphism, and these maps lead every lowest labeling
     onto the returned one, so with cells that every automorphism keeps they
-    generate Aut and the lowest labelings number |Aut|.
+    generate Aut and the lowest labelings number |Aut|. Cells that some
+    automorphism does not keep, such as a top cell holding one vertex per
+    orbit, still give a labeling of lowest code when they admit one, but
+    then the merges and the count are not Aut: a caller passing such cells
+    must read only the positions.
     """
     # (unplaced vertices, each vertex's neighbours among the filled positions)
     # -> [the vertices placed so far, top position first; placements it stands for]
@@ -198,7 +202,8 @@ def _canonical_answers(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...]
         raise TooLarge(f"canonical search supported up to order {SEARCH_ORDER_LIMIT}")
 
     def compute():
-        pos, merges, count = _refined_positions(g.n, _rows(g))
+        rows = _rows(g)
+        pos, merges, count = _refined_positions(g.n, rows, _keys(rows))
         return tuple(pos), tuple(map(tuple, _sift(g.n, merges, count))), count
 
     return g._memoized("canonical search", compute)
@@ -208,12 +213,25 @@ def _rows(g: Graph) -> list[int]:
     return [sum(1 << v for v in a) for a in g.adj]
 
 
-def _refined_positions(n: int, rows: list[int]) -> tuple[list[int], list, int]:
-    """_lowest_positions over the labelings that order the vertices by their
-    (degree, sorted neighbour degrees) key, which every automorphism keeps."""
+def _keys(rows: list[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """Each vertex's (degree, sorted neighbour degrees) key, which every
+    automorphism keeps."""
     deg = [r.bit_count() for r in rows]
-    keys = [(deg[u], tuple(sorted([deg[v] for v in range(n) if rows[u] >> v & 1])))
-            for u in range(n)]
+    keys = []
+    for r in rows:
+        nbr_degs = []
+        while r:
+            low = r & -r
+            r ^= low
+            nbr_degs.append(deg[low.bit_length() - 1])
+        nbr_degs.sort()
+        keys.append((len(nbr_degs), tuple(nbr_degs)))
+    return keys
+
+
+def _refined_positions(n: int, rows: list[int], keys: list[tuple]) -> tuple[list[int], list, int]:
+    """_lowest_positions over the labelings that order the vertices by their
+    keys (``_keys(rows)``)."""
     members: dict[tuple, int] = {}
     for v, key in enumerate(keys):
         members[key] = members.get(key, 0) | 1 << v
@@ -222,10 +240,42 @@ def _refined_positions(n: int, rows: list[int]) -> tuple[list[int], list, int]:
 
 def _code(n: int, rows: list[int], pos: Sequence[int]) -> int:
     code = 0
-    for u, v in _edges(n, rows):
-        a, b = sorted((pos[u], pos[v]))
-        code |= 1 << (a * n + b)
+    for u, r in enumerate(rows):
+        r &= -2 << u  # the neighbours above u
+        while r:
+            low = r & -r
+            r ^= low
+            a, b = pos[u], pos[low.bit_length() - 1]
+            code |= 1 << (a * n + b if a < b else b * n + a)
     return code
+
+
+def _non_cut(rows: list[int], u: int) -> bool:
+    """Whether removing vertex u leaves the graph connected."""
+    rest = ((1 << len(rows)) - 1) ^ 1 << u
+    seen = frontier = rest & -rest
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & rest & ~seen
+        seen |= new
+        frontier |= new
+    return seen == rest
+
+
+def _leading_keys(rows: list[int]) -> Optional[list[tuple[int, tuple[int, ...]]]]:
+    """``_keys(rows)`` when no vertex whose removal leaves the graph
+    connected has a larger key than the last vertex, else None. Degrees, the
+    first part of each key, decide most candidates, so the keys are built
+    only when no larger degree does."""
+    deg = [r.bit_count() for r in rows]
+    if any(d > deg[-1] and _non_cut(rows, u) for u, d in enumerate(deg)):
+        return None
+    keys = _keys(rows)
+    top = keys[-1]
+    if any(key[0] == top[0] and key > top and _non_cut(rows, u) for u, key in enumerate(keys)):
+        return None
+    return keys
 
 
 def _subset_orbits(n: int, gens) -> tuple[int, ...]:
@@ -282,16 +332,21 @@ def enumerate_connected(max_n: int, max_m: Optional[int] = None) -> Iterator[Gra
 
     Order n is grown from the classes of order n-1: vertex n-1 is added with
     one nonempty neighbour set per orbit of the sets under Aut(parent), the
-    lowest (``_subset_orbits``), and the results are deduplicated by
-    canonical form. Sets in one orbit give isomorphic graphs, and every
-    connected graph has a vertex whose removal leaves it connected, so this
-    reaches every class. Each class keeps its first candidate, with the
-    generators ``_sift`` takes from the merges of its canonical search,
-    which prune its own augmentations at the next order. Growing by every
-    set would first reach a class at the lowest set of some orbit, so the
-    kept copies are the same. Each class is yielded as its labeled copy
-    with the lowest edge bitmask over the pairs (0, 1), (0, 2), ...,
-    (n-2, n-1), with pair (n-2, n-1) most significant. Bounded to order 8.
+    lowest (``_subset_orbits``). A candidate is dropped before its canonical
+    search when a vertex whose removal leaves it connected has a larger
+    (degree, sorted neighbour degrees) key than the new vertex
+    (``_leading_keys``); the others are deduplicated by canonical form.
+    Every class G is still reached: for a non-cut vertex v* of largest key,
+    G - v* is a class of order n-1, and the orbit of v*'s neighbours gives
+    a candidate isomorphic to G whose new vertex is v*. Each class keeps
+    its first candidate, with the generators ``_sift`` takes from the
+    merges of its canonical search, which prune its own augmentations at
+    the next order. Each class is yielded as its labeled copy with the
+    lowest edge bitmask over the pairs (0, 1), (0, 2), ..., (n-2, n-1),
+    with pair (n-2, n-1) most significant, found by a search whose top
+    position takes the lowest vertex of each orbit of the kept generators;
+    that copy and the (order, size, code) order are class invariants, so
+    which candidate a class keeps changes no output. Bounded to order 8.
     A max_n or max_m that is not an int raises InvalidParams, and a max_n
     above the bound TooLarge, at the call rather than at the first next().
     """
@@ -320,14 +375,18 @@ def _enumerate(max_n: int, max_m: Optional[int]) -> Iterator[Graph]:
                     continue
                 grown = [r | new if nbrs >> u & 1 else r for u, r in enumerate(rows)]
                 grown.append(nbrs)
-                pos, merges, count = _refined_positions(n, grown)
+                keys = _leading_keys(grown)
+                if keys is None:
+                    continue
+                pos, merges, count = _refined_positions(n, grown, keys)
                 key = m, _code(n, grown, pos)
                 if key not in found:
                     found[key] = grown, _sift(n, merges, count)
         classes = [found[key] for key in sorted(found)]
-        full = (1 << n) - 1
-        for rows, _ in classes:
-            pos = _lowest_positions(n, rows, [full] * n)[0]
+        cells = [(1 << n) - 1] * n
+        for rows, gens in classes:
+            cells[-1] = sum(1 << v for v in _lowest_of_orbits(n, gens))
+            pos = _lowest_positions(n, rows, cells)[0]
             yield Graph(n, [(pos[u], pos[v]) for u, v in _edges(n, rows)])
 
 

@@ -33,8 +33,10 @@ attains it exactly (the span is the maximum), so the search filters on
 distance >= span throughout.
 
 The budget counts the states the search stores. It is checked once per pop,
-and a search past it stops with the combinatorial floor as a capped report,
-so a capped search holds about ``state_budget`` states at most.
+and a search past it stops with a capped report, so a capped search holds
+about ``state_budget`` states at most. Every state of f below the bucket it
+stopped in was expanded without reaching a covered pair, so that f is a
+proven lower bound, reported when it beats the combinatorial floor.
 
 The search starts from one vertex pair per orbit of Aut(G) x player swap,
 not from every pair at distance >= span. The rules, the distance filter and
@@ -79,7 +81,8 @@ class MinLenReport:
     ``explored_states`` counts the states stored by the one search, seeded
     with the orbit-representative start pairs only.
     ``capped`` marks a search that stored more than ``state_budget`` states
-    before it ended: ``length`` is then only the combinatorial lower bound,
+    before it ended: ``length`` is then only a proven lower bound, the larger
+    of ``length_lower_bounds`` and the f of the bucket the search stopped in,
     ``witness`` is None and ``explored_states`` is the count at the stop.
     """
 
@@ -323,7 +326,8 @@ def _canonical_copy(g: Graph) -> tuple[Graph, tuple[int, ...], tuple[int, ...]]:
 
 def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int):
     """The witness pair of one best-first search (None once it stores more
-    than ``budget`` states) and the number of states it stored.
+    than ``budget`` states), the number of states it stored, and the length
+    it proved: the witness's, or the f of the bucket it stopped in.
 
     The search runs on the canonical copy, so that the order in which it
     takes ties, and with it the states stored and the witness, does not
@@ -370,20 +374,20 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     # a local function, so the search returns from inside both loops; the
     # loop reads the tables above as closure cells, which timed no slower
     # than the locals of a separate function
-    def search() -> Optional[int]:
+    def search() -> tuple[Optional[int], int]:
         f = 0
         while f < len(buckets):
             bucket = buckets[f]
             while bucket:
                 if len(parent) > budget:
-                    return None
+                    return None, f
                 s = bucket.pop()
                 d = depth[s]
                 if not d:
                     continue  # stale: s was expanded from a shorter prefix
                 cov = s & full_cov
                 if cov == full_cov:
-                    return s
+                    return s, f
                 depth[s] = 0  # expanded at its least depth, as the bound is consistent
                 nd = d + 1
                 unseen = nd + 1  # the depth a state not stored yet reads as
@@ -415,11 +419,11 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
             f += 1
         raise InternalError("best-first search ran out of states before covering")
 
-    goal = search()
+    goal, stop_f = search()
     if len(rows) > KEPT_BOUND_ROWS:
         rows.clear()  # what a graph keeps after its searches stays bounded
     if goal is None:
-        return None, len(parent)
+        return None, len(parent), stop_f
     positions = []
     while goal is not None:
         positions.append(goal >> cov_bits)
@@ -427,7 +431,7 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     positions.reverse()
     f = Walk(tuple(vertex[p // n] for p in positions))
     h = Walk(tuple(vertex[p % n] for p in positions))
-    return (f, h), len(parent)
+    return (f, h), len(parent), len(positions)
 
 
 def min_length(
@@ -445,21 +449,21 @@ def min_length(
     walk must still fix (see the module docstring). The
     budget counts stored states: once the search stores more than
     ``state_budget`` of them, the report carries ``capped=True`` and
-    ``length`` is only the combinatorial lower bound, never an unproven
-    exact claim. Graphs of order above ``SEARCH_ORDER_LIMIT`` are capped
+    ``length`` is only a proven lower bound (see ``MinLenReport``), never an
+    unproven exact claim. Graphs of order above ``SEARCH_ORDER_LIMIT`` are capped
     without a search. A budget that is not a non-negative int raises
     InvalidParams, as the CLI's ``--budget`` does.
     """
     _check_int(state_budget, "budget must be a non-negative integer", 0)
     sigma = span(g, rule, target).value
-    witness, explored = None, 0
+    witness, explored, proven = None, 0, 0
     if g.n <= SEARCH_ORDER_LIMIT:
-        witness, explored = _shortest_pair(g, rule, target, sigma, state_budget)
+        witness, explored, proven = _shortest_pair(g, rule, target, sigma, state_budget)
     return MinLenReport(
         rule=rule,
         target=target,
         span_value=sigma,
-        length=length_lower_bounds(g, rule, target) if witness is None else witness[0].l,
+        length=max(length_lower_bounds(g, rule, target), proven),
         witness=witness,
         explored_states=explored,
         capped=witness is None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations, permutations, takewhile
 from math import factorial
@@ -34,6 +35,12 @@ from graphspan.families import (
     ORDER5_SMALL_GRAPHS,
     SEARCH_ORDER_LIMIT,
     _canonical_answers,
+    _code,
+    _keys,
+    _leading_keys,
+    _lowest_of_orbits,
+    _lowest_positions,
+    _rows,
     _subset_orbits,
     automorphism_count,
     canonical_form,
@@ -153,12 +160,51 @@ class TestEnumeration:
             assert list(_subset_orbits(g.n, gens)) == brute_force_subset_orbits(g), g.edges
 
     def test_one_canonical_search_per_orbit_of_neighbour_sets(self, monkeypatch):
-        # 388 candidates up to order 6, against 759 neighbour sets of the
-        # parents; the final lowest labeling of each class is not counted
+        # 144 candidates up to order 6 lead by key and are searched, against
+        # 388 orbits of neighbour sets and 759 neighbour sets of the parents;
+        # the final lowest labeling of each class is not counted
         _, searches, _ = count_engine_calls(monkeypatch)
         list(enumerate_connected(6))
-        assert len(searches) == 388
-        assert [searches.count(n) for n in range(1, 7)] == [0, 1, 2, 8, 44, 333]
+        assert len(searches) == 144
+        assert [searches.count(n) for n in range(1, 7)] == [0, 1, 2, 6, 21, 114]
+
+    def test_candidates_whose_new_vertex_does_not_lead_are_rejected(self):
+        # vertex 4 is the new one, as in every candidate
+        def rows(edges):
+            return _rows(Graph(5, edges))
+
+        # C4 plus a pendant 4 at 0: vertices 1, 2 and 3 have a larger degree
+        # and leave the graph connected without them
+        assert _leading_keys(rows([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])) is None
+        # a spider with legs 1, 2 and 3-4: leaf 1 has the degree of leaf 4
+        # but a neighbour of degree 3 against 2
+        assert _leading_keys(rows([(0, 1), (0, 2), (0, 3), (3, 4)])) is None
+        # a star grown by leaf 4, and the path 0-1-2-3 grown at its end:
+        # every vertex of larger key is a cut vertex, and the other leaves
+        # tie with 4
+        for edges in ([(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 1), (1, 2), (2, 3), (3, 4)]):
+            assert _leading_keys(rows(edges)) == _keys(rows(edges)), edges
+
+    def test_lowest_search_from_orbit_representatives(self):
+        # a top cell holding the lowest vertex of each orbit still admits a
+        # labeling of lowest code, so the code equals the full-cell search's
+        for g in enumerate_connected(7):
+            rows, full = _rows(g), [(1 << g.n) - 1] * g.n
+            gens = _canonical_answers(g)[1]
+            cells = full[:-1] + [sum(1 << v for v in _lowest_of_orbits(g.n, gens))]
+            want = _code(g.n, rows, _lowest_positions(g.n, rows, full)[0])
+            assert _code(g.n, rows, _lowest_positions(g.n, rows, cells)[0]) == want, g.edges
+
+    @pytest.mark.parametrize("max_n,digest", [
+        (7, "dff2752592a923134d2b42135bfb9a97318daebc76c2e909e3a6b744c861cae5"),
+        (8, "ec15c64fa4a78ae5833fb4eb4e6fe4d80b0b91dd70b33e9085fe38463e61e3df"),
+    ], ids=["order7", "order8"])
+    def test_sequence_digest(self, max_n, digest):
+        # sha256 of repr([(n, edges), ...]), taken when every orbit of
+        # neighbour sets was searched and each lowest-bitmask search started
+        # from every vertex; order 8 takes about 3 s
+        seq = [(g.n, g.edges) for g in enumerate_connected(max_n)]
+        assert hashlib.sha256(repr(seq).encode()).hexdigest() == digest
 
     def test_no_isomorphic_duplicates(self):
         forms = [canonical_form(g) for g in enumerate_connected(5)]
