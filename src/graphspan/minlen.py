@@ -48,7 +48,7 @@ One canonical search gives generators of Aut(G) for the orbits and the
 canonical relabeling of the graph, on which the search runs before mapping the
 witness back: the order in which it takes ties, and with it the states it
 stores, its time and its memory, are then the same for every labeling. The
-relabeled copy, its orbit starts, its coverage tables (``spans._cover``, the
+relabeled copy, its orbit starts, its coverage tables (``_cover``, the
 bits a start or a move adds) and its bound rows are built once per graph and
 kept on it, so the six searches of one graph share them; a search that
 leaves more than ``KEPT_BOUND_ROWS`` rows empties its table, so what a graph
@@ -63,7 +63,7 @@ from typing import Callable, Optional
 from .errors import InternalError
 from .families import SEARCH_ORDER_LIMIT, _canonical_answers, _lowest_of_orbits
 from .graph import Graph, _check_int
-from .spans import Rule, Target, _check_variant, _cover, _moves, span
+from .spans import Rule, Target, _check_variant, _moves, span
 from .walks import Walk
 
 DEFAULT_STATE_BUDGET = 1 << 20  # stored states, about 125 bytes each
@@ -123,6 +123,27 @@ def _orbit_starts(g: Graph, gens) -> tuple[int, ...]:
     images = [[v * n + u for u, v in pairs]]
     images += [[t[u] * n + t[v] for u, v in pairs] for t in gens]
     return _lowest_of_orbits(n * n, images)
+
+
+def _cover(g: Graph, target: Target) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(width, bit): the bits per player of the target, and bit[a][b], what a
+    player covers when it steps from a to b, or stands at a when b == a.
+
+    Vertex target: 1 << b. Edge target: 1 << (index of edge ab in g.edges),
+    0 for a stay. Kept on the graph under ``("cover", target)``, and read by
+    the search for its start states and the bits its moves add, and by the
+    bound table for its full word.
+    """
+
+    def compute():
+        if target is Target.VERTICES:
+            return g.n, (tuple(1 << b for b in range(g.n)),) * g.n
+        bit = [[0] * g.n for _ in range(g.n)]
+        for i, (a, b) in enumerate(g.edges):
+            bit[a][b] = bit[b][a] = 1 << i
+        return g.m, tuple(map(tuple, bit))
+
+    return g._memoized(("cover", target), compute)
 
 
 class _Table(dict):

@@ -12,12 +12,12 @@ confirms this on all small graphs in the test suite.
 
 The lazy and the active rule each run one union-find pass, adding states in
 decreasing distance order, which decides every threshold for both targets
-from one coverage word per component, the vertex bits of both players above
-their edge bits. The strong product's edges are the Cartesian edges plus the
-direct edges, so at every threshold each traditional component is the join
-of lazy and active components, and its word the OR of theirs: the
-traditional levels read no move, and are joined from the levels of the
-other two, read in step (``_joined_levels``). One driver,
+from one coverage word per component, laid out by ``_steps``: both
+players' vertex bits below their edge bits. The strong product's edges are
+the Cartesian edges plus the direct edges, so at every threshold each
+traditional component is the join of lazy and active components, and its
+word the OR of theirs: the traditional levels read no move, and are joined
+from the levels of the other two, read in step (``_joined_levels``). One driver,
 ``_joined_pass``, records every rule's hits and stops each of the three
 structures: it reads the join until the traditional targets are hit, then
 each pass on alone while one of its own targets is unhit, so each reads
@@ -40,16 +40,16 @@ the span value, for the strong rule the lazy moves plus the diagonals whose
 two lazy intermediates are both at distance < k: from any pair they reach
 its whole component of the full move set and cover what it covers (see
 ``_moves``). Every rule's BFS reads them inline from the step rows too,
-each read with its edge word, and
+each read with its word, and
 ``TestWitnesses::test_witness_bfs_follows_the_thresholded_moves`` pins
 them to ``_moves``. Only the minimal-length search,
 ``minlen._shortest_pair``, reads each rule's full move set. What a step
-covers, a vertex or an edge, has one definition per graph and target,
-``_cover``, which the span pass and the minimal-length search read, and the
-witness BFS through the step rows alone. There is one witness BFS
-(``_component_witness``): it credits each vertex of each player to the
-first state that enters it and, for the edge target, each edge to the
-first read that covers it. The witness pairs of a rule's two targets are
+covers in the span pass, its edge and both of its ends, is its word in the
+step rows, the one definition of the word's layout. There is one witness
+BFS (``_component_witness``): it keeps one word of the bits still
+uncovered, and credits each vertex of each player to the first state that
+enters it and, for the edge target, each edge to the first read that
+covers it. The witness pairs of a rule's two targets are
 kept on the graph as one entry; when the targets share a span value and
 witness root, only the edge target runs a BFS, as a walk pair that covers
 every edge also enters every vertex, and both pairs are built from its
@@ -273,56 +273,46 @@ class SpanReport:
     witness_component: int
 
 
-def _cover(g: Graph, target: Target) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(width, bit): the bits per player of the target, and bit[a][b], what a
-    player covers when it steps from a to b, or stands at a when b == a.
+def _steps(g: Graph):
+    """(f_rows, g_rows, f_entry, g_entry, fulls): the one definition of the
+    span pass's coverage word. From low to high it holds g's vertex bits,
+    then f's, then g's edge bits, then f's, each vertex at bit 1 << v and
+    each edge at bit 1 << (its index in g.edges) within its player's part.
 
-    Vertex target: 1 << b. Edge target: 1 << (index of edge ab in g.edges),
-    0 for a stay. Kept on the graph under ``("cover", target)``, and read by
-    the span pass and the minimal-length search; the edge table also by
-    ``_steps``, whose rows are all the witness BFS reads of it.
+    The step rows hold, for each vertex u, one entry per neighbour x in
+    increasing order, 2m entries per player: an f-row entry is
+    (x, (x - u) * n, the f-step's word) and a g-row entry (x, x - u, the
+    g-step's word), the offset a step of that player adds to a flat index
+    u*n + v and the bits it covers, the step's edge and both of its ends.
+    The two directions of an edge share one word per player. A state (u, v)
+    enters with f_entry[u] | g_entry[v], its two vertex bits, and fulls
+    holds the words of a root that covers the vertex target, then the edge
+    target, for both players. Kept on the graph under ``"steps"``, and read
+    by the lazy and active span passes, the driver that records their hits
+    and the witness BFS of every rule and target.
     """
 
     def compute():
-        if target is Target.VERTICES:
-            return g.n, (tuple(1 << b for b in range(g.n)),) * g.n
-        bit = [[0] * g.n for _ in range(g.n)]
-        for i, (a, b) in enumerate(g.edges):
-            bit[a][b] = bit[b][a] = 1 << i
-        return g.m, tuple(map(tuple, bit))
-
-    return g._memoized(("cover", target), compute)
-
-
-def _steps(g: Graph) -> tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]:
-    """(f_rows, g_rows): the step rows of each vertex u, one entry per
-    neighbour x in increasing order, 2m entries per player.
-
-    An f-row entry is (x, (x - u) * n, the f-step's edge word) and a g-row
-    entry (x, x - u, the g-step's edge word): the offset a step of that
-    player adds to a flat index u*n + v, and its edge bit (``_cover``) in
-    the span pass's word, f bits above g bits. Kept on the graph under
-    ``"steps"``, and read by the lazy and active span passes and by the
-    witness BFS of every rule and target, whose edge credits are these
-    words and whose vertex credits need none. The two directions of an
-    edge share one f-step word.
-    """
-
-    def compute():
-        n = g.n
-        m, bit = _cover(g, Target.EDGES)
+        n, m = g.n, g.m
+        g_entry = tuple(1 << v for v in range(n))
+        f_entry = tuple(1 << n + u for u in range(n))
+        g_edge = 1 << 2 * n
+        f_edge = g_edge << m
         f_rows: list[list] = [[] for _ in range(n)]
         g_rows: list[list] = [[] for _ in range(n)]
         # the edges are sorted, so each row fills in increasing neighbour
-        # order; both directions of an edge share its one f-step word
-        for a, b in g.edges:
-            word = bit[a][b]
-            f_word = word << m
+        # order; each word is built from its shifted edge bit up, as ORing
+        # the vertex bits first left the heap more fragmented: complete:300
+        # peaked at 593 MB RSS, not 574 MB
+        for i, (a, b) in enumerate(g.edges):
+            f_word = f_edge << i | f_entry[a] | f_entry[b]
+            g_word = g_edge << i | g_entry[a] | g_entry[b]
             f_rows[a].append((b, (b - a) * n, f_word))
             f_rows[b].append((a, (a - b) * n, f_word))
-            g_rows[a].append((b, b - a, word))
-            g_rows[b].append((a, a - b, word))
-        return tuple(map(tuple, f_rows)), tuple(map(tuple, g_rows))
+            g_rows[a].append((b, b - a, g_word))
+            g_rows[b].append((a, a - b, g_word))
+        fulls = (g_edge - 1, ((1 << 2 * m) - 1) << 2 * n)
+        return tuple(map(tuple, f_rows)), tuple(map(tuple, g_rows)), f_entry, g_entry, fulls
 
     return g._memoized("steps", compute)
 
@@ -355,25 +345,27 @@ def _union_levels(g: Graph, rule: Rule, levels: tuple[tuple[int, ...], ...]):
     inline from the step rows (``_steps``), in the order ``_moves`` yields
     them: lazy, the f-row of u, then the g-row of v; active, for each x in
     the f-row of u, the whole g-row of v when first(v, x) = u, else the
-    first y of it at distance >= k from x. A move's target index is the state's index plus the
-    offsets of its steps, and its edge bits the OR of their words.
+    first y of it at distance >= k from x. A move's target index is the
+    state's index plus the offsets of its steps, and its bits the OR of
+    their words.
     ``tests/test_spans.py::TestReducedMoves`` checks every level against
     ``_moves`` and against an independent pass over the full move set.
 
     Each root is the lowest index of its component and carries one coverage
-    word, the OR of what the component covers: both players' vertex bits
-    above both players' edge bits, f bits above g bits within each. A state
-    writes its two vertices into its word when it enters, so a state is
-    present iff its word is nonzero, and a product edge adds its base edges
-    when it is unioned. A root unioned below another hands its word over
-    and keeps the word 1, since only root words and the nonzero test are
-    read again; so the words hold one full word per component, not one per
-    state. A state's parent entry is set to the state itself, an int of
-    ``levels``, when it enters, so the parent list holds no ints of its own;
-    the entry of a state not yet present is never read, as the presence test
-    guards every read. After each level k it yields (k, the roots touched on
-    the level, parent, cov, the roots unioned below another on the level);
-    parent and cov are updated in place by the later levels.
+    word, the OR of what the component covers, in the layout of ``_steps``.
+    A state writes its two vertices into its word when it enters, so a state
+    is present iff its word is nonzero, and a product edge adds the words of
+    its steps when it is unioned. A root unioned below another hands its
+    word over and keeps the word 1, since only root words and the nonzero
+    test are read again; so the words hold one full word per component, not
+    one per state, and a lone state's word, its entry word, is 2n bits wide,
+    as the vertex bits lie below every edge bit. A state's parent entry is
+    set to the state itself, an int of ``levels``, when it enters, so the
+    parent list holds no ints of its own; the entry of a state not yet
+    present is never read, as the presence test guards every read. After
+    each level k it yields (k, the roots touched on the level, parent, cov,
+    the roots unioned below another on the level); parent and cov are
+    updated in place by the later levels.
     """
     if rule is Rule.TRADITIONAL:
         raise InternalError("the traditional levels are joined from the lazy and active passes")
@@ -381,12 +373,7 @@ def _union_levels(g: Graph, rule: Rule, levels: tuple[tuple[int, ...], ...]):
     adj = g.adj
     dist = g.dist
     lazy = rule is Rule.LAZY
-    # an entering state (u, v) writes f_entry[u] | g_entry[v]: its two
-    # vertex bits above both players' 2m edge bits, f's above g's
-    shift = 2 * g.m
-    g_entry = [row[u] << shift for u, row in enumerate(_cover(g, Target.VERTICES)[1])]
-    f_entry = [word << n for word in g_entry]
-    f_rows, g_rows = _steps(g)
+    f_rows, g_rows, f_entry, g_entry, _ = _steps(g)
     parent = [0] * (n * n)
     cov = [0] * (n * n)
     for k in range(g.radius, -1, -1):
@@ -527,28 +514,25 @@ def _joined_pass(g: Graph) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...
     levels joined from them.
 
     The unions do not depend on the target, so one structure decides both,
-    each from its bits of the coverage word: a rule's target is hit on the
-    first level, scanning down, on which a root the level touched covers
-    all of it, as only those roots can have become full on it, and the
-    lowest such root is the witness root. This driver is the one place that
-    records hits and stops a structure. A traditional component covers at
-    least what its lazy and active parts cover, so the traditional targets
-    are hit first, on a level the two passes also read: the join is read,
-    and the hits of all three rules recorded, until the traditional targets
-    are hit; the join stops there and its lists are freed. Each pass then
-    reads on alone only while one of its own targets is unhit, so every
-    structure reads the levels from the radius down to the lower of its
-    rule's two span values. Levels that run out first breach an invariant
-    and raise InternalError. ``tests/test_spans.py::TestJoinedPass`` checks
-    both.
+    each from its bits of the coverage word, whose full masks ``_steps``
+    gives: a rule's target is hit on the first level, scanning down, on
+    which a root the level touched covers all of it, as only those roots can
+    have become full on it, and the lowest such root is the witness root.
+    This driver is the one place that records hits and stops a structure. A
+    traditional component covers at least what its lazy and active parts
+    cover, so the traditional targets are hit first, on a level the two
+    passes also read: the join is read, and the hits of all three rules
+    recorded, until the traditional targets are hit; the join stops there
+    and its lists are freed. Each pass then reads on alone only while one of
+    its own targets is unhit, so every structure reads the levels from the
+    radius down to the lower of its rule's two span values. Levels that run
+    out first breach an invariant and raise InternalError.
+    ``tests/test_spans.py::TestJoinedPass`` checks both.
     """
     levels = _levels(g)
     lazy = _union_levels(g, Rule.LAZY, levels)
     active = _union_levels(g, Rule.ACTIVE, levels)
-    # the words of a root that covers the vertex target, then the edge
-    # target, for both players
-    edge_bits = 2 * g.m
-    fulls = (((1 << 2 * g.n) - 1) << edge_bits, (1 << edge_bits) - 1)
+    fulls = _steps(g)[4]
     hits = [[None, None] for _ in RULES]  # traditional, active, lazy
 
     def record(i, k, roots, cov):
@@ -606,36 +590,37 @@ def _component_witness(
     ``_tree_walk`` builds the pair of either target, ending at the last
     state in visit order that its credits keep.
 
-    It credits each vertex of each player to the first state in BFS order
-    that enters it, and, when edges is true, each edge of each player to
-    the first read, a product edge s-t, that covers it: the credit is t
-    when the read first visits t, a tree edge, and otherwise s, with t in
-    ``detours[s]``. The BFS order does not depend on what it credits, and
-    the BFS stops once no vertex and no edge it credits is left: with
-    edges, once every edge is credited, as a pair that covers every edge
-    has entered every vertex; without, once the last vertex is. It follows the moves ``_moves`` reads at threshold
-    k, which reach the whole component and cover what its full move set
-    covers (the witness claim there), copied inline from the step rows
-    (``_steps``), each read kept when the distance rows put its target at
-    distance >= k and carrying its edge word, the OR of its steps' words.
-    The active reads come in increasing index, the others are sorted; the
-    strong diagonals are read only when d(u, v) = k. The parent list holds
-    -1 at every state not visited.
+    It keeps one word of the bits still uncovered, in the layout of
+    ``_steps``: every vertex bit but the root's two and, when edges is true,
+    every edge bit. Each read, a product edge s-t, carries the OR of its
+    steps' words, and its new bits are those still uncovered. A read that
+    first visits t, a tree edge, credits t with a vertex when its new bits
+    hold a vertex bit, and with an edge when they hold an edge bit; a read
+    of a visited t with new bits is a detour, credited to s, with t in
+    ``detours[s]``. So each vertex of each player is credited to the first
+    state in BFS order that enters it, as a state has entered its own
+    vertices before any read leaves it, and a lazy step keeps the other
+    player's vertex; each edge to the first read that covers it. The BFS
+    order does not depend on what it credits, and the BFS stops once the
+    word is 0: with edges, once every edge and every vertex is credited;
+    without, once the last vertex is. It follows the moves ``_moves`` reads
+    at threshold k, which reach the whole component and cover what its full
+    move set covers (the witness claim there), copied inline from the step
+    rows, each read kept when the distance rows put its target at distance
+    >= k. The active reads come in increasing index, the others are sorted;
+    the strong diagonals are read only when d(u, v) = k. The parent list
+    holds -1 at every state not visited.
     """
     n = g.n
     adj = g.adj
     dist = g.dist
     lazy = rule is Rule.LAZY
     active = rule is Rule.ACTIVE
-    f_rows, g_rows = _steps(g)
-    # the edge bits not yet credited, f's above g's
-    uncovered = (1 << 2 * g.m) - 1 if edges else 0
-    # per player, the vertices no state has entered yet
-    f_new = [True] * n
-    g_new = [True] * n
-    u, v = divmod(root, n)
-    f_new[u] = g_new[v] = False
-    left = 2 * n - 2
+    f_rows, g_rows, f_entry, g_entry, (vertex_full, edge_full) = _steps(g)
+    # the vertex bits no state has entered and, with edges, the edge bits
+    # no read has covered; the root has entered its own two vertices
+    uncovered = vertex_full | edge_full if edges else vertex_full
+    uncovered ^= f_entry[root // n] | g_entry[root % n]
     parent = [-1] * (n * n)  # -1: not visited
     parent[root] = root
     vertices = [root]
@@ -643,7 +628,7 @@ def _component_witness(
     detours: dict[int, list[int]] = {}
     order = [root]
     head = 0
-    while left or uncovered:
+    while uncovered:
         if head == len(order):
             raise InternalError("witness component does not cover the target")
         s = order[head]
@@ -651,7 +636,7 @@ def _component_witness(
         u, v = divmod(s, n)
         du, dv = dist[u], dist[v]
         f_row, g_row = f_rows[u], g_rows[v]
-        # each read is (target index, edge word), cut to distance >= k
+        # each read is (target index, bits), cut to distance >= k
         if active:
             # x ascending, then y ascending: already in index order
             reads = []
@@ -686,25 +671,21 @@ def _component_witness(
             # no two reads share a target index, so no word is compared
             reads.sort()
         for t, bits in reads:
+            new = bits & uncovered
             if parent[t] < 0:
                 parent[t] = s
                 order.append(t)
-                if left:
-                    x, y = divmod(t, n)
-                    if f_new[x] or g_new[y]:
-                        left -= f_new[x] + g_new[y]
-                        f_new[x] = g_new[y] = False
-                        vertices.append(t)
-                if bits & uncovered:
+                if new & vertex_full:
+                    vertices.append(t)
+                if new > vertex_full:  # an edge bit, as they lie above
                     edge_credits.append(t)
-                    uncovered &= ~bits
-            elif bits & uncovered:
+            elif new:
                 edge_credits.append(s)
                 detours.setdefault(s, []).append(t)
-                uncovered &= ~bits
             else:
                 continue
-            if not (left or uncovered):
+            uncovered ^= new
+            if not uncovered:
                 break
     return vertices, edge_credits, detours, parent, order
 

@@ -101,7 +101,7 @@ def oracle_levels(g: Graph, rule: Rule):
     After each level it yields (k, {root: (states, word)}): every component
     of the present pairs, keyed by its lowest flat index u*n + v, with its
     states in increasing order and its coverage word in the span pass's
-    layout: both players' vertex bits above both players' edge bits, f bits
+    layout: both players' vertex bits below both players' edge bits, f bits
     above g bits within each."""
     n, m = g.n, g.m
     edge_bit = edge_bits(g)
@@ -119,7 +119,7 @@ def oracle_levels(g: Graph, rule: Rule):
             if s in parent or g.dist[u][v] < k:
                 continue
             parent[s] = s
-            word[s] = ((1 << (n + u)) | (1 << v)) << (2 * m)
+            word[s] = (1 << (n + u)) | (1 << v)
             # every move set is symmetric, so each move between present
             # pairs is read from the pair that enters last
             for x, y in rule_moves(g, rule, u, v):
@@ -130,7 +130,7 @@ def oracle_levels(g: Graph, rule: Rule):
                 if a != b:
                     parent[b] = a
                     word[a] |= word.pop(b)
-                word[a] |= edge_bit.get((u, x), 0) << m | edge_bit.get((v, y), 0)
+                word[a] |= (edge_bit.get((u, x), 0) << m | edge_bit.get((v, y), 0)) << (2 * n)
         components: dict[int, list[int]] = {}
         for s in sorted(parent):
             components.setdefault(find(s), []).append(s)
@@ -141,8 +141,7 @@ def oracle_pass(g: Graph, rule: Rule):
     """((value, root) of the vertex target, then of the edge target): the
     first level of ``oracle_levels`` at which a component covers the target
     for both players, and the lowest root of such a component."""
-    edge_bits = 2 * g.m
-    fulls = (((1 << 2 * g.n) - 1) << edge_bits, (1 << edge_bits) - 1)
+    fulls = ((1 << 2 * g.n) - 1, ((1 << 2 * g.m) - 1) << (2 * g.n))
     hits = [None, None]
     for k, components in oracle_levels(g, rule):
         for i, full in enumerate(fulls):

@@ -34,7 +34,7 @@ from graphspan import (
     star,
     witness_sweeps,
 )
-from graphspan import spans
+from graphspan import minlen, spans
 from graphspan.cli import main
 
 from oracles import (
@@ -528,7 +528,7 @@ class TestReducedMoves:
         # set, and the moves read there must cover what the full set covers;
         # the labels matter for the active set, so every labeling runs
         for g in labeled_connected(5):
-            covers = [spans._cover(g, target) for target in TARGETS]
+            covers = [minlen._cover(g, target) for target in TARGETS]
             for rule in (Rule.TRADITIONAL, Rule.ACTIVE):
                 for k in range(g.radius + 1):
                     states = [(u, v) for u in g.vertices for v in g.vertices
@@ -619,9 +619,9 @@ class TestReducedMoves:
 
     def test_graph_keeps_only_the_answers(self):
         # the level lists and the parent lists of the passes live only as
-        # long as the pass, and the witness BFS of each target reads its
-        # own coverage table, so no sequence of queries leaves the level
-        # lists or a table of both targets on the graph
+        # long as the pass, and the passes and the witness BFS read their
+        # coverage words from the step rows, so no sequence of queries
+        # leaves the level lists or a coverage table on the graph
         for g in (path(1), cycle(7), kn_plus(6), star(9), complete_bipartite(3, 4)):
             for first in (span, witness_sweeps):
                 fresh = Graph(g.n, g.edges)
@@ -629,16 +629,13 @@ class TestReducedMoves:
                 for rule, target in ALL_VARIANTS:
                     witness_sweeps(fresh, rule, target)
                     span(fresh, rule, target)
-                assert "levels" not in fresh._memo and ("cover", None) not in fresh._memo
-                assert set(fresh._memo) == {
-                    "spans", "steps", *(("cover", target) for target in TARGETS),
-                    *(("witness", rule) for rule in Rule)}
+                assert set(fresh._memo) == {"spans", "steps", *(("witness", rule) for rule in Rule)}
 
     def test_span_pass_leaves_little_on_the_graph(self):
         # what a graph keeps after all_spans is its memo: the answers, the
-        # distance table, the coverage tables and the step rows, about
-        # 0.76 MB on path(200); keeping the level lists, n * n ints, took
-        # it to 2.30 MB
+        # distance table and the step rows, about 0.48 MB on path(200)
+        # (0.76 MB with the coverage tables beside the step rows); keeping
+        # the level lists, n * n ints, took it to 2.30 MB
         g = path(200)
         tracemalloc.start()
         try:
@@ -649,10 +646,30 @@ class TestReducedMoves:
             tracemalloc.stop()
         assert held < 1_500_000
 
+    def test_entry_words_hold_only_vertex_bits(self):
+        # every state enters with its two vertex bits, which lie below every
+        # edge bit, so a lone state's word is 2n bits wide, not 2n + 2m;
+        # all_spans peaked at 2.4 MB on K40,40 and 10.3 MB on star(200),
+        # against 4.6 and 12.8 MB with the vertex bits above the edge bits
+        for g, limit in ((complete_bipartite(40, 40), 3_500_000), (star(200), 11_000_000)):
+            g = Graph(g.n, g.edges)
+            tracemalloc.start()
+            try:
+                all_spans(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (g.n, peak)
+            _, _, f_entry, g_entry, _ = g._memo["steps"]
+            assert all(word < 1 << 2 * g.n for word in (*f_entry, *g_entry))
+
     def test_step_rows_built_once_per_graph(self, monkeypatch):
         # one table per graph, shared by the lazy and active passes and
         # every rule's witness BFS, with 2m entries per player; the two
-        # directions of an edge share one f-step word
+        # directions of an edge share one word per player; its words are
+        # the coverage tables of both targets (minlen._cover), g's vertex
+        # bits, then f's, then g's edge bits, then f's, so the two layouts
+        # share the edge order
         built = []
         memoized = Graph._memoized
 
@@ -665,18 +682,24 @@ class TestReducedMoves:
             all_spans(g)
             for rule, target in ALL_VARIANTS:
                 witness_sweeps(g, rule, target)
-            f_rows, g_rows = g._memo["steps"]
+            f_rows, g_rows, f_entry, g_entry, fulls = g._memo["steps"]
             assert built.count("steps") == 1
             built.clear()
-            n, m = g.n, g.m
-            for rows, offset, shift in ((f_rows, n, m), (g_rows, 1, 0)):
+            (n, vertex_bit), (m, edge_bit) = (minlen._cover(g, target) for target in TARGETS)
+            assert g_entry == tuple(vertex_bit[u][u] for u in g.vertices)
+            assert f_entry == tuple(vertex_bit[u][u] << n for u in g.vertices)
+            assert fulls == ((1 << 2 * n) - 1, ((1 << 2 * m) - 1) << 2 * n)
+            for rows, offset, vertex_shift, edge_shift in (
+                    (f_rows, n, n, 2 * n + m), (g_rows, 1, 0, 2 * n)):
                 assert sum(map(len, rows)) == 2 * m
                 assert rows == tuple(
-                    tuple((x, (x - u) * offset, 1 << g.edges.index((min(u, x), max(u, x))) << shift)
+                    tuple((x, (x - u) * offset,
+                           (vertex_bit[u][u] | vertex_bit[u][x]) << vertex_shift
+                           | edge_bit[u][x] << edge_shift)
                           for x in g.adj[u])
                     for u in g.vertices)
-            f_words = {(u, x): word for u, row in enumerate(f_rows) for x, _, word in row}
-            assert all(word is f_words[x, u] for (u, x), word in f_words.items())
+                words = {(u, x): word for u, row in enumerate(rows) for x, _, word in row}
+                assert all(word is words[x, u] for (u, x), word in words.items())
 
 
 def _record_levels(monkeypatch) -> dict:
