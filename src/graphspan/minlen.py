@@ -1,10 +1,11 @@
 """Minimal walk lengths achieving the span value.
 
 The minimum is found by one best-first (A*) search, ``_shortest_pair``, over
-(ordered vertex pair, coverage bitset, coverage bitset) states. It lists
-the moves of a position from ``spans._moves`` the first time it expands the
-position, and states wait in a bucket queue keyed by the entries so far
-plus an admissible bound on the steps still needed. Each player's part is
+(ordered vertex pair, coverage bitset, coverage bitset) states, one per
+player swap (see below). It lists the moves of a position from
+``spans._moves`` the first time it expands the position, and states wait
+in a bucket queue keyed by the entries so far plus an admissible bound on
+the steps still needed. Each player's part is
 a metric lower bound on the steps a lone walker at p needs for its
 uncovered targets U, read as ``rows[cov][p]`` from one table per graph and
 target that builds a missing row on its first read (``_remaining_bound``).
@@ -44,6 +45,19 @@ the coverage goal are invariant under automorphisms and under swapping the
 players, so the minimum from a pair equals the minimum from its orbit's
 representative, and the lengths stay exact.
 
+The swap also spares the search half of its positions. The state
+(u, v, F, G) and its swap (v, u, G, F) have the same minimum, since the
+rules, the distance filter, the goal and the bound (the larger or the sum of
+the two players' values) treat the players alike. So the search stores only
+the state with u <= v, and lists moves only for such positions: a move to
+(x, y) with x > y stores the swapped child, and the parent map marks the
+link. The search is then the same A* over swap classes, with the same
+consistent bound, and its first covered state still ends a shortest pair;
+the walk back un-swaps each position an odd number of marked links from its
+start. States with u = v occur only at span value 0, and are stored as they
+are: both (u, u, F, G) and (u, u, G, F) may be stored, which costs states,
+not exactness.
+
 One canonical search gives generators of Aut(G) for the orbits and the
 canonical relabeling of the graph, on which the search runs before mapping the
 witness back: the order in which it takes ties, and with it the states it
@@ -70,7 +84,9 @@ DEFAULT_STATE_BUDGET = 1 << 20  # stored states, about 125 bytes each
 # Bound rows a graph keeps per target after a search, about 110 bytes each;
 # a search that leaves more empties the table. The graphs of order <= 6 keep
 # at most 1,794 (edges) and 58 (vertices, the sub-rows the exact rows read
-# included); the K7 lazy/edges search builds 25,219.
+# included), and the K7 and K7,7 lazy/edges searches build 108 and 351; the
+# capped traditional/edges searches of kn_plus(6) and kn_plus(8) build 4,956
+# by 200,000 stored states and 7,571 by 80,000.
 KEPT_BOUND_ROWS = 1 << 12
 
 
@@ -79,7 +95,8 @@ class MinLenReport:
     """Minimal length of the variant at its span value.
 
     ``explored_states`` counts the states stored by the one search, seeded
-    with the orbit-representative start pairs only.
+    with the orbit-representative start pairs only. It stores one state per
+    player swap: (u, v, F, G) and (v, u, G, F) count once, unless u = v.
     ``capped`` marks a search that stored more than ``state_budget`` states
     before it ended: ``length`` is then only a proven lower bound, the larger
     of ``length_lower_bounds`` and the f of the bucket the search stopped in,
@@ -353,12 +370,18 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     The search runs on the canonical copy, so that the order in which it
     takes ties, and with it the states stored and the witness, does not
     depend on the input's labels. A state is
-    (pos << 2*width) | (f_cov << width) | g_cov, with pos = u*n + v. The
-    moves of a position are listed from ``_moves``, in its order and at
-    distance >= sigma, the first time the search expands the position, as
-    (next pos << 2*width, the coverage bits the move adds (``_cover``),
-    next f vertex, next g vertex), and kept for later expansions; for the
-    vertex target a stay adds the player's own vertex, already in its word.
+    (pos << 2*width) | (f_cov << width) | g_cov, with pos = u*n + v and
+    u <= v: of a state and its player swap, the search stores the one whose
+    first player stands lower (the module docstring gives why the lengths
+    stay exact). The moves of such a position are listed from ``_moves``, in
+    its order and at distance >= sigma, the first time the search expands
+    the position, as (next pos << 2*width, the coverage bits the move adds
+    (``_cover``), swapped, next first vertex, next second vertex), and kept
+    for later expansions; for the vertex target a stay adds the player's
+    own vertex, already in its word. A move to (x, y) with x > y has
+    swapped = 1: it holds the position (y, x) and its bits in that order,
+    and adds them to the parent's word with its halves swapped, F and G
+    exchanged. The bound is the same for either order of the players.
 
     Bucket f holds the states whose entries so far plus bound equal f,
     popped LIFO. f never falls along a path, as the bound drops by at most
@@ -367,7 +390,10 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     byte p of its coverage word's row, ``rows[cov][p]``
     (``_remaining_bound``); the bound of a state is the larger of the two
     players' values, or their sum under the lazy rule. The parent map holds
-    every stored state, and the budget is checked once per pop.
+    every stored state, and the budget is checked once per pop. It maps a
+    child stored swapped to ~parent, and the walk back swaps the players at
+    each position after an odd number of such links from the start, which
+    is stored as it is.
     """
     c, vertex, orbit_starts = _canonical_copy(g)
     n, dist = c.n, c.dist
@@ -377,7 +403,7 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
     full_cov = full_each << width | full_each
     lazy = rule is Rule.LAZY
     rows = _remaining_bound(c, target)
-    moves: list[Optional[list[tuple[int, int, int, int]]]] = [None] * (n * n)
+    moves: list[Optional[list[tuple[int, int, int, int, int]]]] = [None] * (n * n)
     depth: dict[int, int] = {}
     parent: dict[int, Optional[int]] = {}
     buckets: list[list[int]] = []
@@ -418,17 +444,22 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
                     u, v = divmod(pos, n)
                     fu, gv = bit[u], bit[v]
                     out = moves[pos] = [
-                        ((x * n + y) << cov_bits, fu[x] << width | gv[y], x, y)
+                        ((x * n + y) << cov_bits, fu[x] << width | gv[y], 0, x, y)
+                        if x <= y
+                        else ((y * n + x) << cov_bits, gv[y] << width | fu[x], 1, y, x)
                         for x, y in _moves(c, rule, u, v)
                         if dist[x][y] >= sigma
                     ]
-                for npb, add, x, y in out:
-                    ncov = cov | add
+                # by swapped: the word a child adds its bits to, and its parent link
+                covs = (cov, (cov & full_each) << width | cov >> width)
+                links = (s, ~s)
+                for npb, add, swapped, x, y in out:
+                    ncov = covs[swapped] | add
                     ns = npb | ncov
                     if depth.get(ns, unseen) <= nd:
                         continue
                     depth[ns] = nd
-                    parent[ns] = s
+                    parent[ns] = links[swapped]
                     hf = rows[ncov >> width][x]
                     hg = rows[ncov & full_each][y]
                     nf = nd + hf + hg if lazy else nd + (hf if hf > hg else hg)
@@ -445,14 +476,21 @@ def _shortest_pair(g: Graph, rule: Rule, target: Target, sigma: int, budget: int
         rows.clear()  # what a graph keeps after its searches stays bounded
     if goal is None:
         return None, len(parent), stop_f
-    positions = []
-    while goal is not None:
-        positions.append(goal >> cov_bits)
-        goal = parent[goal]
-    positions.reverse()
-    f = Walk(tuple(vertex[p // n] for p in positions))
-    h = Walk(tuple(vertex[p % n] for p in positions))
-    return (f, h), len(parent), len(positions)
+    chain = []
+    s = goal
+    while s is not None:
+        link = parent[s]
+        swapped = link is not None and link < 0
+        chain.append((s >> cov_bits, swapped))
+        s = ~link if swapped else link
+    f_seq, g_seq = [], []
+    odd = False
+    for pos, swapped in reversed(chain):
+        odd ^= swapped
+        u, v = divmod(pos, n)
+        f_seq.append(vertex[v if odd else u])
+        g_seq.append(vertex[u if odd else v])
+    return (Walk(tuple(f_seq)), Walk(tuple(g_seq))), len(parent), len(chain)
 
 
 def min_length(

@@ -355,7 +355,7 @@ class TestVerifyCommands:
 
     def test_verify_family_small_budget(self, capsys):
         # heavy minlen rows cap under a small budget and must not fail the run
-        code, out, _ = run(capsys, "verify-family", "--budget", "100000")
+        code, out, _ = run(capsys, "verify-family", "--budget", "500")
         assert code == 0
         assert "FAIL" not in out
         assert "CAPPED" in out
@@ -441,13 +441,19 @@ class TestRepeatedMain:
 # same start and coverage. The capped minlen prefix was retaken when a
 # capped search began to report the bound it had proven instead of the
 # combinatorial floor: its three edge rows went from L=7, 7 and 13 to 8, 8
-# and 15, the exact lengths; its vertex rows did not change.
+# and 15, the exact lengths; its vertex rows did not change. The two
+# cycle:6 minlen prefixes were retaken when the search began to store one
+# state per player swap: the lazy rule's two witness pairs changed, to other
+# pairs of the same length, and no L, span or explored count did. The two
+# verify-family prefixes moved from --budget 100000, under which no row caps
+# any more, to --budget 500, under which K7 traditional and active edges
+# (862 and 652 stored states) cap and the result is still PASS.
 GOLDEN = [
     (("witness", "--family", "kn_plus:5"), "7fc6b9a040592d3b"),
     (("witness", "--family", "complete_bipartite:2,3", "--format", "structured"),
      "56c93066a79e9867"),
     (("span", "--family", "path:12"), "1f9d2dd4a88e1f6c"),
-    (("minlen", "--family", "cycle:6"), "d5aac20f392bf324"),
+    (("minlen", "--family", "cycle:6"), "2ab36fe27af9c602"),
     (("search-gap",), "280d4359cbebdbf3"),
     (("search-gap", "--format", "structured"), "d5d48203b199ed4b"),
     (("postman", "--family", "complete:16", "--mode", "closed"), "4f89a7de9f7cb95a"),
@@ -459,15 +465,15 @@ GOLDEN = [
     (("span", "--family", "kn_plus:5", "--format", "structured"), "f57b839b98048480"),
     (("span", "--family", "kn_plus:5", "--rule", "direct", "--target", "edges"),
      "d60d79c462e81d95"),
-    (("minlen", "--family", "cycle:6", "--format", "structured"), "ab7bb4695e77bf94"),
+    (("minlen", "--family", "cycle:6", "--format", "structured"), "02987122f1b85539"),
     (("minlen", "--family", "complete:4", "--budget", "0"), "c7cd99f3ae82e6b5"),
     (("witness", "--family", "kn_plus:5", "--rule", "cartesian", "--target", "vertices"),
      "bb0c84c1e3624cc9"),
     (("postman", "--family", "complete:12", "--format", "structured"), "9cb79319c2d4ace2"),
     (("verify-fixtures",), "12f79d565929d6e9"),
     (("verify-fixtures", "--format", "structured"), "6df8ac2cb9a691bf"),
-    (("verify-family", "--budget", "100000"), "7c77ea9b269402ed"),
-    (("verify-family", "--budget", "100000", "--format", "structured"), "53356f14e9ec0b11"),
+    (("verify-family", "--budget", "500"), "2d3123f814bcd826"),
+    (("verify-family", "--budget", "500", "--format", "structured"), "fdad23520ca70c77"),
     # taken before every rule's witness BFS read its moves from the step
     # rows, so that each rule and both targets are pinned through it;
     # kn_plus:9 runs a BFS of its own for the active vertex target

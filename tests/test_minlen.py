@@ -159,14 +159,15 @@ class TestReports:
             assert validate_pair(h, rule, target, f, w, b.span_value) == []
 
     def test_k5_edges_store_few_states(self):
-        # the best-first order stores 191 + 131 + 471 states here
+        # the best-first order stores 191 + 131 + 121 states here
         stored = [min_length(complete(5), rule, Target.EDGES).explored_states for rule in Rule]
         assert sum(stored) < 1000
 
     def test_k6_k7_edges_store_few_states(self):
-        # the pairing term of the bound: 482 + 354 + 8,368 stored states on
-        # K6 and 862 + 652 + 280,573 on K7; without it K6 passes 4 million
-        for n, ceiling in ((6, 10_000), (7, 300_000)):
+        # the pairing term of the bound and one state per player swap: 475 +
+        # 347 + 312 stored states on K6 and 862 + 652 + 421 on K7; without
+        # the pairing term K6 passes 4 million
+        for n, ceiling in ((6, 2_000), (7, 5_000)):
             reps = [min_length(complete(n), rule, Target.EDGES) for rule in Rule]
             assert not any(rep.capped for rep in reps)
             spec = FamilySpec("complete", (n,))
@@ -219,7 +220,7 @@ ORDER_SIX_ROWS = Path(__file__).with_name("minlen_order6.txt")
 SMALL_FAMILY_REPORTS = Path(__file__).with_name("minlen_small_reports.txt")
 # sha256 of the lines "explored_states f-walk g-walk" of the 858 rows of
 # ORDER_SIX_ROWS, in file order
-ORDER_SIX_REPORTS_DIGEST = "f4511e847e0282fb54e414e3a2c19f7ebd98f3e9bf390ed9fb06b1497592d652"
+ORDER_SIX_REPORTS_DIGEST = "17cd1d378a92f236cf1e0a3c571a1ea7e020d96e1756864cc46dffa9bd91ea83"
 
 
 class TestExactness:
@@ -227,7 +228,9 @@ class TestExactness:
         # (length, capped, span) of all 858 (graph, rule, target) rows of
         # order <= 6, as computed under one step per target plus the parity
         # count; and a digest of every report's stored-state count and
-        # witness walks, which moves with the search's tie order
+        # witness walks, which moves with the search's tie order. Each
+        # witness is validated first, so a retaken digest cannot pin a pair
+        # that the walk back un-swapped wrongly
         graphs: dict[str, Graph] = {}
         rows = mismatches = 0
         digest = hashlib.sha256()
@@ -240,6 +243,9 @@ class TestExactness:
             rep = min_length(g, Rule(rule), Target(target))
             rows += 1
             mismatches += [rep.length, rep.capped, rep.span_value] != [int(x) for x in expected]
+            if rep.witness:
+                f, h = rep.witness
+                assert validate_pair(g, Rule(rule), Target(target), f, h, rep.span_value) == []
             walks = [format_walk(w) for w in rep.witness] if rep.witness else ["-", "-"]
             digest.update(f"{rep.explored_states} {' '.join(walks)}\n".encode())
         assert (rows, len(graphs), mismatches) == (858, 143, 0)
@@ -262,9 +268,9 @@ class TestExactness:
     @pytest.mark.parametrize(
         "g,lengths,ceiling",
         [
-            # 6,452 stored states in all
+            # 6,473 stored states in all
             (star(10), [18, 18, 18, 18, 33, 33], 10_000),
-            # 57,110 stored states in all
+            # 57,155 stored states in all
             (star(13), [24, 24, 24, 24, 45, 45], 80_000),
         ],
         ids=["star10", "star13"],
@@ -279,11 +285,20 @@ class TestExactness:
             assert validate_pair(g, rule, target, f, h, rep.span_value) == []
 
     def test_k34_lazy_edges_exact(self):
-        # 947 stored states
+        # 203 stored states
         g = complete_bipartite(3, 4)
         rep = min_length(g, Rule.LAZY, Target.EDGES)
         assert (rep.length, rep.capped) == (29, False)
-        assert rep.explored_states < 2_000
+        assert rep.explored_states < 500
+        f, h = rep.witness
+        assert validate_pair(g, Rule.LAZY, Target.EDGES, f, h, rep.span_value) == []
+
+    def test_k77_lazy_edges_exact(self):
+        # 1,418 stored states
+        g = complete_bipartite(7, 7)
+        rep = min_length(g, Rule.LAZY, Target.EDGES)
+        assert (rep.length, rep.capped) == (111, False)
+        assert rep.explored_states < 5_000
         f, h = rep.witness
         assert validate_pair(g, Rule.LAZY, Target.EDGES, f, h, rep.span_value) == []
 
@@ -354,21 +369,29 @@ class TestRemainingBound:
                     assert row[p] == _reference_rest(g, Target.VERTICES, p, left), (k, p)
                     assert row[p] <= vertex_cover_steps(g, p, left), (k, p)
 
-    def test_a_large_table_is_not_kept(self):
-        # the K7 lazy/edges search builds 25,219 rows, about 3 MB with the
-        # pairing costs behind them; capped at 100,000 stored states, to keep
-        # the traced run short, it builds 9,430 rows and 0.98 MB. Once the
-        # search ends the graph keeps none of them
-        g = complete(7)
+    def test_a_large_table_is_not_kept(self, monkeypatch):
+        # the kn_plus(8) traditional/edges search, capped at 80,000 stored
+        # states to keep the traced run short, builds 7,571 rows, more than
+        # the graph may keep: a first search on another copy of the graph,
+        # which keeps every row, counts them. Once the search ends the graph
+        # keeps none of them
+        def search(g):
+            min_length(g, Rule.TRADITIONAL, Target.EDGES, state_budget=80_000)
+            return _remaining_bound(_canonical_copy(g)[0], Target.EDGES)
+
+        with monkeypatch.context() as m:
+            m.setattr(minlen, "KEPT_BOUND_ROWS", 1 << 30)
+            assert len(search(kn_plus(8))) > KEPT_BOUND_ROWS
+        g = kn_plus(8)
         tracemalloc.start()
         try:
-            min_length(g, Rule.LAZY, Target.EDGES, state_budget=100_000)
+            rows = search(g)
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held < 100_000
-        assert len(_remaining_bound(_canonical_copy(g)[0], Target.EDGES)) <= KEPT_BOUND_ROWS
+        assert len(rows) == 0
 
 
 def _assert_one_start_per_orbit(g):
