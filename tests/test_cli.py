@@ -445,9 +445,11 @@ class TestRepeatedMain:
 # cycle:6 minlen prefixes were retaken when the search began to store one
 # state per player swap: the lazy rule's two witness pairs changed, to other
 # pairs of the same length, and no L, span or explored count did. The two
-# verify-family prefixes moved from --budget 100000, under which no row caps
-# any more, to --budget 500, under which K7 traditional and active edges
-# (862 and 652 stored states) cap and the result is still PASS.
+# --budget 100000 verify-family prefixes were retaken then too: K7 lazy
+# edges stopped capping and now reads 43 PASS, its exact length, and no
+# other row changed. The two --budget 500 prefixes pin a run in which rows
+# still cap: K7 traditional and active edges (862 and 652 stored states)
+# cap and the result is still PASS.
 GOLDEN = [
     (("witness", "--family", "kn_plus:5"), "7fc6b9a040592d3b"),
     (("witness", "--family", "complete_bipartite:2,3", "--format", "structured"),
@@ -472,6 +474,8 @@ GOLDEN = [
     (("postman", "--family", "complete:12", "--format", "structured"), "9cb79319c2d4ace2"),
     (("verify-fixtures",), "12f79d565929d6e9"),
     (("verify-fixtures", "--format", "structured"), "6df8ac2cb9a691bf"),
+    (("verify-family", "--budget", "100000"), "3234e766ceac56ef"),
+    (("verify-family", "--budget", "100000", "--format", "structured"), "b99f62987e6b77df"),
     (("verify-family", "--budget", "500"), "2d3123f814bcd826"),
     (("verify-family", "--budget", "500", "--format", "structured"), "fdad23520ca70c77"),
     # taken before every rule's witness BFS read its moves from the step
