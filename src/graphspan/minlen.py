@@ -248,15 +248,14 @@ def _remaining_bound(c: Graph, target: Target) -> _Table:
     where c_t(U) counts the classes of U linked by distances up to t; each
     class is flood-filled over the masks near[t][v] of the vertices within
     distance t of v, and d(p, U) is the least t with near[t][p] meeting U.
-    Over the vertex searches of the graphs of order <= 6 the exact rows
-    store 38,126 states where the spanning tree alone stored 59,003, and
-    6,060 rows are built, the sub-rows the recursion reads included. With
-    its sub-rows stored, an exact row of order 6 takes about 0.5 (|U| = 1)
-    to 3 us (|U| = 4) to build, and a spanning tree row about 2 us; Prim
-    over the distance rows took 9 us a row (22 against 5 us at order 14),
-    which is why the spanning tree rows flood-fill bitsets. The rows are
-    read from the distances as bytes, not from the graph, so the table kept
-    on the graph does not refer back to it.
+    The vertex searches of the graphs of order <= 6 store 34,543 states and
+    build 6,060 rows, the sub-rows the recursion reads included, at most 58
+    on one graph. With its sub-rows stored, an exact row of order 6 takes
+    about 0.5 (|U| = 1) to 3 us (|U| = 4) to build, and a spanning tree row
+    about 2 us; Prim over the distance rows took 9 us a row (22 against 5
+    us at order 14), which is why the spanning tree rows flood-fill
+    bitsets. The rows are read from the distances as bytes, not from the
+    graph, so the table kept on the graph does not refer back to it.
 
     Edge target: |U| + min over v of PM(odd(U) ^ {p} - v), where odd(U)
     holds the vertices of odd degree in U and PM is the least total

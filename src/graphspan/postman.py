@@ -9,22 +9,23 @@ growth per augmentation plus one per inner blossom whose dual reaches 0:
 such a growth ends, and the next expands that blossom and grows the trees
 again. With free endpoints two dummy vertices, joined at cost 0 to every
 odd vertex and to each other, pick the two odd vertices the walk ends at;
-no least-cost matching joins the two dummies. Duplicated edges live only in
-an internal multigraph; results are flattened back to plain vertex
-sequences on the simple input graph. The matching breaks ties in a fixed
-scan order, the walk starts at the lower of its two ends, and the shortest
-paths and the Hierholzer walk take the lowest available index, so outputs
-are reproducible.
+no least-cost matching joins the two dummies. The covering multigraph is
+the graph's edge list with a crossing count per edge index, and one
+Hierholzer walk (``_euler_walk``) over rows of (neighbour, edge index)
+turns it into a plain vertex sequence on the simple input graph;
+``eulerian_walk`` is the same walk with no extra crossing. The matching
+breaks ties in a fixed scan order, the walk starts at the lower of its two
+ends, and the shortest paths and the Hierholzer walk leave by the lowest
+neighbour available, so outputs are reproducible.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Literal
 
 from .errors import EmptyEdgeSet, InternalError, InvalidParams, NotEulerian
-from .graph import Edge, Graph, _bfs_distances, _check_graph, _norm
+from .graph import Edge, Graph, _bfs_distances, _check_graph
 from .walks import Walk
 
 EulerClass = Literal["circuit", "trail", "none"]
@@ -58,57 +59,62 @@ def eulerian_walk(g: Graph) -> Walk:
     """Walk of length size+1 traversing every edge exactly once.
 
     For a circuit the first and last entries coincide and the start is vertex
-    0; a trail starts at the lowest odd-degree vertex. This is the shortest
-    covering walk with free endpoints, which duplicates nothing here.
+    0; a trail starts at the lowest odd-degree vertex. It is the Hierholzer
+    walk of ``shortest_covering_walk`` with no extra crossing, so it equals
+    the shortest covering walk with free endpoints, which duplicates nothing
+    here.
     """
     if euler_class(g) == "none":
         raise NotEulerian("graph has more than two odd-degree vertices")
-    if g.m == 0:
-        return Walk((0,))
-    return shortest_covering_walk(g).walk
+    start = next((u for u, nbrs in enumerate(g.adj) if len(nbrs) % 2), 0)
+    return Walk(tuple(_euler_walk(_rows(g), [1] * g.m, start)))
 
 
-def euler_walk_multigraph(adj, counts: Counter, start: int) -> list[int]:
-    """Hierholzer on a multigraph given by remaining-traversal counts.
+def _rows(g: Graph) -> list[list[tuple[int, int]]]:
+    """rows[v] lists (neighbour, edge index) for each edge of v, in
+    increasing neighbour order: the sorted edge list gives v's edges (u, v),
+    u < v, by u, before its edges (v, w), by w."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        rows[u].append((v, i))
+        rows[v].append((u, i))
+    return rows
 
-    ``adj`` lists each vertex's distinct neighbors in sorted order; ``counts``
-    maps normalized edges to how many times they must be traversed. Raises
-    NotEulerian unless an Eulerian circuit or trail from ``start`` exists:
-    the start must be one of the two odd-degree vertices when there are two,
-    and every edge must be reachable from it. Each step leaves by the lowest
-    neighbor with a traversal left; remaining counts only fall, so a
-    per-vertex cursor that never moves back finds it in O(steps + sum of
-    degrees) overall.
+
+def _euler_walk(rows, left: list[int], start: int) -> list[int]:
+    """Hierholzer from start on the multigraph that crosses edge i left[i]
+    times, with rows as ``_rows`` builds them; left is counted down to 0.
+
+    Each step leaves by the lowest neighbour with a crossing left; counts
+    only fall, so a per-vertex cursor that never moves back finds it in
+    O(steps + sum of degrees) overall. A covering multigraph always has a
+    walk from start, so raises InternalError unless at most two vertices
+    have an odd crossing count, start among them, and every crossing is
+    reached from start.
     """
-    remaining = dict(counts)
-    total = sum(remaining.values())
-    odd: set[int] = set()
-    for edge, c in remaining.items():
-        if c & 1:
-            odd.symmetric_difference_update(edge)
+    odd = [v for v, row in enumerate(rows) if sum(left[i] for _, i in row) % 2]
     if len(odd) > 2 or (odd and start not in odd):
-        raise NotEulerian(
-            f"no Eulerian walk starts at vertex {start}: odd-degree vertices "
-            f"{sorted(odd)}"
-        )
-    cursor = {}
+        raise InternalError(f"covering multigraph is not Eulerian: odd vertices {odd}, start {start}")
+    total = sum(left)
+    cursor = [0] * len(rows)
     stack = [start]
     out: list[int] = []
     while stack:
         v = stack[-1]
-        nbrs = adj[v]
-        i = cursor.get(v, 0)
-        while i < len(nbrs) and not remaining.get(_norm(v, nbrs[i]), 0):
+        row = rows[v]
+        i = cursor[v]
+        while i < len(row) and not left[row[i][1]]:
             i += 1
         cursor[v] = i
-        if i == len(nbrs):
+        if i == len(row):
             out.append(stack.pop())
         else:
-            remaining[_norm(v, nbrs[i])] -= 1
-            stack.append(nbrs[i])
+            u, e = row[i]
+            left[e] -= 1
+            stack.append(u)
     out.reverse()
     if len(out) != total + 1:
-        raise NotEulerian("multigraph admits no Eulerian walk from this start")
+        raise InternalError("covering multigraph is not Eulerian: crossings unreachable from the start")
     return out
 
 
@@ -404,19 +410,19 @@ def _pair_odd_vertices(dist, odd: list[int], free: bool) -> tuple[list[tuple[int
     return pairs, [odd[i] for i in range(k) if mate[i] >= k]
 
 
-def _augmenting_paths(g: Graph, dist, pairs: list[tuple[int, int]]) -> list[Edge]:
-    """Edges along a deterministic shortest path for each matched pair (a, b),
-    read from dist[a], the distances from a."""
-    extra: list[Edge] = []
+def _augmenting_paths(rows, dist, pairs: list[tuple[int, int]]) -> list[int]:
+    """Edge indices along a deterministic shortest path for each matched pair
+    (a, b), read from dist[a], the distances from a, and rows as ``_rows``
+    builds them."""
+    extra: list[int] = []
     for a, b in pairs:
-        # walk from b back to a, always stepping to the lowest neighbor
+        # walk from b back to a, always stepping to the lowest neighbour
         # that decreases the distance to a
         row = dist[a]
         cur = b
         while cur != a:
-            nxt = min(u for u in g.adj[cur] if row[u] == row[cur] - 1)
-            extra.append(_norm(cur, nxt))
-            cur = nxt
+            cur, i = next((u, i) for u, i in rows[cur] if row[u] == row[cur] - 1)
+            extra.append(i)
     return extra
 
 
@@ -446,18 +452,15 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
     odd = [u for u, nbrs in enumerate(g.adj) if len(nbrs) % 2]
     dist = {a: _bfs_distances(g.adj, a, g.n) for a in odd}
     pairs, ends = _pair_odd_vertices(dist, odd, mode != "closed")
-    extra = _augmenting_paths(g, dist, pairs)
-    counts = Counter(g.edges)
-    for e in extra:
-        counts[e] += 1
-    try:
-        seq = euler_walk_multigraph(g.adj, counts, ends[0] if ends else 0)
-    except NotEulerian as exc:
-        # the added paths leave every vertex even but the walk's two ends
-        raise InternalError(f"covering multigraph is not Eulerian: {exc}") from None
-    # the walk crosses each edge counts[e] times: once, plus its extra traversals
+    rows = _rows(g)
+    extra = _augmenting_paths(rows, dist, pairs)
+    # the added paths leave every vertex even but the walk's two ends
+    left = [1] * g.m
+    for i in extra:
+        left[i] += 1
+    seq = _euler_walk(rows, left, ends[0] if ends else 0)
     return CoveringWalkResult(
         walk=Walk(tuple(seq)),
         length_edges=len(seq) - 1,
-        duplicated=tuple(sorted(extra)),
+        duplicated=tuple(sorted(g.edges[i] for i in extra)),
     )

@@ -18,6 +18,7 @@ from graphspan import (
     Rule,
     Target,
     TooLarge,
+    VerificationFailure,
     closed_minlen,
     closed_span,
     complete,
@@ -30,6 +31,7 @@ from graphspan import (
     span,
     star,
 )
+from graphspan import families
 from graphspan.minlen import DEFAULT_STATE_BUDGET
 from graphspan.families import (
     ORDER5_SMALL_GRAPHS,
@@ -46,7 +48,7 @@ from graphspan.families import (
     canonical_form,
     is_isomorphic,
 )
-from graphspan.cli import family_closed_checks
+from graphspan.cli import family_closed_checks, main
 
 from oracles import (
     brute_force_subset_orbits,
@@ -352,6 +354,22 @@ class TestMinimalityScan:
         frozen_forms = sorted(canonical_form(g) for g in frozen)
         enum_forms = sorted(canonical_form(g) for g in enumerated)
         assert frozen_forms == enum_forms
+
+    @pytest.mark.parametrize("name,breach,message", [
+        ("enumerate_connected", lambda max_n: enumerate_connected(4), "no direct-span gap found"),
+        ("is_isomorphic", lambda a, b: False, "first gap graph has order 5, size 7"),
+        ("ORDER5_SMALL_GRAPHS", ((ORDER5_SMALL_GRAPHS[0][0], 2),), "order-5 reference graph"),
+    ])
+    def test_failed_cross_check_is_verification_failure(self, monkeypatch, capsys, name, breach, message):
+        # a scan with no gap up to order 4, a first gap that is not the
+        # subdivided K4, and a reference graph with a wrong tabulated value
+        # each fail the scan: exit 1 from the CLI, as a mismatch
+        monkeypatch.setattr(families, name, breach)
+        with pytest.raises(VerificationFailure, match=message):
+            find_minimal_direct_gap()
+        assert main(["search-gap"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"verification failed (search-gap): {message}")
 
     def test_reference_graph_values(self):
         values = []

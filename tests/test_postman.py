@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import time
 import tracemalloc
@@ -31,7 +32,7 @@ from graphspan import (
 )
 from graphspan import postman
 from graphspan.minlen import _min_pairing
-from graphspan.postman import _min_perfect_matching, _pair_odd_vertices, euler_walk_multigraph
+from graphspan.postman import _euler_walk, _min_perfect_matching, _pair_odd_vertices, _rows
 
 from oracles import (
     brute_force_pairing_cost,
@@ -56,6 +57,12 @@ class TestEulerClass:
 
     def test_k1_circuit(self):
         assert euler_class(path(1)) == "circuit"
+
+
+def _edge_counts(g, left):
+    """The crossings left[i] of edge i, keyed by the edge as
+    ``oracles.reference_euler_walk`` reads them."""
+    return Counter(dict(zip(g.edges, left)))
 
 
 def _walk_traversal_counts(g, walk):
@@ -96,7 +103,7 @@ class TestEulerianWalk:
         assert len(eulerian) == 384
         for g in eulerian:
             odd = [u for u in range(g.n) if g.degree(u) % 2]
-            seq = euler_walk_multigraph(g.adj, Counter(g.edges), odd[0] if odd else 0)
+            seq = reference_euler_walk(g.adj, Counter(g.edges), odd[0] if odd else 0)
             walk = eulerian_walk(g)
             assert walk.seq == tuple(seq) and walk.l == g.m + 1, g.edges
             assert walk == shortest_covering_walk(g).walk, g.edges
@@ -105,10 +112,11 @@ class TestEulerianWalk:
     @given(st.data())
     def test_cursor_matches_rescanning_reference(self, data):
         g = data.draw(connected_graphs(9))
-        counts = Counter({e: data.draw(st.sampled_from((2, 4))) for e in g.edges})
+        rows = _rows(g)
+        left = [data.draw(st.sampled_from((2, 4))) for _ in g.edges]
         start = data.draw(st.integers(0, g.n - 1))
-        circuit = euler_walk_multigraph(g.adj, counts, start)
-        assert circuit == reference_euler_walk(g.adj, counts, start)
+        circuit = _euler_walk(rows, list(left), start)
+        assert circuit == reference_euler_walk(g.adj, _edge_counts(g, left), start)
         # one more traversal along a shortest a-b path leaves a and b the
         # only odd vertices, so a trail runs from a
         a = data.draw(st.integers(0, g.n - 1))
@@ -116,21 +124,22 @@ class TestEulerianWalk:
         cur = b
         while cur != a:
             nxt = min(u for u in g.adj[cur] if g.dist[a][u] == g.dist[a][cur] - 1)
-            counts[min(cur, nxt), max(cur, nxt)] += 1
+            left[g.edges.index((min(cur, nxt), max(cur, nxt)))] += 1
             cur = nxt
-        trail = euler_walk_multigraph(g.adj, counts, a)
-        assert trail == reference_euler_walk(g.adj, counts, a)
-        assert len(trail) == sum(counts.values()) + 1
+        trail = _euler_walk(rows, list(left), a)
+        assert trail == reference_euler_walk(g.adj, _edge_counts(g, left), a)
+        assert len(trail) == sum(left) + 1
 
     def test_unreachable_edges_are_not_eulerian(self):
-        adj = ((1,), (0,), (3,), (2,))
-        with pytest.raises(NotEulerian):
-            euler_walk_multigraph(adj, Counter({(0, 1): 2, (2, 3): 2}), 0)
+        # rows of a multigraph with two components, edges 0-1 and 2-3
+        rows = [[(1, 0)], [(0, 0)], [(3, 1)], [(2, 1)]]
+        with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
+            _euler_walk(rows, [2, 2], 0)
 
     def test_start_off_the_odd_pair_is_not_eulerian(self):
         g = path(3)
-        with pytest.raises(NotEulerian):
-            euler_walk_multigraph(g.adj, Counter(g.edges), 1)
+        with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
+            _euler_walk(_rows(g), [1] * g.m, 1)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -139,7 +148,8 @@ class TestEulerianWalk:
         # begins no Eulerian walk its output is not one, and then the engine
         # must raise instead
         g = data.draw(connected_graphs(8))
-        counts = Counter({e: data.draw(st.integers(0, 3)) for e in g.edges})
+        left = [data.draw(st.integers(0, 3)) for _ in g.edges]
+        counts = _edge_counts(g, left)
         start = data.draw(st.integers(0, g.n - 1))
         try:
             ref = reference_euler_walk(g.adj, counts, start)
@@ -148,10 +158,24 @@ class TestEulerianWalk:
         except NotEulerian:
             valid = False
         if valid:
-            assert euler_walk_multigraph(g.adj, counts, start) == ref
+            assert _euler_walk(_rows(g), left, start) == ref
         else:
-            with pytest.raises(NotEulerian):
-                euler_walk_multigraph(g.adj, counts, start)
+            with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
+                _euler_walk(_rows(g), left, start)
+
+    def test_runs_no_bfs_and_no_matching(self, monkeypatch):
+        # an Eulerian graph's walk starts at vertex 0 or at its lowest odd
+        # vertex, which needs neither distances nor a matching
+        def breach(*args):
+            raise AssertionError("eulerian_walk read distances or a matching")
+
+        monkeypatch.setattr(postman, "_bfs_distances", breach)
+        monkeypatch.setattr(postman, "_min_perfect_matching", breach)
+        # a circuit, and a triangle with a pendant edge, odd at 2 and 3
+        for g, start in ((complete(5), 0), (Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), 2)):
+            walk = eulerian_walk(g)
+            assert walk.seq == tuple(reference_euler_walk(g.adj, Counter(g.edges), start))
+            assert walk.l == g.m + 1
 
 
 def _seeded_graphs(count: int, seed: int):
@@ -320,12 +344,12 @@ class TestPairing:
     def test_covering_multigraph_not_eulerian_is_internal_error(self, monkeypatch):
         # with no paths added, complete(4) keeps four odd vertices: an
         # engine breach, not a graph without an Eulerian walk
-        monkeypatch.setattr(postman, "_augmenting_paths", lambda g, dist, pairs: [])
+        monkeypatch.setattr(postman, "_augmenting_paths", lambda rows, dist, pairs: [])
         with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
             shortest_covering_walk(complete(4))
         g = complete(4)
-        with pytest.raises(NotEulerian):
-            euler_walk_multigraph(g.adj, Counter(g.edges), 1)
+        with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
+            _euler_walk(_rows(g), [1] * g.m, 1)
 
     def test_hundred_odd_vertices_in_well_under_a_second(self):
         # star(100) has k = 100 odd vertices; the matching takes O(k^2) per
@@ -422,3 +446,22 @@ class TestShortestCoveringWalk:
         a = shortest_covering_walk(complete(6))
         b = shortest_covering_walk(complete(6))
         assert a.walk == b.walk and a.duplicated == b.duplicated
+
+
+COVERING_WALKS_DIGEST = "c5faa3f8c6ee2dedf5f3d5ce0f4c504455d6646b6aa95c380909b5b9df7a4217"
+
+
+def test_covering_walks_digest():
+    # every covering walk of both modes, and every Eulerian walk, of corpus(7),
+    # the bench postman families and the seeded graphs of up to 20 odd
+    # vertices
+    digest = hashlib.sha256()
+    families = [complete(18), complete(16), complete_bipartite(9, 10), cycle(200)]
+    for g in (*corpus(7), *families, *_seeded_graphs(120, 21)):
+        if euler_class(g) != "none":
+            digest.update(repr(eulerian_walk(g).seq).encode())
+        if g.m:
+            for mode in ("closed", "free_endpoints"):
+                res = shortest_covering_walk(g, mode)
+                digest.update(repr((res.walk.seq, res.length_edges, res.duplicated)).encode())
+    assert digest.hexdigest() == COVERING_WALKS_DIGEST

@@ -742,20 +742,38 @@ class TestJoinedPass:
     def test_levels_running_out_is_internal_error(self, monkeypatch, capsys):
         # a join that yields no level, or passes that stop after their first
         # level, leave targets unhit: the library raises InternalError, and
-        # the CLI exits 3, not with a bare traceback
+        # the CLI exits 3, not with a bare traceback. On path(6) the join
+        # runs out; kn_plus(5) has radius 2, where the join hits both
+        # traditional targets and stops, and its active edge span is 1, so
+        # there the active pass runs out after the join
+        assert spans._joined_pass(kn_plus(5))[:2] == (((2, 4), (2, 4)), ((2, 4), (1, 1)))
         union_levels = spans._union_levels
+        first_level = lambda *args: itertools.islice(union_levels(*args), 1)
         breaches = [
-            ("_joined_levels", lambda *args: iter(())),
-            ("_union_levels", lambda *args: itertools.islice(union_levels(*args), 1)),
+            ("_joined_levels", lambda *args: iter(()), "path:6"),
+            ("_union_levels", first_level, "path:6"),
+            ("_union_levels", first_level, "kn_plus:5"),
         ]
-        for name, breach in breaches:
+        for name, breach, spec in breaches:
             with monkeypatch.context() as patched:
                 patched.setattr(spans, name, breach)
-                with pytest.raises(InternalError):
-                    span(path(5), Rule.LAZY, Target.EDGES)
-                assert main(["span", "--family", "path:6"]) == 3, name
+                with pytest.raises(InternalError, match="threshold 0 must be feasible"):
+                    span(generate(FamilySpec.from_string(spec)), Rule.LAZY, Target.EDGES)
+                assert main(["span", "--family", spec]) == 3, (name, spec)
                 out, err = capsys.readouterr()
-                assert out == "" and err.startswith("internal error (span)"), name
+                assert out == "" and err.startswith("internal error (span)"), (name, spec)
+
+    def test_a_traditional_pass_is_internal_error(self, monkeypatch, capsys):
+        # the traditional levels are joined from the two passes, never read
+        # by a pass of their own
+        union_levels = spans._union_levels
+        monkeypatch.setattr(spans, "_union_levels",
+                            lambda g, rule, levels: union_levels(g, Rule.TRADITIONAL, levels))
+        with pytest.raises(InternalError, match="traditional levels are joined"):
+            span(path(5), Rule.LAZY, Target.EDGES)
+        assert main(["span", "--family", "path:6"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error (span)")
 
 
 def _reference_bfs(g, rule, k, root):
@@ -820,6 +838,17 @@ def _witness_order_graphs() -> list[Graph]:
 
 
 class TestWitnesses:
+    def test_uncovered_component_is_internal_error(self, monkeypatch, capsys):
+        # a witness root at a threshold above every distance reads no move,
+        # so its BFS runs out with the target uncovered
+        monkeypatch.setattr(spans, "_rule_spans", lambda g, rule: ((g.n, 0), (g.n, 0)))
+        for target in TARGETS:
+            with pytest.raises(InternalError, match="witness component does not cover"):
+                witness_sweeps(path(5), Rule.LAZY, target)
+        assert main(["witness", "--family", "path:5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error (witness)")
+
     def test_knplus_traditional_edges(self):
         g = kn_plus(5)
         f, h = witness_sweeps(g, Rule.TRADITIONAL, Target.EDGES)
