@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
@@ -142,30 +141,24 @@ class Graph:
     """Simple undirected finite connected graph.
 
     Construction runs one BFS, from vertex 0, which decides connectivity.
-    The all-pairs distance table ``dist`` (hop metric), whose row 0 is that
-    BFS, and the ``radius`` are built on first read and kept on the
-    instance (``functools.cached_property``); route inspection and the walk
-    checks never read them. Two threads that read one first at once build
-    equal values, and a reader sees either no value or the whole one, so
-    instances, immutable otherwise, are safe to share between threads.
+    Everything derived from the graph alone is computed on first use and
+    kept in ``_memo``, which only ``_memoized`` reads, so every later query
+    on the same instance reads it: the all-pairs distance table ``dist``
+    (hop metric) and the ``radius``, which route inspection, ``classify``
+    and ``is_opposite_lazy`` never read, and every engine table. Each key is a string, or a
+    tuple whose first item is a string, and belongs to one module, which
+    documents it where it stores it (``tests/test_source.py`` checks both).
 
-    Answers derived from the graph alone are computed on first use and kept
-    in ``_memo``, which only ``_memoized`` reads, so every later query on the
-    same instance reads them. Each key is a string, or a tuple whose first
-    item is a string, and belongs to one module, which documents it where it
-    stores it (``tests/test_source.py`` checks both). Each stored value is
-    computed from the graph only, and it is stored with one
-    ``dict.setdefault``: two threads that compute it at once store one copy
-    and both return it, so sharing a graph between threads stays safe. A
-    stored value that grows afterwards grows the same way, by entries
-    computed from the graph only and stored with one ``dict.setdefault``,
-    so a reader sees either no entry or the whole entry.
+    Instances are immutable otherwise, and safe to share between threads.
+    Each stored value is computed from the graph only, and it is stored
+    with one ``dict.setdefault``: two threads that compute it at once store
+    one copy and both return it. A stored value that grows afterwards grows
+    the same way, by entries computed from the graph only and stored with
+    one ``dict.setdefault``, so a reader sees either no entry or the whole
+    entry.
     """
 
-    # __dict__ holds dist and radius once read; a __getattr__ filling
-    # slots instead would slow every attribute read, as CPython does not
-    # specialize attribute reads on a class that defines one
-    __slots__ = ("n", "edges", "adj", "_row0", "_memo", "__dict__")
+    __slots__ = ("n", "edges", "adj", "_memo")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         _check_int(n, "vertex count must be a positive int", 1)
@@ -182,29 +175,28 @@ class Graph:
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
 
+        # the sorted edge list gives v's edges (u, v), u < v, by u, before
+        # its edges (v, w), by w, so each row comes out increasing
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in nbrs)
+        self.adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, nbrs))
 
-        row0 = _bfs_distances(self.adj, 0, n)
-        if -1 in row0:
+        if -1 in _bfs_distances(self.adj, 0, n):
             raise DisconnectedInput("graph is not connected")
-        self._row0 = tuple(row0)
         self._memo: dict = {}
 
-    @cached_property
+    @property
     def dist(self) -> tuple[tuple[int, ...], ...]:
-        """All-pairs distances: row 0 is the connectivity BFS, and each other
-        row one BFS, run on the first read."""
-        return (self._row0,) + tuple(
-            tuple(_bfs_distances(self.adj, s, self.n)) for s in range(1, self.n)
-        )
+        """All-pairs distances, one BFS per row, kept under ``"dist"``."""
+        return self._memoized("dist", lambda: tuple(
+            tuple(_bfs_distances(self.adj, s, self.n)) for s in range(self.n)))
 
-    @cached_property
+    @property
     def radius(self) -> int:
-        return min(map(max, self.dist))
+        """The least eccentricity, kept under ``"radius"``."""
+        return self._memoized("radius", lambda: min(map(max, self.dist)))
 
     def _memoized(self, key, compute):
         """The value stored under key, computed by compute() on first use."""
@@ -260,6 +252,17 @@ def _bfs_distances(adj, src: int, n: int) -> list[int]:
                 dist[v] = d
                 order.append(v)
     return dist
+
+
+def _incidence(g: Graph) -> list[list[tuple[int, int]]]:
+    """rows[v] lists (neighbour, edge index) for each edge of v, in
+    increasing neighbour order, as ``g.adj[v]`` does: both are filled from
+    the sorted edge list."""
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        rows[u].append((v, i))
+        rows[v].append((u, i))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +464,8 @@ def line_graph(g: Graph) -> Graph:
     _check_graph(g)
     if g.m == 0:
         raise EmptyEdgeSet("line graph needs at least one edge")
-    edges = []
-    for i, j in combinations(range(g.m), 2):
-        a, b = g.edges[i], g.edges[j]
-        if set(a) & set(b):
-            edges.append((i, j))
+    # two edges of a simple graph share at most one end, so each pair of
+    # edges at a vertex is listed once
+    edges = [(i, j) for row in _incidence(g) for (_, i), (_, j) in combinations(row, 2)]
     return Graph(g.m, edges)
 

@@ -11,8 +11,9 @@ again. With free endpoints two dummy vertices, joined at cost 0 to every
 odd vertex and to each other, pick the two odd vertices the walk ends at;
 no least-cost matching joins the two dummies. The covering multigraph is
 the graph's edge list with a crossing count per edge index, and one
-Hierholzer walk (``_euler_walk``) over rows of (neighbour, edge index)
-turns it into a plain vertex sequence on the simple input graph;
+Hierholzer walk (``_euler_walk``) over the rows of (neighbour, edge
+index) that ``graph._incidence`` builds turns it into a plain vertex
+sequence on the simple input graph;
 ``eulerian_walk`` is the same walk with no extra crossing. The matching
 breaks ties in a fixed scan order, the walk starts at the lower of its two
 ends, and the shortest paths and the Hierholzer walk leave by the lowest
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import EmptyEdgeSet, InternalError, InvalidParams, NotEulerian
-from .graph import Edge, Graph, _bfs_distances, _check_graph
+from .graph import Edge, Graph, _bfs_distances, _check_graph, _incidence
 from .walks import Walk
 
 EulerClass = Literal["circuit", "trail", "none"]
@@ -67,23 +68,13 @@ def eulerian_walk(g: Graph) -> Walk:
     if euler_class(g) == "none":
         raise NotEulerian("graph has more than two odd-degree vertices")
     start = next((u for u, nbrs in enumerate(g.adj) if len(nbrs) % 2), 0)
-    return Walk(tuple(_euler_walk(_rows(g), [1] * g.m, start)))
-
-
-def _rows(g: Graph) -> list[list[tuple[int, int]]]:
-    """rows[v] lists (neighbour, edge index) for each edge of v, in
-    increasing neighbour order: the sorted edge list gives v's edges (u, v),
-    u < v, by u, before its edges (v, w), by w."""
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        rows[u].append((v, i))
-        rows[v].append((u, i))
-    return rows
+    return Walk(tuple(_euler_walk(_incidence(g), [1] * g.m, start)))
 
 
 def _euler_walk(rows, left: list[int], start: int) -> list[int]:
     """Hierholzer from start on the multigraph that crosses edge i left[i]
-    times, with rows as ``_rows`` builds them; left is counted down to 0.
+    times, with rows as ``graph._incidence`` builds them; left is counted
+    down to 0.
 
     Each step leaves by the lowest neighbour with a crossing left; counts
     only fall, so a per-vertex cursor that never moves back finds it in
@@ -412,8 +403,8 @@ def _pair_odd_vertices(dist, odd: list[int], free: bool) -> tuple[list[tuple[int
 
 def _augmenting_paths(rows, dist, pairs: list[tuple[int, int]]) -> list[int]:
     """Edge indices along a deterministic shortest path for each matched pair
-    (a, b), read from dist[a], the distances from a, and rows as ``_rows``
-    builds them."""
+    (a, b), read from dist[a], the distances from a, and rows as
+    ``graph._incidence`` builds them."""
     extra: list[int] = []
     for a, b in pairs:
         # walk from b back to a, always stepping to the lowest neighbour
@@ -452,7 +443,7 @@ def shortest_covering_walk(g: Graph, mode: Mode = "free_endpoints") -> CoveringW
     odd = [u for u, nbrs in enumerate(g.adj) if len(nbrs) % 2]
     dist = {a: _bfs_distances(g.adj, a, g.n) for a in odd}
     pairs, ends = _pair_odd_vertices(dist, odd, mode != "closed")
-    rows = _rows(g)
+    rows = _incidence(g)
     extra = _augmenting_paths(rows, dist, pairs)
     # the added paths leave every vertex even but the walk's two ends
     left = [1] * g.m

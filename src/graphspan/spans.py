@@ -237,10 +237,11 @@ def _moves(g: Graph, rule: Rule, u: int, v: int, k: int | None = None):
                         break
     else:
         # both-stay is omitted: it covers nothing and never affects
-        # component structure
-        dist = g.dist
+        # component structure; only a threshold on the traditional joint
+        # moves reads the distances
         ys = adj[v] if rule is Rule.TRADITIONAL else ()
         if ys and k is not None:
+            dist = g.dist
             ys = [y for y in ys if dist[u][y] < k]
         for x in adj[u]:
             if ys and (k is None or dist[x][v] < k):

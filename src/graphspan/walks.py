@@ -107,7 +107,8 @@ def _check_pair(g: Graph, f: Walk, h: Walk) -> None:
 def pair_distance(g: Graph, f: Walk, h: Walk) -> int:
     """Minimum over positions of the graph distance between simultaneous entries."""
     _check_pair(g, f, h)
-    return min(g.dist[a][b] for a, b in zip(f.seq, h.seq))
+    dist = g.dist
+    return min(dist[a][b] for a, b in zip(f.seq, h.seq))
 
 
 def is_opposite_lazy(g: Graph, f: Walk, h: Walk) -> bool:

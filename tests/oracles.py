@@ -382,6 +382,13 @@ def reference_euler_walk(adj, counts, start: int) -> list[int]:
     return out
 
 
+def reference_line_graph(g: Graph) -> Graph:
+    """The line graph by its definition: edges i < j of g are adjacent when
+    they share an end, tested pair by pair over all m^2 / 2 pairs."""
+    return Graph(g.m, [(i, j) for i, j in combinations(range(g.m), 2)
+                       if set(g.edges[i]) & set(g.edges[j])])
+
+
 def brute_force_pairing_cost(vertices: list[int], dist) -> int:
     """Minimum total distance over every perfect pairing of the vertices,
     enumerated one pairing at a time."""

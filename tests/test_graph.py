@@ -34,7 +34,10 @@ from graphspan import (
     complete_bipartite,
     cycle,
     enumerate_connected,
+    euler_class,
+    eulerian_walk,
     generate,
+    is_opposite_lazy,
     kn_plus,
     line_graph,
     min_length,
@@ -50,7 +53,8 @@ import graphspan.graph as graph_module
 from graphspan.families import is_isomorphic
 from graphspan.graph import ORDER_LIMIT
 
-from oracles import ALL_VARIANTS, corpus
+from oracles import ALL_VARIANTS, corpus, reference_line_graph
+from test_spans import _seeded_graphs
 
 
 class TestParseEdgeList:
@@ -341,6 +345,21 @@ class TestDistancesOnDemand:
         assert peak < 2 << 20
         assert flags.is_sweep
 
+    def test_route_inspection_and_walk_checks_keep_no_distances(self):
+        # route inspection reads one BFS row per odd vertex and the walk
+        # checks read the adjacency rows, so none of them fills the memo
+        # entries of the all-pairs table or the radius
+        for g in (path(7), cycle(8), star(6), kn_plus(5), complete_bipartite(2, 4), complete(6)):
+            walk = shortest_covering_walk(g).walk
+            shortest_covering_walk(g, "closed")
+            if euler_class(g) != "none":
+                eulerian_walk(g)
+            classify(g, walk)
+            is_opposite_lazy(g, walk, walk)
+            subdivide_edge(g, g.edges[0])
+            line_graph(g)
+            assert "dist" not in g._memo and "radius" not in g._memo, g
+
     def test_has_edge_matches_edge_set(self):
         for g in corpus(5):
             edges = set(g.edges)
@@ -489,3 +508,10 @@ class TestLineGraph:
     def test_empty(self):
         with pytest.raises(EmptyEdgeSet):
             line_graph(path(1))
+
+    def test_matches_pairwise_definition(self):
+        graphs = (*(g for g in corpus(6) if g.m), *_seeded_graphs(40, 43), star(40), complete(12),
+                  complete_bipartite(6, 9), path(300))
+        for g in graphs:
+            lg, want = line_graph(g), reference_line_graph(g)
+            assert (lg.n, lg.edges) == (want.n, want.edges), g

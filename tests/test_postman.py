@@ -31,8 +31,9 @@ from graphspan import (
     star,
 )
 from graphspan import postman
+from graphspan.graph import _incidence
 from graphspan.minlen import _min_pairing
-from graphspan.postman import _euler_walk, _min_perfect_matching, _pair_odd_vertices, _rows
+from graphspan.postman import _euler_walk, _min_perfect_matching, _pair_odd_vertices
 
 from oracles import (
     brute_force_pairing_cost,
@@ -112,7 +113,7 @@ class TestEulerianWalk:
     @given(st.data())
     def test_cursor_matches_rescanning_reference(self, data):
         g = data.draw(connected_graphs(9))
-        rows = _rows(g)
+        rows = _incidence(g)
         left = [data.draw(st.sampled_from((2, 4))) for _ in g.edges]
         start = data.draw(st.integers(0, g.n - 1))
         circuit = _euler_walk(rows, list(left), start)
@@ -139,7 +140,7 @@ class TestEulerianWalk:
     def test_start_off_the_odd_pair_is_not_eulerian(self):
         g = path(3)
         with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
-            _euler_walk(_rows(g), [1] * g.m, 1)
+            _euler_walk(_incidence(g), [1] * g.m, 1)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -158,10 +159,10 @@ class TestEulerianWalk:
         except NotEulerian:
             valid = False
         if valid:
-            assert _euler_walk(_rows(g), left, start) == ref
+            assert _euler_walk(_incidence(g), left, start) == ref
         else:
             with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
-                _euler_walk(_rows(g), left, start)
+                _euler_walk(_incidence(g), left, start)
 
     def test_runs_no_bfs_and_no_matching(self, monkeypatch):
         # an Eulerian graph's walk starts at vertex 0 or at its lowest odd
@@ -349,7 +350,7 @@ class TestPairing:
             shortest_covering_walk(complete(4))
         g = complete(4)
         with pytest.raises(InternalError, match="covering multigraph is not Eulerian"):
-            _euler_walk(_rows(g), [1] * g.m, 1)
+            _euler_walk(_incidence(g), [1] * g.m, 1)
 
     def test_hundred_odd_vertices_in_well_under_a_second(self):
         # star(100) has k = 100 odd vertices; the matching takes O(k^2) per

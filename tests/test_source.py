@@ -1,8 +1,8 @@
 """Source guards over the package modules: the runtime imports only the
 standard library, the imports among package modules form no cycle, a
 breached invariant raises InternalError, never a bare AssertionError, only
-the graph module touches a graph's memo, each memo key belongs to one
-module, every typed error is importable from the package, ``__all__`` lists
+the graph module touches a graph's memo, the memo is the only per-graph
+cache, each memo key belongs to one module, every typed error is importable from the package, ``__all__`` lists
 every public name the package binds, and every private module-level name
 is read in the package."""
 
@@ -85,6 +85,17 @@ def test_only_the_graph_module_touches_the_memo():
              and ((isinstance(node, ast.Attribute) and node.attr == "_memo")
                   or (isinstance(node, ast.Constant) and node.value == "_memo"))]
     assert found == []
+
+
+def test_the_memo_is_the_only_per_graph_cache():
+    # every table kept on a graph is a memo entry: no module caches a
+    # property, and a graph has no __dict__ beside its slots to keep one in
+    found = [(name, node.lineno) for name, node in _nodes()
+             if (isinstance(node, ast.Name) and node.id == "cached_property")
+             or (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+             or (isinstance(node, ast.alias) and node.name == "cached_property")]
+    assert found == []
+    assert not hasattr(graphspan.path(3), "__dict__")
 
 
 def test_each_memo_key_belongs_to_one_module():

@@ -629,7 +629,8 @@ class TestReducedMoves:
                 for rule, target in ALL_VARIANTS:
                     witness_sweeps(fresh, rule, target)
                     span(fresh, rule, target)
-                assert set(fresh._memo) == {"spans", "steps", *(("witness", rule) for rule in Rule)}
+                assert set(fresh._memo) == {"dist", "radius", "spans", "steps",
+                                            *(("witness", rule) for rule in Rule)}
 
     def test_span_pass_leaves_little_on_the_graph(self):
         # what a graph keeps after all_spans is its memo: the answers, the
